@@ -26,14 +26,21 @@ type Context struct {
 	Exhausted bool
 
 	// peeker is Source's zero-copy lookahead interface when it has one
-	// (interned workload streams); nil sources fall back to the pending
-	// buffer below.
+	// (interned workload streams); other sources go through the
+	// lookahead batch below.
 	peeker trace.Peeker
-	// pending is a one-instruction peek buffer over Source, needed to
-	// stop fetching *before* consuming a branch that would exceed the
-	// control-speculation limit.
-	pending    isa.Inst
-	hasPending bool
+	// filler is Source's bulk-read interface when it has one (live
+	// workload generators).
+	filler trace.Filler
+	// ahead[aheadPos:aheadLen] is the lookahead batch over a non-Peeker
+	// Source: fetch must inspect the next instruction before consuming it
+	// (to stop *before* a branch that would exceed the control-speculation
+	// limit). A Filler refills the whole batch in one call; a plain
+	// Reader refills one record per Next, so it is never read more than
+	// one record ahead. Reading ahead is invisible to the machine: the
+	// context owns its source exclusively.
+	ahead              [lookahead]isa.Inst
+	aheadPos, aheadLen int
 
 	// FetchBuf holds fetched instructions awaiting dispatch. Its length
 	// is the ICOUNT fetch-policy metric.
@@ -152,6 +159,7 @@ func newContext(id int, m config.Machine, src trace.Reader) (*Context, error) {
 	c.files[isa.AP] = c.APFile
 	c.files[isa.EP] = c.EPFile
 	c.peeker, _ = src.(trace.Peeker)
+	c.filler, _ = src.(trace.Filler)
 	if err := c.Map.Init(c.APFile, c.EPFile); err != nil {
 		return nil, fmt.Errorf("thread %d: %w", id, err)
 	}
@@ -187,10 +195,13 @@ func (c *Context) release(d *DynInst) {
 	c.pool = append(c.pool, d)
 }
 
+// lookahead is the capacity of a context's lookahead batch.
+const lookahead = 64
+
 // peekSource returns the next trace instruction without consuming it.
 // Sources with native lookahead (trace.Peeker — interned workload
 // streams) hand back a pointer into their own buffer, copy-free; others
-// go through the one-instruction pending buffer.
+// go through the lookahead batch.
 func (c *Context) peekSource() (*isa.Inst, bool) {
 	if c.peeker != nil {
 		if c.Exhausted {
@@ -202,18 +213,24 @@ func (c *Context) peekSource() (*isa.Inst, bool) {
 		}
 		return in, ok
 	}
-	if c.hasPending {
-		return &c.pending, true
+	if c.aheadPos < c.aheadLen {
+		return &c.ahead[c.aheadPos], true
 	}
 	if c.Exhausted {
 		return nil, false
 	}
-	if !c.Source.Next(&c.pending) {
+	n := 0
+	if c.filler != nil {
+		n = c.filler.Fill(c.ahead[:])
+	} else if c.Source.Next(&c.ahead[0]) {
+		n = 1
+	}
+	c.aheadPos, c.aheadLen = 0, n
+	if n == 0 {
 		c.Exhausted = true
 		return nil, false
 	}
-	c.hasPending = true
-	return &c.pending, true
+	return &c.ahead[0], true
 }
 
 // consumeSource consumes the peeked instruction.
@@ -222,10 +239,10 @@ func (c *Context) consumeSource() {
 		c.peeker.Consume()
 		return
 	}
-	if !c.hasPending {
+	if c.aheadPos >= c.aheadLen {
 		panic("core: consumeSource without peek")
 	}
-	c.hasPending = false
+	c.aheadPos++
 }
 
 // InFlight returns the number of instructions in the ROB (dispatched, not

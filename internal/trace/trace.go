@@ -35,11 +35,22 @@ type Reader interface {
 // valid only until the next PeekNext/Consume/Next call, and read-only —
 // and Consume advances past it. Readers backed by in-memory buffers
 // (interned workload streams) implement it so the peek costs no copy;
-// everything else goes through the caller's own one-instruction buffer.
+// everything else goes through the caller's own lookahead buffer.
 type Peeker interface {
 	Reader
 	PeekNext() (*isa.Inst, bool)
 	Consume()
+}
+
+// Filler is an optional Reader extension for bulk reads: Fill writes the
+// next records of the stream into dst and returns how many it wrote,
+// exactly the records len(dst) Next calls would have produced. It returns
+// fewer than len(dst) only when the stream ends. Live workload generators
+// implement it so the core fills its per-context lookahead batch with one
+// call instead of one interface call per instruction.
+type Filler interface {
+	Reader
+	Fill(dst []isa.Inst) int
 }
 
 // Func adapts a function to the Reader interface.

@@ -15,8 +15,9 @@ import (
 // Every figure in the paper is a sweep, and every sweep point re-creates
 // the same per-thread instruction streams: the generator for a given
 // (benchmark spec, address offset, seed) triple is deterministic, so
-// each point used to re-interpret the same kernels instruction by
-// instruction (~8% of a busy simulation profile). NewReader therefore
+// without interning each point would regenerate the same instructions
+// from the kernel templates, a few ns per instruction (README,
+// Performance). NewReader therefore
 // memoizes each triple's output in a shared packed buffer: the first
 // reader materializes instructions chunk by chunk from one underlying
 // generator, and every later reader — in this run, a later sweep point,
@@ -37,7 +38,11 @@ import (
 // ~35% slower with eager interning); the second reader for the same key
 // starts materializing the shared buffer from scratch, and later readers
 // replay it. A sweep's N points over one stream thus generate it at most
-// twice instead of N times.
+// twice instead of N times. First sightings are remembered in a bounded
+// set (internSeenMax keys, forgotten all at once when full), so a
+// long-running server handling a never-seen seed per request holds no
+// per-request state; a key re-requested after such a reset simply runs
+// live once more.
 
 // internChunkLen is the number of instructions materialized per chunk
 // (32 KiB per chunk at 32 bytes per instruction).
@@ -63,14 +68,18 @@ type internedStream struct {
 	chunks    atomic.Pointer[[]*internChunk]
 
 	mu     sync.Mutex
-	gen    trace.Reader // shared generator, positioned at `published`
-	newGen func() trace.Reader
+	gen    trace.Filler // shared generator, positioned at `published`
+	newGen func() trace.Filler
 	frozen bool // budget exhausted: the stream stops growing
 }
 
+// internSeenMax bounds the first-sighting set.
+const internSeenMax = 4096
+
 var (
 	internMu      sync.Mutex
-	internStreams = map[string]*internedStream{}
+	internStreams = map[string]*internedStream{} // keys seen at least twice
+	internSeen    = map[string]struct{}{}        // first sightings, bounded
 	internUsed    atomic.Int64
 )
 
@@ -82,23 +91,31 @@ var (
 func internFor(b Benchmark, opts ReaderOpts) *internedStream {
 	return internForKey(
 		fmt.Sprintf("%+v|off=%d|seed=%d", b, opts.AddrOffset, opts.Seed),
-		func() trace.Reader { return b.newGenerator(opts) },
+		func() trace.Filler { return b.newGenerator(opts) },
 	)
 }
 
 // internForKey is the generic registry lookup behind internFor (and the
 // mix-level interning in mix.go): nil on first sighting, the shared
-// stream afterwards.
-func internForKey(key string, newGen func() trace.Reader) *internedStream {
+// stream afterwards. The stream is created on the second sighting, with
+// that caller's newGen.
+func internForKey(key string, newGen func() trace.Filler) *internedStream {
 	internMu.Lock()
 	defer internMu.Unlock()
-	s, ok := internStreams[key]
-	if !ok {
-		// First sighting: remember how to regenerate, but let this
-		// reader run live.
-		internStreams[key] = &internedStream{newGen: newGen}
+	if s, ok := internStreams[key]; ok {
+		return s
+	}
+	if _, ok := internSeen[key]; !ok {
+		// First sighting: let this reader run live.
+		if len(internSeen) >= internSeenMax {
+			clear(internSeen)
+		}
+		internSeen[key] = struct{}{}
 		return nil
 	}
+	delete(internSeen, key)
+	s := &internedStream{newGen: newGen}
+	internStreams[key] = s
 	return s
 }
 
@@ -114,7 +131,7 @@ type internReader struct {
 	// live is the private fallback generator once the shared prefix is
 	// frozen and exhausted; pending buffers its one-instruction
 	// lookahead for PeekNext.
-	live        trace.Reader
+	live        trace.Filler
 	pending     isa.Inst
 	livePending bool
 }
@@ -223,9 +240,7 @@ func (s *internedStream) extend(pos int64) bool {
 			return false
 		}
 		ch := new(internChunk)
-		for i := range ch {
-			s.gen.Next(&ch[i])
-		}
+		s.gen.Fill(ch[:])
 		old := s.chunks.Load()
 		var grown []*internChunk
 		if old != nil {
@@ -242,8 +257,8 @@ func (s *internedStream) extend(pos int64) bool {
 const internChunkBytes = internChunkLen * int64(unsafe.Sizeof(isa.Inst{}))
 
 // internStats reports the interner's footprint (tests only).
-func internStats() (streams int, bytes int64) {
+func internStats() (streams, seen int, bytes int64) {
 	internMu.Lock()
 	defer internMu.Unlock()
-	return len(internStreams), internUsed.Load()
+	return len(internStreams), len(internSeen), internUsed.Load()
 }

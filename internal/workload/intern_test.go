@@ -1,10 +1,12 @@
 package workload
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/trace"
 )
 
 // readN pulls n instructions from a reader into a slice.
@@ -90,7 +92,7 @@ func TestInternBudgetFallback(t *testing.T) {
 	want := readN(t, b.NewReader(opts), n) // first sighting: live
 
 	// Allow one more chunk than currently used, then freeze.
-	_, used := internStats()
+	_, _, used := internStats()
 	InternBudgetBytes = used + internChunkBytes
 	r := b.NewReader(opts)
 	if _, ok := r.(*internReader); !ok {
@@ -171,5 +173,34 @@ func TestInternDisabled(t *testing.T) {
 	}
 	if _, ok := b.NewReader(ReaderOpts{}).(*internReader); ok {
 		t.Fatal("interning not disabled by a zero budget")
+	}
+}
+
+// TestInternRegistryBounded: a stream of never-repeated keys (a server
+// handling a fresh seed per request) leaves the registry within its
+// first-sighting bound, and a key seen twice in a row still interns.
+func TestInternRegistryBounded(t *testing.T) {
+	streams0, _, _ := internStats()
+	newGen := func() trace.Filler { t.Fatal("first sighting built a generator"); return nil }
+	for i := 0; i < 200_000; i++ {
+		if internForKey(fmt.Sprintf("bounded-test|%d", i), newGen) != nil {
+			t.Fatalf("key %d interned on its first sighting", i)
+		}
+	}
+	streams, seen, _ := internStats()
+	if seen > internSeenMax || streams != streams0 {
+		t.Fatalf("after 200k one-shot keys: %d first sightings (bound %d), %d streams (was %d)",
+			seen, internSeenMax, streams, streams0)
+	}
+
+	opts := MixOpts{Seed: 0xB0B0B0}
+	if _, ok := Mix(2, opts).(*internReader); ok {
+		t.Fatal("first Mix reader for a key should run live")
+	}
+	if _, ok := Mix(2, opts).(*internReader); !ok {
+		t.Fatal("second Mix reader for a key should be interned")
+	}
+	if streams, _, _ := internStats(); streams != streams0+1 {
+		t.Fatalf("%d streams after one repeated key, want %d", streams, streams0+1)
 	}
 }

@@ -62,7 +62,7 @@ func Mix(threadID int, opts MixOpts) trace.Reader {
 	}
 	if InternBudgetBytes > 0 {
 		key := fmt.Sprintf("mix|t=%d|seg=%d|seed=%d", threadID, opts.SegmentLen, opts.Seed)
-		if s := internForKey(key, func() trace.Reader { return newMixReader(threadID, opts) }); s != nil {
+		if s := internForKey(key, func() trace.Filler { return newMixReader(threadID, opts) }); s != nil {
 			return &internReader{s: s}
 		}
 	}
@@ -70,14 +70,18 @@ func Mix(threadID int, opts MixOpts) trace.Reader {
 }
 
 // newMixReader builds the live segment-rotating reader behind Mix.
-func newMixReader(threadID int, opts MixOpts) trace.Reader {
+func newMixReader(threadID int, opts MixOpts) *mixReader {
 	segLen := opts.SegmentLen
 	if segLen <= 0 {
 		segLen = DefaultSegmentLen
 	}
 	benches := builtins()
+	progs := make([]*program, len(benches))
+	for i, b := range benches {
+		progs[i] = compile(b)
+	}
 	return &mixReader{
-		benches:  benches,
+		progs:    progs,
 		next:     threadID % len(benches),
 		segLen:   segLen,
 		addrOff:  ThreadAddrOffset(threadID),
@@ -94,39 +98,57 @@ func MixSources(threads int, opts MixOpts) []trace.Reader {
 	return srcs
 }
 
+// mixReader is the live Mix stream. It implements trace.Filler but, by
+// design, not trace.Peeker: zero-copy lookahead is the interned replay's
+// fast path, and a first-sighting Mix reader is a live generator.
 type mixReader struct {
-	benches  []Benchmark
+	progs    []*program // one per builtin benchmark, shared by its segments
 	next     int
 	segLen   int64
 	addrOff  uint64
 	seedBase uint64
 
-	cur       trace.Reader
-	remaining int64
-	segment   uint64 // segments completed, perturbs per-segment seeds
+	gen       generator // the current segment
+	remaining int64     // instructions left in the current segment
+	segment   uint64    // segments started, perturbs per-segment seeds
+}
+
+// startSegment rotates to the next benchmark. Segments generate live:
+// mix streams are interned as a whole, so interning the segments too
+// would only double-buffer the same instructions.
+func (m *mixReader) startSegment() {
+	m.gen.reset(m.progs[m.next], ReaderOpts{
+		AddrOffset: m.addrOff,
+		Seed:       m.seedBase + m.segment,
+	})
+	m.next = (m.next + 1) % len(m.progs)
+	m.remaining = m.segLen
+	m.segment++
 }
 
 // Next implements trace.Reader; the stream never ends.
 func (m *mixReader) Next(out *isa.Inst) bool {
-	for m.cur == nil || m.remaining <= 0 {
-		b := m.benches[m.next]
-		m.next = (m.next + 1) % len(m.benches)
-		// Segments generate live (newGenerator, not NewReader): mix
-		// streams are interned as a whole, so interning the segments too
-		// would only double-buffer the same instructions.
-		m.cur = b.newGenerator(ReaderOpts{
-			AddrOffset: m.addrOff,
-			Seed:       m.seedBase + m.segment,
-		})
-		m.remaining = m.segLen
-		m.segment++
+	if m.remaining <= 0 {
+		m.startSegment()
 	}
-	if !m.cur.Next(out) {
-		// Benchmark readers are infinite; treat a dry reader defensively
-		// by rotating to the next segment.
-		m.remaining = 0
-		return m.Next(out)
-	}
+	m.gen.Next(out)
 	m.remaining--
 	return true
+}
+
+// Fill implements trace.Filler, splitting dst at segment boundaries.
+func (m *mixReader) Fill(dst []isa.Inst) int {
+	for n := 0; n < len(dst); {
+		if m.remaining <= 0 {
+			m.startSegment()
+		}
+		k := len(dst) - n
+		if int64(k) > m.remaining {
+			k = int(m.remaining)
+		}
+		m.gen.Fill(dst[n : n+k])
+		m.remaining -= int64(k)
+		n += k
+	}
+	return len(dst)
 }

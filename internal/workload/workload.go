@@ -207,43 +207,85 @@ func (b Benchmark) NewReader(opts ReaderOpts) trace.Reader {
 	return b.newGenerator(opts)
 }
 
-// newGenerator builds the underlying streaming kernel interpreter.
-func (b Benchmark) newGenerator(opts ReaderOpts) trace.Reader {
-	g := &generator{
-		bench: b,
-		rng:   rng.New(b.Seed ^ (opts.Seed * 0x9e3779b97f4a7c15)),
-		off:   opts.AddrOffset,
-	}
-	g.streamPos = make([]uint64, len(b.Streams))
-	g.streamUse = make([]int, len(b.Streams))
+// newGenerator builds a live generator over a freshly compiled program.
+func (b Benchmark) newGenerator(opts ReaderOpts) *generator {
+	g := &generator{}
+	g.reset(compile(b), opts)
 	return g
 }
 
-// generator is the streaming kernel interpreter.
-type generator struct {
-	bench Benchmark
-	rng   *rng.Source
-	off   uint64
+// Iteration templates.
+//
+// A kernel iteration's static shape — which slots are live, which
+// registers they name, the closing branch's outcome — is fixed by four
+// bits of loop state, so a kernel has at most numShapes distinct
+// iterations. Each is compiled once into a template: the iteration's
+// records with every field final except the ones drawn at generation
+// time (a memory access's address, the LoD branch's outcome), which the
+// slot's tag names. Generation copies template records and draws the
+// tagged fields in slot order as the records are read. The stream
+// positions and the rng are private to the generator, so drawing a field
+// when its record is read, rather than when its iteration starts, yields
+// the same values.
+const (
+	shapeOdd     = 1 << iota // odd iteration: the index load rotates to r14
+	shapeIntLoad             // the integer load (and its padding) is live
+	shapeLoD                 // the loss-of-decoupling block is live
+	shapeTaken               // the closing branch is taken
+	numShapes    = 1 << iota
+)
 
-	streamPos []uint64 // per-stream byte position
-	streamUse []int    // accesses made at the current position (reuse)
+// Slot tags: what generation draws into a template record.
+const (
+	tagPlain  = iota // nothing: the record is final
+	tagLoD           // Taken, from the benchmark's rng
+	tagStream        // Addr, from stream tag-tagStream
+)
 
-	kernel    int // current kernel index
-	kernIters int // iterations completed in the current kernel run
-	iter      int // absolute iteration number within the kernel (for trips)
-
-	buf  []isa.Inst // instructions of the current iteration
-	next int        // read cursor into buf
+// shape is one compiled iteration template.
+type shape struct {
+	insts   []isa.Inst
+	tags    []uint8 // per slot, see tagPlain
+	lodProb float64 // the kernel's LODTakenProb, for tagLoD slots
 }
 
-// Next implements trace.Reader. The stream is infinite.
-func (g *generator) Next(out *isa.Inst) bool {
-	for g.next >= len(g.buf) {
-		g.emitIteration()
+// program is a benchmark compiled for generation: each kernel's
+// iteration templates, built on first use. A program is independent of
+// the reader options, so every segment a mix reader generates from one
+// benchmark shares one.
+type program struct {
+	bench  Benchmark
+	shapes [][numShapes]*shape
+}
+
+func compile(b Benchmark) *program {
+	return &program{bench: b, shapes: make([][numShapes]*shape, len(b.Kernels))}
+}
+
+// shapeOf returns kernel k's shape at iteration iter.
+func shapeOf(k *Kernel, iter int) int {
+	sh := iter & shapeOdd
+	if k.IntLoad.Every > 0 && iter%k.IntLoad.Every == 0 {
+		sh |= shapeIntLoad
 	}
-	*out = g.buf[g.next]
-	g.next++
-	return true
+	if k.LODEvery > 0 && iter%k.LODEvery == k.LODEvery-1 {
+		sh |= shapeLoD
+	}
+	if iter%k.InnerTrip != k.InnerTrip-1 {
+		sh |= shapeTaken
+	}
+	return sh
+}
+
+// shape returns kernel ki's template for shape sh, compiling it on first
+// use.
+func (p *program) shape(ki, sh int) *shape {
+	s := p.shapes[ki][sh]
+	if s == nil {
+		s = p.build(ki, sh)
+		p.shapes[ki][sh] = s
+	}
+	return s
 }
 
 // Register conventions (architectural, per kernel iteration):
@@ -269,59 +311,56 @@ const (
 	fpLODTemp     = 16 // f16
 )
 
-// emitIteration refills g.buf with one inner-loop iteration of the
-// current kernel, assigning stable PCs per static slot.
-func (g *generator) emitIteration() {
-	k := &g.bench.Kernels[g.kernel]
-	g.buf = g.buf[:0]
-	g.next = 0
+// build compiles kernel ki's iteration of shape sh, assigning stable PCs
+// per static slot: a suppressed block keeps its slots reserved.
+func (p *program) build(ki, sh int) *shape {
+	k := &p.bench.Kernels[ki]
+	s := &shape{lodProb: k.LODTakenProb}
 
 	// Stable code layout: per-benchmark base (derived from the seed) plus
 	// per-kernel spacing, chosen to avoid systematic BHT aliasing between
 	// kernels and benchmarks.
-	pcBase := (g.bench.Seed&0xF)*0x1100 + 0x1000 + uint64(g.kernel)*0x84c
+	pcBase := (p.bench.Seed&0xF)*0x1100 + 0x1000 + uint64(ki)*0x84c
 	slot := 0
-	pc := func() uint64 {
-		p := pcBase + uint64(slot)*4
+	emit := func(in isa.Inst, tag uint8) {
+		in.PC = pcBase + uint64(slot)*4
 		slot++
-		return p
+		s.insts = append(s.insts, in)
+		s.tags = append(s.tags, tag)
 	}
-	emit := func(in isa.Inst) { g.buf = append(g.buf, in) }
-	skip := func(n int) { slot += n } // reserve slots of a suppressed block
-
-	intReg := func(n int) isa.Reg { return isa.IntReg(n) }
-	fpReg := func(n int) isa.Reg { return isa.FPReg(n) }
+	stream := func(i int) uint8 { return tagStream + uint8(i) }
+	intReg, fpReg := isa.IntReg, isa.FPReg
 
 	// 1. Index arithmetic: one bump of the shared counter plus any extra
 	// integer ops. (Strength-reduced code: stream addressing reuses the
 	// counter, so per-stream bumps are folded into one.)
-	emit(isa.Inst{PC: pc(), Op: isa.OpIntALU, Dest: intReg(regCounter), Src1: intReg(regCounter), Src2: isa.NoReg})
+	emit(isa.Inst{Op: isa.OpIntALU, Dest: intReg(regCounter), Src1: intReg(regCounter), Src2: isa.NoReg}, tagPlain)
 	for i := 0; i < k.IntOps; i++ {
 		d := regScratchA + i%2
-		emit(isa.Inst{PC: pc(), Op: isa.OpIntALU, Dest: intReg(d), Src1: intReg(d), Src2: intReg(regCounter)})
+		emit(isa.Inst{Op: isa.OpIntALU, Dest: intReg(d), Src1: intReg(d), Src2: intReg(regCounter)}, tagPlain)
 	}
 
 	// 2. Integer load (index/gather) in its reserved slot.
-	idxDest := regIdxA + (g.iter % 2) // rotate destinations across iterations
-	intLoadLive := k.IntLoad.Every > 0 && g.iter%k.IntLoad.Every == 0
+	idxDest := regIdxA + sh&shapeOdd // rotate destinations across iterations
+	intLoadLive := sh&shapeIntLoad != 0
 	if intLoadLive {
 		emit(isa.Inst{
-			PC: pc(), Op: isa.OpLoad,
+			Op:   isa.OpLoad,
 			Dest: intReg(idxDest),
 			Src1: intReg(regStreamBase + k.IntLoad.Stream), Src2: isa.NoReg,
-			Addr: g.advance(k.IntLoad.Stream), Size: 8,
-		})
+			Size: 8,
+		}, stream(k.IntLoad.Stream))
 	} else {
-		skip(1)
+		slot++
 	}
 	// Scheduling distance: pad with integer ops between the index load
 	// and its dependent use (models compiler scheduling quality).
 	if k.IntLoad.Every > 0 && k.IntLoad.Feeds {
 		for i := 0; i < k.IntLoad.Dist; i++ {
 			if intLoadLive {
-				emit(isa.Inst{PC: pc(), Op: isa.OpIntALU, Dest: intReg(regScratchB), Src1: intReg(regScratchB), Src2: isa.NoReg})
+				emit(isa.Inst{Op: isa.OpIntALU, Dest: intReg(regScratchB), Src1: intReg(regScratchB), Src2: isa.NoReg}, tagPlain)
 			} else {
-				skip(1)
+				slot++
 			}
 		}
 	}
@@ -329,17 +368,17 @@ func (g *generator) emitIteration() {
 	// 3. FP loads. When the kernel gathers, the first FP load of an
 	// iteration with a live integer load uses the loaded index as its
 	// address register.
-	for i, s := range k.FPLoads {
-		src := intReg(regStreamBase + s)
+	for i, st := range k.FPLoads {
+		src := intReg(regStreamBase + st)
 		if i == 0 && intLoadLive && k.IntLoad.Feeds {
 			src = intReg(idxDest)
 		}
 		emit(isa.Inst{
-			PC: pc(), Op: isa.OpLoad,
+			Op:   isa.OpLoad,
 			Dest: fpReg(fpTempBase + i),
 			Src1: src, Src2: isa.NoReg,
-			Addr: g.advance(s), Size: 8,
-		})
+			Size: 8,
+		}, stream(st))
 	}
 
 	// 4. FP computation: round-robin the ops over the accumulator chains,
@@ -347,68 +386,155 @@ func (g *generator) emitIteration() {
 	for i := 0; i < k.FPOps; i++ {
 		chain := fpChainBase + i%k.FPChains
 		temp := fpTempBase + i%max(1, len(k.FPLoads))
-		emit(isa.Inst{
-			PC: pc(), Op: isa.OpFPALU,
-			Dest: fpReg(chain), Src1: fpReg(chain), Src2: fpReg(temp),
-		})
+		emit(isa.Inst{Op: isa.OpFPALU, Dest: fpReg(chain), Src1: fpReg(chain), Src2: fpReg(temp)}, tagPlain)
 	}
 
 	// 5. Stores of chain results.
-	for i, s := range k.Stores {
+	for i, st := range k.Stores {
 		chain := fpChainBase + i%max(1, k.FPChains)
 		emit(isa.Inst{
-			PC: pc(), Op: isa.OpStore, Dest: isa.NoReg,
-			Src1: fpReg(chain), Src2: intReg(regStreamBase + s),
-			Addr: g.advance(s), Size: 8,
-		})
+			Op: isa.OpStore, Dest: isa.NoReg,
+			Src1: fpReg(chain), Src2: intReg(regStreamBase + st),
+			Size: 8,
+		}, stream(st))
 	}
 
 	// 6. Loss-of-decoupling block in reserved slots: FP compare, FP→int
 	// move (the AP instruction that must wait for the EP), and a
 	// data-dependent branch.
 	if k.LODEvery > 0 {
-		if g.iter%k.LODEvery == k.LODEvery-1 {
+		if sh&shapeLoD != 0 {
 			c0 := fpReg(fpChainBase)
 			c1 := fpReg(fpChainBase + k.FPChains/2)
-			emit(isa.Inst{PC: pc(), Op: isa.OpFPALU, Dest: fpReg(fpLODTemp), Src1: c0, Src2: c1})
-			emit(isa.Inst{PC: pc(), Op: isa.OpIntALU, Dest: intReg(regLODCC), Src1: fpReg(fpLODTemp), Src2: isa.NoReg})
-			emit(isa.Inst{PC: pc(), Op: isa.OpBranch, Dest: isa.NoReg, Src1: intReg(regLODCC), Src2: isa.NoReg, Taken: g.rng.Bool(k.LODTakenProb)})
+			emit(isa.Inst{Op: isa.OpFPALU, Dest: fpReg(fpLODTemp), Src1: c0, Src2: c1}, tagPlain)
+			emit(isa.Inst{Op: isa.OpIntALU, Dest: intReg(regLODCC), Src1: fpReg(fpLODTemp), Src2: isa.NoReg}, tagPlain)
+			emit(isa.Inst{Op: isa.OpBranch, Dest: isa.NoReg, Src1: intReg(regLODCC), Src2: isa.NoReg}, tagLoD)
 		} else {
-			skip(3)
+			slot += 3
 		}
 	}
 
 	// 7. Inner-loop closing branch: taken except on loop exit.
-	taken := g.iter%k.InnerTrip != k.InnerTrip-1
-	emit(isa.Inst{PC: pc(), Op: isa.OpBranch, Dest: isa.NoReg, Src1: intReg(regCounter), Src2: isa.NoReg, Taken: taken})
-
-	// Advance kernel rotation state.
-	g.iter++
-	g.kernIters++
-	if g.kernIters >= k.Weight && len(g.bench.Kernels) > 1 {
-		g.kernIters = 0
-		g.iter = 0
-		g.kernel = (g.kernel + 1) % len(g.bench.Kernels)
-	}
+	emit(isa.Inst{Op: isa.OpBranch, Dest: isa.NoReg, Src1: intReg(regCounter), Src2: isa.NoReg, Taken: sh&shapeTaken != 0}, tagPlain)
+	return s
 }
 
-// advance returns the current address of the stream and steps it after
-// the stream's reuse count is exhausted (stencil-style temporal reuse).
-func (g *generator) advance(stream int) uint64 {
-	s := &g.bench.Streams[stream]
-	pos := g.streamPos[stream]
-	g.streamUse[stream]++
-	if g.streamUse[stream] >= s.reuse() {
-		g.streamUse[stream] = 0
-		g.streamPos[stream] = (pos + uint64(s.StrideBytes)) % uint64(s.SizeBytes)
+// streamState is one array stream's generation state.
+type streamState struct {
+	pos    uint64 // byte position, < size
+	size   uint64
+	stride uint64 // <= size (Validate)
+	base   uint64 // address of position 0
+	reuse  int
+	use    int // accesses made at the current position
+}
+
+// advance returns the stream's current address and steps it after the
+// stream's reuse count is exhausted (stencil-style temporal reuse).
+// pos < size and stride <= size, so one conditional subtract wraps.
+func (s *streamState) advance() uint64 {
+	addr := s.base + s.pos
+	s.use++
+	if s.use >= s.reuse {
+		s.use = 0
+		s.pos += s.stride
+		if s.pos >= s.size {
+			s.pos -= s.size
+		}
 	}
-	// Distinct 256 MB regions per stream keep streams apart in memory,
-	// and a per-stream index skew spreads small (cache-resident) streams
-	// across different L1 sets — without it every stream would start at
-	// set 0 and resident streams would thrash each other in the
-	// direct-mapped cache.
-	base := uint64(stream+1)<<28 + uint64(stream)*0x5340
-	return g.off + base + pos
+	return addr
+}
+
+// generator is the streaming kernel interpreter: it replays the current
+// iteration's template and draws the tagged fields.
+type generator struct {
+	prog    *program
+	rng     rng.Source
+	streams [maxStreams]streamState
+
+	kernel    int // current kernel index
+	kernIters int // iterations completed in the current kernel run
+	iter      int // absolute iteration number within the kernel (for trips)
+
+	cur *shape // the current iteration's template
+	pos int    // read cursor into cur
+}
+
+// reset positions g at the start of p's stream for opts.
+func (g *generator) reset(p *program, opts ReaderOpts) {
+	*g = generator{prog: p}
+	g.rng.Seed(p.bench.Seed ^ (opts.Seed * 0x9e3779b97f4a7c15))
+	for i, s := range p.bench.Streams {
+		// Distinct 256 MB regions per stream keep streams apart in
+		// memory, and a per-stream index skew spreads small
+		// (cache-resident) streams across different L1 sets — without it
+		// every stream would start at set 0 and resident streams would
+		// thrash each other in the direct-mapped cache.
+		g.streams[i] = streamState{
+			size:   uint64(s.SizeBytes),
+			stride: uint64(s.StrideBytes),
+			base:   opts.AddrOffset + uint64(i+1)<<28 + uint64(i)*0x5340,
+			reuse:  s.reuse(),
+		}
+	}
+	g.cur = p.shape(0, shapeOf(&p.bench.Kernels[0], 0))
+}
+
+// Next implements trace.Reader. The stream is infinite.
+func (g *generator) Next(out *isa.Inst) bool {
+	if g.pos == len(g.cur.insts) {
+		g.nextIteration()
+	}
+	*out = g.cur.insts[g.pos]
+	if tag := g.cur.tags[g.pos]; tag != tagPlain {
+		g.draw(out, tag)
+	}
+	g.pos++
+	return true
+}
+
+// Fill implements trace.Filler: whole template runs are copied at once,
+// then their tagged fields drawn in slot order. The stream is infinite,
+// so dst is always filled.
+func (g *generator) Fill(dst []isa.Inst) int {
+	for n := 0; n < len(dst); {
+		if g.pos == len(g.cur.insts) {
+			g.nextIteration()
+		}
+		k := copy(dst[n:], g.cur.insts[g.pos:])
+		for i, tag := range g.cur.tags[g.pos : g.pos+k] {
+			if tag != tagPlain {
+				g.draw(&dst[n+i], tag)
+			}
+		}
+		g.pos += k
+		n += k
+	}
+	return len(dst)
+}
+
+// draw fills in the generation-time field a slot tag names.
+func (g *generator) draw(in *isa.Inst, tag uint8) {
+	if tag == tagLoD {
+		in.Taken = g.rng.Bool(g.cur.lodProb)
+		return
+	}
+	in.Addr = g.streams[tag-tagStream].advance()
+}
+
+// nextIteration advances the kernel rotation state past the finished
+// iteration and selects the next iteration's template.
+func (g *generator) nextIteration() {
+	b := &g.prog.bench
+	g.iter++
+	g.kernIters++
+	if g.kernIters >= b.Kernels[g.kernel].Weight && len(b.Kernels) > 1 {
+		g.kernIters = 0
+		g.iter = 0
+		g.kernel = (g.kernel + 1) % len(b.Kernels)
+	}
+	g.cur = g.prog.shape(g.kernel, shapeOf(&b.Kernels[g.kernel], g.iter))
+	g.pos = 0
 }
 
 func max(a, b int) int {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/isa"
@@ -350,14 +351,34 @@ func TestMixNegativeThreadPanics(t *testing.T) {
 	Mix(-1, MixOpts{})
 }
 
+// benchLive measures live generation per instruction, one Next at a
+// time and in the core's 64-record Fill batches. Each round builds a
+// fresh reader directly, bypassing the interner: NewReader or Mix on a
+// repeated key would replay an interned buffer instead of generating.
+func benchLive(b *testing.B, mk func() trace.Filler) {
+	b.Run("Next", func(b *testing.B) {
+		r := mk()
+		var in isa.Inst
+		for i := 0; i < b.N; i++ {
+			r.Next(&in)
+		}
+	})
+	b.Run("Fill", func(b *testing.B) {
+		r := mk()
+		var buf [64]isa.Inst
+		for n := 0; n < b.N; n += len(buf) {
+			r.Fill(buf[:])
+		}
+	})
+}
+
 func BenchmarkGenerator(b *testing.B) {
 	bench, _ := ByName("swim")
-	r := bench.NewReader(ReaderOpts{})
-	var in isa.Inst
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Next(&in)
-	}
+	benchLive(b, func() trace.Filler { return bench.newGenerator(ReaderOpts{}) })
+}
+
+func BenchmarkMixLive(b *testing.B) {
+	benchLive(b, func() trace.Filler { return newMixReader(0, MixOpts{}) })
 }
 
 func TestStreamReuseSlowsAdvance(t *testing.T) {
@@ -438,6 +459,45 @@ func TestQuickAddressIsolation(t *testing.T) {
 		r2.Next(&c)
 		if c.IsMem() && set[c.Addr] {
 			t.Fatalf("shared address %#x", c.Addr)
+		}
+	}
+}
+
+// fillMatchesNext drains a Filler in batches of the given sizes (cycled)
+// and a twin through Next, requiring identical records.
+func fillMatchesNext(t *testing.T, name string, f trace.Filler, twin trace.Reader, n int, batches []int) {
+	t.Helper()
+	buf := make([]isa.Inst, 0, 1024)
+	var want isa.Inst
+	for got, b := 0, 0; got < n; b++ {
+		dst := buf[:batches[b%len(batches)]]
+		if k := f.Fill(dst); k != len(dst) {
+			t.Fatalf("%s: Fill wrote %d of %d records of an infinite stream", name, k, len(dst))
+		}
+		for i := range dst {
+			twin.Next(&want)
+			if dst[i] != want {
+				t.Fatalf("%s: record %d: Fill %+v, Next %+v", name, got+i, dst[i], want)
+			}
+		}
+		got += len(dst)
+	}
+}
+
+// TestFillMatchesNext: Fill is Next in bulk, record for record, across
+// iteration boundaries (odd batch sizes straddle them) and, for mixes,
+// segment boundaries — including segments shorter than one iteration.
+func TestFillMatchesNext(t *testing.T) {
+	batches := []int{1, 3, 64, 7, 1000, 61, 2}
+	for _, b := range All() {
+		opts := ReaderOpts{Seed: 3, AddrOffset: ThreadAddrOffset(1)}
+		fillMatchesNext(t, b.Name, b.newGenerator(opts), b.newGenerator(opts), 50_000, batches)
+	}
+	for _, seg := range []int64{1, 7, DefaultSegmentLen} {
+		for tid := 0; tid < 2; tid++ {
+			opts := MixOpts{SegmentLen: seg, Seed: 11}
+			name := fmt.Sprintf("mix t=%d seg=%d", tid, seg)
+			fillMatchesNext(t, name, newMixReader(tid, opts), newMixReader(tid, opts), 2*DefaultSegmentLen+123, batches)
 		}
 	}
 }
