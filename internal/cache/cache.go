@@ -42,19 +42,26 @@ func (c Config) Validate() error {
 // Sets returns the number of sets implied by the geometry.
 func (c Config) Sets() int { return c.SizeBytes / (c.LineBytes * c.Assoc) }
 
+// way is one line frame's tag and state. The tag is the full line number
+// (address >> line shift), so it identifies the line on its own.
 type way struct {
 	tag   uint64
 	valid bool
 	dirty bool
-	lru   uint64 // larger = more recently used
 }
 
 // Cache is the tag/state array. It is not safe for concurrent use; the
 // simulator is single-goroutine by design (cycle-stepped determinism).
 type Cache struct {
-	cfg      Config
-	sets     [][]way
+	cfg Config
+	// ways is the flat tag array, set-major: set s occupies
+	// ways[s*assoc : (s+1)*assoc]. A direct-mapped probe is one index.
+	ways []way
+	// lru stamps each way's last use, parallel to ways (larger = more
+	// recent). Nil when direct-mapped: one way per set has nothing to rank.
+	lru      []uint64
 	lruClock uint64
+	assoc    int
 
 	lineShift uint
 	setMask   uint64
@@ -68,21 +75,21 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	nSets := cfg.Sets()
-	sets := make([][]way, nSets)
-	backing := make([]way, nSets*cfg.Assoc)
-	for i := range sets {
-		sets[i], backing = backing[:cfg.Assoc:cfg.Assoc], backing[cfg.Assoc:]
-	}
 	shift := uint(0)
 	for 1<<shift < cfg.LineBytes {
 		shift++
 	}
-	return &Cache{
+	c := &Cache{
 		cfg:       cfg,
-		sets:      sets,
+		ways:      make([]way, nSets*cfg.Assoc),
+		assoc:     cfg.Assoc,
 		lineShift: shift,
 		setMask:   uint64(nSets - 1),
 	}
+	if cfg.Assoc > 1 {
+		c.lru = make([]uint64, len(c.ways))
+	}
+	return c
 }
 
 // Config returns the geometry.
@@ -93,48 +100,49 @@ func (c *Cache) LineAddr(addr uint64) uint64 {
 	return addr &^ (uint64(c.cfg.LineBytes) - 1)
 }
 
-func (c *Cache) setIndex(addr uint64) uint64 { return (addr >> c.lineShift) & c.setMask }
-
 func (c *Cache) tag(addr uint64) uint64 { return addr >> c.lineShift }
+
+// base returns the index in ways of the first way of tag t's set.
+func (c *Cache) base(t uint64) int { return int(t&c.setMask) * c.assoc }
+
+// find returns the index in ways of the valid way holding tag t, or -1.
+func (c *Cache) find(t uint64) int {
+	b := c.base(t)
+	for i := b; i < b+c.assoc; i++ {
+		if c.ways[i].valid && c.ways[i].tag == t {
+			return i
+		}
+	}
+	return -1
+}
 
 // Lookup probes the cache for addr. On a hit it refreshes the line's LRU
 // state and reports true. Direct-mapped caches — the paper's L1 and the
-// simulator's hottest configuration — take an inlinable fast path with
+// simulator's hottest configuration — take a single-probe fast path with
 // no LRU bookkeeping: with one way per set there is nothing to rank.
 func (c *Cache) Lookup(addr uint64) bool {
-	set := c.sets[c.setIndex(addr)]
 	t := c.tag(addr)
-	if len(set) == 1 {
-		return set[0].valid && set[0].tag == t
+	if c.assoc == 1 {
+		w := &c.ways[t&c.setMask]
+		return w.valid && w.tag == t
 	}
-	return c.lookupAssoc(set, t)
+	return c.lookupAssoc(t)
 }
 
-// lookupAssoc is the associative probe with LRU refresh (kept out of
-// Lookup so the direct-mapped path stays within the inlining budget).
-func (c *Cache) lookupAssoc(set []way, t uint64) bool {
-	for i := range set {
-		if set[i].valid && set[i].tag == t {
-			c.lruClock++
-			set[i].lru = c.lruClock
-			return true
-		}
+// lookupAssoc is the associative probe with LRU refresh.
+func (c *Cache) lookupAssoc(t uint64) bool {
+	i := c.find(t)
+	if i < 0 {
+		return false
 	}
-	return false
+	c.lruClock++
+	c.lru[i] = c.lruClock
+	return true
 }
 
 // Probe reports whether addr hits without touching LRU state (used for
 // inspection and tests).
-func (c *Cache) Probe(addr uint64) bool {
-	set := c.sets[c.setIndex(addr)]
-	t := c.tag(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == t {
-			return true
-		}
-	}
-	return false
-}
+func (c *Cache) Probe(addr uint64) bool { return c.find(c.tag(addr)) >= 0 }
 
 // Victim describes a line evicted by a Fill.
 type Victim struct {
@@ -150,96 +158,102 @@ type Victim struct {
 // if every way is valid. It returns the victim description. Filling a line
 // that is already present refreshes it and returns no victim.
 func (c *Cache) Fill(addr uint64) Victim {
-	setIdx := c.setIndex(addr)
-	set := c.sets[setIdx]
 	t := c.tag(addr)
-	c.lruClock++
-	// Already present (e.g. racing fills merged upstream): refresh.
-	for i := range set {
-		if set[i].valid && set[i].tag == t {
-			set[i].lru = c.lruClock
+	b := c.base(t)
+	set := c.ways[b : b+c.assoc]
+	v := 0
+	if c.assoc == 1 {
+		if set[0].valid && set[0].tag == t {
 			return Victim{}
 		}
-	}
-	// Prefer an invalid way.
-	victimIdx := -1
-	for i := range set {
-		if !set[i].valid {
-			victimIdx = i
-			break
+	} else {
+		c.lruClock++
+		// Already present (e.g. racing fills merged upstream): refresh.
+		if i := c.find(t); i >= 0 {
+			c.lru[i] = c.lruClock
+			return Victim{}
 		}
-	}
-	var v Victim
-	if victimIdx < 0 {
-		// Evict true-LRU.
-		victimIdx = 0
-		for i := 1; i < len(set); i++ {
-			if set[i].lru < set[victimIdx].lru {
-				victimIdx = i
+		// Prefer an invalid way, else evict true-LRU.
+		v = -1
+		for i := range set {
+			if !set[i].valid {
+				v = i
+				break
 			}
 		}
-		old := set[victimIdx]
-		v = Victim{
-			Addr:  old.tag << c.lineShift,
-			Dirty: old.dirty,
-			Valid: true,
+		if v < 0 {
+			v = 0
+			lru := c.lru[b : b+c.assoc]
+			for i := 1; i < len(lru); i++ {
+				if lru[i] < lru[v] {
+					v = i
+				}
+			}
 		}
+		c.lru[b+v] = c.lruClock
 	}
-	set[victimIdx] = way{tag: t, valid: true, dirty: false, lru: c.lruClock}
-	return v
+	old := set[v]
+	set[v] = way{tag: t, valid: true}
+	if !old.valid {
+		return Victim{}
+	}
+	return Victim{Addr: old.tag << c.lineShift, Dirty: old.dirty, Valid: true}
+}
+
+// TouchDirect is the functional access of a sampling gap's warm path on
+// a direct-mapped cache (Config.Assoc 1; it indexes ways as if every set
+// had one): a miss installs the line — dropping its victim, so call it
+// only where no level below needs the write-back — and a store dirties
+// it. It is Lookup, then Fill on a miss, then SetDirty for a store, in
+// one inlinable probe.
+func (c *Cache) TouchDirect(addr uint64, store bool) {
+	t := c.tag(addr)
+	w := &c.ways[t&c.setMask]
+	if !w.valid || w.tag != t {
+		*w = way{tag: t, valid: true}
+	}
+	if store {
+		w.dirty = true
+	}
 }
 
 // SetDirty marks the line containing addr dirty. It reports whether the
 // line was present.
 func (c *Cache) SetDirty(addr uint64) bool {
-	set := c.sets[c.setIndex(addr)]
-	t := c.tag(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == t {
-			set[i].dirty = true
-			return true
-		}
+	i := c.find(c.tag(addr))
+	if i < 0 {
+		return false
 	}
-	return false
+	c.ways[i].dirty = true
+	return true
 }
 
 // IsDirty reports whether the line containing addr is present and dirty.
 func (c *Cache) IsDirty(addr uint64) bool {
-	set := c.sets[c.setIndex(addr)]
-	t := c.tag(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == t {
-			return set[i].dirty
-		}
-	}
-	return false
+	i := c.find(c.tag(addr))
+	return i >= 0 && c.ways[i].dirty
 }
 
 // Invalidate removes the line containing addr if present, returning its
 // dirty state (for write-back) and whether it was present.
 func (c *Cache) Invalidate(addr uint64) (dirty, present bool) {
-	set := c.sets[c.setIndex(addr)]
-	t := c.tag(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == t {
-			d := set[i].dirty
-			set[i] = way{}
-			return d, true
-		}
+	i := c.find(c.tag(addr))
+	if i < 0 {
+		return false, false
 	}
-	return false, false
+	dirty = c.ways[i].dirty
+	c.ways[i] = way{}
+	return dirty, true
 }
 
 // Flush invalidates every line, returning the number that were dirty.
 func (c *Cache) Flush() int {
 	dirty := 0
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].valid && set[i].dirty {
-				dirty++
-			}
-			set[i] = way{}
+	for i := range c.ways {
+		if c.ways[i].valid && c.ways[i].dirty {
+			dirty++
 		}
+		c.ways[i] = way{}
 	}
 	return dirty
 }
@@ -247,11 +261,9 @@ func (c *Cache) Flush() int {
 // ValidLines returns the number of valid lines (for tests and reports).
 func (c *Cache) ValidLines() int {
 	n := 0
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].valid {
-				n++
-			}
+	for i := range c.ways {
+		if c.ways[i].valid {
+			n++
 		}
 	}
 	return n

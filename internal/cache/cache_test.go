@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -268,6 +269,130 @@ func TestQuickSetIsolation(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// refCache is a naive true-LRU reference model: per set, the resident
+// lines in recency order (most recent last).
+type refCache struct {
+	sets  map[uint64][]refLine
+	assoc int
+	nSets uint64
+}
+
+type refLine struct {
+	tag   uint64
+	dirty bool
+}
+
+// find returns the line's set key and its position in the set (-1 if
+// absent).
+func (r *refCache) find(addr uint64) (uint64, int) {
+	tag := addr / 32
+	s := tag % r.nSets
+	for i, l := range r.sets[s] {
+		if l.tag == tag {
+			return s, i
+		}
+	}
+	return s, -1
+}
+
+// touch moves line i of set s to most recent.
+func (r *refCache) touch(s uint64, i int) {
+	set := r.sets[s]
+	l := set[i]
+	r.sets[s] = append(append(set[:i:i], set[i+1:]...), l)
+}
+
+// Property: every operation on the flat tag array agrees with the naive
+// model — hits, victims (true LRU), dirty state and invalidation — for
+// direct-mapped and associative geometries alike.
+func TestQuickMatchesReferenceModel(t *testing.T) {
+	f := func(ops []uint32, assocRaw uint8) bool {
+		cfg := Config{SizeBytes: 1024, LineBytes: 32, Assoc: 1 << (assocRaw % 4)}
+		c := New(cfg)
+		r := &refCache{sets: map[uint64][]refLine{}, assoc: cfg.Assoc, nSets: uint64(cfg.Sets())}
+		for _, op := range ops {
+			addr := uint64(op>>2) % 8192
+			s, i := r.find(addr)
+			switch op & 3 {
+			case 0: // lookup
+				if c.Lookup(addr) != (i >= 0) {
+					return false
+				}
+				if i >= 0 {
+					r.touch(s, i)
+				}
+			case 1: // fill
+				v := c.Fill(addr)
+				switch {
+				case i >= 0:
+					r.touch(s, i)
+					if v.Valid {
+						return false
+					}
+				case len(r.sets[s]) < r.assoc:
+					r.sets[s] = append(r.sets[s], refLine{tag: addr / 32})
+					if v.Valid {
+						return false
+					}
+				default:
+					old := r.sets[s][0]
+					r.sets[s] = append(r.sets[s][1:], refLine{tag: addr / 32})
+					if v != (Victim{Addr: old.tag * 32, Dirty: old.dirty, Valid: true}) {
+						return false
+					}
+				}
+			case 2: // store hit marking
+				if c.SetDirty(addr) != (i >= 0) {
+					return false
+				}
+				if i >= 0 {
+					r.sets[s][i].dirty = true
+				}
+			case 3: // invalidate
+				dirty, present := c.Invalidate(addr)
+				if present != (i >= 0) || (present && dirty != r.sets[s][i].dirty) {
+					return false
+				}
+				if i >= 0 {
+					r.sets[s] = append(r.sets[s][:i:i], r.sets[s][i+1:]...)
+				}
+			}
+		}
+		n := 0
+		for _, set := range r.sets {
+			n += len(set)
+		}
+		return c.ValidLines() == n
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: TouchDirect leaves a direct-mapped cache exactly as Lookup,
+// Fill on a miss and SetDirty for a store do — the warm path's contract.
+func TestQuickTouchDirectMatchesLookupFill(t *testing.T) {
+	f := func(addrs []uint32, stores []bool) bool {
+		cfg := Config{SizeBytes: 4 * 1024, LineBytes: 32, Assoc: 1}
+		touched, reference := New(cfg), New(cfg)
+		for i, a := range addrs {
+			addr := uint64(a) % (64 * 1024) // 16 tags per set: plenty of conflicts
+			store := i < len(stores) && stores[i]
+			touched.TouchDirect(addr, store)
+			if !reference.Lookup(addr) {
+				reference.Fill(addr)
+			}
+			if store {
+				reference.SetDirty(addr)
+			}
+		}
+		return reflect.DeepEqual(touched, reference)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -130,6 +131,47 @@ func BenchmarkStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Step(int64(1) << 50)
+	}
+}
+
+// warpSeed hands every BenchmarkWarp machine a never-seen mix seed, so
+// its streams are generated live — a repeated seed would be interned and
+// replayed from the second round on, a different source path.
+var warpSeed uint64 = 1 << 40
+
+// BenchmarkWarp measures the sampled-mode functional warp over live mix
+// streams, generation included, as in a sampled run's gaps: one op is
+// one warped instruction. 4T-sharedL2 takes the warm path through the
+// finite hierarchy instead of the flat tag probe; 4T-plain hides the
+// generators' Fill behind trace.Func, so windows fill one Next at a time.
+func BenchmarkWarp(b *testing.B) {
+	for _, cfg := range []struct {
+		benchConfig
+		plain bool
+	}{
+		{benchConfig{"1T", config.Figure2(1)}, false},
+		{benchConfig{"4T", config.Figure2(4)}, false},
+		{benchConfig{"4T-sharedL2", config.Figure2(4).WithHierarchy(64, config.SharedL2(256<<10, 8))}, false},
+		{benchConfig{"4T-plain", config.Figure2(4)}, true},
+	} {
+		b.Run(cfg.name, func(b *testing.B) {
+			warpSeed++
+			srcs := workload.MixSources(cfg.machine.Threads, workload.MixOpts{Seed: warpSeed})
+			for i, s := range srcs {
+				if cfg.plain {
+					srcs[i] = trace.Func(s.Next)
+				}
+			}
+			c, err := core.New(cfg.machine, srcs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			if got := c.Warp(int64(b.N)); got != int64(b.N) {
+				b.Fatalf("warped %d of %d", got, b.N)
+			}
+		})
 	}
 }
 

@@ -26,19 +26,20 @@ type Context struct {
 	Exhausted bool
 
 	// peeker is Source's zero-copy lookahead interface when it has one
-	// (interned workload streams); other sources go through the
-	// lookahead batch below.
+	// (interned workload streams); fetch reads it in place once the
+	// lookahead batch below is empty.
 	peeker trace.Peeker
 	// filler is Source's bulk-read interface when it has one (live
 	// workload generators).
 	filler trace.Filler
-	// ahead[aheadPos:aheadLen] is the lookahead batch over a non-Peeker
+	// ahead[aheadPos:aheadLen] is the lookahead batch, read before the
 	// Source: fetch must inspect the next instruction before consuming it
 	// (to stop *before* a branch that would exceed the control-speculation
-	// limit). A Filler refills the whole batch in one call; a plain
-	// Reader refills one record per Next, so it is never read more than
-	// one record ahead. Reading ahead is invisible to the machine: the
-	// context owns its source exclusively.
+	// limit). At fetch, a Filler refills the whole batch in one call and a
+	// plain Reader one record per Next; a Peeker is peeked in place. The
+	// functional warp tops the batch up from any source (window). Reading
+	// ahead is invisible to the machine: the context owns its source
+	// exclusively.
 	ahead              [lookahead]isa.Inst
 	aheadPos, aheadLen int
 
@@ -198,26 +199,24 @@ func (c *Context) release(d *DynInst) {
 // lookahead is the capacity of a context's lookahead batch.
 const lookahead = 64
 
-// peekSource returns the next trace instruction without consuming it.
+// peekSource returns the next trace instruction without consuming it:
+// from the lookahead batch while it holds records, then from the source.
 // Sources with native lookahead (trace.Peeker — interned workload
 // streams) hand back a pointer into their own buffer, copy-free; others
-// go through the lookahead batch.
+// refill the batch.
 func (c *Context) peekSource() (*isa.Inst, bool) {
-	if c.peeker != nil {
-		if c.Exhausted {
-			return nil, false
-		}
-		in, ok := c.peeker.PeekNext()
-		if !ok {
-			c.Exhausted = true
-		}
-		return in, ok
-	}
 	if c.aheadPos < c.aheadLen {
 		return &c.ahead[c.aheadPos], true
 	}
 	if c.Exhausted {
 		return nil, false
+	}
+	if c.peeker != nil {
+		in, ok := c.peeker.PeekNext()
+		if !ok {
+			c.Exhausted = true
+		}
+		return in, ok
 	}
 	n := 0
 	if c.filler != nil {
@@ -235,15 +234,49 @@ func (c *Context) peekSource() (*isa.Inst, bool) {
 
 // consumeSource consumes the peeked instruction.
 func (c *Context) consumeSource() {
-	if c.peeker != nil {
-		c.peeker.Consume()
+	if c.aheadPos < c.aheadLen {
+		c.aheadPos++
 		return
 	}
-	if c.aheadPos >= c.aheadLen {
+	if c.peeker == nil {
 		panic("core: consumeSource without peek")
 	}
-	c.aheadPos++
+	c.peeker.Consume()
 }
+
+// window returns the lookahead batch topped up to capacity, for the
+// functional warp to consume in bulk: a Filler tops it up with one call,
+// a Peeker or plain Reader one record at a time. Full windows keep
+// round-robin contexts in phase, so a warp pass replays whole batches.
+// Empty means the source has run dry. Consume a prefix with advance.
+func (c *Context) window() []isa.Inst {
+	if !c.Exhausted && c.aheadLen-c.aheadPos < lookahead {
+		n := copy(c.ahead[:], c.ahead[c.aheadPos:c.aheadLen])
+		switch {
+		case c.filler != nil:
+			n += c.filler.Fill(c.ahead[n:])
+		case c.peeker != nil:
+			for ; n < lookahead; n++ {
+				in, ok := c.peeker.PeekNext()
+				if !ok {
+					break
+				}
+				c.ahead[n] = *in
+				c.peeker.Consume()
+			}
+		default:
+			for n < lookahead && c.Source.Next(&c.ahead[n]) {
+				n++
+			}
+		}
+		c.aheadPos, c.aheadLen = 0, n
+		c.Exhausted = n == 0
+	}
+	return c.ahead[c.aheadPos:c.aheadLen]
+}
+
+// advance consumes the first k records of the current window.
+func (c *Context) advance(k int) { c.aheadPos += k }
 
 // InFlight returns the number of instructions in the ROB (dispatched, not
 // graduated), used by tests and the drain logic.

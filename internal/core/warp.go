@@ -1,5 +1,11 @@
 package core
 
+import (
+	"repro/internal/branch"
+	"repro/internal/isa"
+	"repro/internal/mem"
+)
+
 // This file implements the machinery behind sampled execution: draining
 // the pipeline to a clean architectural boundary, and the functional
 // warp that advances trace cursors, branch-predictor state and the cache
@@ -40,37 +46,97 @@ func (c *Core) DrainPipeline() bool {
 	return c.PipelineEmpty() && c.mem.Quiescent()
 }
 
-// warpRound advances at most one instruction per context (round-robin
-// fairness, mirroring fetch's rotation) up to n total, returning how
-// many were consumed. Exhausted contexts are skipped.
-func (c *Core) warpRound(n int64) int64 {
-	var done int64
+// warpLane is one context as the functional warp sees it: its current
+// source window and the state its instructions touch. bht is the
+// context's predictor when it is the paper's BHT, trained directly
+// (inlinable) instead of through branch.Predictor.
+type warpLane struct {
+	ctx *Context
+	bht *branch.BHT // ctx.Pred when it is a BHT, else nil
+	mem *mem.System
+	win []isa.Inst
+}
+
+// appendLanes appends one warp lane per context, in context order.
+func (c *Core) appendLanes(lanes []warpLane) []warpLane {
 	for _, ctx := range c.ctxs {
-		if done >= n {
+		bht, _ := ctx.Pred.(*branch.BHT)
+		lanes = append(lanes, warpLane{ctx: ctx, bht: bht, mem: c.mem})
+	}
+	return lanes
+}
+
+// replay applies the first k records of every live lane's window, round
+// by round in lane order. A branch trains the predictor exactly as fetch
+// would (fetch updates at fetch time, in architectural order), so
+// prediction accuracy carries across the gap; a memory reference warms
+// the caches.
+func replay(live []*warpLane, k int) {
+	for j := 0; j < k; j++ {
+		for _, l := range live {
+			in := &l.win[j]
+			switch in.Op {
+			case isa.OpBranch:
+				if l.bht != nil {
+					l.bht.Update(in.PC, in.Taken)
+				} else {
+					l.ctx.Pred.Update(in.PC, in.Taken)
+				}
+			case isa.OpLoad, isa.OpStore:
+				l.mem.Warm(in.Addr, in.Op == isa.OpStore)
+			}
+		}
+	}
+}
+
+// warp advances up to n instructions round-robin over lanes — one
+// instruction per live lane per round, lanes in order, exhausted lanes
+// skipped — and returns how many it consumed. It works in windows: each
+// pass takes the records every live lane has ready, replays as many
+// whole rounds as the shortest window and the budget allow with no
+// source call per instruction, then consumes them from every lane at
+// once. A budget smaller than one round ends with a partial round in
+// lane order. Each source is private to its context, so reading it
+// ahead in windows cannot change what any lane sees: the instructions
+// and their order are those of one-at-a-time round-robin.
+func warp(lanes []warpLane, n int64) int64 {
+	live := make([]*warpLane, 0, len(lanes))
+	var done int64
+	for done < n {
+		live = live[:0]
+		k := lookahead
+		for i := range lanes {
+			l := &lanes[i]
+			if l.win = l.ctx.window(); len(l.win) > 0 {
+				live = append(live, l)
+				k = min(k, len(l.win))
+			}
+		}
+		if len(live) == 0 {
 			break
 		}
-		in, ok := ctx.peekSource()
-		if !ok {
-			continue
+		if rounds := (n - done) / int64(len(live)); rounds < int64(k) {
+			k = int(rounds)
 		}
-		if in.IsBranch() {
-			// Train the predictor exactly as fetch would (fetch updates at
-			// fetch time, in architectural order), so prediction accuracy
-			// carries across the gap.
-			ctx.Pred.Update(in.PC, in.Taken)
-		} else if in.IsMem() {
-			c.mem.Warm(in.Addr, in.IsStore())
+		if k == 0 {
+			// Budget below a whole round: finish it in lane order.
+			live = live[:n-done]
+			k = 1
 		}
-		ctx.consumeSource()
-		done++
+		replay(live, k)
+		for _, l := range live {
+			l.ctx.advance(k)
+		}
+		done += int64(k) * int64(len(live))
 	}
 	return done
 }
 
 // Warp advances architectural state by up to n instructions without any
 // timing: trace cursors move, branch predictors train, and the memory
-// footprint warms the caches functionally. Simulated time does not
-// advance and no statistics change. It returns the number of
+// footprint warms the caches functionally. Contexts take turns one
+// instruction at a time, mirroring fetch's rotation. Simulated time does
+// not advance and no statistics change. It returns the number of
 // instructions consumed, which falls short of n only when every source
 // runs dry. Call only on a drained pipeline (DrainPipeline).
 //
@@ -81,15 +147,7 @@ func (c *Core) warpRound(n int64) int64 {
 // advance. Sampled-mode runs therefore estimate a machine whose gaps
 // are speculation-free; exact and adaptive runs model every event.
 func (c *Core) Warp(n int64) int64 {
-	var done int64
-	for done < n {
-		k := c.warpRound(n - done)
-		if k == 0 {
-			break
-		}
-		done += k
-	}
-	return done
+	return warp(c.appendLanes(nil), n)
 }
 
 // DrainPipeline is the CMP drain: fetch freezes on every core and the
@@ -122,19 +180,9 @@ func (p *CMP) drained() bool {
 // order, one instruction per context — the same deterministic
 // interleaving lockstep ticking gives the detailed machine.
 func (p *CMP) Warp(n int64) int64 {
-	var done int64
-	for done < n {
-		var round int64
-		for _, co := range p.cores {
-			if done+round >= n {
-				break
-			}
-			round += co.warpRound(n - done - round)
-		}
-		if round == 0 {
-			break
-		}
-		done += round
+	var lanes []warpLane
+	for _, co := range p.cores {
+		lanes = co.appendLanes(lanes)
 	}
-	return done
+	return warp(lanes, n)
 }

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"reflect"
 	"testing"
+	"testing/quick"
 
+	"repro/internal/branch"
 	"repro/internal/config"
 	"repro/internal/isa"
 	"repro/internal/trace"
@@ -209,6 +212,202 @@ func TestCMPWarpAndDrain(t *testing.T) {
 	// A dry warp consumes what remains and no more.
 	if done := p.Warp(1_000); done >= 140 {
 		t.Errorf("dry warp consumed %d, more than the %d remaining", done, 140)
+	}
+}
+
+// slicePeeker is a finite trace.Peeker over a slice.
+type slicePeeker struct{ insts []isa.Inst }
+
+func (s *slicePeeker) Next(out *isa.Inst) bool {
+	in, ok := s.PeekNext()
+	if ok {
+		*out = *in
+		s.Consume()
+	}
+	return ok
+}
+
+func (s *slicePeeker) PeekNext() (*isa.Inst, bool) {
+	if len(s.insts) == 0 {
+		return nil, false
+	}
+	return &s.insts[0], true
+}
+
+func (s *slicePeeker) Consume() { s.insts = s.insts[1:] }
+
+// oracleWarp is the warp the windowed kernel must reproduce: one
+// instruction per context per round, cores then contexts in index order,
+// each peeked, applied through the predictor interface and mem.Warm, and
+// consumed before the next is looked at.
+func oracleWarp(cores []*Core, n int64) int64 {
+	var done int64
+	for done < n {
+		var round int64
+		for _, co := range cores {
+			for _, ctx := range co.ctxs {
+				if done+round >= n {
+					break
+				}
+				in, ok := ctx.peekSource()
+				if !ok {
+					continue
+				}
+				if in.IsBranch() {
+					ctx.Pred.Update(in.PC, in.Taken)
+				} else if in.IsMem() {
+					co.mem.Warm(in.Addr, in.IsStore())
+				}
+				ctx.consumeSource()
+				round++
+			}
+		}
+		if round == 0 {
+			break
+		}
+		done += round
+	}
+	return done
+}
+
+// sampledMachine is the surface Core and CMP share for sampled execution.
+type sampledMachine interface {
+	Tick()
+	Step(horizon int64)
+	DrainPipeline() bool
+	Warp(n int64) int64
+	Done() bool
+	Now() int64
+}
+
+// warpMachines are the machine shapes the kernel must match the oracle
+// on: the flat-tag path (one core, or a CMP declared disjoint), and every
+// fallback — an ablation predictor, an associative L1, a finite shared
+// L2, and CMPs that run the write-invalidate broadcast.
+var warpMachines = []struct {
+	name     string
+	disjoint bool
+	machine  func(threads int) config.Machine
+}{
+	{"flat", false, config.Figure2},
+	{"gshare", false, func(t int) config.Machine {
+		m := config.Figure2(t)
+		m.Predictor = branch.KindGshare
+		return m
+	}},
+	{"l1-2way", false, func(t int) config.Machine {
+		m := config.Figure2(t)
+		m.Mem.L1.Assoc = 2
+		return m
+	}},
+	{"sharedL2", false, func(t int) config.Machine {
+		return config.Figure2(t).WithHierarchy(64, config.SharedL2(64<<10, 8))
+	}},
+	{"cmp-flat", false, func(t int) config.Machine { return config.Figure2(t).WithCores(2) }},
+	{"cmp-flat-disjoint", true, func(t int) config.Machine { return config.Figure2(t).WithCores(2) }},
+	{"cmp-sharedL2", false, func(t int) config.Machine {
+		return config.Figure2(t).WithCores(2).WithHierarchy(64, config.SharedL2(64<<10, 8))
+	}},
+}
+
+// Property: the windowed warp kernel leaves exactly the state the
+// one-at-a-time oracle does — same counts consumed, same predictor and
+// tag arrays — and the timed run that follows is identical. Contexts mix
+// Filler, Peeker and plain sources of different lengths (so windows
+// drift out of phase and run dry mid-window), and the budgets are odd
+// and sometimes smaller than one round.
+func TestQuickWarpMatchesOracle(t *testing.T) {
+	f := func(data []byte, threadsRaw, kinds uint8, budgets [3]uint16, ticks [3]uint8) bool {
+		threads := int(threadsRaw%3) + 1
+		for _, wm := range warpMachines {
+			m := wm.machine(threads)
+			build := func() (sampledMachine, []*Core) {
+				sources := make([]trace.Reader, m.CoreCount()*threads)
+				for i := range sources {
+					var insts []isa.Inst
+					for range 2 + i {
+						insts = append(insts, genProgram(data[i*len(data)/(len(sources)+1):])...)
+					}
+					// Alias every context onto the same sets of the
+					// 64 KB L1 with a distinct tag, so the order of
+					// their touches decides which line survives.
+					for j := range insts {
+						if insts[j].IsMem() {
+							insts[j].Addr += uint64(i) << 16
+						}
+					}
+					switch (int(kinds) >> (2 * (i % 4))) % 3 {
+					case 0:
+						sources[i] = &sliceFiller{insts}
+					case 1:
+						sources[i] = &slicePeeker{insts}
+					default:
+						sources[i] = trace.Slice(insts)
+					}
+				}
+				if m.CoreCount() == 1 {
+					c, err := New(m, sources)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return c, []*Core{c}
+				}
+				p, err := NewCMP(m, sources)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p.ic.SetDisjointAddressSpaces(wm.disjoint)
+				return p, p.cores
+			}
+			kp, kc := build()
+			op, oc := build()
+			for i, b := range budgets {
+				n := int64(b%600) | 1
+				for range ticks[i] % 40 {
+					kp.Tick()
+					op.Tick()
+				}
+				kp.DrainPipeline()
+				op.DrainPipeline()
+				kn, on := kp.Warp(n), oracleWarp(oc, n)
+				if kn != on {
+					t.Logf("%s: warp %d consumed %d, oracle %d", wm.name, n, kn, on)
+					return false
+				}
+				for c := range kc {
+					if !reflect.DeepEqual(kc[c].mem.Cache(), oc[c].mem.Cache()) {
+						t.Logf("%s: core %d L1 tags differ after warp %d", wm.name, c, i)
+						return false
+					}
+					for x := range kc[c].ctxs {
+						if !reflect.DeepEqual(kc[c].ctxs[x].Pred, oc[c].ctxs[x].Pred) {
+							t.Logf("%s: core %d ctx %d predictor differs after warp %d", wm.name, c, x, i)
+							return false
+						}
+					}
+				}
+			}
+			for !kp.Done() {
+				kp.Step(1 << 40)
+			}
+			for !op.Done() {
+				op.Step(1 << 40)
+			}
+			if kp.Now() != op.Now() {
+				t.Logf("%s: timed runs after the warps end at cycles %d and %d", wm.name, kp.Now(), op.Now())
+				return false
+			}
+			for c := range kc {
+				if !reflect.DeepEqual(kc[c].col, oc[c].col) || kc[c].mem.Stats() != oc[c].mem.Stats() {
+					t.Logf("%s: core %d's timed run after the warps differs", wm.name, c)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
 	}
 }
 

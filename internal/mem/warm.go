@@ -30,11 +30,19 @@ func (s *System) warmChain() []*level {
 // so losing them only costs warm-up fidelity, never correctness. On CMP
 // machines a store also runs the write-invalidate broadcast so remote
 // copies die exactly as they would in the timed model.
+//
+// The paper's machine — a direct-mapped L1 over the flat model, and no
+// broadcast to run — warms with one L1 probe (cache.TouchDirect): there
+// is no level below to allocate into or write a victim back to.
 func (s *System) Warm(addr uint64, store bool) {
 	l1 := s.l1.tags
+	chain := s.warmChain()
+	if len(chain) == 0 && s.cfg.L1.Assoc == 1 && (s.ic == nil || s.ic.disjoint) {
+		l1.TouchDirect(addr, store)
+		return
+	}
 	line := l1.LineAddr(addr)
 	if !l1.Lookup(addr) {
-		chain := s.warmChain()
 		for _, l := range chain {
 			if l.tags.Lookup(line) {
 				break

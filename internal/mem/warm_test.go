@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/cache"
@@ -33,6 +34,50 @@ func TestWarmFlatModel(t *testing.T) {
 	s.Warm(0x1000+64*1024, false)
 	if s.Cache().Lookup(0x1000) {
 		t.Error("conflicting warm did not evict")
+	}
+}
+
+// TestWarmFlatProbe pins Warm over the flat model, where nothing finite
+// lies below the L1: the L1 ends up exactly as a Lookup, Fill-on-miss
+// and SetDirty-on-store sequence leaves it, dirty conflict victims
+// dropped. A direct-mapped L1 takes the one-probe path; an associative
+// one keeps its LRU order. A flat CMP declared disjoint takes the
+// one-probe path too; without the declaration the broadcast still runs.
+func TestWarmFlatProbe(t *testing.T) {
+	assoc := testConfig()
+	assoc.L1.Assoc = 2
+	flatCMP := newCMPHarness(t, testConfig(), 2)
+	flatCMP.ic.SetDisjointAddressSpaces(true)
+	for _, tc := range []struct {
+		name string
+		sys  *System
+	}{
+		{"direct-mapped", newSys(t, testConfig())},
+		{"2-way", newSys(t, assoc)},
+		{"disjoint CMP", flatCMP.sys[1]},
+	} {
+		ref := cache.New(tc.sys.Config().L1)
+		for i := uint64(0); i < 5000; i++ {
+			addr := (i * 0x9e3779b97f4a7c15) % (1 << 20) // 16 tags per DM L1 set
+			store := i%3 == 0
+			tc.sys.Warm(addr, store)
+			if !ref.Lookup(addr) {
+				ref.Fill(addr)
+			}
+			if store {
+				ref.SetDirty(addr)
+			}
+		}
+		if !reflect.DeepEqual(tc.sys.Cache(), ref) {
+			t.Errorf("%s: flat warm diverged from Lookup/Fill/SetDirty", tc.name)
+		}
+	}
+
+	flatCMP.ic.SetDisjointAddressSpaces(false)
+	flatCMP.sys[0].Warm(0x2000, false)
+	flatCMP.sys[1].Warm(0x2000, true)
+	if flatCMP.sys[0].Cache().Lookup(0x2000) {
+		t.Error("flat CMP without the disjoint promise skipped its broadcast")
 	}
 }
 
