@@ -9,14 +9,11 @@
 // Each record measures one machine configuration in one scheduler mode:
 // ns per run of the instruction budget, simulated cycles and graduated
 // instructions per wall-clock second, and the fraction of cycles the
-// fast-forward scheduler skipped. Modes: "adaptive" (the default driver
-// — sim's per-window fast-forward/stepping controller), "run" the plain
-// event-driven scheduler (Core.Step every step), "stepped" the
-// cycle-by-cycle reference, "sampled" the SMARTS sampling schedule
+// fast-forward scheduler skipped. Modes: "run" the event-driven
+// scheduler (Core.Step every step, the default driver), "stepped" the
+// cycle-by-cycle reference, and "sampled" the SMARTS sampling schedule
 // over the same budget (an estimate, so its record is about wall-clock,
-// not bit-exact results), and "parallel" (CMP configs only) the
-// epoch-parallel scheduler with one goroutine per core — bit-identical
-// results to "run", so the pair measures the intra-run speedup.
+// not bit-exact results).
 //
 // With -compare old.json,new.json it instead prints a markdown delta
 // table between two snapshots (for the CI bench job) and exits; rows
@@ -116,16 +113,13 @@ func main() {
 	// cell keeps its fastest observation: host-load noise drifts over the
 	// minutes a full run takes, so consecutive repetitions of one cell
 	// would share the same bad weather — spreading the repetitions lets
-	// every cell catch a quiet window, and cells being compared (adaptive
-	// vs run vs stepped) sample the same windows.
+	// every cell catch a quiet window, and cells being compared (run vs
+	// stepped) sample the same windows.
 	best := make(map[string]Record)
-	modes := []string{"adaptive", "run", "stepped", "sampled", "parallel"}
+	modes := []string{"run", "stepped", "sampled"}
 	for pass := 0; pass < *repeat || pass == 0; pass++ {
 		for _, cfg := range configs() {
 			for _, mode := range modes {
-				if mode == "parallel" && cfg.machine.CoreCount() < 2 {
-					continue // epoch-parallel execution needs a CMP
-				}
 				rec, err := measure(cfg, mode, *insts)
 				if err != nil {
 					fmt.Fprintln(os.Stderr, "dae-bench:", err)
@@ -140,9 +134,6 @@ func main() {
 	}
 	for _, cfg := range configs() {
 		for _, mode := range modes {
-			if mode == "parallel" && cfg.machine.CoreCount() < 2 {
-				continue
-			}
 			rec := best[cfg.name+"/"+mode]
 			snap.Records = append(snap.Records, rec)
 			fmt.Fprintf(os.Stderr, "%-10s %-8s %8.2f ms/run %12.0f insts/s %6.1f%% skipped\n",
@@ -178,22 +169,13 @@ func measure(cfg benchConfig, mode string, insts int64) (Record, error) {
 	res := testing.Benchmark(func(b *testing.B) {
 		skipped, cycles = 0, 0
 		for i := 0; i < b.N; i++ {
-			if mode == "sampled" || mode == "parallel" {
-				o := sim.Options{
+			if mode == "sampled" {
+				r, err := sim.Run(context.Background(), sim.Options{
 					Machine:      cfg.machine,
 					Sources:      sources(cfg.machine.TotalContexts()),
 					MeasureInsts: insts,
-				}
-				if mode == "sampled" {
-					o.Mode = sim.ModeSampled
-				} else {
-					// Epoch-parallel exact run: one worker per core,
-					// bit-identical results to the serial "run" rows (its
-					// wall-clock baseline).
-					o.DisjointAddressSpaces = true
-					o.Parallel = cfg.machine.CoreCount()
-				}
-				r, err := sim.Run(context.Background(), o)
+					Mode:         sim.ModeSampled,
+				})
 				if err != nil {
 					buildErr = err
 					b.FailNow()
@@ -210,13 +192,6 @@ func measure(cfg benchConfig, mode string, insts int64) (Record, error) {
 			case "stepped":
 				for m.graduated() < insts {
 					m.tick()
-				}
-			case "adaptive":
-				// The exact controller sim uses for -mode adaptive, driven
-				// over the same primitives.
-				step := sim.NewAdaptiveStepper(m.tick, m.step, m.now, m.skipped, horizon)
-				for m.graduated() < insts {
-					step()
 				}
 			default:
 				for m.graduated() < insts {
@@ -259,7 +234,6 @@ type machine struct {
 	graduated func() int64
 	cycles    func() int64
 	skipped   func() int64
-	now       func() int64
 }
 
 func build(m config.Machine) (machine, error) {
@@ -274,7 +248,6 @@ func build(m config.Machine) (machine, error) {
 			graduated: p.Graduated,
 			cycles:    func() int64 { return p.Core(0).Collector().Cycles },
 			skipped:   p.SkippedCycles,
-			now:       p.Now,
 		}, nil
 	}
 	c, err := core.New(m, sources(m.Threads))
@@ -287,7 +260,6 @@ func build(m config.Machine) (machine, error) {
 		graduated: func() int64 { return c.Collector().Graduated },
 		cycles:    func() int64 { return c.Collector().Cycles },
 		skipped:   c.SkippedCycles,
-		now:       c.Now,
 	}, nil
 }
 

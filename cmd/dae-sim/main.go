@@ -48,7 +48,7 @@ func main() {
 		section2     = flag.Bool("section2", false, "use the paper's Section-2 machine (4-way, shared FUs, scaled queues)")
 		warmup       = flag.Int64("warmup", daesim.DefaultWarmup, "warm-up instructions (excluded from stats)")
 		measure      = flag.Int64("measure", daesim.DefaultMeasure, "measured instructions")
-		mode         = flag.String("mode", "exact", "execution mode: exact (detailed, bit-exact), adaptive (detailed, auto-tuned driver, bit-identical to exact) or sampled (SMARTS-style estimate with confidence interval)")
+		mode         = flag.String("mode", "exact", "execution mode: exact (detailed, bit-exact) or sampled (SMARTS-style estimate with confidence interval); adaptive is an alias of exact with its own request hash")
 		samplePeriod = flag.Int64("sample-period", 0, "sampled mode: sampling period in instructions (0 = default "+fmt.Sprint(sim.DefaultSamplingPeriod)+")")
 		sampleUnit   = flag.Int64("sample-unit", 0, "sampled mode: measured unit length in instructions (0 = default "+fmt.Sprint(sim.DefaultSamplingUnit)+")")
 		sampleWarmup = flag.Int64("sample-warmup", 0, "sampled mode: detailed warm-up before each unit (0 = default "+fmt.Sprint(sim.DefaultSamplingWarmup)+")")
@@ -62,7 +62,6 @@ func main() {
 		specMisspec  = flag.Float64("spec-misspec", 0, "speculative-DAE: misspeculation probability per speculative load [0,1]")
 		specSquash   = flag.Int64("spec-squash", 0, "speculative-DAE: squash refetch penalty in cycles (0 = default "+fmt.Sprint(daesim.DefaultSquashCycles)+" when loads speculate)")
 		specLoD      = flag.Int64("spec-lod", 0, "speculative-DAE: force a loss-of-decoupling event every N fetched instructions per context (0 = never)")
-		parallel     = flag.Int("parallel", 1, "advance a multi-core run's cores on up to N goroutines in deterministic epochs; results are bit-identical to -parallel 1 and the knob never changes the Request hash (generator workloads only — trace replay stays serial)")
 		jsonOut      = flag.Bool("json", false, "emit the report as JSON (for scripting)")
 		cacheDir     = flag.String("cache", "", "on-disk result cache directory shared with dae-sweep and dae-serve (bench/mix runs only)")
 		hashOnly     = flag.Bool("hash", false, "print the run's Request content hash and exit without simulating")
@@ -192,7 +191,7 @@ func main() {
 			}
 			return
 		}
-		rep, err = runRequest(ctx, req, *cacheDir, *parallel)
+		rep, err = runRequest(ctx, req, *cacheDir)
 	}
 	if err != nil {
 		fail(err)
@@ -221,15 +220,8 @@ func main() {
 // runRequest executes a synthetic-workload run through the public
 // Engine, so a single point computed here lands in (and is served from)
 // the same content-addressed result cache dae-sweep and dae-serve use.
-func runRequest(ctx context.Context, req daesim.Request, cacheDir string, parallel int) (daesim.Report, error) {
-	// The Engine budgets intra-run workers from its global Workers
-	// semaphore, so a single-request process must provision one slot per
-	// requested epoch worker (Workers: 1 would always fall back to serial).
-	workers := 1
-	if parallel > workers {
-		workers = parallel
-	}
-	eng, err := daesim.NewEngine(daesim.EngineOpts{Workers: workers, Parallel: parallel, CacheDir: cacheDir})
+func runRequest(ctx context.Context, req daesim.Request, cacheDir string) (daesim.Report, error) {
+	eng, err := daesim.NewEngine(daesim.EngineOpts{Workers: 1, CacheDir: cacheDir})
 	if err != nil {
 		return daesim.Report{}, err
 	}

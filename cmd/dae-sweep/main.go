@@ -45,7 +45,6 @@ func main() {
 type options struct {
 	fig      string
 	budget   experiments.Budget
-	parallel int
 	csvDir   string
 	cacheDir string
 	hashFile string
@@ -64,7 +63,6 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 		measure  = fs.Int64("measure", 0, "measured instructions per thread (0 = default)")
 		seed     = fs.Uint64("seed", 0, "workload seed")
 		workers  = fs.Int("workers", 0, "parallel simulations (0 = all cores)")
-		parallel = fs.Int("parallel", 0, "let each eligible multi-core point also use up to N goroutines for its own cores (epoch-parallel, bit-identical results; workers are budgeted from the shared -workers pool)")
 		csvDir   = fs.String("csv", "", "also write raw results as CSV files into this directory")
 		cacheDir = fs.String("cache", "", "on-disk result cache directory: re-runs skip already-computed points and interrupted sweeps resume")
 		hashFile = fs.String("hashfile", "", "write the sorted result content hashes (one 'jobhash reporthash key' line per point) to this file; two runs of the same sweep must produce identical files (the CI determinism gate)")
@@ -93,7 +91,6 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 	return options{
 		fig:      strings.ToLower(*fig),
 		budget:   budget,
-		parallel: *parallel,
 		csvDir:   *csvDir,
 		cacheDir: *cacheDir,
 		hashFile: *hashFile,
@@ -148,7 +145,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// between sweeps (fig3's thread axis inside fig5's L2=16 curve)
 	// simulate once; a cache directory extends that reuse across
 	// invocations.
-	ropts := runner.Options{Workers: opts.budget.Parallelism, Parallel: opts.parallel, CacheDir: opts.cacheDir}
+	ropts := runner.Options{Workers: opts.budget.Parallelism, CacheDir: opts.cacheDir}
 	// The per-point callback serializes under the batch lock, so the
 	// human -progress lines (stderr) and the machine-parseable -json
 	// stream (stdout) never interleave mid-record. The two streams are

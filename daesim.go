@@ -34,15 +34,9 @@
 // statistics, which is why results are content-addressed by Request.Hash
 // and can be shared between processes (see EngineOpts.CacheDir) or
 // served over HTTP by cmd/dae-serve.
-//
-// The blocking package-level RunMix/RunBenchmark/RunCustom helpers
-// predate the Engine and remain as thin uncached wrappers; new code
-// should construct Requests and use an Engine.
 package daesim
 
 import (
-	"context"
-
 	"repro/internal/config"
 	"repro/internal/mem"
 	"repro/internal/stats"
@@ -156,45 +150,3 @@ const (
 	DefaultWarmup  = 200_000
 	DefaultMeasure = 1_000_000
 )
-
-// RunBenchmark simulates one built-in benchmark. On a single-thread
-// machine the benchmark runs alone (the paper's Section-2 methodology); on
-// a multithreaded machine every context runs an independent copy with a
-// private address space and perturbed data-dependent behaviour (distinct
-// "inputs").
-//
-// Deprecated: RunBenchmark blocks without cancellation and caches
-// nothing. Use Engine.Run with a BenchmarkRequest; results are
-// bit-identical.
-func RunBenchmark(name string, m Machine, opts RunOpts) (Report, error) {
-	return runRequest(BenchmarkRequest(name, m, opts))
-}
-
-// RunCustom simulates a custom workload model (see Benchmark) the same way
-// RunBenchmark runs the built-ins.
-//
-// Deprecated: RunCustom blocks without cancellation and caches nothing.
-// Use Engine.Run with a CustomRequest; results are bit-identical.
-func RunCustom(b Benchmark, m Machine, opts RunOpts) (Report, error) {
-	return runRequest(CustomRequest(b, m, opts))
-}
-
-// RunMix simulates the paper's Section-3 workload: every context runs a
-// rotated concatenation of all ten benchmarks ("a sequence of traces from
-// all SpecFP95 programs, in a different order for each thread").
-//
-// Deprecated: RunMix blocks without cancellation and caches nothing.
-// Use Engine.Run with a MixRequest; results are bit-identical.
-func RunMix(m Machine, opts RunOpts) (Report, error) {
-	return runRequest(MixRequest(m, opts))
-}
-
-// runRequest is the uncached one-shot execution path behind the
-// deprecated wrappers: same validation and same simulation as the
-// Engine, minus the cache, the deduplication and the worker semaphore.
-func runRequest(req Request) (Report, error) {
-	if err := req.Validate(); err != nil {
-		return Report{}, err
-	}
-	return req.Normalized().job().Execute(context.Background(), nil, 0)
-}

@@ -1,9 +1,20 @@
 package daesim
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
+
+// runOnce executes req on a fresh single-worker Engine, so every call
+// simulates rather than being served from an earlier call's cache.
+func runOnce(req Request) (Report, error) {
+	eng, err := NewEngine(EngineOpts{Workers: 1})
+	if err != nil {
+		return Report{}, err
+	}
+	return eng.Run(context.Background(), req)
+}
 
 func quickOpts() RunOpts {
 	return RunOpts{WarmupInsts: 10_000, MeasureInsts: 50_000}
@@ -25,7 +36,7 @@ func TestBenchmarksList(t *testing.T) {
 }
 
 func TestRunBenchmarkQuick(t *testing.T) {
-	rep, err := RunBenchmark("tomcatv", Figure2(1), quickOpts())
+	rep, err := runOnce(BenchmarkRequest("tomcatv", Figure2(1), quickOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +49,7 @@ func TestRunBenchmarkQuick(t *testing.T) {
 }
 
 func TestRunMixQuick(t *testing.T) {
-	rep, err := RunMix(Figure2(2), quickOpts())
+	rep, err := runOnce(MixRequest(Figure2(2), quickOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +65,11 @@ func TestDecouplingWinsOnMix(t *testing.T) {
 	// The paper's headline: at a given thread count, decoupling beats the
 	// non-decoupled machine, and the gap widens with L2 latency.
 	m := Figure2(2).WithL2Latency(64)
-	dec, err := RunMix(m, quickOpts())
+	dec, err := runOnce(MixRequest(m, quickOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	non, err := RunMix(m.NonDecoupled(), quickOpts())
+	non, err := runOnce(MixRequest(m.NonDecoupled(), quickOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +89,11 @@ func TestRunCustomBenchmark(t *testing.T) {
 	}
 	b.Name = "mgrid-variant"
 	b.Kernels[0].FPChains = 2 // serial chains: should lower IPC
-	variant, err := RunCustom(b, Figure2(1), quickOpts())
+	variant, err := runOnce(CustomRequest(b, Figure2(1), quickOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig, err := RunBenchmark("mgrid", Figure2(1), quickOpts())
+	orig, err := runOnce(BenchmarkRequest("mgrid", Figure2(1), quickOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,23 +104,23 @@ func TestRunCustomBenchmark(t *testing.T) {
 
 func TestRunCustomRejectsInvalid(t *testing.T) {
 	var b Benchmark // zero value: invalid
-	if _, err := RunCustom(b, Figure2(1), quickOpts()); err == nil {
+	if _, err := runOnce(CustomRequest(b, Figure2(1), quickOpts())); err == nil {
 		t.Fatal("invalid benchmark accepted")
 	}
 }
 
 func TestSeedsPerturbRuns(t *testing.T) {
-	a, err := RunBenchmark("fpppp", Figure2(1), RunOpts{WarmupInsts: 5_000, MeasureInsts: 30_000, Seed: 1})
+	a, err := runOnce(BenchmarkRequest("fpppp", Figure2(1), RunOpts{WarmupInsts: 5_000, MeasureInsts: 30_000, Seed: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunBenchmark("fpppp", Figure2(1), RunOpts{WarmupInsts: 5_000, MeasureInsts: 30_000, Seed: 2})
+	b, err := runOnce(BenchmarkRequest("fpppp", Figure2(1), RunOpts{WarmupInsts: 5_000, MeasureInsts: 30_000, Seed: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// fpppp's data-dependent branches make different seeds measurably
 	// different, while the same seed is bit-identical.
-	c, err := RunBenchmark("fpppp", Figure2(1), RunOpts{WarmupInsts: 5_000, MeasureInsts: 30_000, Seed: 1})
+	c, err := runOnce(BenchmarkRequest("fpppp", Figure2(1), RunOpts{WarmupInsts: 5_000, MeasureInsts: 30_000, Seed: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +134,7 @@ func TestSeedsPerturbRuns(t *testing.T) {
 
 func TestSection2Preset(t *testing.T) {
 	m := Section2().WithL2Latency(128)
-	rep, err := RunBenchmark("applu", m, quickOpts())
+	rep, err := runOnce(BenchmarkRequest("applu", m, quickOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +150,7 @@ func TestSection2Preset(t *testing.T) {
 func TestFetchPolicyKnob(t *testing.T) {
 	m := Figure2(3)
 	m.FetchPolicy = FetchRoundRobin
-	rep, err := RunMix(m, quickOpts())
+	rep, err := runOnce(MixRequest(m, quickOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +161,7 @@ func TestFetchPolicyKnob(t *testing.T) {
 
 func TestCycleCapSurfacesError(t *testing.T) {
 	m := Figure2(1)
-	_, err := RunMix(m, RunOpts{MeasureInsts: 1 << 40, MaxCycles: 1_000})
+	_, err := runOnce(MixRequest(m, RunOpts{MeasureInsts: 1 << 40, MaxCycles: 1_000}))
 	if err == nil {
 		t.Fatal("cycle cap not reported")
 	}
@@ -163,11 +174,11 @@ func TestBudgetConvergence(t *testing.T) {
 	// Methodology check: doubling the measurement budget moves the mix
 	// IPC by only a few percent — the default windows sample steady
 	// state, not a transient.
-	small, err := RunMix(Figure2(2), RunOpts{WarmupInsts: 100_000, MeasureInsts: 600_000})
+	small, err := runOnce(MixRequest(Figure2(2), RunOpts{WarmupInsts: 100_000, MeasureInsts: 600_000}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := RunMix(Figure2(2), RunOpts{WarmupInsts: 100_000, MeasureInsts: 1_200_000})
+	large, err := runOnce(MixRequest(Figure2(2), RunOpts{WarmupInsts: 100_000, MeasureInsts: 1_200_000}))
 	if err != nil {
 		t.Fatal(err)
 	}

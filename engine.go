@@ -13,12 +13,6 @@ type EngineOpts struct {
 	// Workers bounds concurrent simulations (0 = GOMAXPROCS). The bound
 	// is global across every Run/RunBatch call sharing the Engine.
 	Workers int
-	// Parallel, when > 1, lets eligible multi-core requests run their
-	// cores on up to Parallel goroutines in deterministic epochs, with
-	// the workers budgeted from the same global Workers semaphore (see
-	// runner.Options.Parallel). Results — and request hashes, and cache
-	// entries — are bit-identical to serial execution.
-	Parallel int
 	// CacheDir enables the on-disk result cache tier ("" = in-memory
 	// only). The directory is shared with dae-sweep/dae-sim -cache:
 	// entries are one JSON file per Request hash, so results computed by
@@ -111,7 +105,6 @@ func NewEngine(opts EngineOpts) (*Engine, error) {
 	e := &Engine{subs: make(map[int]chan Progress)}
 	r, err := runner.New(runner.Options{
 		Workers:       opts.Workers,
-		Parallel:      opts.Parallel,
 		CacheDir:      opts.CacheDir,
 		SnapshotEvery: opts.SnapshotEvery,
 		OnProgress: func(p runner.Progress) {

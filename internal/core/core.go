@@ -72,7 +72,7 @@ type Core struct {
 	progressed bool
 	// fetchFrozen suspends the fetch stage while DrainPipeline empties
 	// the machine to the architectural boundary a functional warp
-	// resumes from. Never set during exact or adaptive execution.
+	// resumes from. Never set during exact execution.
 	fetchFrozen bool
 	// dispatchStallDelta, conflictStallDelta and lodStallDelta are the
 	// last Tick's increments of the corresponding collector counters,

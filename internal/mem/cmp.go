@@ -54,18 +54,6 @@ type Interconnect struct {
 	// The timed coherence path is untouched: its probes book counters
 	// and the equivalence is the workload's claim, not the machine's.
 	disjoint bool
-
-	// Epoch-parallel execution state (see epoch.go and DESIGN.md §12).
-	// epochMode: the fabric is rewired for epoch runs (private chains
-	// advance in their cores' System.BeginCycle; shared fills feed
-	// fillCal instead of the per-core calendar broadcast). epochActive:
-	// an epoch is open right now — L1 traffic into the shared chain
-	// detours through the EpochHandlers and coherence broadcasts are
-	// suppressed (sound only under the disjoint promise, which the
-	// epoch runner requires).
-	epochMode   bool
-	epochActive bool
-	fillCal     fillHeap
 }
 
 // NewInterconnect builds the shared fabric for the given number of
@@ -181,12 +169,6 @@ func (ic *Interconnect) BeginCycle(now int64) int {
 	for i := len(ic.levels) - 1; i >= 0; i-- {
 		filled += ic.levels[i].beginCycle(now)
 	}
-	if ic.epochMode {
-		// Private chains advance in their cores' System.BeginCycle, and
-		// shared fills just completed are spent calendar entries.
-		ic.fillCal.dropThrough(now)
-		return filled
-	}
 	for _, chain := range ic.priv {
 		for i := len(chain) - 1; i >= 0; i-- {
 			filled += chain[i].beginCycle(now)
@@ -200,14 +182,6 @@ func (ic *Interconnect) BeginCycle(now int64) int {
 // when the hierarchy is replicated). Called from the writing core's
 // access path at the current cycle.
 func (ic *Interconnect) invalidateRemote(from int, line uint64) {
-	if ic.epochActive {
-		// Parallel epoch: a probe would race the remote cores' private
-		// tags. The epoch runner requires disjoint address spaces, under
-		// which every probe provably finds nothing and mutates nothing
-		// (invalidate on an absent line is side-effect-free), so the
-		// skip is equivalent by construction.
-		return
-	}
 	for c, s := range ic.systems {
 		if c == from {
 			continue

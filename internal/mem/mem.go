@@ -223,12 +223,6 @@ type System struct {
 	// levels are the shared hierarchy levels under the L1, top-down
 	// (levels[0] is the L2). Nil in the default flat model.
 	levels []*level
-	// chain is this core's private hierarchy chain under an epoch-mode
-	// CMP interconnect (PrivateHierarchy only): the levels still live
-	// in (and are reported by) the Interconnect, but BeginCycle here
-	// advances them so a parallel worker drives its own chain without
-	// touching shared state. Nil outside epoch mode.
-	chain []*level
 
 	now       int64
 	portsUsed int
@@ -370,9 +364,6 @@ func (s *System) BeginCycle(now int64) int {
 	s.now = now
 	s.portsUsed = 0
 	filled := 0
-	for i := len(s.chain) - 1; i >= 0; i-- {
-		filled += s.chain[i].beginCycle(now)
-	}
 	for i := len(s.levels) - 1; i >= 0; i-- {
 		filled += s.levels[i].beginCycle(now)
 	}

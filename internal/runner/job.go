@@ -109,14 +109,14 @@ type Budget struct {
 	// Mode selects the execution mode (sim.Mode; empty = exact). Both
 	// new fields are omitempty so every pre-existing exact-mode job
 	// hashes exactly as it did before modes existed, keeping on-disk
-	// cache entries valid. Adaptive runs are bit-identical to exact ones
-	// but hash distinctly: the cache never has to trust that equivalence,
-	// it only ever replays what that mode actually produced.
+	// cache entries valid. "adaptive" is an alias that runs the exact
+	// driver but keeps its own hash, so cache entries written under that
+	// name stay valid.
 	Mode sim.Mode `json:",omitempty"`
 	// Sampling parameterizes sampled mode. Callers must spell the
 	// parameters out (daesim.Request.Normalized resolves the defaults),
 	// so a job's hash never depends on which sim version's defaults were
-	// compiled in. Nil for exact and adaptive jobs.
+	// compiled in. Nil for exact jobs.
 	Sampling *sim.Sampling `json:",omitempty"`
 }
 
@@ -131,13 +131,6 @@ type Job struct {
 	Machine  config.Machine
 	Workload Workload
 	Budget   Budget
-	// Parallel, when > 1, runs an eligible CMP job's cores on up to that
-	// many goroutines in deterministic epochs (sim.Options.Parallel).
-	// Like Key it is an execution hint, NOT part of the hash: parallel
-	// results are bit-identical to serial ones, so the knob must never
-	// split the cache. The Runner sizes it from its shared worker budget
-	// (Options.Parallel); callers normally leave it zero.
-	Parallel int `json:"-"`
 }
 
 // hashable is the canonical hash input. Field order is fixed by the
@@ -286,7 +279,6 @@ func (j Job) Execute(ctx context.Context, onProgress func(sim.Snapshot), every i
 		// space (ThreadAddrOffset); an imported trace's addresses are
 		// whatever was captured, so only traces withhold the promise.
 		DisjointAddressSpaces: j.Workload.Kind != KindTrace,
-		Parallel:              j.Parallel,
 		OnProgress:            onProgress,
 		ProgressEvery:         every,
 	}

@@ -37,17 +37,6 @@ type Options struct {
 	// semaphore, so a Runner embedded in a long-lived service never
 	// exceeds it no matter how many callers overlap.
 	Workers int
-	// Parallel, when > 1, lets each eligible job (a multi-core CMP on a
-	// generator workload) run its cores on up to Parallel goroutines in
-	// deterministic epochs. Intra-run workers are budgeted from the SAME
-	// semaphore as cross-job concurrency: a job grabs up to
-	// min(cores, Parallel)-1 extra slots without blocking (on top of the
-	// slot it already holds) and falls back to serial execution when none
-	// are free, so Workers stays the one global simulation bound whether
-	// the parallelism lands across jobs or inside one. Results are
-	// bit-identical either way (the epoch barrier replays serial order),
-	// so the knob never affects hashes or caching.
-	Parallel int
 	// CacheDir enables the on-disk result cache tier ("" = in-memory
 	// only). The directory is created if missing.
 	CacheDir string
@@ -140,7 +129,6 @@ type call struct {
 // worker semaphore are shared across batches.
 type Runner struct {
 	workers    int
-	parallel   int
 	cache      *cache
 	onProgress func(Progress)
 	onSnapshot func(Snapshot)
@@ -170,7 +158,6 @@ func New(opts Options) (*Runner, error) {
 	}
 	return &Runner{
 		workers:    workers,
-		parallel:   opts.Parallel,
 		cache:      c,
 		onProgress: opts.OnProgress,
 		onSnapshot: opts.OnSnapshot,
@@ -369,16 +356,7 @@ func (r *Runner) runJob(ctx context.Context, j Job) Result {
 			if r.onSnapshot != nil {
 				snap = func(s sim.Snapshot) { r.onSnapshot(Snapshot{Job: j, Hash: h, Sim: s}) }
 			}
-			// Intra-run parallelism shares the same budget as cross-job
-			// concurrency: top up the slot this worker already holds with
-			// whatever is free right now, serial when nothing is.
-			run := j
-			extras := r.grabIntraSlots(j)
-			if extras > 0 {
-				run.Parallel = 1 + extras
-			}
-			rep, err = run.Execute(ctx, snap, r.snapEvery)
-			r.releaseSlots(extras)
+			rep, err = j.Execute(ctx, snap, r.snapEvery)
 			<-r.sem
 		case <-ctx.Done():
 			err = fmt.Errorf("runner: job %q: %w", j.Key, ctx.Err())
@@ -405,45 +383,6 @@ func (r *Runner) runJob(ctx context.Context, j Job) Result {
 			r.recordHash(h, j.Key, rep)
 		}
 		return Result{Job: j, Hash: h, Report: rep, Err: err}
-	}
-}
-
-// grabIntraSlots sizes a job's epoch-parallel worker pool from the
-// shared semaphore: for an eligible job it acquires, without blocking,
-// up to min(cores, Options.Parallel)-1 extra slots beyond the one the
-// calling worker already holds, and returns how many it got (0 = run
-// serially). Non-blocking acquisition cannot deadlock — a job never
-// waits for slots held by other jobs — and keeps the global Workers
-// bound exact: every concurrently running goroutine, across and within
-// jobs, holds one slot.
-func (r *Runner) grabIntraSlots(j Job) int {
-	if r.parallel < 2 || j.Parallel != 0 {
-		return 0
-	}
-	m := j.Machine.Effective()
-	if m.CoreCount() < 2 || j.Workload.Kind == KindTrace {
-		return 0
-	}
-	want := m.CoreCount()
-	if want > r.parallel {
-		want = r.parallel
-	}
-	got := 0
-	for got < want-1 {
-		select {
-		case r.sem <- struct{}{}:
-			got++
-		default:
-			return got
-		}
-	}
-	return got
-}
-
-// releaseSlots returns n extra slots to the semaphore.
-func (r *Runner) releaseSlots(n int) {
-	for i := 0; i < n; i++ {
-		<-r.sem
 	}
 }
 

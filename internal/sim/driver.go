@@ -27,8 +27,6 @@ type machine interface {
 	Cycles() int64
 	// Graduated counts instructions retired in the current window.
 	Graduated() int64
-	// SkippedCycles counts cycles fast-forwarded over since construction.
-	SkippedCycles() int64
 	// Done reports whether all sources drained and pipelines emptied.
 	Done() bool
 	// ResetStats zeroes the statistics window; machine state (caches,
@@ -66,15 +64,14 @@ func build(mc config.Machine, sources []trace.Reader) (machine, error) {
 // coreMachine adapts a single core.Core.
 type coreMachine struct{ c *core.Core }
 
-func (m coreMachine) Tick()                { m.c.Tick() }
-func (m coreMachine) Step(horizon int64)   { m.c.Step(horizon) }
-func (m coreMachine) Now() int64           { return m.c.Now() }
-func (m coreMachine) Cycles() int64        { return m.c.Collector().Cycles }
-func (m coreMachine) Graduated() int64     { return m.c.Collector().Graduated }
-func (m coreMachine) SkippedCycles() int64 { return m.c.SkippedCycles() }
-func (m coreMachine) Done() bool           { return m.c.Done() }
-func (m coreMachine) DrainPipeline() bool  { return m.c.DrainPipeline() }
-func (m coreMachine) Warp(n int64) int64   { return m.c.Warp(n) }
+func (m coreMachine) Tick()               { m.c.Tick() }
+func (m coreMachine) Step(horizon int64)  { m.c.Step(horizon) }
+func (m coreMachine) Now() int64          { return m.c.Now() }
+func (m coreMachine) Cycles() int64       { return m.c.Collector().Cycles }
+func (m coreMachine) Graduated() int64    { return m.c.Collector().Graduated }
+func (m coreMachine) Done() bool          { return m.c.Done() }
+func (m coreMachine) DrainPipeline() bool { return m.c.DrainPipeline() }
+func (m coreMachine) Warp(n int64) int64  { return m.c.Warp(n) }
 
 func (m coreMachine) ResetStats() {
 	m.c.Collector().Reset()
@@ -103,7 +100,6 @@ func (m cmpMachine) Step(horizon int64)   { m.p.Step(horizon) }
 func (m cmpMachine) Now() int64           { return m.p.Now() }
 func (m cmpMachine) Cycles() int64        { return m.p.Core(0).Collector().Cycles }
 func (m cmpMachine) Graduated() int64     { return m.p.Graduated() }
-func (m cmpMachine) SkippedCycles() int64 { return m.p.SkippedCycles() }
 func (m cmpMachine) Done() bool           { return m.p.Done() }
 func (m cmpMachine) ResetStats()          { m.p.ResetStats() }
 func (m cmpMachine) Report() stats.Report { return m.p.Report() }
@@ -117,85 +113,13 @@ type runner struct {
 	m         machine
 	maxCycles int64
 	every     int64
-	// step advances the machine one scheduler step: Tick (stepped),
-	// Step-to-horizon (exact), or the adaptive controller's choice. The
-	// window loops only depend on state that is frozen during a skip
-	// (graduation counts, Done, the cycle bound the skip is clamped to),
-	// so every driver takes the same path through each window boundary.
-	step func()
 	// polls counts scheduler steps for amortized cancellation checks.
 	polls int64
 	// completed clears when the run hits the cycle cap.
 	completed bool
-
-	// Epoch-parallel execution (Options.Parallel on an eligible CMP
-	// run): epoch drives the cores concurrently, epochDenom is the
-	// machine's maximum graduation rate (instructions per cycle, all
-	// cores), which bounds each epoch's horizon so no window boundary
-	// can fall strictly inside an epoch, and limit is the current
-	// window's instruction bound (set by window; <= 0 = run to drain,
-	// which stays serial). stepErr carries an epoch abort out of the
-	// step callback.
-	epoch      *core.EpochRunner
-	epochDenom int64
-	limit      int64
-	stepErr    error
 }
 
-// epochDenom returns the machine-wide per-cycle graduation bound.
-func epochDenom(mc config.Machine) int64 {
-	d := int64(mc.CoreCount()) * int64(mc.Threads) * int64(mc.GraduateWidth)
-	if d < 1 {
-		d = 1
-	}
-	return d
-}
-
-// Epoch sizing: below minEpochSpan cycles the parallel barrier cannot
-// pay for itself, so the step falls back to the (bit-identical) serial
-// driver; maxEpochSpan bounds an epoch so cancellation polling and the
-// coordinator's event horizon stay responsive.
-const (
-	minEpochSpan = 64
-	maxEpochSpan = 1 << 22
-)
-
-// epochStep advances the machine one parallel epoch. The horizon is
-// chosen so the serial loop could not have stopped strictly inside the
-// epoch: with at most epochDenom instructions graduating per cycle,
-// the window's remaining budget cannot be exhausted before the last
-// epoch cycle, so serial and parallel runs observe every window
-// boundary at the same cycle.
-func (r *runner) epochStep() {
-	m := r.m
-	if r.limit <= 0 {
-		// Run-to-drain window: finite sources can stop the serial loop
-		// anywhere, which no pre-computed horizon can match. Stay serial.
-		m.Step(r.maxCycles)
-		return
-	}
-	span := (r.limit - m.Graduated()) / r.epochDenom
-	if span < minEpochSpan {
-		m.Step(r.maxCycles)
-		return
-	}
-	if span > maxEpochSpan {
-		span = maxEpochSpan
-	}
-	h := m.Now() + span
-	if h > r.maxCycles {
-		h = r.maxCycles
-	}
-	if h <= m.Now() {
-		m.Step(r.maxCycles)
-		return
-	}
-	if err := r.epoch.RunEpoch(r.ctx, h); err != nil {
-		r.stepErr = err
-	}
-}
-
-func newRunner(ctx context.Context, opts Options, mode Mode, m machine) *runner {
+func newRunner(ctx context.Context, opts Options, m machine) *runner {
 	r := &runner{ctx: ctx, opts: opts, m: m, completed: true}
 	r.maxCycles = opts.MaxCycles
 	if r.maxCycles <= 0 {
@@ -204,16 +128,6 @@ func newRunner(ctx context.Context, opts Options, mode Mode, m machine) *runner 
 	r.every = opts.ProgressEvery
 	if r.every <= 0 {
 		r.every = DefaultProgressEvery
-	}
-	switch {
-	case opts.Stepped:
-		r.step = m.Tick
-	case mode == ModeAdaptive || mode == ModeSampled:
-		// Sampled runs use the adaptive driver for their detailed phases:
-		// the controller is bit-neutral, and sampling exists for speed.
-		r.step = NewAdaptiveStepper(m.Tick, m.Step, m.Now, m.SkippedCycles, r.maxCycles)
-	default:
-		r.step = func() { m.Step(r.maxCycles) }
 	}
 	return r
 }
@@ -230,12 +144,8 @@ func (r *runner) snapshot(phase string, target int64) Snapshot {
 
 // window advances the machine while more() holds and the sources are
 // live, honouring the cycle cap, amortized cancellation and the progress
-// cadence. target only labels the snapshots; limit is the window's
-// instruction bound (the value more() compares Graduated against, <= 0
-// when the window runs to drain), which the epoch-parallel step uses
-// to size horizons.
-func (r *runner) window(phase string, target, limit int64, more func() bool) error {
-	r.limit = limit
+// cadence. target only labels the snapshots.
+func (r *runner) window(phase string, target int64, more func() bool) error {
 	nextSnap := r.every
 	for more() && !r.m.Done() {
 		if r.m.Now() >= r.maxCycles {
@@ -251,21 +161,26 @@ func (r *runner) window(phase string, target, limit int64, more func() bool) err
 			r.opts.OnProgress(r.snapshot(phase, target))
 			nextSnap = r.m.Graduated() + r.every
 		}
-		r.step()
-		if r.stepErr != nil {
-			return r.stepErr
+		// Tick and Step leave identical states, and the loop reads only
+		// state that is frozen during a skip (graduation counts, Done, the
+		// cycle cap the skip is clamped to), so both step functions take
+		// the same path through every window boundary.
+		if r.opts.Stepped {
+			r.m.Tick()
+		} else {
+			r.m.Step(r.maxCycles)
 		}
 	}
 	return nil
 }
 
-// runDetailed is the exact/adaptive run: warm-up window, stats reset,
+// runDetailed is the exact run: warm-up window, stats reset,
 // measurement window, report.
 func (r *runner) runDetailed() (Result, error) {
 	m, opts := r.m, r.opts
 
 	// Warm-up window.
-	err := r.window(PhaseWarmup, opts.WarmupInsts, opts.WarmupInsts, func() bool {
+	err := r.window(PhaseWarmup, opts.WarmupInsts, func() bool {
 		return m.Graduated() < opts.WarmupInsts
 	})
 	if err != nil {
@@ -276,7 +191,7 @@ func (r *runner) runDetailed() (Result, error) {
 	m.ResetStats()
 
 	// Measurement window.
-	err = r.window(PhaseMeasure, opts.MeasureInsts, opts.MeasureInsts, func() bool {
+	err = r.window(PhaseMeasure, opts.MeasureInsts, func() bool {
 		return opts.MeasureInsts <= 0 || m.Graduated() < opts.MeasureInsts
 	})
 	if err != nil {

@@ -8,102 +8,61 @@ import (
 	"testing"
 
 	"repro/internal/config"
-	"repro/internal/trace"
 )
 
-// Execution-mode tests: the adaptive controller must be bit-identical to
-// exact execution on every configuration (it only chooses which driver
-// advances the clock), and sampled mode must be a deterministic,
-// well-formed estimator.
+// Execution-mode tests: "adaptive" is an alias of exact execution and
+// must reproduce its reports exactly, and sampled mode must be a
+// deterministic, well-formed estimator.
 
-// runAdaptiveExact runs the same configuration in exact and adaptive mode
-// and fails the test on any difference between the two results.
-func runAdaptiveExact(t *testing.T, name string, opts Options, sources func() []trace.Reader) Result {
+// assertAdaptiveIsExact runs one machine in exact and in adaptive mode
+// over the same sources and fails the test on any difference.
+func assertAdaptiveIsExact(t *testing.T, machine config.Machine, warmup, measure int64) {
 	t.Helper()
-	opts.Sources = sources()
-	opts.Mode = ModeExact
-	exact, err := Run(context.Background(), opts)
-	if err != nil {
-		t.Fatalf("%s: exact run: %v", name, err)
+	run := func(mode Mode) Result {
+		t.Helper()
+		res, err := Run(context.Background(), Options{
+			Machine:      machine,
+			Sources:      mixSources(t, machine.TotalContexts(), 0),
+			WarmupInsts:  warmup,
+			MeasureInsts: measure,
+			Mode:         mode,
+		})
+		if err != nil {
+			t.Fatalf("%s run: %v", mode, err)
+		}
+		return res
 	}
-	opts.Sources = sources()
-	opts.Mode = ModeAdaptive
-	adaptive, err := Run(context.Background(), opts)
-	if err != nil {
-		t.Fatalf("%s: adaptive run: %v", name, err)
-	}
+	exact, adaptive := run(ModeExact), run(ModeAdaptive)
 	if !reflect.DeepEqual(adaptive, exact) {
-		t.Errorf("%s: adaptive diverged from exact\nexact:    %+v\nadaptive: %+v", name, exact, adaptive)
+		t.Errorf("adaptive diverged from exact (measure %d)\nexact:    %+v\nadaptive: %+v", measure, exact, adaptive)
 	}
-	return adaptive
 }
 
-// TestAdaptiveEquivalence pins adaptive == exact bit-identically on the
-// four figure configurations plus the i1 (finite shared L2 + DRAM) and c1
-// (CMP) machines, and on controller switch-boundary machines: a window
-// straddling calendar far-overflow drains (L2 latency beyond the wheel
-// window), tiny MSHR pools so mode switches land mid-fill, and a CMP
-// whose cores would disagree on the preferred mode (one stalling, one
-// busy) — the controller is per-run, so lockstep stays deterministic.
+// TestAdaptiveEquivalence pins that an adaptive-labelled run takes the
+// exact driver: its result is identical to the exact run's on a single
+// core and on a 2×2 CMP over a shared L2.
 func TestAdaptiveEquivalence(t *testing.T) {
 	cases := []struct {
 		name    string
 		machine config.Machine
-		threads int
 	}{
-		// The four figure configs.
-		{"fig/1T-L2_16", config.Figure2(1), 1},
-		{"fig/1T-L2_256", config.Figure2(1).WithL2Latency(256), 1},
-		{"fig/4T-L2_16", config.Figure2(4), 4},
-		{"fig/4T-L2_256", config.Figure2(4).WithL2Latency(256), 4},
-		// i1-style machine: finite shared L2 over DRAM.
-		{"i1", config.Figure2(4).WithHierarchy(64, config.SharedL2(64<<10, 8)), 4},
-		// c1-style machine: 2 cores × 2 contexts over a shared L2.
-		{"c1", config.Figure2(2).WithCores(2).WithHierarchy(64, config.SharedL2(256<<10, 8)), 4},
-		// Far-overflow straddle: every refill is scheduled beyond the
-		// calendar wheel, so controller windows end inside far-overflow
-		// drains.
-		{"far-window", config.Figure2(2).WithL2Latency(6000), 2},
-		// Mid-MSHR-fill switches: a 2-entry L2 MSHR pool keeps fills
-		// in flight almost continuously, so mode switches land mid-fill.
-		{"mshr-fill", func() config.Machine {
-			l2 := config.SharedL2(128<<10, 2)
-			l2.MSHRs = 2
-			return config.Figure2(4).WithHierarchy(100, l2)
-		}(), 4},
-		// Disagreeing CMP cores: core 0 runs a long-latency-bound thread
-		// mix while core 1 runs the same — but private-state divergence
-		// makes their instantaneous skip rates differ; the per-run
-		// controller must still keep the lockstep fabric deterministic.
-		{"cmp-disagree", config.Figure2(1).WithCores(2).WithHierarchy(200, config.SharedL2(64<<10, 1)), 2},
+		{"1core", config.Figure2(2).WithL2Latency(256)},
+		{"cmp2x2", config.Figure2(2).WithCores(2).WithHierarchy(64, config.SharedL2(256<<10, 8))},
 	}
 	for _, c := range cases {
-		opts := Options{
-			Machine:      c.machine,
-			WarmupInsts:  shortWarmup * int64(c.threads),
-			MeasureInsts: shortMeasure * int64(c.threads),
-		}
-		threads := c.threads
-		runAdaptiveExact(t, c.name, opts, func() []trace.Reader {
-			return mixSources(t, threads, 0)
+		t.Run(c.name, func(t *testing.T) {
+			n := int64(c.machine.TotalContexts())
+			assertAdaptiveIsExact(t, c.machine, shortWarmup*n, shortMeasure*n)
 		})
 	}
 }
 
-// TestAdaptiveEquivalenceAcrossWindowScales shrinks the measurement so the
-// run ends inside the very first probe window, straddles exactly one
-// boundary, and spans many boundaries — the controller's decision points
-// must never perturb results.
+// TestAdaptiveEquivalenceAcrossWindowScales keeps the alias exact over
+// measurement lengths from a few hundred instructions, where the run
+// ends right after warm-up, to a few hundred thousand.
 func TestAdaptiveEquivalenceAcrossWindowScales(t *testing.T) {
 	for _, measure := range []int64{500, 3_000, 70_000, 300_000} {
-		opts := Options{
-			Machine:      config.Figure2(2).WithL2Latency(256),
-			WarmupInsts:  1_000,
-			MeasureInsts: measure,
-		}
-		runAdaptiveExact(t, "window-scale", opts, func() []trace.Reader {
-			return mixSources(t, 2, 0)
-		})
+		assertAdaptiveIsExact(t, config.Figure2(2).WithL2Latency(256), 1_000, measure)
 	}
 }
 

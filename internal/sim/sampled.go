@@ -76,7 +76,7 @@ func (r *runner) runSampled() (Result, error) {
 	gap := sp.PeriodInsts - sp.UnitInsts - sp.WarmupInsts
 
 	// Initial detailed warm-up, identical to the other modes.
-	err := r.window(PhaseWarmup, opts.WarmupInsts, opts.WarmupInsts, func() bool {
+	err := r.window(PhaseWarmup, opts.WarmupInsts, func() bool {
 		return m.Graduated() < opts.WarmupInsts
 	})
 	if err != nil {
@@ -99,7 +99,7 @@ func (r *runner) runSampled() (Result, error) {
 		// Measured unit.
 		m.ResetStats()
 		unit := clamp(sp.UnitInsts)
-		err := r.window(PhaseMeasure, opts.MeasureInsts, unit, func() bool {
+		err := r.window(PhaseMeasure, opts.MeasureInsts, func() bool {
 			return m.Graduated() < unit
 		})
 		if err != nil {
@@ -133,7 +133,7 @@ func (r *runner) runSampled() (Result, error) {
 		// Detailed re-warm so the next unit doesn't measure the restart.
 		m.ResetStats()
 		warm := clamp(sp.WarmupInsts)
-		err = r.window(PhaseWarmup, opts.MeasureInsts, warm, func() bool {
+		err = r.window(PhaseWarmup, opts.MeasureInsts, func() bool {
 			return m.Graduated() < warm
 		})
 		if err != nil {

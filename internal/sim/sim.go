@@ -3,16 +3,13 @@
 // (the paper skips each benchmark's start-up phase), resets the statistics,
 // runs the measurement window, and produces the final report.
 //
-// Three execution modes cover the speed/fidelity lattice (DESIGN.md §10):
+// Two execution modes cover the speed/fidelity lattice (DESIGN.md §10),
+// both driven by one serial loop:
 //
 //   - exact (the default): every cycle of the measurement is simulated in
 //     detail, fast-forwarding over provably idle stretches via the event
-//     calendar. Bit-identical to cycle-by-cycle stepping.
-//   - adaptive: the same detailed simulation, but a per-window controller
-//     watches the realized skip rate and falls back to plain stepping when
-//     fast-forwarding cannot pay for its bookkeeping. Bit-identical to
-//     exact by construction — the controller only chooses which driver
-//     advances the clock.
+//     calendar. Bit-identical to cycle-by-cycle stepping (Options.Stepped).
+//     "adaptive" is accepted as an alias of exact.
 //   - sampled: SMARTS-style systematic sampling — short detailed units
 //     spread over the instruction budget, separated by functional warp
 //     gaps (architectural state only) and detailed re-warm windows. An
@@ -25,7 +22,6 @@ import (
 	"fmt"
 
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -38,8 +34,9 @@ type Mode string
 const (
 	// ModeExact is full detailed simulation with calendar fast-forward.
 	ModeExact Mode = ""
-	// ModeAdaptive is detailed simulation with the per-window
-	// fast-forward/stepping controller. Bit-identical to ModeExact.
+	// ModeAdaptive is an alias of ModeExact. Requests keep it as a
+	// distinct canonical form, so cached results under that name stay
+	// addressable; Run folds it into the exact driver.
 	ModeAdaptive Mode = "adaptive"
 	// ModeSampled is SMARTS-style systematic sampling: estimative, with
 	// confidence intervals in Report.Sampled.
@@ -115,7 +112,7 @@ type Options struct {
 	WarmupInsts int64
 	// MeasureInsts is the number of graduated instructions in the
 	// measurement window. Zero measures until the sources drain (exact
-	// and adaptive modes only; sampled mode needs a finite budget). In
+	// mode only; sampled mode needs a finite budget). In
 	// sampled mode it is the *total* instruction budget the sampling
 	// schedule covers — measured, re-warmed and warped together.
 	MeasureInsts int64
@@ -135,22 +132,11 @@ type Options struct {
 	// its write-invalidate broadcast — a pure optimization, never part
 	// of a request hash, with results equivalent by construction.
 	DisjointAddressSpaces bool
-	// Parallel, when > 1, advances the cores of a CMP run concurrently
-	// on up to Parallel worker goroutines in deterministic epochs
-	// (DESIGN.md §12). Results are bit-identical to serial execution —
-	// the epoch barrier replays every shared-level event in the serial
-	// lockstep order — so, like DisjointAddressSpaces, the knob is an
-	// execution hint and never part of a request hash. It requires the
-	// disjoint-address-space promise and a multi-core machine; runs
-	// that do not qualify (single core, trace workloads, Stepped, or a
-	// run-to-drain budget) silently take the serial path.
-	Parallel int
 	// Stepped forces cycle-by-cycle simulation, disabling the core's
 	// event-calendar fast-forward over idle stretches. Results are
 	// bit-identical either way (enforced by the equivalence tests);
-	// stepping exists as the golden reference and for debugging. It
-	// overrides ModeAdaptive, and in ModeSampled it steps the detailed
-	// phases.
+	// stepping exists as the golden reference and for debugging. In
+	// ModeSampled it steps the detailed phases.
 	Stepped bool
 	// OnProgress, when set, receives a Snapshot roughly every
 	// ProgressEvery graduated instructions (and once at each window
@@ -211,11 +197,11 @@ type Result struct {
 // returns ctx's error; cancellation never produces a partial Result.
 func Run(ctx context.Context, opts Options) (Result, error) {
 	mode := opts.Mode
-	if mode == "exact" {
+	if mode == "exact" || mode == ModeAdaptive {
 		mode = ModeExact
 	}
 	switch mode {
-	case ModeExact, ModeAdaptive, ModeSampled:
+	case ModeExact, ModeSampled:
 	default:
 		return Result{}, fmt.Errorf("sim: unknown execution mode %q", opts.Mode)
 	}
@@ -234,21 +220,7 @@ func Run(ctx context.Context, opts Options) (Result, error) {
 	if cm, ok := m.(cmpMachine); ok && opts.DisjointAddressSpaces {
 		cm.p.Interconnect().SetDisjointAddressSpaces(true)
 	}
-	r := newRunner(ctx, opts, mode, m)
-	if opts.Parallel > 1 && !opts.Stepped && opts.DisjointAddressSpaces {
-		if cm, ok := m.(cmpMachine); ok && cm.p.Cores() > 1 {
-			// Epoch-parallel CMP execution: bit-identical to the serial
-			// drivers (including the adaptive controller it displaces —
-			// adaptive is itself bit-identical to exact). Sampled runs
-			// parallelize their detailed phases; drains and warps stay
-			// serial.
-			er := core.NewEpochRunner(cm.p, opts.Parallel)
-			defer er.Close()
-			r.epoch = er
-			r.epochDenom = epochDenom(cm.p.Config())
-			r.step = r.epochStep
-		}
-	}
+	r := newRunner(ctx, opts, m)
 	if mode == ModeSampled {
 		return r.runSampled()
 	}

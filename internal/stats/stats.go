@@ -244,7 +244,7 @@ type Report struct {
 	// Sampled summarizes the per-unit IPC samples of a sampled-mode run
 	// (mean, 95% confidence half-width, unit count). Nil — and omitted
 	// from the JSON encoding, pinning exact-mode report hashes — for
-	// exact and adaptive runs, whose counters cover every instruction.
+	// exact runs, whose counters cover every instruction.
 	Sampled *Sampled `json:",omitempty"`
 }
 

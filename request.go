@@ -68,9 +68,9 @@ const (
 	// ModeExact is full detailed simulation (the default; an empty mode
 	// normalizes to it, and "exact" spelled out hashes identically).
 	ModeExact = "exact"
-	// ModeAdaptive is detailed simulation with the per-window
-	// fast-forward/stepping controller — bit-identical results, usually
-	// faster wall-clock.
+	// ModeAdaptive runs the exact driver. It keeps its own canonical
+	// form, and so its own hash, which keeps cached adaptive results
+	// addressable.
 	ModeAdaptive = "adaptive"
 	// ModeSampled is SMARTS-style systematic sampling: an IPC *estimate*
 	// with a 95% confidence interval in Report.Sampled, at a fraction of

@@ -3,6 +3,7 @@ package daesim
 import (
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -124,20 +125,20 @@ func TestValidateTypedErrors(t *testing.T) {
 }
 
 func TestDeprecatedWrappersValidateUpFront(t *testing.T) {
-	// The old entry points share the Request validation: a negative
+	// Engine.Run validates the Request before scheduling it: a negative
 	// budget or a bad benchmark fails fast with a typed error instead of
 	// deep in the simulator.
-	if _, err := RunMix(Figure2(1), RunOpts{MeasureInsts: -1}); !errors.Is(err, ErrInvalidRequest) {
-		t.Errorf("RunMix with negative budget: %v, want ErrInvalidRequest", err)
+	if _, err := runOnce(MixRequest(Figure2(1), RunOpts{MeasureInsts: -1})); !errors.Is(err, ErrInvalidRequest) {
+		t.Errorf("negative budget: %v, want ErrInvalidRequest", err)
 	}
-	if _, err := RunBenchmark("quake3", Figure2(1), RunOpts{}); !errors.Is(err, ErrUnknownBenchmark) {
-		t.Errorf("RunBenchmark with unknown name: %v, want ErrUnknownBenchmark", err)
+	if _, err := runOnce(BenchmarkRequest("quake3", Figure2(1), RunOpts{})); !errors.Is(err, ErrUnknownBenchmark) {
+		t.Errorf("unknown benchmark name: %v, want ErrUnknownBenchmark", err)
 	}
-	if _, err := RunMix(Figure2(0), RunOpts{}); !errors.Is(err, ErrInvalidConfig) {
-		t.Errorf("RunMix with zero threads: %v, want ErrInvalidConfig", err)
+	if _, err := runOnce(MixRequest(Figure2(0), RunOpts{})); !errors.Is(err, ErrInvalidConfig) {
+		t.Errorf("zero threads: %v, want ErrInvalidConfig", err)
 	}
-	if _, err := RunCustom(Benchmark{}, Figure2(1), RunOpts{}); !errors.Is(err, ErrInvalidRequest) {
-		t.Errorf("RunCustom with empty model: %v, want ErrInvalidRequest", err)
+	if _, err := runOnce(CustomRequest(Benchmark{}, Figure2(1), RunOpts{})); !errors.Is(err, ErrInvalidRequest) {
+		t.Errorf("empty custom model: %v, want ErrInvalidRequest", err)
 	}
 }
 
@@ -485,4 +486,73 @@ func TestRequestTraceNormalizationAndValidation(t *testing.T) {
 			t.Errorf("%s: %v, want ErrInvalidRequest", tc.name, err)
 		}
 	}
+}
+
+// FuzzRequestJSON feeds arbitrary bytes through the Request decoding
+// path every service shares: decoding must never panic, a Request that
+// Validate accepts must normalize idempotently, Hash must equal the
+// normalized Request's hash, and the hash must survive a JSON
+// re-encode. The seed corpus holds the TestRequestHashesPinned rows.
+func FuzzRequestJSON(f *testing.F) {
+	mode := func(r Request, mode string, s *Sampling) Request {
+		r.Budget.Mode, r.Budget.Sampling = mode, s
+		return r
+	}
+	seeds := []Request{
+		MixRequest(Figure2(1), RunOpts{}),
+		MixRequest(Figure2(2), RunOpts{}),
+		MixRequest(Figure2(4), RunOpts{}),
+		MixRequest(Figure2(8), RunOpts{}),
+		BenchmarkRequest("swim", Section2().WithL2Latency(64), RunOpts{MeasureInsts: 1_000_000}),
+		BenchmarkRequest("tomcatv", Section2().WithL2Latency(64), RunOpts{MeasureInsts: 1_000_000}),
+		BenchmarkRequest("fpppp", Section2().WithL2Latency(64), RunOpts{MeasureInsts: 1_000_000}),
+		MixRequest(Figure2(4).WithL2Latency(256).NonDecoupled(),
+			RunOpts{WarmupInsts: 2000, MeasureInsts: 8000, Seed: 7}),
+		MixRequest(Figure2(2).WithCores(2).WithHierarchy(64, SharedL2(256<<10, 8)), RunOpts{}),
+		MixRequest(Figure2(1).WithCores(2).
+			WithHierarchy(64, SharedL2(64<<10, 8)).WithPrivateHierarchy(), RunOpts{}),
+		mode(MixRequest(Figure2(4), RunOpts{}), ModeAdaptive, nil),
+		mode(MixRequest(Figure2(4), RunOpts{MeasureInsts: 10_000_000}), ModeSampled, nil),
+		mode(MixRequest(Figure2(1).WithL2Latency(256), RunOpts{MeasureInsts: 1_000_000}), ModeSampled,
+			&Sampling{PeriodInsts: 50_000, UnitInsts: 1_000, WarmupInsts: 2_000}),
+		TraceRequest("traces/swim.dct", "", Figure2(4), RunOpts{}),
+		MixRequest(Figure2(4).WithSpeculation(
+			Speculation{SpecLoadFrac: 0.3, MisspecProb: 0.05, LoDEvery: 500}), RunOpts{}),
+		MixRequest(Figure2(1).WithSpeculation(Speculation{LoDEvery: 200}), RunOpts{}),
+	}
+	for _, r := range seeds {
+		b, err := json.Marshal(r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var r Request
+		if json.Unmarshal(data, &r) != nil {
+			return
+		}
+		h := r.Hash()
+		if n := r.Normalized(); n.Hash() != h {
+			t.Fatalf("Hash %s != Normalized().Hash() %s", h, n.Hash())
+		}
+		if r.Validate() != nil {
+			return
+		}
+		n := r.Normalized()
+		if nn := n.Normalized(); !reflect.DeepEqual(nn, n) {
+			t.Fatalf("Normalized is not idempotent:\n once: %+v\ntwice: %+v", n, nn)
+		}
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Request
+		if err := json.Unmarshal(b, &back); err != nil {
+			t.Fatalf("re-decode %s: %v", b, err)
+		}
+		if back.Hash() != h {
+			t.Fatalf("hash moved across a JSON round-trip: %s -> %s\n%s", h, back.Hash(), b)
+		}
+	})
 }

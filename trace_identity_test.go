@@ -55,11 +55,11 @@ func TestTraceReplayByteIdentity(t *testing.T) {
 	for _, tc := range configs {
 		t.Run(tc.name, func(t *testing.T) {
 			path := export(tc.m.TotalContexts())
-			want, err := runRequest(BenchmarkRequest(bench, tc.m, opts))
+			want, err := runOnce(BenchmarkRequest(bench, tc.m, opts))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := runRequest(TraceRequest(path, "", tc.m, opts))
+			got, err := runOnce(TraceRequest(path, "", tc.m, opts))
 			if err != nil {
 				t.Fatal(err)
 			}
