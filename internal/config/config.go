@@ -444,5 +444,93 @@ func (m Machine) Validate() error {
 	if err := m.Mem.Validate(); err != nil {
 		return fmt.Errorf("config: %w: %w", ErrInvalid, err)
 	}
+	return m.checkBounds()
+}
+
+// Upper bounds on a machine's size. Validate applies them to the
+// effective machine — after the Section-2 scaling and the per-context
+// MSHR resolution — so that no accepted configuration can allocate the
+// host out of memory. Every bound sits far above the machines the
+// figures, ablations and examples build: the largest, Figure 4 at
+// L2=256 with scaling, has 4 contexts of about 6K in-flight entries.
+const (
+	// MaxContexts bounds Cores × Threads.
+	MaxContexts = 256
+	// MaxEntries bounds each structure after scaling: the fetch buffer,
+	// every queue, the ROB, both register files, the branch limit, the
+	// BHT and each MSHR file.
+	MaxEntries = 1 << 16
+	// MaxInFlightEntries bounds the fetch buffers, queues, ROBs and
+	// register files summed over every context (at most about 100 MiB
+	// of simulator state).
+	MaxInFlightEntries = 1 << 20
+	// MaxCacheLines bounds the line frames summed over every cache of
+	// the machine.
+	MaxCacheLines = 1 << 22
+)
+
+// checkBounds enforces the upper bounds. The raw fields are checked
+// first, so the products Effective forms cannot overflow.
+func (m Machine) checkBounds() error {
+	fail := func(format string, args ...any) error {
+		return fmt.Errorf("config: %w: %s", ErrInvalid, fmt.Sprintf(format, args...))
+	}
+	type field struct {
+		name string
+		n    int
+	}
+	inFlight := func(m Machine) []field {
+		return []field{
+			{"fetch buffer", m.FetchBufSize}, {"IQ", m.IQSize}, {"APQ", m.APQSize},
+			{"SAQ", m.SAQSize}, {"ROB", m.ROBSize}, {"AP registers", m.APRegs},
+			{"EP registers", m.EPRegs},
+		}
+	}
+	fields := func(m Machine) []field {
+		return append(inFlight(m), field{"branch limit", m.MaxUnresolvedBranches},
+			field{"BHT entries", m.BHTEntries}, field{"MSHRs per thread", m.MSHRsPerThread},
+			field{"MSHRs", m.Mem.MSHRs}, field{"scale factor", m.scaleFactor()})
+	}
+	if m.Threads > MaxContexts || m.Cores > MaxContexts || m.TotalContexts() > MaxContexts {
+		return fail("%d cores × %d threads exceed %d contexts", m.CoreCount(), m.Threads, MaxContexts)
+	}
+	for _, f := range fields(m) {
+		if f.n > MaxEntries {
+			return fail("%s %d exceeds %d", f.name, f.n, MaxEntries)
+		}
+	}
+	e := m.Effective()
+	contexts := e.TotalContexts()
+	for _, f := range fields(e) {
+		if f.n > MaxEntries {
+			return fail("effective %s %d exceeds %d", f.name, f.n, MaxEntries)
+		}
+	}
+	total := 0
+	for _, f := range inFlight(e) {
+		total += f.n
+	}
+	if total*contexts > MaxInFlightEntries {
+		return fail("%d contexts × %d in-flight entries exceed %d", contexts, total, MaxInFlightEntries)
+	}
+	lines := func(c cache.Config) int { return c.SizeBytes / c.LineBytes }
+	if lines(e.Mem.L1) > MaxCacheLines {
+		return fail("L1 of %d lines exceeds %d", lines(e.Mem.L1), MaxCacheLines)
+	}
+	cacheLines := lines(e.Mem.L1) * e.CoreCount()
+	for _, lv := range e.Mem.Hierarchy {
+		n := lines(lv.Cache)
+		if n > MaxCacheLines || lv.MSHRs > MaxEntries {
+			return fail("level %q of %d lines and %d MSHRs exceeds %d lines or %d MSHRs",
+				lv.Name, n, lv.MSHRs, MaxCacheLines, MaxEntries)
+		}
+		if e.Mem.PrivateHierarchy {
+			n *= e.CoreCount()
+		}
+		cacheLines += n
+	}
+	if cacheLines > MaxCacheLines {
+		return fail("%d cache lines in total exceed %d", cacheLines, MaxCacheLines)
+	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/branch"
@@ -322,6 +323,63 @@ func TestCoreCountAndTotalContexts(t *testing.T) {
 		if got := m.TotalContexts(); got != c.wantCtx {
 			t.Errorf("Cores=%d Threads=%d: TotalContexts() = %d, want %d",
 				c.cores, c.threads, got, c.wantCtx)
+		}
+	}
+}
+
+// TestValidateBounds: the upper bounds reject machines whose effective
+// (scaled) sizes would allocate the host out of memory, and accept the
+// largest machines the figures build and a machine exactly at a bound.
+func TestValidateBounds(t *testing.T) {
+	scaled := func(m Machine, lat int64) Machine {
+		m = m.WithL2Latency(lat)
+		m.ScaleWithLatency = true
+		return m
+	}
+	cases := []struct {
+		name string
+		mut  func(m Machine) Machine
+		ok   bool
+	}{
+		{"figure 5 long", func(m Machine) Machine { return m.WithThreads(16) }, true},
+		{"figure 4 scaled", func(m Machine) Machine { return scaled(m, 256) }, true},
+		{"section 2 at 256", func(Machine) Machine { return Section2().WithL2Latency(256) }, true},
+		{"C1 4 cores", func(m Machine) Machine {
+			return m.WithThreads(2).WithCores(4).WithHierarchy(64, SharedL2(1<<20, 8)).WithPrivateHierarchy()
+		}, true},
+		{"ROB at the bound", func(m Machine) Machine { m.ROBSize = MaxEntries; return m.WithThreads(1) }, true},
+
+		{"ROB 1<<40", func(m Machine) Machine { m.ROBSize = 1 << 40; return m }, false},
+		{"ROB past the bound", func(m Machine) Machine { m.ROBSize = MaxEntries + 1; return m }, false},
+		{"huge threads", func(m Machine) Machine { return m.WithThreads(1 << 40) }, false},
+		{"huge cores", func(m Machine) Machine { return m.WithCores(1 << 40) }, false},
+		{"contexts past the bound", func(m Machine) Machine { return m.WithThreads(64).WithCores(8) }, false},
+		{"huge scaled latency", func(m Machine) Machine { return scaled(m, 1<<40) }, false},
+		{"scaled ROB past the bound", func(m Machine) Machine { m.ROBSize = 8192; return scaled(m, 256) }, false},
+		{"scaled MSHRs past the bound", func(m Machine) Machine {
+			m.MSHRsPerThread = 2048
+			return scaled(m, 256)
+		}, false},
+		{"in-flight total past the bound", func(m Machine) Machine {
+			m.ROBSize = 1 << 15
+			return m.WithThreads(64)
+		}, false},
+		{"huge BHT", func(m Machine) Machine { m.BHTEntries = 1 << 40; return m }, false},
+		{"huge L1", func(m Machine) Machine { m.Mem.L1.SizeBytes = 1 << 40; return m }, false},
+		{"huge L2", func(m Machine) Machine { return m.WithHierarchy(64, SharedL2(1<<40, 8)) }, false},
+		{"private L2s past the bound", func(m Machine) Machine {
+			return m.WithThreads(1).WithCores(8).WithHierarchy(64, SharedL2(32<<20, 8)).WithPrivateHierarchy()
+		}, false},
+	}
+	for _, tc := range cases {
+		err := tc.mut(Figure2(4)).Validate()
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case !tc.ok && err == nil:
+			t.Errorf("%s: accepted", tc.name)
+		case !tc.ok && !errors.Is(err, ErrInvalid):
+			t.Errorf("%s: error %v does not wrap ErrInvalid", tc.name, err)
 		}
 	}
 }

@@ -31,12 +31,19 @@ type benchConfig struct {
 	machine config.Machine
 }
 
+// benchConfigs are the CoreRun machines. The -scaled pair is Figure 4's
+// regime: the Section-2 rule scales every queue, ROB and register file
+// with L2 latency (16× at L2=256), so the in-flight window is large.
 func benchConfigs() []benchConfig {
+	scaled := config.Figure2(4).WithL2Latency(256)
+	scaled.ScaleWithLatency = true
 	return []benchConfig{
 		{"1T-L2_16", config.Figure2(1)},
 		{"1T-L2_256", config.Figure2(1).WithL2Latency(256)},
 		{"4T-L2_16", config.Figure2(4)},
 		{"4T-L2_256", config.Figure2(4).WithL2Latency(256)},
+		{"4T-L2_256-scaled", scaled},
+		{"4T-L2_256-scaled-nondecoupled", scaled.NonDecoupled()},
 	}
 }
 

@@ -38,10 +38,10 @@ type CMP struct {
 // contexts) with one instruction source per context, core-major:
 // sources[c*Threads+t] feeds core c's context t.
 func NewCMP(m config.Machine, sources []trace.Reader) (*CMP, error) {
-	m = m.Effective()
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
+	m = m.Effective()
 	n := m.CoreCount()
 	if len(sources) != m.TotalContexts() {
 		return nil, fmt.Errorf("core: %d sources for %d cores × %d contexts",

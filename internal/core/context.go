@@ -25,32 +25,35 @@ type Context struct {
 	// Exhausted marks that Source has run dry; the thread idles.
 	Exhausted bool
 
-	// peeker is Source's zero-copy lookahead interface when it has one
-	// (interned workload streams); fetch reads it in place once the
-	// lookahead batch below is empty.
-	peeker trace.Peeker
-	// filler is Source's bulk-read interface when it has one (live
-	// workload generators).
+	// filler is Source's bulk-read interface when it has one (workload
+	// generators and interned replays).
 	filler trace.Filler
 	// ahead[aheadPos:aheadLen] is the lookahead batch, read before the
 	// Source: fetch must inspect the next instruction before consuming it
 	// (to stop *before* a branch that would exceed the control-speculation
-	// limit). At fetch, a Filler refills the whole batch in one call and a
-	// plain Reader one record per Next; a Peeker is peeked in place. The
-	// functional warp tops the batch up from any source (window). Reading
-	// ahead is invisible to the machine: the context owns its source
-	// exclusively.
+	// limit). A Filler refills the whole batch in one call, a plain Reader
+	// one record per Next; the functional warp tops the batch up to
+	// capacity (window). Reading ahead is invisible to the machine: the
+	// context owns its source exclusively.
 	ahead              [lookahead]isa.Inst
 	aheadPos, aheadLen int
 
-	// FetchBuf holds fetched instructions awaiting dispatch. Its length
-	// is the ICOUNT fetch-policy metric.
-	FetchBuf *queue.Ring[*DynInst]
+	// win is the program-order window: every instruction from fetch to
+	// graduation, stored in place. Slots [head, disp) — robLen of them,
+	// wrapping round the array — are the reorder buffer, and the fbLen
+	// slots from disp to tail the fetch buffer. Fetch writes the slot at
+	// tail; dispatch and graduation only move cursors. The array holds
+	// FetchBufSize+ROBSize slots, so the two never overlap, and it never
+	// moves: the issue queues, the SAQ and the branch list point into it.
+	// fbLen is the ICOUNT fetch-policy metric.
+	win              []DynInst
+	head, disp, tail int
+	robLen, fbLen    int
+	robCap, fbCap    int
+
 	// APQ and EPQ are the per-unit in-order issue queues. EPQ is the
 	// paper's Instruction Queue — the decoupling slippage window.
 	APQ, EPQ *queue.Ring[*DynInst]
-	// ROB is the reorder buffer (program order, graduation from the head).
-	ROB *queue.Ring[*DynInst]
 	// SAQ is the store address queue: stores from dispatch until their
 	// data is written to the cache. Loads check it for older conflicting
 	// stores.
@@ -116,9 +119,6 @@ type Context struct {
 	// files indexes the physical register files by unit (branch-free
 	// file()).
 	files [isa.NumUnits]*regfile.File
-
-	// pool recycles DynInst allocations.
-	pool []*DynInst
 }
 
 // issueStall is one stream's cached stall verdict (see Context.issueStall).
@@ -147,10 +147,11 @@ func newContext(id int, m config.Machine, src trace.Reader) (*Context, error) {
 		Source:              src,
 		nextBranchResolveAt: Never,
 		issuedBranches:      queue.New[*DynInst](maxBr),
-		FetchBuf:            queue.New[*DynInst](m.FetchBufSize),
 		APQ:                 queue.New[*DynInst](m.APQSize),
 		EPQ:                 queue.New[*DynInst](m.IQSize),
-		ROB:                 queue.New[*DynInst](m.ROBSize),
+		win:                 make([]DynInst, m.FetchBufSize+m.ROBSize),
+		robCap:              m.ROBSize,
+		fbCap:               m.FetchBufSize,
 		SAQ:                 queue.New[*DynInst](m.SAQSize),
 		APFile:              regfile.New(m.APRegs),
 		EPFile:              regfile.New(m.EPRegs),
@@ -159,7 +160,6 @@ func newContext(id int, m config.Machine, src trace.Reader) (*Context, error) {
 	}
 	c.files[isa.AP] = c.APFile
 	c.files[isa.EP] = c.EPFile
-	c.peeker, _ = src.(trace.Peeker)
 	c.filler, _ = src.(trace.Filler)
 	if err := c.Map.Init(c.APFile, c.EPFile); err != nil {
 		return nil, fmt.Errorf("thread %d: %w", id, err)
@@ -170,53 +170,66 @@ func newContext(id int, m config.Machine, src trace.Reader) (*Context, error) {
 // file returns the register file for the given unit.
 func (c *Context) file(u isa.Unit) *regfile.File { return c.files[u] }
 
-// poolBlock is the batch size of DynInst pool growth: one backing array
-// per block amortizes ramp-up allocation and keeps in-flight instructions
-// dense in memory.
-const poolBlock = 64
-
-// alloc takes a DynInst from the pool (growing it a block at a time) and
-// resets it. In steady state the pool recycles without allocating.
-func (c *Context) alloc() *DynInst {
-	if len(c.pool) == 0 {
-		block := make([]DynInst, poolBlock)
-		for i := range block {
-			c.pool = append(c.pool, &block[i])
-		}
+// next returns the window index after i.
+func (c *Context) next(i int) int {
+	if i++; i == len(c.win) {
+		return 0
 	}
-	n := len(c.pool) - 1
-	d := c.pool[n]
-	c.pool = c.pool[:n]
+	return i
+}
+
+// fetchSlot appends a cleared slot to the fetch buffer and returns it.
+// The caller checks the buffer is not full.
+func (c *Context) fetchSlot() *DynInst {
+	d := &c.win[c.tail]
+	c.tail = c.next(c.tail)
+	c.fbLen++
 	d.reset()
 	return d
 }
 
-// release returns a graduated DynInst to the pool.
-func (c *Context) release(d *DynInst) {
-	c.pool = append(c.pool, d)
+// fetchHead returns the oldest fetched instruction awaiting dispatch, or
+// nil when the fetch buffer is empty.
+func (c *Context) fetchHead() *DynInst {
+	if c.fbLen == 0 {
+		return nil
+	}
+	return &c.win[c.disp]
+}
+
+// dispatchHead moves the fetch buffer's head into the reorder buffer.
+func (c *Context) dispatchHead() {
+	c.disp = c.next(c.disp)
+	c.fbLen--
+	c.robLen++
+}
+
+// robHead returns the oldest instruction in the reorder buffer, or nil
+// when it is empty.
+func (c *Context) robHead() *DynInst {
+	if c.robLen == 0 {
+		return nil
+	}
+	return &c.win[c.head]
+}
+
+// graduateHead retires the reorder buffer's head, freeing its slot.
+func (c *Context) graduateHead() {
+	c.head = c.next(c.head)
+	c.robLen--
 }
 
 // lookahead is the capacity of a context's lookahead batch.
 const lookahead = 64
 
-// peekSource returns the next trace instruction without consuming it:
-// from the lookahead batch while it holds records, then from the source.
-// Sources with native lookahead (trace.Peeker — interned workload
-// streams) hand back a pointer into their own buffer, copy-free; others
-// refill the batch.
+// peekSource returns the next trace instruction without consuming it,
+// refilling the lookahead batch from the source when it is empty.
 func (c *Context) peekSource() (*isa.Inst, bool) {
 	if c.aheadPos < c.aheadLen {
 		return &c.ahead[c.aheadPos], true
 	}
 	if c.Exhausted {
 		return nil, false
-	}
-	if c.peeker != nil {
-		in, ok := c.peeker.PeekNext()
-		if !ok {
-			c.Exhausted = true
-		}
-		return in, ok
 	}
 	n := 0
 	if c.filler != nil {
@@ -233,38 +246,19 @@ func (c *Context) peekSource() (*isa.Inst, bool) {
 }
 
 // consumeSource consumes the peeked instruction.
-func (c *Context) consumeSource() {
-	if c.aheadPos < c.aheadLen {
-		c.aheadPos++
-		return
-	}
-	if c.peeker == nil {
-		panic("core: consumeSource without peek")
-	}
-	c.peeker.Consume()
-}
+func (c *Context) consumeSource() { c.aheadPos++ }
 
 // window returns the lookahead batch topped up to capacity, for the
 // functional warp to consume in bulk: a Filler tops it up with one call,
-// a Peeker or plain Reader one record at a time. Full windows keep
-// round-robin contexts in phase, so a warp pass replays whole batches.
-// Empty means the source has run dry. Consume a prefix with advance.
+// a plain Reader one record at a time. Full windows keep round-robin
+// contexts in phase, so a warp pass replays whole batches. Empty means
+// the source has run dry. Consume a prefix with advance.
 func (c *Context) window() []isa.Inst {
 	if !c.Exhausted && c.aheadLen-c.aheadPos < lookahead {
 		n := copy(c.ahead[:], c.ahead[c.aheadPos:c.aheadLen])
-		switch {
-		case c.filler != nil:
+		if c.filler != nil {
 			n += c.filler.Fill(c.ahead[n:])
-		case c.peeker != nil:
-			for ; n < lookahead; n++ {
-				in, ok := c.peeker.PeekNext()
-				if !ok {
-					break
-				}
-				c.ahead[n] = *in
-				c.peeker.Consume()
-			}
-		default:
+		} else {
 			for n < lookahead && c.Source.Next(&c.ahead[n]) {
 				n++
 			}
@@ -277,7 +271,3 @@ func (c *Context) window() []isa.Inst {
 
 // advance consumes the first k records of the current window.
 func (c *Context) advance(k int) { c.aheadPos += k }
-
-// InFlight returns the number of instructions in the ROB (dispatched, not
-// graduated), used by tests and the drain logic.
-func (c *Context) InFlight() int { return c.ROB.Len() }

@@ -102,10 +102,10 @@ type Core struct {
 // New builds a core for machine m (after applying the latency scaling
 // rule) with one instruction source per thread.
 func New(m config.Machine, sources []trace.Reader) (*Core, error) {
-	m = m.Effective()
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
+	m = m.Effective()
 	ms, err := mem.New(m.Mem)
 	if err != nil {
 		return nil, err
@@ -166,7 +166,7 @@ func (c *Core) Context(t int) *Context { return c.ctxs[t] }
 // its pipeline.
 func (c *Core) Done() bool {
 	for _, ctx := range c.ctxs {
-		if !ctx.Exhausted || ctx.InFlight() > 0 || ctx.FetchBuf.Len() > 0 {
+		if !ctx.Exhausted || ctx.robLen > 0 || ctx.fbLen > 0 {
 			return false
 		}
 	}
@@ -392,8 +392,8 @@ func (c *Core) graduate() {
 		budget := c.cfg.GraduateWidth
 		var next int64
 		for budget > 0 {
-			d, ok := ctx.ROB.Peek()
-			if !ok {
+			d := ctx.robHead()
+			if d == nil {
 				next = Never // re-armed by the next ROB push (tryDispatch)
 				break
 			}
@@ -409,14 +409,13 @@ func (c *Core) graduate() {
 				}
 				break
 			}
-			ctx.ROB.Drop()
+			ctx.graduateHead()
 			c.progressed = true
 			if d.Dest.Valid() {
 				ctx.file(d.DestFile).Free(d.POld)
 			}
 			c.col.Graduated++
 			c.col.GraduatedByOp[d.Op]++
-			ctx.release(d)
 			budget--
 		}
 		ctx.gradNextAt = next
@@ -579,8 +578,6 @@ func (c *Core) tryLoad(ctx *Context, d *DynInst) loadOutcome {
 // perceived-latency samples.
 func (c *Core) completeLoad(ctx *Context, d *DynInst, readyAt int64, miss bool) {
 	c.progressed = true
-	d.Sent = true
-	d.Missed = miss
 	d.DoneAt = readyAt
 	ctx.file(d.DestFile).SetReadyAt(d.PDest, readyAt)
 	// The delivery is an event: consumers blocked on the register can
@@ -615,15 +612,14 @@ func (c *Core) dispatch() {
 		ctx := c.ctxs[t]
 		t = c.rotNext(t)
 		for budget > 0 {
-			d, ok := ctx.FetchBuf.Peek()
-			if !ok {
+			d := ctx.fetchHead()
+			if d == nil {
 				break
 			}
 			if !c.tryDispatch(ctx, d) {
 				c.col.DispatchStalls++
 				break
 			}
-			ctx.FetchBuf.Drop()
 			c.progressed = true
 			budget--
 		}
@@ -633,7 +629,7 @@ func (c *Core) dispatch() {
 // tryDispatch allocates every resource the instruction needs; on any
 // shortage it leaves the machine untouched and reports failure.
 func (c *Core) tryDispatch(ctx *Context, d *DynInst) bool {
-	if ctx.ROB.Full() {
+	if ctx.robLen == ctx.robCap {
 		return false
 	}
 	var q = ctx.APQ
@@ -666,8 +662,8 @@ func (c *Core) tryDispatch(ctx *Context, d *DynInst) bool {
 		d.PDest = p
 		d.POld = ctx.Map.Set(d.Dest, p)
 	}
-	ctx.ROB.Push(d)
-	if ctx.ROB.Len() == 1 {
+	ctx.dispatchHead()
+	if ctx.robLen == 1 {
 		ctx.gradNextAt = 0 // an empty ROB parked graduation; re-arm it
 	}
 	q.Push(d)
@@ -698,7 +694,7 @@ func (c *Core) fetch() {
 		t := rot
 		rot = c.rotNext(rot)
 		ctx := c.ctxs[t]
-		if ctx.FetchBlocked != nil || c.now < ctx.FetchResumeAt || ctx.FetchBuf.Full() {
+		if ctx.FetchBlocked != nil || c.now < ctx.FetchResumeAt || ctx.fbLen == ctx.fbCap {
 			continue
 		}
 		if _, ok := ctx.peekSource(); !ok {
@@ -728,7 +724,7 @@ func (c *Core) fetch() {
 		p := c.fetchPick
 		lens := c.fetchLens[:len(p)]
 		for i, t := range p {
-			lens[i] = c.ctxs[t].FetchBuf.Len()
+			lens[i] = c.ctxs[t].fbLen
 		}
 		for i := 1; i < len(p); i++ {
 			for j := i; j > 0 && lens[j] < lens[j-1]; j-- {
@@ -764,7 +760,7 @@ func (c *Core) fetch() {
 // fetchThread fetches up to FetchWidth instructions for one thread.
 func (c *Core) fetchThread(ctx *Context) {
 	for n := 0; n < c.cfg.FetchWidth; n++ {
-		if ctx.FetchBuf.Full() {
+		if ctx.fbLen == ctx.fbCap {
 			return
 		}
 		in, ok := ctx.peekSource()
@@ -774,11 +770,10 @@ func (c *Core) fetchThread(ctx *Context) {
 		if in.IsBranch() && ctx.Unresolved >= c.cfg.MaxUnresolvedBranches {
 			return // speculation limit: leave the branch for later
 		}
-		d := ctx.alloc()
+		d := ctx.fetchSlot()
 		d.Inst = *in
 		ctx.consumeSource()
 		d.FetchedAt = c.now
-		d.Thread = ctx.ID
 		d.Seq = ctx.NextSeq
 		ctx.NextSeq++
 		// Classify once at fetch, all from the shared tables: executing
@@ -788,7 +783,6 @@ func (c *Core) fetchThread(ctx *Context) {
 		d.DestFile = isa.DestUnit(&d.Inst)
 		d.Src1File = isa.RegUnit(d.Inst.Src1)
 		d.Src2File = isa.RegUnit(d.Inst.Src2)
-		ctx.FetchBuf.Push(d)
 		c.progressed = true
 		c.col.FetchedInsts++
 

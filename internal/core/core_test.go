@@ -2,11 +2,20 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/config"
 	"repro/internal/isa"
 	"repro/internal/trace"
 )
+
+// TestDynInstSize: the in-flight record stays packed (its fields are
+// ordered by size); every fetch clears and fills one.
+func TestDynInstSize(t *testing.T) {
+	if got := unsafe.Sizeof(DynInst{}); got != 104 {
+		t.Fatalf("DynInst is %d bytes, want 104", got)
+	}
+}
 
 // ---------------------------------------------------------------------------
 // Trace-building helpers.

@@ -337,7 +337,6 @@ func (c *Core) addPerceived(file isa.Unit, cycles int64) {
 func (c *Core) execute(ctx *Context, d *DynInst) {
 	c.progressed = true
 	d.Issued = true
-	d.IssueAt = c.now
 
 	// Perceived-latency sampling: first consumer of each missed load.
 	c.samplePerceived(ctx, d)

@@ -23,7 +23,7 @@ const drainMaxCycles = 1 << 20
 // sits in the ROB until it graduates.)
 func (c *Core) PipelineEmpty() bool {
 	for _, ctx := range c.ctxs {
-		if ctx.FetchBuf.Len() > 0 || ctx.ROB.Len() > 0 || ctx.SAQ.Len() > 0 {
+		if ctx.fbLen > 0 || ctx.robLen > 0 || ctx.SAQ.Len() > 0 {
 			return false
 		}
 	}

@@ -215,27 +215,6 @@ func TestCMPWarpAndDrain(t *testing.T) {
 	}
 }
 
-// slicePeeker is a finite trace.Peeker over a slice.
-type slicePeeker struct{ insts []isa.Inst }
-
-func (s *slicePeeker) Next(out *isa.Inst) bool {
-	in, ok := s.PeekNext()
-	if ok {
-		*out = *in
-		s.Consume()
-	}
-	return ok
-}
-
-func (s *slicePeeker) PeekNext() (*isa.Inst, bool) {
-	if len(s.insts) == 0 {
-		return nil, false
-	}
-	return &s.insts[0], true
-}
-
-func (s *slicePeeker) Consume() { s.insts = s.insts[1:] }
-
 // oracleWarp is the warp the windowed kernel must reproduce: one
 // instruction per context per round, cores then contexts in index order,
 // each peeked, applied through the predictor interface and mem.Warm, and
@@ -313,7 +292,7 @@ var warpMachines = []struct {
 // Property: the windowed warp kernel leaves exactly the state the
 // one-at-a-time oracle does — same counts consumed, same predictor and
 // tag arrays — and the timed run that follows is identical. Contexts mix
-// Filler, Peeker and plain sources of different lengths (so windows
+// Filler and plain sources of different lengths (so windows
 // drift out of phase and run dry mid-window), and the budgets are odd
 // and sometimes smaller than one round.
 func TestQuickWarpMatchesOracle(t *testing.T) {
@@ -336,12 +315,9 @@ func TestQuickWarpMatchesOracle(t *testing.T) {
 							insts[j].Addr += uint64(i) << 16
 						}
 					}
-					switch (int(kinds) >> (2 * (i % 4))) % 3 {
-					case 0:
+					if kinds>>(i%8)&1 == 0 {
 						sources[i] = &sliceFiller{insts}
-					case 1:
-						sources[i] = &slicePeeker{insts}
-					default:
+					} else {
 						sources[i] = trace.Slice(insts)
 					}
 				}

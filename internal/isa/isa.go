@@ -142,21 +142,23 @@ func (u Unit) String() string {
 
 // Inst is one dynamic instruction record, the unit of the trace format.
 // It is a value type; the simulator copies it into its in-flight state.
+// The two words lead and the six byte fields pack behind them, so a
+// record is 24 bytes.
 type Inst struct {
 	// PC is the instruction address. Static instructions keep stable PCs
 	// across loop iterations so branch-predictor indexing behaves
 	// realistically.
 	PC uint64
+	// Addr is the effective byte address for loads and stores.
+	Addr uint64
 	// Op is the operation class.
 	Op Op
 	// Dest is the destination register, or NoReg.
 	Dest Reg
 	// Src1, Src2 are source registers, or NoReg. For loads Src1/Src2 are
 	// the address operands. For stores Src1 is the data operand and
-	// Src2 (plus implicitly the address below) the address operand.
+	// Src2 (plus implicitly the address) the address operand.
 	Src1, Src2 Reg
-	// Addr is the effective byte address for loads and stores.
-	Addr uint64
 	// Size is the access size in bytes for loads and stores (typically 8).
 	Size uint8
 	// Taken is the branch outcome for OpBranch records.

@@ -3,7 +3,17 @@ package isa
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestInstSize: the record packs into three words. Interned chunks and
+// the core's lookahead batches hold Insts by value, so a padding byte
+// added by a field reorder costs memory bandwidth everywhere.
+func TestInstSize(t *testing.T) {
+	if got := unsafe.Sizeof(Inst{}); got != 24 {
+		t.Fatalf("isa.Inst is %d bytes, want 24", got)
+	}
+}
 
 func TestOpString(t *testing.T) {
 	cases := map[Op]string{

@@ -81,9 +81,8 @@ func (r *Ring[T]) Pop() (T, bool) {
 
 // Drop removes the head element without returning or zeroing it. It is
 // Pop for the simulator's hottest paths, where the element is known (a
-// preceding Peek) and remains reachable elsewhere (pooled DynInsts are
-// never garbage), so the release-for-GC store would be pure overhead. It
-// panics on an empty queue.
+// preceding Peek) and remains reachable elsewhere, so the release-for-GC
+// store would be pure overhead. It panics on an empty queue.
 func (r *Ring[T]) Drop() {
 	if r.size == 0 {
 		panic("queue: Drop on empty queue")

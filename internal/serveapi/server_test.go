@@ -239,6 +239,37 @@ func TestValidationMapsToBadRequest(t *testing.T) {
 	}
 }
 
+// TestOversizedMachineMapsToBadRequest: a machine too large to simulate
+// is a 400 from validation, never a run — an out-of-memory crash cannot
+// be recovered and would take the replica down. The replica keeps
+// serving afterwards.
+func TestOversizedMachineMapsToBadRequest(t *testing.T) {
+	ts, _ := newTestServer(t, daesim.EngineOpts{Workers: 1}, 0)
+	hugeROB := daesim.Figure2(1)
+	hugeROB.ROBSize = 1 << 40
+	hugeScale := daesim.Section2().WithL2Latency(1 << 40)
+	for name, m := range map[string]daesim.Machine{
+		"ROB 1<<40":         hugeROB,
+		"threads 1<<40":     daesim.Figure2(1 << 40),
+		"cores 1<<40":       daesim.Figure2(1).WithCores(1 << 40),
+		"scaled L2 latency": hugeScale,
+		"contexts past 256": daesim.Figure2(64).WithCores(8),
+	} {
+		req := daesim.MixRequest(m, tinyOpts())
+		if err := req.Validate(); !errors.Is(err, daesim.ErrInvalidConfig) {
+			t.Errorf("%s: Validate = %v, want ErrInvalidConfig", name, err)
+		}
+		var er ErrorResponse
+		if code := do(t, http.MethodPost, ts.URL+"/v1/runs", req, &er); code != http.StatusBadRequest || er.Error == "" {
+			t.Errorf("%s: status %d (%+v), want 400 with an error body", name, code, er)
+		}
+	}
+	var rr RunResponse
+	if code := do(t, http.MethodPost, ts.URL+"/v1/runs", daesim.MixRequest(daesim.Figure2(1), tinyOpts()), &rr); code != http.StatusOK {
+		t.Fatalf("follow-up run: status %d", code)
+	}
+}
+
 func TestClientCancellationAbortsRun(t *testing.T) {
 	ts, eng := newTestServer(t, daesim.EngineOpts{Workers: 1}, 0)
 	// A run only cancellation can end quickly.

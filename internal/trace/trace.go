@@ -28,14 +28,13 @@ type Reader interface {
 	Next(inst *isa.Inst) bool
 }
 
-// Peeker is an optional Reader extension for zero-copy lookahead: the
-// core's fetch stage must inspect the next instruction before deciding
-// to consume it (control-speculation limits stop *before* a branch).
+// Peeker is an optional Reader extension for zero-copy lookahead.
 // PeekNext returns a pointer to the next record without consuming it —
 // valid only until the next PeekNext/Consume/Next call, and read-only —
-// and Consume advances past it. Readers backed by in-memory buffers
-// (interned workload streams) implement it so the peek costs no copy;
-// everything else goes through the caller's own lookahead buffer.
+// and Consume advances past it. Interned workload streams implement it.
+// The core does not use it (it reads every source through its own
+// lookahead batch, filled by Filler where available); the benchmark's
+// timing wrapper still names it.
 type Peeker interface {
 	Reader
 	PeekNext() (*isa.Inst, bool)
@@ -45,9 +44,10 @@ type Peeker interface {
 // Filler is an optional Reader extension for bulk reads: Fill writes the
 // next records of the stream into dst and returns how many it wrote,
 // exactly the records len(dst) Next calls would have produced. It returns
-// fewer than len(dst) only when the stream ends. Live workload generators
-// implement it so the core fills its per-context lookahead batch with one
-// call instead of one interface call per instruction.
+// fewer than len(dst) only when the stream ends. Workload generators and
+// interned replays implement it so the core fills its per-context
+// lookahead batch with one call instead of one interface call per
+// instruction.
 type Filler interface {
 	Reader
 	Fill(dst []isa.Inst) int

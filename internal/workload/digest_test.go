@@ -15,8 +15,8 @@ import (
 const digestLen = 1 << 20
 
 // streamDigest returns the SHA-256 of the first n records of r in a fixed
-// little-endian record encoding (every isa.Inst field, in declaration
-// order).
+// little-endian record encoding (every isa.Inst field: PC, Op, Dest,
+// Src1, Src2, Addr, Size, Taken).
 func streamDigest(t *testing.T, r trace.Reader, n int) string {
 	t.Helper()
 	h := sha256.New()

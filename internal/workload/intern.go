@@ -45,7 +45,7 @@ import (
 // live once more.
 
 // internChunkLen is the number of instructions materialized per chunk
-// (32 KiB per chunk at 32 bytes per instruction).
+// (24 KiB per chunk at 24 bytes per instruction).
 const internChunkLen = 1024
 
 // InternBudgetBytes caps the total memory the trace interner may hold
@@ -122,8 +122,9 @@ func internForKey(key string, newGen func() trace.Filler) *internedStream {
 // internReader replays one interned stream from the beginning. It holds
 // a window into the current chunk so the per-instruction fast path is a
 // slice read — the atomic loads and chunk lookup run once per window —
-// and implements trace.Peeker so the core's fetch stage can look ahead
-// without copying.
+// and implements trace.Filler so the core fills its lookahead batch with
+// one copy. Its trace.Peeker methods remain for callers outside the core
+// that name that interface; the core does not use them.
 type internReader struct {
 	s   *internedStream
 	cur []isa.Inst // unread slice of the current chunk
@@ -154,6 +155,27 @@ func (r *internReader) Next(out *isa.Inst) bool {
 		return true
 	}
 	return r.live.Next(out)
+}
+
+// Fill implements trace.Filler: it copies whole runs of the shared
+// buffer, refreshing the window at chunk boundaries, and hands the rest
+// to the fallback generator once the shared prefix runs out.
+func (r *internReader) Fill(dst []isa.Inst) int {
+	n := 0
+	for n < len(dst) {
+		if len(r.cur) == 0 && (r.live != nil || !r.refresh()) {
+			if r.livePending {
+				dst[n] = r.pending
+				r.livePending = false
+				n++
+			}
+			return n + r.live.Fill(dst[n:])
+		}
+		k := copy(dst[n:], r.cur)
+		r.cur = r.cur[k:]
+		n += k
+	}
+	return n
 }
 
 // PeekNext implements trace.Peeker: a zero-copy pointer into the shared

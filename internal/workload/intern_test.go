@@ -109,6 +109,71 @@ func TestInternBudgetFallback(t *testing.T) {
 	}
 }
 
+// TestInternFillMatchesNext: Fill on an interned reader is Next in bulk,
+// record for record — across chunk boundaries (odd batch sizes straddle
+// them, one batch spans a whole chunk), and past a frozen prefix, where
+// the reader falls back to its private generator mid-batch. A PeekNext
+// before some batches leaves a pending record Fill must hand out first.
+func TestInternFillMatchesNext(t *testing.T) {
+	saved := InternBudgetBytes
+	defer func() { InternBudgetBytes = saved }()
+	batches := []int{1, 3, 64, 7, internChunkLen + 5, 61, 2, 1000}
+	const n = 6*internChunkLen + 77
+
+	b, err := ByName("turb3d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, frozen := range []bool{false, true} {
+		// Seeds no other test shares, so each stream starts unpublished.
+		opts := ReaderOpts{AddrOffset: ThreadAddrOffset(2), Seed: 0xF111}
+		if frozen {
+			opts.Seed++
+		}
+		twin := b.NewReader(opts) // first sighting: live
+		if frozen {
+			// Room for two chunks, then the stream freezes.
+			_, _, used := internStats()
+			InternBudgetBytes = used + 2*internChunkBytes
+		}
+		r, ok := b.NewReader(opts).(*internReader)
+		if !ok {
+			t.Fatal("second reader for a key should be interned")
+		}
+		buf := make([]isa.Inst, internChunkLen+5)
+		var want isa.Inst
+		for got, k := 0, 0; got < n; k++ {
+			dst := buf[:batches[k%len(batches)]]
+			var peeked *isa.Inst
+			if k%3 == 2 {
+				p, ok := r.PeekNext()
+				if !ok {
+					t.Fatal("PeekNext on an infinite stream failed")
+				}
+				peeked = new(isa.Inst)
+				*peeked = *p
+			}
+			if w := r.Fill(dst); w != len(dst) {
+				t.Fatalf("frozen=%v: Fill wrote %d of %d records", frozen, w, len(dst))
+			}
+			if peeked != nil && *peeked != dst[0] {
+				t.Fatalf("frozen=%v: record %d: peeked %+v, Fill %+v", frozen, got, *peeked, dst[0])
+			}
+			for i := range dst {
+				twin.Next(&want)
+				if dst[i] != want {
+					t.Fatalf("frozen=%v: record %d: Fill %+v, Next %+v", frozen, got+i, dst[i], want)
+				}
+			}
+			got += len(dst)
+		}
+		if fell := r.live != nil; fell != frozen {
+			t.Fatalf("frozen=%v: reader fell back to live generation: %v", frozen, fell)
+		}
+		InternBudgetBytes = saved
+	}
+}
+
 // TestTraceFileBudgetFallback: ingesting a trace file that would blow
 // the intern budget must fall back to uncached (live) service — correct
 // streams, nothing pinned in the registry — and ingest normally once

@@ -98,9 +98,7 @@ func MixSources(threads int, opts MixOpts) []trace.Reader {
 	return srcs
 }
 
-// mixReader is the live Mix stream. It implements trace.Filler but, by
-// design, not trace.Peeker: zero-copy lookahead is the interned replay's
-// fast path, and a first-sighting Mix reader is a live generator.
+// mixReader is the live Mix stream. It implements trace.Filler.
 type mixReader struct {
 	progs    []*program // one per builtin benchmark, shared by its segments
 	next     int

@@ -492,12 +492,16 @@ func TestRequestTraceNormalizationAndValidation(t *testing.T) {
 // path every service shares: decoding must never panic, a Request that
 // Validate accepts must normalize idempotently, Hash must equal the
 // normalized Request's hash, and the hash must survive a JSON
-// re-encode. The seed corpus holds the TestRequestHashesPinned rows.
+// re-encode. The seed corpus holds the TestRequestHashesPinned rows and
+// an oversized machine.
 func FuzzRequestJSON(f *testing.F) {
 	mode := func(r Request, mode string, s *Sampling) Request {
 		r.Budget.Mode, r.Budget.Sampling = mode, s
 		return r
 	}
+	// A machine too large to allocate must fail Validate, not the run.
+	hugeROB := Figure2(1)
+	hugeROB.ROBSize = 1 << 40
 	seeds := []Request{
 		MixRequest(Figure2(1), RunOpts{}),
 		MixRequest(Figure2(2), RunOpts{}),
@@ -519,6 +523,7 @@ func FuzzRequestJSON(f *testing.F) {
 		MixRequest(Figure2(4).WithSpeculation(
 			Speculation{SpecLoadFrac: 0.3, MisspecProb: 0.05, LoDEvery: 500}), RunOpts{}),
 		MixRequest(Figure2(1).WithSpeculation(Speculation{LoDEvery: 200}), RunOpts{}),
+		MixRequest(hugeROB, RunOpts{}),
 	}
 	for _, r := range seeds {
 		b, err := json.Marshal(r)
