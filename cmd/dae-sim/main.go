@@ -28,7 +28,6 @@ import (
 
 	daesim "repro"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -56,14 +55,13 @@ func main() {
 		forwarding   = flag.Bool("forwarding", false, "enable store-to-load forwarding in the SAQ")
 		fetchRR      = flag.Bool("fetch-rr", false, "use round-robin fetch instead of ICOUNT")
 		mix          = flag.Bool("mixdetail", false, "also print the graduated instruction mix")
-		traceFiles   = flag.String("trace", "", "trace file to replay (overrides -bench/mix); a single path runs as a content-addressed trace Request in any dae-trace format, a comma-separated list replays one legacy file per thread")
-		traceFormat  = flag.String("trace-format", "", "single -trace file format (auto, container, legacy, bin, text; default sniffs)")
+		traceFile    = flag.String("trace", "", "trace container to replay as a content-addressed trace Request (overrides -bench/mix); convert other formats with dae-trace import")
 		specFrac     = flag.Float64("spec-frac", 0, "speculative-DAE: fraction of access-slice loads hoisted speculatively [0,1]")
 		specMisspec  = flag.Float64("spec-misspec", 0, "speculative-DAE: misspeculation probability per speculative load [0,1]")
 		specSquash   = flag.Int64("spec-squash", 0, "speculative-DAE: squash refetch penalty in cycles (0 = default "+fmt.Sprint(daesim.DefaultSquashCycles)+" when loads speculate)")
 		specLoD      = flag.Int64("spec-lod", 0, "speculative-DAE: force a loss-of-decoupling event every N fetched instructions per context (0 = never)")
 		jsonOut      = flag.Bool("json", false, "emit the report as JSON (for scripting)")
-		cacheDir     = flag.String("cache", "", "on-disk result cache directory shared with dae-sweep and dae-serve (bench/mix runs only)")
+		cacheDir     = flag.String("cache", "", "on-disk result cache directory shared with dae-sweep and dae-serve")
 		hashOnly     = flag.Bool("hash", false, "print the run's Request content hash and exit without simulating")
 		requestOut   = flag.Bool("request", false, "print the run's Request JSON (the dae-serve POST /v1/runs body) and exit without simulating")
 		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file (inspect with go tool pprof)")
@@ -137,66 +135,53 @@ func main() {
 	} else if *samplePeriod != 0 || *sampleUnit != 0 || *sampleWarmup != 0 {
 		fail(fmt.Errorf("-sample-* flags require -mode sampled"))
 	}
-	var (
-		rep daesim.Report
-		err error
-	)
-	if strings.Contains(*traceFiles, ",") {
-		// Legacy multi-file replay: one single-stream file per thread,
-		// outside the Request/cache surface.
-		if *hashOnly || *requestOut {
-			fail(fmt.Errorf("-hash/-request require a single -trace file or a synthetic workload"))
+	req := daesim.MixRequest(m, opts)
+	what := "mix"
+	switch {
+	case *traceFile != "":
+		// A trace container is a first-class content-addressed Request:
+		// hashable, cacheable and servable like any other.
+		if *seed != 0 {
+			fail(fmt.Errorf("-seed applies to generator workloads, not trace replay"))
 		}
-		rep, err = runFromFiles(ctx, m, strings.Split(*traceFiles, ","), opts, *mode, sampling)
-	} else {
-		req := daesim.MixRequest(m, opts)
-		what := "mix"
-		switch {
-		case *traceFiles != "":
-			// A single trace file is a first-class content-addressed
-			// Request: hashable, cacheable and servable like any other.
-			if *seed != 0 {
-				fail(fmt.Errorf("-seed applies to generator workloads, not trace replay"))
-			}
-			req = daesim.TraceRequest(*traceFiles, *traceFormat, m, opts)
-			what = "trace"
-		case *bench != "":
-			req = daesim.BenchmarkRequest(*bench, m, opts)
-			what = *bench
-		}
-		req.Budget.Mode = *mode
-		req.Budget.Sampling = sampling
-		req = req.Normalized()
-		if err := req.Validate(); err != nil {
+		req = daesim.TraceRequest(*traceFile, "", m, opts)
+		what = "trace"
+	case *bench != "":
+		req = daesim.BenchmarkRequest(*bench, m, opts)
+		what = *bench
+	}
+	req.Budget.Mode = *mode
+	req.Budget.Sampling = sampling
+	req = req.Normalized()
+	if err := req.Validate(); err != nil {
+		fail(err)
+	}
+	memDesc := fmt.Sprintf("L2=%d", m.Mem.L2Latency)
+	if *l2Size > 0 {
+		memDesc = fmt.Sprintf("l2size=%d", *l2Size)
+	}
+	coresDesc := ""
+	if m.CoreCount() > 1 {
+		coresDesc = fmt.Sprintf("cores=%d ", m.CoreCount())
+	}
+	req.Label = fmt.Sprintf("dae-sim %s %sthreads=%d %s", what, coresDesc, m.Threads, memDesc)
+	if *hashOnly {
+		fmt.Println(req.Hash())
+		return
+	}
+	if *requestOut {
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(req); err != nil {
 			fail(err)
 		}
-		memDesc := fmt.Sprintf("L2=%d", m.Mem.L2Latency)
-		if *l2Size > 0 {
-			memDesc = fmt.Sprintf("l2size=%d", *l2Size)
-		}
-		coresDesc := ""
-		if m.CoreCount() > 1 {
-			coresDesc = fmt.Sprintf("cores=%d ", m.CoreCount())
-		}
-		req.Label = fmt.Sprintf("dae-sim %s %sthreads=%d %s", what, coresDesc, m.Threads, memDesc)
-		if *hashOnly {
-			fmt.Println(req.Hash())
-			return
-		}
-		if *requestOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(req); err != nil {
-				fail(err)
-			}
-			return
-		}
-		rep, err = runRequest(ctx, req, *cacheDir)
+		return
 	}
+	rep, err := runRequest(ctx, req, *cacheDir)
 	if err != nil {
 		fail(err)
 	}
-	if *traceFiles != "" && rep.Graduated == 0 {
+	if *traceFile != "" && rep.Graduated == 0 {
 		// Finite traces run to exhaustion; a warm-up budget at least as
 		// long as the trace leaves nothing to measure.
 		fmt.Fprintf(os.Stderr, "dae-sim: warning: measurement window is empty — the trace ran dry during warm-up (lower -warmup below the trace's per-stream length)\n")
@@ -217,74 +202,13 @@ func main() {
 	}
 }
 
-// runRequest executes a synthetic-workload run through the public
-// Engine, so a single point computed here lands in (and is served from)
-// the same content-addressed result cache dae-sweep and dae-serve use.
+// runRequest executes the run through the public Engine, so a single
+// point computed here lands in (and is served from) the same
+// content-addressed result cache dae-sweep and dae-serve use.
 func runRequest(ctx context.Context, req daesim.Request, cacheDir string) (daesim.Report, error) {
 	eng, err := daesim.NewEngine(daesim.EngineOpts{Workers: 1, CacheDir: cacheDir})
 	if err != nil {
 		return daesim.Report{}, err
 	}
 	return eng.Run(ctx, req)
-}
-
-// runFromFiles drives the machine with pre-recorded trace files (one per
-// thread), as produced by `dae-trace gen`. Finite traces run to
-// completion; the measurement window still applies if smaller.
-func runFromFiles(ctx context.Context, m daesim.Machine, paths []string, opts daesim.RunOpts, mode string, sampling *daesim.Sampling) (daesim.Report, error) {
-	if len(paths) != m.TotalContexts() {
-		return daesim.Report{}, fmt.Errorf("%d trace files for %d contexts", len(paths), m.TotalContexts())
-	}
-	sources := make([]trace.Reader, len(paths))
-	closers := make([]*os.File, len(paths))
-	defer func() {
-		for _, f := range closers {
-			if f != nil {
-				f.Close()
-			}
-		}
-	}()
-	for i, p := range paths {
-		f, err := os.Open(strings.TrimSpace(p))
-		if err != nil {
-			return daesim.Report{}, err
-		}
-		closers[i] = f
-		fr, err := trace.NewFileReader(f)
-		if err != nil {
-			return daesim.Report{}, fmt.Errorf("%s: %w", p, err)
-		}
-		sources[i] = fr
-	}
-	res, err := sim.Run(ctx, sim.Options{
-		Machine:      m,
-		Sources:      sources,
-		WarmupInsts:  opts.WarmupInsts,
-		MeasureInsts: opts.MeasureInsts,
-		MaxCycles:    opts.MaxCycles,
-		Mode:         simMode(mode),
-		Sampling:     simSampling(sampling),
-	})
-	if err != nil {
-		return daesim.Report{}, err
-	}
-	return res.Report, nil
-}
-
-func simMode(mode string) sim.Mode {
-	if mode == daesim.ModeExact {
-		return sim.ModeExact
-	}
-	return sim.Mode(mode)
-}
-
-func simSampling(s *daesim.Sampling) sim.Sampling {
-	if s == nil {
-		return sim.Sampling{}
-	}
-	return sim.Sampling{
-		PeriodInsts: s.PeriodInsts,
-		UnitInsts:   s.UnitInsts,
-		WarmupInsts: s.WarmupInsts,
-	}
 }

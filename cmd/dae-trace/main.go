@@ -1,26 +1,25 @@
-// Command dae-trace generates, ingests, inspects and summarizes
-// instruction traces.
+// Command dae-trace captures, converts, inspects and summarizes
+// instruction traces. The trace container is the only format dae-sim
+// replays; legacy, bin and text traces are import-only.
 //
 // Usage:
 //
 //	dae-trace export -bench swim -t 4 -n 1000000 -o swim.dct  # multi-stream container
-//	dae-trace import -i ext.txt -format text -o ext.dct       # ingest an external trace
-//	dae-trace gen -bench swim -n 1000000 -o swim.trace        # legacy single-stream file
+//	dae-trace import -i ext.txt -format text -o ext.dct       # convert an external trace
 //	dae-trace dump -i swim.dct -n 20                          # print records
 //	dae-trace stat -i swim.dct                                # mix/footprint summary
-//	cat ext.bin | dae-trace stat -i -                         # any input reads stdin via -i -
+//	cat old.trace | dae-trace import -i - -o old.dct          # any input reads stdin via -i -
 //	dae-trace stat -bench fpppp -n 500000                     # stat a generator directly
 //	dae-trace list                                            # the curated workload catalog
 //
-// File formats are sniffed from their magic bytes (text is the magic-less
-// fallback), so -format is only needed to override the detection.
+// Input formats are sniffed from their magic bytes (text is the
+// magic-less fallback), so -format is only needed to override the
+// detection.
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"repro/internal/isa"
@@ -37,8 +36,6 @@ func main() {
 	cmd, args := os.Args[1], os.Args[2:]
 	var err error
 	switch cmd {
-	case "gen":
-		err = cmdGen(args)
 	case "export":
 		err = cmdExport(args)
 	case "import":
@@ -60,10 +57,9 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: dae-trace <export|import|gen|dump|stat|list> [flags]
+	fmt.Fprintln(os.Stderr, `usage: dae-trace <export|import|dump|stat|list> [flags]
   export -bench NAME -o FILE [-t CONTEXTS] [-n PER-STREAM] [-seed S] [-note TEXT]
   import -i FILE|- -o FILE [-format auto|container|legacy|bin|text] [-name N] [-note TEXT]
-  gen    -bench NAME -n COUNT -o FILE [-seed S] [-offset A]
   dump   -i FILE|- [-n COUNT] [-format F]
   stat   (-i FILE|- | -bench NAME -n COUNT) [-seed S] [-format F]
   list`)
@@ -79,95 +75,23 @@ func cmdList() error {
 	return nil
 }
 
-// openInput opens the input path, where "-" means stdin.
-func openInput(path string) (io.Reader, func() error, error) {
-	if path == "-" {
-		return os.Stdin, func() error { return nil }, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f, f.Close, nil
-}
-
-// decodeStreams reads a whole trace in any accepted format into
-// per-stream slices, plus the container header when there is one
+// readInput decodes the whole trace at path ("-" means stdin) in any
+// accepted format into per-stream slices, plus the container header
 // (single-stream formats report a synthesized one-stream header).
-func decodeStreams(r io.Reader, format string) (traceio.Header, [][]isa.Inst, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
+func readInput(path, format string) (traceio.Header, [][]isa.Inst, error) {
 	f, err := traceio.ParseFormat(format)
 	if err != nil {
 		return traceio.Header{}, nil, err
 	}
-	if f == traceio.FormatAuto {
-		if f, err = traceio.Detect(br); err != nil {
-			return traceio.Header{}, nil, err
-		}
+	if path == "-" {
+		return traceio.Decode(os.Stdin, f)
 	}
-	one := func(insts []isa.Inst, err error) (traceio.Header, [][]isa.Inst, error) {
-		if err != nil {
-			return traceio.Header{}, nil, err
-		}
-		return traceio.Header{Streams: 1}, [][]isa.Inst{insts}, nil
-	}
-	switch f {
-	case traceio.FormatContainer:
-		return traceio.ReadAll(br)
-	case traceio.FormatLegacy:
-		fr, err := trace.NewFileReader(br)
-		if err != nil {
-			return traceio.Header{}, nil, err
-		}
-		var insts []isa.Inst
-		var in isa.Inst
-		for fr.Next(&in) {
-			insts = append(insts, in)
-		}
-		return one(insts, fr.Err())
-	case traceio.FormatBinary:
-		return one(traceio.ParseBinary(br))
-	case traceio.FormatText:
-		return one(traceio.ParseText(br))
-	default:
-		return traceio.Header{}, nil, fmt.Errorf("unsupported trace format %q", f)
-	}
-}
-
-func cmdGen(args []string) error {
-	fs := flag.NewFlagSet("gen", flag.ExitOnError)
-	bench := fs.String("bench", "", "benchmark name")
-	n := fs.Int64("n", 1_000_000, "instructions to generate")
-	out := fs.String("o", "", "output file")
-	seed := fs.Uint64("seed", 0, "workload seed")
-	offset := fs.Uint64("offset", 0, "address-space offset")
-	fs.Parse(args)
-	if *bench == "" || *out == "" {
-		return fmt.Errorf("gen requires -bench and -o")
-	}
-	b, err := workload.ByName(*bench)
+	file, err := os.Open(path)
 	if err != nil {
-		return err
+		return traceio.Header{}, nil, err
 	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w, err := trace.NewWriter(f)
-	if err != nil {
-		return err
-	}
-	r := trace.Limit(b.NewReader(workload.ReaderOpts{Seed: *seed, AddrOffset: *offset}), *n)
-	written, err := w.WriteAll(r)
-	if err != nil {
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %d records to %s\n", written, *out)
-	return nil
+	defer file.Close()
+	return traceio.Decode(file, f)
 }
 
 // cmdExport captures a built-in benchmark's exact per-context streams
@@ -206,8 +130,8 @@ func cmdExport(args []string) error {
 	return nil
 }
 
-// cmdImport ingests a trace in any accepted format and writes it as a
-// container, validating every record on the way in.
+// cmdImport converts a trace in any accepted format into a container,
+// validating every record on the way in.
 func cmdImport(args []string) error {
 	fs := flag.NewFlagSet("import", flag.ExitOnError)
 	in := fs.String("i", "-", "input trace file (- reads stdin)")
@@ -219,12 +143,7 @@ func cmdImport(args []string) error {
 	if *out == "" {
 		return fmt.Errorf("import requires -o")
 	}
-	r, done, err := openInput(*in)
-	if err != nil {
-		return err
-	}
-	defer done()
-	h, streams, err := decodeStreams(r, *format)
+	h, streams, err := readInput(*in, *format)
 	if err != nil {
 		return err
 	}
@@ -267,12 +186,7 @@ func cmdDump(args []string) error {
 	if *in == "" {
 		return fmt.Errorf("dump requires -i")
 	}
-	r, done, err := openInput(*in)
-	if err != nil {
-		return err
-	}
-	defer done()
-	h, streams, err := decodeStreams(r, *format)
+	h, streams, err := readInput(*in, *format)
 	if err != nil {
 		return err
 	}
@@ -305,12 +219,7 @@ func cmdStat(args []string) error {
 	var streams [][]isa.Inst
 	switch {
 	case *in != "":
-		r, done, err := openInput(*in)
-		if err != nil {
-			return err
-		}
-		defer done()
-		h, s, err := decodeStreams(r, *format)
+		h, s, err := readInput(*in, *format)
 		if err != nil {
 			return err
 		}

@@ -47,8 +47,9 @@ const (
 type TraceRef struct {
 	// Path is the trace file location.
 	Path string
-	// Format names the on-disk format ("container", "legacy", "bin",
-	// "text"); empty sniffs the magic bytes (traceio.FormatAuto).
+	// Format is "", "auto" or "container": only containers replay
+	// (traceio.CheckReplayFormat). It stays in the hash, so the spelled-out
+	// "container" keeps its own cache entries.
 	Format string `json:",omitempty"`
 }
 
@@ -180,7 +181,7 @@ func (j Job) Validate() error {
 		if j.Workload.Trace == nil || j.Workload.Trace.Path == "" {
 			return fmt.Errorf("runner: job %q: trace workload without a trace path", j.Key)
 		}
-		if _, err := traceio.ParseFormat(j.Workload.Trace.Format); err != nil {
+		if err := traceio.CheckReplayFormat(j.Workload.Trace.Format); err != nil {
 			return fmt.Errorf("runner: job %q: %w", j.Key, err)
 		}
 	default:
@@ -250,8 +251,7 @@ func (j Job) sources() ([]trace.Reader, error) {
 		if j.Workload.Trace == nil {
 			return nil, fmt.Errorf("trace workload without a trace reference")
 		}
-		return workload.TraceSources(j.Workload.Trace.Path, j.Workload.Trace.Format,
-			j.Machine.TotalContexts())
+		return workload.TraceSources(j.Workload.Trace.Path, j.Machine.TotalContexts())
 	default:
 		return nil, fmt.Errorf("unknown workload kind %q", j.Workload.Kind)
 	}

@@ -553,4 +553,23 @@ func TestRunEndpointTraceRequest(t *testing.T) {
 	if code := do(t, http.MethodPost, ts.URL+"/v1/runs", bad, &er); code != http.StatusBadRequest {
 		t.Fatalf("empty trace path: status %d, want 400", code)
 	}
+	if code := do(t, http.MethodPost, ts.URL+"/v1/runs", daesim.TraceRequest(path, "legacy", m, tinyOpts()), &er); code != http.StatusBadRequest ||
+		!strings.Contains(er.Error, "dae-trace import") {
+		t.Fatalf("legacy format: status %d (%q), want 400 naming dae-trace import", code, er.Error)
+	}
+
+	// A container whose loads write registers the machine lacks is an
+	// error reply, not a crashed replica: the next request still runs.
+	hostile, err := filepath.Abs(filepath.Join("..", "traceio", "testdata", "r64-load.dct"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	er = ErrorResponse{}
+	if code := do(t, http.MethodPost, ts.URL+"/v1/runs", daesim.TraceRequest(hostile, "", m, tinyOpts()), &er); code == http.StatusOK ||
+		!strings.Contains(er.Error, "invalid register") {
+		t.Fatalf("r64 container: status %d (%q), want an invalid-register error", code, er.Error)
+	}
+	if code := do(t, http.MethodPost, ts.URL+"/v1/runs", req, &rr); code != http.StatusOK {
+		t.Fatalf("after the hostile trace: status %d", code)
+	}
 }

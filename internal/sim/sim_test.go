@@ -11,6 +11,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/isa"
 	"repro/internal/trace"
+	"repro/internal/traceio"
 	"repro/internal/workload"
 )
 
@@ -181,8 +182,8 @@ func TestRunOrDiePanicsOnBadConfig(t *testing.T) {
 }
 
 func TestTraceFileRoundTripThroughSimulator(t *testing.T) {
-	// Generate a trace, encode it to the binary file format, decode it,
-	// and verify the simulator produces *identical* results from the
+	// Generate a trace, encode it to a trace container, decode it, and
+	// verify the simulator produces *identical* results from the
 	// generator and from the file — the cmd/dae-trace → cmd/dae-sim
 	// pipeline at library level.
 	b, err := workload.ByName("applu")
@@ -192,17 +193,17 @@ func TestTraceFileRoundTripThroughSimulator(t *testing.T) {
 	const n = 40_000
 
 	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf)
+	w, err := traceio.NewWriter(&buf, traceio.Header{Streams: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.WriteAll(trace.Limit(b.NewReader(workload.ReaderOpts{}), n)); err != nil {
+	if _, err := w.AppendAll(0, trace.Limit(b.NewReader(workload.ReaderOpts{}), n)); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Flush(); err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	fr, err := trace.NewFileReader(&buf)
+	_, streams, err := traceio.ReadAll(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +219,7 @@ func TestTraceFileRoundTripThroughSimulator(t *testing.T) {
 		}
 		return res
 	}
-	fromFile := run(fr)
+	fromFile := run(trace.Slice(streams[0]))
 	fromGen := run(trace.Limit(b.NewReader(workload.ReaderOpts{}), n))
 	if fromFile.Report.Cycles != fromGen.Report.Cycles ||
 		fromFile.Report.Graduated != fromGen.Report.Graduated ||

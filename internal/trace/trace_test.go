@@ -1,11 +1,7 @@
 package trace
 
 import (
-	"bytes"
-	"errors"
-	"io"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/isa"
 )
@@ -92,203 +88,6 @@ func TestSkip(t *testing.T) {
 	r = Skip(Slice(sampleInsts()), 100)
 	if r.Next(&got) {
 		t.Fatal("Skip past end still yields")
-	}
-}
-
-func TestFileRoundTrip(t *testing.T) {
-	insts := sampleInsts()
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := w.WriteAll(Slice(insts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(len(insts)) || w.Count() != n {
-		t.Fatalf("wrote %d records, Count=%d", n, w.Count())
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	fr, err := NewFileReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got isa.Inst
-	for i := range insts {
-		if !fr.Next(&got) {
-			t.Fatalf("decode stopped at %d: %v", i, fr.Err())
-		}
-		if got != insts[i] {
-			t.Fatalf("record %d: got %+v want %+v", i, got, insts[i])
-		}
-	}
-	if fr.Next(&got) {
-		t.Fatal("decoded past end")
-	}
-	if fr.Err() != nil {
-		t.Fatalf("clean EOF reported error: %v", fr.Err())
-	}
-	if fr.Count() != int64(len(insts)) {
-		t.Fatalf("reader Count = %d", fr.Count())
-	}
-}
-
-func TestFileBadMagic(t *testing.T) {
-	_, err := NewFileReader(bytes.NewReader([]byte("NOTATRACEFILE...")))
-	if !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("err = %v, want ErrBadMagic", err)
-	}
-}
-
-func TestFileTruncatedHeader(t *testing.T) {
-	_, err := NewFileReader(bytes.NewReader([]byte("DAE")))
-	if err == nil {
-		t.Fatal("truncated header accepted")
-	}
-}
-
-func TestFileBadVersion(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write([]byte("DAETRACE"))
-	buf.WriteByte(99) // version 99
-	_, err := NewFileReader(&buf)
-	if !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("err = %v, want ErrBadVersion", err)
-	}
-}
-
-func TestFileTruncatedRecord(t *testing.T) {
-	insts := sampleInsts()
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	if _, err := w.WriteAll(Slice(insts)); err != nil {
-		t.Fatal(err)
-	}
-	w.Flush()
-	// Chop the last few bytes off.
-	data := buf.Bytes()
-	fr, err := NewFileReader(bytes.NewReader(data[:len(data)-2]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got isa.Inst
-	n := 0
-	for fr.Next(&got) {
-		n++
-	}
-	if fr.Err() == nil {
-		t.Fatal("truncation not detected")
-	}
-	if n >= len(insts) {
-		t.Fatalf("decoded %d records from truncated file", n)
-	}
-}
-
-type failingWriter struct{ after int }
-
-func (f *failingWriter) Write(p []byte) (int, error) {
-	if f.after <= 0 {
-		return 0, io.ErrClosedPipe
-	}
-	f.after -= len(p)
-	return len(p), nil
-}
-
-func TestWriterPropagatesIOError(t *testing.T) {
-	w, err := NewWriter(&failingWriter{after: 1 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Force enough data through the bufio layer to hit the failure.
-	insts := sampleInsts()
-	var wroteErr error
-	for i := 0; i < 1<<16 && wroteErr == nil; i++ {
-		wroteErr = w.Write(&insts[i%len(insts)])
-	}
-	if wroteErr == nil {
-		wroteErr = w.Flush()
-	}
-	if wroteErr == nil {
-		t.Fatal("io error never surfaced")
-	}
-	// Writer must stay failed.
-	if err := w.Write(&insts[0]); err == nil {
-		t.Fatal("write after error succeeded")
-	}
-}
-
-// Property: any generated instruction survives an encode/decode round trip.
-func TestQuickRoundTrip(t *testing.T) {
-	f := func(pcs []uint64, opRaw []uint8) bool {
-		n := len(pcs)
-		if len(opRaw) < n {
-			n = len(opRaw)
-		}
-		insts := make([]isa.Inst, 0, n)
-		for i := 0; i < n; i++ {
-			op := isa.Op(opRaw[i] % uint8(isa.NumOps))
-			in := isa.Inst{PC: pcs[i], Op: op, Dest: isa.NoReg, Src1: isa.NoReg, Src2: isa.NoReg}
-			switch op {
-			case isa.OpIntALU:
-				in.Dest = isa.IntReg(int(opRaw[i]) % 32)
-			case isa.OpFPALU:
-				in.Dest = isa.FPReg(int(opRaw[i]) % 32)
-			case isa.OpLoad:
-				in.Dest = isa.FPReg(int(opRaw[i]) % 32)
-				in.Addr = pcs[i] * 3
-				in.Size = 8
-			case isa.OpStore:
-				in.Addr = pcs[i] * 5
-				in.Size = 4
-			case isa.OpBranch:
-				in.Taken = opRaw[i]&1 == 1
-			}
-			insts = append(insts, in)
-		}
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf)
-		if err != nil {
-			return false
-		}
-		if _, err := w.WriteAll(Slice(insts)); err != nil {
-			return false
-		}
-		if err := w.Flush(); err != nil {
-			return false
-		}
-		fr, err := NewFileReader(&buf)
-		if err != nil {
-			return false
-		}
-		var got isa.Inst
-		for i := range insts {
-			if !fr.Next(&got) || got != insts[i] {
-				return false
-			}
-		}
-		return !fr.Next(&got) && fr.Err() == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func BenchmarkWrite(b *testing.B) {
-	insts := sampleInsts()
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := w.Write(&insts[i%len(insts)]); err != nil {
-			b.Fatal(err)
-		}
-		if buf.Len() > 1<<24 {
-			buf.Reset()
-		}
 	}
 }
 

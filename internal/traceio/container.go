@@ -1,12 +1,16 @@
 // Package traceio is the workload-ingestion subsystem: a versioned,
 // self-describing container format for externally supplied instruction
-// traces, plus importers for two simple interchange formats (a
-// human-readable text format and a fixed-width binary format).
+// traces, plus import-only decoders for three interchange formats (the
+// legacy single-stream format, a fixed-width binary format and a
+// human-readable text format).
 //
-// The container holds one instruction stream per hardware context, so a
-// multithreaded run captured with `dae-trace export` replays
-// bit-identically through `dae-sim -trace`: each context consumes exactly
-// the stream the generator would have produced for it. The layout is
+// The container is the only format the simulator replays. It holds one
+// instruction stream per hardware context, so a multithreaded run
+// captured with `dae-trace export` replays bit-identically through
+// `dae-sim -trace`: each context consumes exactly the stream the
+// generator would have produced for it. Every other format reaches the
+// simulator through `dae-trace import`, which converts it with Decode.
+// The layout is
 //
 //	8-byte magic "DAETRCNT"
 //	uvarint container format version (currently 1)
@@ -21,8 +25,7 @@
 //	uvarint marker            stream index + 1 (0 marks the terminator)
 //	uvarint record count
 //	uvarint payload length
-//	payload                   records, same varint encoding as the
-//	                          legacy single-stream format (package trace)
+//	payload                   records (see appendRecord)
 //	uint32le CRC32 (IEEE)     checksum of the payload bytes
 //
 // The terminator is marker 0 followed by the uvarint total record count
@@ -32,6 +35,7 @@ package traceio
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -63,16 +67,18 @@ const (
 var (
 	// ErrBadMagic marks a file that is not a trace container.
 	ErrBadMagic = errors.New("traceio: bad magic (not a DAE trace container)")
-	// ErrBadVersion marks an unsupported container version.
-	ErrBadVersion = errors.New("traceio: unsupported container version")
-	// ErrTruncated marks a container that ends before its terminator (or
-	// mid-chunk): the producer crashed or the copy was cut short.
-	ErrTruncated = errors.New("traceio: truncated container")
+	// ErrBadVersion marks an unsupported container or legacy version.
+	ErrBadVersion = errors.New("traceio: unsupported format version")
+	// ErrTruncated marks a trace that ends early (a container before its
+	// terminator or mid-chunk, a legacy file inside its header): the
+	// producer crashed or the copy was cut short.
+	ErrTruncated = errors.New("traceio: truncated trace")
 	// ErrChecksum marks a chunk whose payload fails its CRC.
 	ErrChecksum = errors.New("traceio: chunk checksum mismatch")
 	// ErrCorrupt marks structurally invalid contents (bad stream index,
-	// record count/payload disagreement, invalid record encoding).
-	ErrCorrupt = errors.New("traceio: corrupt container")
+	// record count/payload disagreement, invalid record encoding, or a
+	// record the isa model rejects, such as a register out of range).
+	ErrCorrupt = errors.New("traceio: corrupt trace")
 )
 
 // Header is the container's self-description.
@@ -87,9 +93,14 @@ type Header struct {
 }
 
 // ----------------------------------------------------------------------------
-// Record encoding (shared with the legacy single-stream format).
+// Record encoding (shared by the container and the legacy format).
 
-// appendRecord encodes one instruction record onto buf.
+// appendRecord encodes one instruction record onto buf:
+//
+//	byte    flags: bits 0-2 op, bit 3 taken, bit 4 has-addr
+//	uvarint pc
+//	byte    dest, src1, src2 (0xFF = none)
+//	if has-addr: uvarint addr, byte size
 func appendRecord(buf []byte, in *isa.Inst) []byte {
 	flags := byte(in.Op) & 0x7
 	if in.Taken {
@@ -110,18 +121,20 @@ func appendRecord(buf []byte, in *isa.Inst) []byte {
 	return buf
 }
 
+// maxRecordLen bounds one encoded record.
+const maxRecordLen = 1 + binary.MaxVarintLen64 + 3 + binary.MaxVarintLen64 + 1
+
 // decodeRecord decodes one record from p into in, returning the bytes
-// consumed. Errors are ErrCorrupt-wrapped: the payload passed its CRC,
-// so a malformed record means a producer bug, not line noise.
+// consumed. Every record must pass validateRecord, so no decoded trace
+// can name a register the core has no entry for. Errors are
+// ErrCorrupt-wrapped: a container payload passed its CRC, so a malformed
+// record means a producer bug, not line noise.
 func decodeRecord(p []byte, in *isa.Inst) (int, error) {
 	if len(p) < 1 {
 		return 0, fmt.Errorf("%w: empty record", ErrCorrupt)
 	}
 	flags := p[0]
 	op := isa.Op(flags & 0x7)
-	if !op.Valid() {
-		return 0, fmt.Errorf("%w: invalid op %d", ErrCorrupt, op)
-	}
 	i := 1
 	pc, n := binary.Uvarint(p[i:])
 	if n <= 0 {
@@ -152,6 +165,9 @@ func decodeRecord(p []byte, in *isa.Inst) (int, error) {
 		in.Addr = addr
 		in.Size = p[i]
 		i++
+	}
+	if err := validateRecord(in); err != nil {
+		return 0, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
 	return i, nil
 }
@@ -402,7 +418,7 @@ func (d *Decoder) Next(in *isa.Inst) (stream int, ok bool) {
 	}
 	n, err := decodeRecord(d.payload[d.off:], in)
 	if err != nil {
-		d.err = fmt.Errorf("%v (stream %d record %d)", err, d.stream, d.counts[d.stream])
+		d.err = fmt.Errorf("%w (stream %d record %d)", err, d.stream, d.counts[d.stream])
 		return 0, false
 	}
 	d.off += n
@@ -454,11 +470,12 @@ func (d *Decoder) nextChunk() bool {
 		d.err = fmt.Errorf("%w: chunk with %d records, %d payload bytes", ErrCorrupt, count, plen)
 		return false
 	}
-	if cap(d.payload) < int(plen) {
-		d.payload = make([]byte, plen)
-	}
-	d.payload = d.payload[:plen]
-	if _, err := io.ReadFull(d.r, d.payload); err != nil {
+	// Grow the buffer as bytes arrive, so a hostile length costs memory
+	// only for payload that is really there.
+	buf := bytes.NewBuffer(d.payload[:0])
+	_, err = io.CopyN(buf, d.r, int64(plen))
+	d.payload = buf.Bytes()
+	if err != nil {
 		d.err = fmt.Errorf("%w: chunk payload cut short", ErrTruncated)
 		return false
 	}

@@ -44,7 +44,7 @@ func testStream(seed uint64, n int) []isa.Inst {
 
 // encodeContainer writes the given streams interleaved per record, so
 // chunks from different streams alternate in the file.
-func encodeContainer(t *testing.T, h Header, streams [][]isa.Inst) []byte {
+func encodeContainer(t testing.TB, h Header, streams [][]isa.Inst) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, h)

@@ -1,7 +1,13 @@
 package traceio
 
-// Importers for the two external interchange formats, and format
-// detection for unseekable inputs.
+// Import-only decoders for the three interchange formats, format
+// detection for unseekable inputs, and Decode, the one place a trace's
+// format is switched on. The simulator replays containers only
+// (ReadAll); `dae-trace import` converts everything else through Decode.
+//
+// Legacy format: 8-byte magic "DAETRACE", uvarint version 1, then the
+// container's record encoding (appendRecord) back to back, with no
+// framing or checksum.
 //
 // Text format: one record per line, '#' starts a comment, fields are
 // whitespace-separated:
@@ -19,17 +25,19 @@ package traceio
 //	pc u64, addr u64, op u8, dest u8, src1 u8, src2 u8, size u8,
 //	flags u8 (bit 0 taken), 2 reserved bytes (zero)
 //
-// Both formats carry a single instruction stream; `dae-trace import`
-// wraps them into a one-stream container. Mapping rule: records land on
-// the isa.Inst model verbatim — op class, register split and mem/branch
-// payloads are validated, everything else (pipeline behaviour, steering)
-// derives from the isa tables exactly as for generated workloads.
+// All three carry a single instruction stream; `dae-trace import` wraps
+// them into a one-stream container. Mapping rule: records land on the
+// isa.Inst model verbatim — op class, register split and mem/branch
+// payloads are validated (validateRecord), everything else (pipeline
+// behaviour, steering) derives from the isa tables exactly as for
+// generated workloads.
 
 import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -39,14 +47,20 @@ import (
 // BinaryMagic identifies an external fixed-width binary trace.
 var BinaryMagic = [8]byte{'D', 'A', 'E', 'B', 'I', 'N', '0', '1'}
 
+// legacyMagic identifies a legacy single-stream trace.
+var legacyMagic = [8]byte{'D', 'A', 'E', 'T', 'R', 'A', 'C', 'E'}
+
+// legacyVersion is the only legacy format version.
+const legacyVersion = 1
+
 // binaryRecordLen is the fixed record size of the binary format.
 const binaryRecordLen = 24
 
 // Format names an on-disk trace encoding.
 type Format string
 
-// Trace encodings accepted across the toolchain. FormatAuto sniffs the
-// magic bytes (text, the only magic-less format, is the fallback).
+// Trace encodings accepted by `dae-trace`. FormatAuto sniffs the magic
+// bytes (text, the only magic-less format, is the fallback).
 const (
 	FormatAuto      Format = "auto"
 	FormatContainer Format = "container"
@@ -55,21 +69,44 @@ const (
 	FormatText      Format = "text"
 )
 
-// ParseFormat validates a user-supplied format name ("" means auto).
-func ParseFormat(s string) (Format, error) {
-	switch f := Format(strings.ToLower(s)); f {
-	case "":
-		return FormatAuto, nil
-	case FormatAuto, FormatContainer, FormatLegacy, FormatBinary, FormatText:
-		return f, nil
-	default:
-		return "", fmt.Errorf("traceio: unknown trace format %q (known: auto, container, legacy, bin, text)", s)
-	}
+// formats lists every accepted format name.
+var formats = []Format{FormatAuto, FormatContainer, FormatLegacy, FormatBinary, FormatText}
+
+// magics maps each magic-prefixed format to its first eight bytes.
+var magics = []struct {
+	f     Format
+	magic [8]byte
+}{
+	{FormatContainer, Magic},
+	{FormatLegacy, legacyMagic},
+	{FormatBinary, BinaryMagic},
 }
 
-// legacyMagic is the single-stream format's magic (package trace owns
-// the codec; the bytes are duplicated here only for detection).
-var legacyMagic = [8]byte{'D', 'A', 'E', 'T', 'R', 'A', 'C', 'E'}
+// ParseFormat validates a user-supplied format name ("" means auto).
+func ParseFormat(s string) (Format, error) {
+	f := Format(strings.ToLower(s))
+	if f == "" {
+		return FormatAuto, nil
+	}
+	if !slices.Contains(formats, f) {
+		return "", fmt.Errorf("traceio: unknown trace format %q (known: auto, container, legacy, bin, text)", s)
+	}
+	return f, nil
+}
+
+// CheckReplayFormat validates the format a replay names. The simulator
+// replays containers only, so "", "auto" and "container" pass and the
+// import-only formats are refused with the command that converts them.
+func CheckReplayFormat(s string) error {
+	f, err := ParseFormat(s)
+	if err != nil {
+		return err
+	}
+	if f != FormatAuto && f != FormatContainer {
+		return fmt.Errorf("traceio: %s traces are import-only; convert with `dae-trace import -i FILE -o FILE.dct` and replay the container", f)
+	}
+	return nil
+}
 
 // Detect sniffs the input's format from its first bytes without
 // consuming them, so it works on pipes and stdin. Inputs matching no
@@ -79,43 +116,109 @@ func Detect(br *bufio.Reader) (Format, error) {
 	if err != nil && err != io.EOF {
 		return "", fmt.Errorf("traceio: sniffing format: %w", err)
 	}
-	var h [8]byte
-	copy(h[:], head)
-	switch {
-	case len(head) == 8 && h == Magic:
-		return FormatContainer, nil
-	case len(head) == 8 && h == legacyMagic:
-		return FormatLegacy, nil
-	case len(head) == 8 && h == BinaryMagic:
-		return FormatBinary, nil
-	default:
-		return FormatText, nil
+	for _, m := range magics {
+		if string(head) == string(m.magic[:]) {
+			return m.f, nil
+		}
 	}
+	return FormatText, nil
 }
 
-// validateRecord enforces the isa mapping rules shared by both
-// importers. Non-memory records must not carry an address payload and
-// only branches may carry an outcome, so a re-export round-trips.
-func validateRecord(in *isa.Inst, rec int64) error {
+// Decode reads a whole trace in format f into per-stream slices;
+// FormatAuto sniffs it with Detect. Single-stream formats report a
+// synthesized one-stream header. Every record passes validateRecord.
+func Decode(r io.Reader, f Format) (Header, [][]isa.Inst, error) {
+	br := bufio.NewReaderSize(r, 1<<16)
+	if f == FormatAuto {
+		var err error
+		if f, err = Detect(br); err != nil {
+			return Header{}, nil, err
+		}
+	}
+	var parse func(io.Reader) ([]isa.Inst, error)
+	switch f {
+	case FormatContainer:
+		return ReadAll(br)
+	case FormatLegacy:
+		parse = ParseLegacy
+	case FormatBinary:
+		parse = ParseBinary
+	case FormatText:
+		parse = ParseText
+	default:
+		return Header{}, nil, fmt.Errorf("traceio: unsupported trace format %q", f)
+	}
+	insts, err := parse(br)
+	if err != nil {
+		return Header{}, nil, err
+	}
+	return Header{Streams: 1}, [][]isa.Inst{insts}, nil
+}
+
+// validateRecord enforces the isa mapping rules every decoder shares.
+// Registers must exist on the machine, non-memory records must not
+// carry an address payload and only branches may carry an outcome, so
+// a re-export round-trips.
+func validateRecord(in *isa.Inst) error {
 	if !in.Op.Valid() {
-		return fmt.Errorf("traceio: record %d: invalid op %d", rec, in.Op)
+		return fmt.Errorf("invalid op %d", in.Op)
 	}
 	for _, r := range []isa.Reg{in.Dest, in.Src1, in.Src2} {
 		if r != isa.NoReg && !r.Valid() {
-			return fmt.Errorf("traceio: record %d: invalid register %d", rec, r)
+			return fmt.Errorf("invalid register %d", r)
 		}
 	}
 	if in.IsMem() {
 		if in.Size == 0 {
-			return fmt.Errorf("traceio: record %d: memory access with size 0", rec)
+			return fmt.Errorf("memory access with size 0")
 		}
 	} else if in.Addr != 0 || in.Size != 0 {
-		return fmt.Errorf("traceio: record %d: address payload on non-memory op %s", rec, in.Op)
+		return fmt.Errorf("address payload on non-memory op %s", in.Op)
 	}
 	if in.Taken && !in.IsBranch() {
-		return fmt.Errorf("traceio: record %d: taken flag on non-branch op %s", rec, in.Op)
+		return fmt.Errorf("taken flag on non-branch op %s", in.Op)
 	}
 	return nil
+}
+
+// ----------------------------------------------------------------------------
+// Legacy format.
+
+// ParseLegacy decodes a whole legacy single-stream trace. It streams, so
+// it works on pipes and stdin.
+func ParseLegacy(r io.Reader) ([]isa.Inst, error) {
+	br := bufio.NewReaderSize(r, 1<<16)
+	var got [8]byte
+	if _, err := io.ReadFull(br, got[:]); err != nil {
+		return nil, fmt.Errorf("%w: short legacy magic", ErrTruncated)
+	}
+	if got != legacyMagic {
+		return nil, fmt.Errorf("%w: not a DAETRACE trace", ErrBadMagic)
+	}
+	v, err := binary.ReadUvarint(br)
+	if err != nil {
+		return nil, fmt.Errorf("%w: missing legacy version", ErrTruncated)
+	}
+	if v != legacyVersion {
+		return nil, fmt.Errorf("%w: legacy version %d", ErrBadVersion, v)
+	}
+	var out []isa.Inst
+	for {
+		p, err := br.Peek(maxRecordLen)
+		if err != nil && err != io.EOF {
+			return nil, fmt.Errorf("traceio: reading legacy record %d: %w", len(out), err)
+		}
+		if len(p) == 0 {
+			return out, nil
+		}
+		var in isa.Inst
+		n, err := decodeRecord(p, &in)
+		if err != nil {
+			return nil, fmt.Errorf("%w (legacy record %d)", err, len(out))
+		}
+		br.Discard(n)
+		out = append(out, in)
+	}
 }
 
 // ----------------------------------------------------------------------------
@@ -175,11 +278,11 @@ func ParseText(r io.Reader) ([]isa.Inst, error) {
 			continue
 		}
 		in, err := parseTextRecord(fields)
+		if err == nil {
+			err = validateRecord(&in)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("traceio: text line %d: %w", lineNo, err)
-		}
-		if err := validateRecord(&in, int64(len(out))); err != nil {
-			return nil, fmt.Errorf("%w (text line %d)", err, lineNo)
 		}
 		out = append(out, in)
 	}
@@ -303,8 +406,8 @@ func ParseBinary(r io.Reader) ([]isa.Inst, error) {
 			Size:  rec[20],
 			Taken: rec[21]&1 != 0,
 		}
-		if err := validateRecord(&in, int64(len(out))); err != nil {
-			return nil, err
+		if err := validateRecord(&in); err != nil {
+			return nil, fmt.Errorf("traceio: binary record %d: %w", len(out), err)
 		}
 		out = append(out, in)
 	}

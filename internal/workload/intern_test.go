@@ -193,7 +193,7 @@ func TestTraceFileBudgetFallback(t *testing.T) {
 	// A 1-byte budget cannot retain any decode: live fallback.
 	InternBudgetBytes = 1
 	entriesBefore := traceFileStats()
-	sources, err := TraceSources(path, "container", contexts)
+	sources, err := TraceSources(path, contexts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,13 +209,13 @@ func TestTraceFileBudgetFallback(t *testing.T) {
 
 	// With headroom the same file is retained and re-served bit-identically.
 	InternBudgetBytes = saved
-	if _, err := TraceSources(path, "container", contexts); err != nil {
+	if _, err := TraceSources(path, contexts); err != nil {
 		t.Fatal(err)
 	}
 	if after := traceFileStats(); after != entriesBefore+1 {
 		t.Fatalf("in-budget ingest not retained (%d -> %d)", entriesBefore, after)
 	}
-	sources, err = TraceSources(path, "container", contexts)
+	sources, err = TraceSources(path, contexts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,9 @@
 package workload
 
-// Trace-file workloads: externally supplied instruction streams (the
-// traceio container or one of its importable formats) served through the
-// same trace.Reader interface as the synthetic generators.
+// Trace-file workloads: externally supplied instruction streams (a
+// traceio container; other formats are converted by `dae-trace import`)
+// served through the same trace.Reader interface as the synthetic
+// generators.
 //
 // Unlike generator streams — infinite, re-derivable, interned chunk by
 // chunk — a trace file is finite and already materialized on disk, so
@@ -16,7 +17,7 @@ package workload
 // repeat I/O for bounded memory, with bit-identical streams either way.
 
 import (
-	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -44,70 +45,31 @@ func traceFileStats() int {
 	return len(traceFiles)
 }
 
-// loadTraceStreams decodes the file into per-stream slices. A format of
-// FormatAuto sniffs the magic bytes; legacy/text/bin inputs decode as a
-// single stream.
-func loadTraceStreams(path string, format traceio.Format) ([][]isa.Inst, error) {
+// loadTraceStreams decodes the container at path into per-stream
+// slices. Other formats are import-only, so a file that is not a
+// container fails with the command that converts it.
+func loadTraceStreams(path string) ([][]isa.Inst, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("workload: opening trace: %w", err)
 	}
 	defer f.Close()
-	return decodeTraceStreams(f, format)
-}
-
-// decodeTraceStreams is loadTraceStreams over any reader (dae-trace
-// feeds it stdin).
-func decodeTraceStreams(r io.Reader, format traceio.Format) ([][]isa.Inst, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	if format == traceio.FormatAuto || format == "" {
-		var err error
-		if format, err = traceio.Detect(br); err != nil {
-			return nil, err
-		}
+	_, streams, err := traceio.ReadAll(f)
+	if errors.Is(err, traceio.ErrBadMagic) {
+		return nil, fmt.Errorf("workload: %s: %w; only containers replay, convert it first with `dae-trace import -i %s -o FILE.dct`", path, err, path)
 	}
-	switch format {
-	case traceio.FormatContainer:
-		_, streams, err := traceio.ReadAll(br)
-		return streams, err
-	case traceio.FormatLegacy:
-		fr, err := trace.NewFileReader(br)
-		if err != nil {
-			return nil, err
-		}
-		var insts []isa.Inst
-		var in isa.Inst
-		for fr.Next(&in) {
-			insts = append(insts, in)
-		}
-		if err := fr.Err(); err != nil {
-			return nil, err
-		}
-		return [][]isa.Inst{insts}, nil
-	case traceio.FormatBinary:
-		insts, err := traceio.ParseBinary(br)
-		if err != nil {
-			return nil, err
-		}
-		return [][]isa.Inst{insts}, nil
-	case traceio.FormatText:
-		insts, err := traceio.ParseText(br)
-		if err != nil {
-			return nil, err
-		}
-		return [][]isa.Inst{insts}, nil
-	default:
-		return nil, fmt.Errorf("workload: unsupported trace format %q", format)
+	if err != nil {
+		return nil, fmt.Errorf("workload: %s: %w", path, err)
 	}
+	return streams, nil
 }
 
 // traceStreamsFor returns the file's decoded streams, serving from the
 // registry when the file was already ingested and retaining the decode
 // under the intern budget otherwise.
-func traceStreamsFor(path string, format traceio.Format) ([][]isa.Inst, error) {
-	key := path + "\x1f" + string(format)
+func traceStreamsFor(path string) ([][]isa.Inst, error) {
 	traceFileMu.Lock()
-	if streams, ok := traceFiles[key]; ok {
+	if streams, ok := traceFiles[path]; ok {
 		traceFileMu.Unlock()
 		return streams, nil
 	}
@@ -115,7 +77,7 @@ func traceStreamsFor(path string, format traceio.Format) ([][]isa.Inst, error) {
 
 	// Decode outside the lock: files can be large and two concurrent
 	// first sightings are rare (the runner ingests once per sweep).
-	streams, err := loadTraceStreams(path, format)
+	streams, err := loadTraceStreams(path)
 	if err != nil {
 		return nil, err
 	}
@@ -126,13 +88,13 @@ func traceStreamsFor(path string, format traceio.Format) ([][]isa.Inst, error) {
 	bytes := total * instBytes
 	if InternBudgetBytes > 0 && internUsed.Add(bytes) <= InternBudgetBytes {
 		traceFileMu.Lock()
-		if prior, ok := traceFiles[key]; ok {
+		if prior, ok := traceFiles[path]; ok {
 			// Lost a first-sighting race: keep the published decode and
 			// return this one's budget charge.
 			internUsed.Add(-bytes)
 			streams = prior
 		} else {
-			traceFiles[key] = streams
+			traceFiles[path] = streams
 		}
 		traceFileMu.Unlock()
 	} else if InternBudgetBytes > 0 {
@@ -165,21 +127,17 @@ func shiftedSlice(insts []isa.Inst, delta uint64) trace.Reader {
 }
 
 // TraceSources builds one finite reader per hardware context from a
-// trace file. A container with exactly `contexts` streams replays each
+// trace container. A container with exactly `contexts` streams replays each
 // stream on its context verbatim — the property behind the
 // export/import byte-identity guarantee. Otherwise context t replays
 // stream t mod S relocated into context t's address space (the same
 // ThreadAddrOffset spacing the generators use), so any trace drives any
 // machine shape deterministically.
-func TraceSources(path, format string, contexts int) ([]trace.Reader, error) {
+func TraceSources(path string, contexts int) ([]trace.Reader, error) {
 	if contexts <= 0 {
 		return nil, fmt.Errorf("workload: trace sources for %d contexts", contexts)
 	}
-	f, err := traceio.ParseFormat(format)
-	if err != nil {
-		return nil, err
-	}
-	streams, err := traceStreamsFor(path, f)
+	streams, err := traceStreamsFor(path)
 	if err != nil {
 		return nil, err
 	}

@@ -2,12 +2,14 @@ package workload
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/isa"
-	"repro/internal/trace"
+	"repro/internal/traceio"
 )
 
 // exportToFile writes a benchmark capture to a temp container file.
@@ -40,7 +42,7 @@ func exportToFile(t *testing.T, name string, contexts int, seed uint64, perStrea
 func TestTraceSourcesMatchGenerator(t *testing.T) {
 	const contexts, n = 2, 3000
 	path := exportToFile(t, "swim", contexts, 5, n)
-	sources, err := TraceSources(path, "container", contexts)
+	sources, err := TraceSources(path, contexts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +71,7 @@ func TestTraceSourcesMatchGenerator(t *testing.T) {
 func TestTraceSourcesReplication(t *testing.T) {
 	const n = 500
 	path := exportToFile(t, "mgrid", 1, 9, n)
-	sources, err := TraceSources(path, "", 3) // "" = auto-detect
+	sources, err := TraceSources(path, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,16 +89,21 @@ func TestTraceSourcesReplication(t *testing.T) {
 	}
 }
 
-// TestTraceSourcesErrors: bad paths, formats and context counts are
-// rejected.
+// TestTraceSourcesErrors: bad paths, non-container files and context
+// counts are rejected; a non-container names the converter.
 func TestTraceSourcesErrors(t *testing.T) {
-	if _, err := TraceSources("/nonexistent/trace.dct", "", 1); err == nil {
+	if _, err := TraceSources("/nonexistent/trace.dct", 1); err == nil {
 		t.Error("missing file accepted")
 	}
-	if _, err := TraceSources("x", "elf", 1); err == nil {
-		t.Error("unknown format accepted")
+	text := filepath.Join(t.TempDir(), "ext.txt")
+	if err := os.WriteFile(text, []byte("int 0x10 r1 r2 -\n"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := TraceSources("x", "", 0); err == nil {
+	_, err := TraceSources(text, 1)
+	if !errors.Is(err, traceio.ErrBadMagic) || !strings.Contains(err.Error(), "dae-trace import") {
+		t.Errorf("text trace replayed as a container: %v", err)
+	}
+	if _, err := TraceSources("x", 0); err == nil {
 		t.Error("zero contexts accepted")
 	}
 }
@@ -123,39 +130,5 @@ func TestCatalog(t *testing.T) {
 	}
 	if _, err := CatalogByName("doom"); err == nil {
 		t.Error("unknown catalog name accepted")
-	}
-}
-
-// TestDecodeTraceStreamsFormats: the per-format decode paths agree on
-// the same records.
-func TestDecodeTraceStreamsFormats(t *testing.T) {
-	b, err := ByName("turb3d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := readN(t, b.NewReader(ReaderOpts{Seed: 3}), 200)
-
-	var legacy bytes.Buffer
-	lw, err := trace.NewWriter(&legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := lw.WriteAll(trace.Slice(want)); err != nil {
-		t.Fatal(err)
-	}
-	if err := lw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	streams, err := decodeTraceStreams(&legacy, "auto")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(streams) != 1 || len(streams[0]) != len(want) {
-		t.Fatalf("legacy decode shape %d/%d", len(streams), len(streams[0]))
-	}
-	for i := range want {
-		if streams[0][i] != want[i] {
-			t.Fatalf("legacy record %d differs", i)
-		}
 	}
 }

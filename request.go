@@ -38,9 +38,10 @@ const (
 type TraceRef struct {
 	// Path is the trace file location.
 	Path string `json:"path"`
-	// Format names the on-disk format ("container", "legacy", "bin",
-	// "text"); empty — the canonical spelling of "auto" — sniffs the
-	// magic bytes.
+	// Format is empty (the canonical spelling of "auto") or "container":
+	// the simulator replays containers only. The import-only formats
+	// ("legacy", "bin", "text") fail Validate; `dae-trace import`
+	// converts them.
 	Format string `json:"format,omitempty"`
 }
 
@@ -150,8 +151,8 @@ func CustomRequest(b Benchmark, m Machine, opts RunOpts) Request {
 	}.Normalized()
 }
 
-// TraceRequest describes the replay of a trace file on machine m. An
-// empty format sniffs the file's magic bytes.
+// TraceRequest describes the replay of a trace container on machine m.
+// The format is "" (the usual choice) or "container"; see TraceRef.
 func TraceRequest(path, format string, m Machine, opts RunOpts) Request {
 	return Request{
 		Machine:  m,
@@ -344,7 +345,7 @@ func (r Request) Validate() error {
 		if n.Workload.Trace == nil || n.Workload.Trace.Path == "" {
 			return invalid("trace workload without a trace path")
 		}
-		if _, err := traceio.ParseFormat(n.Workload.Trace.Format); err != nil {
+		if err := traceio.CheckReplayFormat(n.Workload.Trace.Format); err != nil {
 			return fmt.Errorf("%w: %w", ErrInvalidRequest, err)
 		}
 	default:

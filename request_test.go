@@ -3,6 +3,7 @@ package daesim
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -454,10 +455,14 @@ func TestRequestTraceNormalizationAndValidation(t *testing.T) {
 	if got := b.Normalized().Workload.Trace.Format; got != "" {
 		t.Errorf(`format "auto" normalized to %q, want ""`, got)
 	}
-	// A distinct explicit format is a different request.
-	d := TraceRequest("traces/swim.dct", "legacy", Figure2(2), RunOpts{})
+	// The spelled-out "container" format is valid but a different
+	// request: it keeps its own hash.
+	d := TraceRequest("traces/swim.dct", "container", Figure2(2), RunOpts{})
+	if err := d.Validate(); err != nil {
+		t.Errorf("explicit container format rejected: %v", err)
+	}
 	if a.Hash() == d.Hash() {
-		t.Error("explicit legacy format did not change the hash")
+		t.Error("explicit container format did not change the hash")
 	}
 
 	if err := a.Validate(); err != nil {
@@ -474,6 +479,9 @@ func TestRequestTraceNormalizationAndValidation(t *testing.T) {
 		{"missing reference", func(r *Request) { r.Workload.Trace = nil }},
 		{"empty path", func(r *Request) { r.Workload.Trace = &TraceRef{} }},
 		{"unknown format", func(r *Request) { r.Workload.Trace.Format = "pcap" }},
+		{"import-only legacy", func(r *Request) { r.Workload.Trace.Format = "legacy" }},
+		{"import-only bin", func(r *Request) { r.Workload.Trace.Format = "bin" }},
+		{"import-only text", func(r *Request) { r.Workload.Trace.Format = "text" }},
 		{"trace with bench", func(r *Request) { r.Workload.Bench = "swim" }},
 		{"trace with seed", func(r *Request) { r.Workload.Seed = 9 }},
 		{"trace with segment", func(r *Request) { r.Workload.SegmentLen = 100 }},
@@ -482,8 +490,12 @@ func TestRequestTraceNormalizationAndValidation(t *testing.T) {
 		req := a
 		req.Workload.Trace = &TraceRef{Path: a.Workload.Trace.Path, Format: a.Workload.Trace.Format}
 		tc.mutate(&req)
-		if err := req.Validate(); !errors.Is(err, ErrInvalidRequest) {
+		err := req.Validate()
+		if !errors.Is(err, ErrInvalidRequest) {
 			t.Errorf("%s: %v, want ErrInvalidRequest", tc.name, err)
+		}
+		if strings.HasPrefix(tc.name, "import-only") && !strings.Contains(fmt.Sprint(err), "dae-trace import") {
+			t.Errorf("%s: %v does not name dae-trace import", tc.name, err)
 		}
 	}
 }

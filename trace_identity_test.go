@@ -2,10 +2,13 @@ package daesim
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/traceio"
 	"repro/internal/workload"
 )
 
@@ -75,5 +78,28 @@ func TestTraceReplayByteIdentity(t *testing.T) {
 				t.Errorf("trace replay diverged from the generator run\ngenerator: %s\ntrace:     %s", wj, gj)
 			}
 		})
+	}
+}
+
+// TestTraceReplayRejectsInvalidRegisters: a container whose loads write
+// registers the machine lacks (r64, r100, r254) fails the run with
+// traceio.ErrCorrupt instead of crashing the core.
+func TestTraceReplayRejectsInvalidRegisters(t *testing.T) {
+	path := filepath.Join("internal", "traceio", "testdata", "r64-load.dct")
+	for _, m := range []Machine{Figure2(1), Figure2(4)} {
+		_, err := runOnce(TraceRequest(path, "", m, RunOpts{WarmupInsts: 100, MeasureInsts: 500}))
+		if !errors.Is(err, traceio.ErrCorrupt) {
+			t.Errorf("%d contexts: err = %v, want traceio.ErrCorrupt", m.TotalContexts(), err)
+		}
+	}
+}
+
+// TestTraceReplayRefusesImportOnlyFormats: a legacy file is not replayed;
+// the error names the command that converts it.
+func TestTraceReplayRefusesImportOnlyFormats(t *testing.T) {
+	path := filepath.Join("internal", "traceio", "testdata", "swim-2k.trace")
+	_, err := runOnce(TraceRequest(path, "", Figure2(1), RunOpts{WarmupInsts: 100, MeasureInsts: 500}))
+	if !errors.Is(err, traceio.ErrBadMagic) || !strings.Contains(err.Error(), "dae-trace import") {
+		t.Fatalf("err = %v, want ErrBadMagic naming dae-trace import", err)
 	}
 }
