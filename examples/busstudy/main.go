@@ -120,7 +120,7 @@ func main() {
 // bar renders a utilization bar of the given width for terminal output
 // (narrow bars fit two per column pair in the per-level table).
 func bar(frac float64, width int) string {
-	n := int(frac*float64(width) + 0.5)
+	n := int(float64(frac*float64(width)) + 0.5) // no fused multiply-add
 	if n > width {
 		n = width
 	}

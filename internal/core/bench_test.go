@@ -47,25 +47,26 @@ func benchConfigs() []benchConfig {
 	}
 }
 
-func newBenchCore(b *testing.B, m config.Machine) *core.Core {
+func newBenchCore(b *testing.B, m config.Machine) *core.CMP {
 	b.Helper()
-	c, err := core.New(m, workload.MixSources(m.Threads, workload.MixOpts{}))
+	c, err := core.NewCMP(m, workload.MixSources(m.Threads, workload.MixOpts{}))
 	if err != nil {
 		b.Fatal(err)
 	}
 	return c
 }
 
-// runTo advances the core (fast-forwarding) until the graduation target.
-func runTo(c *core.Core, insts int64) {
+// runTo advances the machine (fast-forwarding) until the graduation
+// target.
+func runTo(c *core.CMP, insts int64) {
 	const horizon = int64(1) << 50
-	for c.Collector().Graduated < insts {
+	for c.Graduated() < insts {
 		c.Step(horizon)
 	}
 }
 
 // BenchmarkCoreRun measures simulated instructions per second with the
-// fast-forward scheduler (the default mode of Core.Run and sim.Run).
+// fast-forward scheduler (the default mode of sim.Run).
 func BenchmarkCoreRun(b *testing.B) {
 	for _, cfg := range benchConfigs() {
 		b.Run(cfg.name, func(b *testing.B) {
@@ -74,7 +75,7 @@ func BenchmarkCoreRun(b *testing.B) {
 				c := newBenchCore(b, cfg.machine)
 				runTo(c, benchInsts)
 				skipped += c.SkippedCycles()
-				cycles += c.Collector().Cycles
+				cycles += c.Core(0).Collector().Cycles
 			}
 			reportSimRate(b, cycles)
 			b.ReportMetric(100*float64(skipped)/float64(cycles), "skipped-%")
@@ -90,10 +91,10 @@ func BenchmarkCoreRunStepped(b *testing.B) {
 			var cycles int64
 			for i := 0; i < b.N; i++ {
 				c := newBenchCore(b, cfg.machine)
-				for c.Collector().Graduated < benchInsts {
+				for c.Graduated() < benchInsts {
 					c.Tick()
 				}
-				cycles += c.Collector().Cycles
+				cycles += c.Core(0).Collector().Cycles
 			}
 			reportSimRate(b, cycles)
 		})
@@ -169,7 +170,7 @@ func BenchmarkWarp(b *testing.B) {
 					srcs[i] = trace.Func(s.Next)
 				}
 			}
-			c, err := core.New(cfg.machine, srcs)
+			c, err := core.NewCMP(cfg.machine, srcs)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -186,7 +187,7 @@ func BenchmarkWarp(b *testing.B) {
 // silent config/workload API drift.
 func TestBenchConfigsValid(t *testing.T) {
 	for _, cfg := range benchConfigs() {
-		if _, err := core.New(cfg.machine, workload.MixSources(cfg.machine.Threads, workload.MixOpts{})); err != nil {
+		if _, err := core.NewCMP(cfg.machine, workload.MixSources(cfg.machine.Threads, workload.MixOpts{})); err != nil {
 			t.Errorf("%s: %v", cfg.name, err)
 		}
 	}

@@ -11,18 +11,18 @@ import (
 
 // CMP composes N cores — each a complete SMT decoupled processor with
 // its own contexts, issue logic and private L1 — over a shared memory
-// fabric (mem.Interconnect). The cores tick in lockstep, in fixed index
-// order within each cycle, so shared-level arbitration is
+// fabric (mem.Interconnect). It is the only machine shape: the paper's
+// single-core machine is a one-core CMP. The cores tick in lockstep, in
+// fixed index order within each cycle, so shared-level arbitration is
 // first-come-first-served by core index: a deliberate, documented bias
 // that makes every run bit-reproducible and independent of GOMAXPROCS
 // (the whole machine advances on one goroutine).
 //
-// Fast-forward generalizes from the single core: a cycle in which no
-// core made progress is provably identical to every following cycle up
-// to the earliest event scheduled on ANY core's calendar — shared-level
-// fills are broadcast into every calendar — so the CMP skips to the
-// minimum over the per-core next events and bulk-replays each core's
-// constant per-cycle accounting.
+// Fast-forward: a cycle in which no core made progress is provably
+// identical to every following cycle up to the earliest event scheduled
+// on ANY core's calendar — shared-level fills are broadcast into every
+// calendar — so the CMP skips to the minimum over the per-core next
+// events and bulk-replays each core's constant per-cycle accounting.
 type CMP struct {
 	cfg   config.Machine
 	ic    *mem.Interconnect
@@ -34,9 +34,10 @@ type CMP struct {
 	progressed bool
 }
 
-// NewCMP builds an n-core machine for configuration m (Cores × Threads
-// contexts) with one instruction source per context, core-major:
-// sources[c*Threads+t] feeds core c's context t.
+// NewCMP builds the machine for configuration m (after applying the
+// latency scaling rule): CoreCount() cores of Threads contexts each, with
+// one instruction source per context, core-major: sources[c*Threads+t]
+// feeds core c's context t.
 func NewCMP(m config.Machine, sources []trace.Reader) (*CMP, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -111,10 +112,10 @@ func (p *CMP) Done() bool {
 	return true
 }
 
-// Tick advances the whole machine by one cycle: the shared fabric
-// first (lines install below before any core can request them this
-// cycle — the same bottom-up order the single-core System uses), then
-// each core in index order.
+// Tick advances the whole machine by one cycle: the fabric below the
+// L1s first (lines install below before any core can request them this
+// cycle), then each core in index order. Within a core, stages run back
+// to front (Core.Tick).
 func (p *CMP) Tick() {
 	now := p.cores[0].now + 1
 	p.progressed = p.ic.BeginCycle(now) > 0
@@ -127,10 +128,17 @@ func (p *CMP) Tick() {
 }
 
 // Step advances by at least one cycle, fast-forwarding over stretches
-// in which no core can make progress: the skip target is the earliest
-// event on any core's calendar, and each core bulk-replays its own
-// constant per-cycle accounting — bit-identical to ticking, which the
-// CMP equivalence tests enforce.
+// in which no core can make progress: when a Tick changes nothing but
+// the constant per-cycle stall accounting, every following cycle is
+// identical to it until the earliest event on any core's calendar (a
+// load or store completes, a branch resolves, fetch unfreezes, an
+// operand arrives, a level below installs a line), so Step jumps to the
+// cycle before that event and each core bulk-replays its own accounting
+// into the same waste buckets stepping would fill. Results are
+// bit-identical to calling Tick in a loop, which the equivalence tests
+// enforce. The machine never advances past the absolute cycle horizon.
+// A tick that discovers source exhaustion can drain the machine without
+// registering progress, so a pending skip is dropped once Done.
 func (p *CMP) Step(horizon int64) {
 	p.Tick()
 	if p.progressed || p.Now() >= horizon {
@@ -164,9 +172,12 @@ func (p *CMP) ResetStats() {
 
 // Report assembles the measurement-window report: collector counters
 // and L1 stats aggregated over the cores (fixed core order, so the
-// float waste buckets are deterministic), per-core retirement, and
-// MemLevels listing each core's private L1 (with its coherence
-// counters) ahead of the interconnect-owned shared or private levels.
+// float waste buckets are deterministic) and MemLevels listing the
+// interconnect-owned shared or private levels. A one-core machine
+// reports the paper's single-core shape: core 0's counters as they are,
+// no Cores, no per-core retirement and no L1 row. With more cores the
+// report adds per-core retirement, and MemLevels lists each core's
+// private L1 (with its coherence counters) ahead of the levels below.
 func (p *CMP) Report() stats.Report {
 	end := p.Now()
 	col := p.cores[0].col
@@ -174,26 +185,30 @@ func (p *CMP) Report() stats.Report {
 		col.MergeCore(&co.col)
 	}
 	window := col.Cycles
-	var ms mem.Stats
+	rep := stats.Report{
+		Collector: col,
+		Threads:   p.cfg.Threads,
+		Decoupled: p.cfg.Decoupled,
+		L2Latency: p.cfg.Mem.L2Latency,
+	}
+	n := len(p.cores)
+	if n == 1 {
+		ms := p.cores[0].mem
+		rep.Mem = ms.Stats()
+		rep.BusUtilization = ms.Bus().Utilization(end, window)
+		rep.MemLevels = p.ic.LevelStats(end, window)
+		return rep
+	}
 	var busUtil float64
-	perCore := make([]int64, len(p.cores))
-	levels := make([]mem.LevelStats, 0, len(p.cores))
+	rep.Cores = n
+	rep.PerCoreGraduated = make([]int64, n)
 	for c, co := range p.cores {
-		perCore[c] = co.col.Graduated
-		ms.Merge(co.mem.Stats())
+		rep.PerCoreGraduated[c] = co.col.Graduated
+		rep.Mem.Merge(co.mem.Stats())
 		busUtil += co.mem.Bus().Utilization(end, window)
-		levels = append(levels, co.mem.L1LevelStats(end, window))
+		rep.MemLevels = append(rep.MemLevels, co.mem.L1LevelStats(end, window))
 	}
-	levels = append(levels, p.ic.LevelStats(end, window)...)
-	return stats.Report{
-		Collector:        col,
-		Mem:              ms,
-		BusUtilization:   busUtil / float64(len(p.cores)),
-		Threads:          p.cfg.Threads,
-		Decoupled:        p.cfg.Decoupled,
-		L2Latency:        p.cfg.Mem.L2Latency,
-		MemLevels:        levels,
-		Cores:            len(p.cores),
-		PerCoreGraduated: perCore,
-	}
+	rep.BusUtilization = busUtil / float64(n)
+	rep.MemLevels = append(rep.MemLevels, p.ic.LevelStats(end, window)...)
+	return rep
 }

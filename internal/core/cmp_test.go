@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -70,6 +71,39 @@ func TestCMPLockstep(t *testing.T) {
 	if sum != p.Graduated() || sum != rep.Graduated {
 		t.Fatalf("graduated: per-core sum %d, Graduated() %d, report %d",
 			sum, p.Graduated(), rep.Graduated)
+	}
+}
+
+// TestCMPOneCoreReportShape pins the paper's single-core report shape
+// on a one-core CMP: no Cores, no per-core retirement, MemLevels listing
+// only the levels below the L1 (the shared L2, or nothing on the flat
+// model), and core 0's collector, L1 counters and bus as they are.
+func TestCMPOneCoreReportShape(t *testing.T) {
+	for _, m := range []config.Machine{cmpMachine(1), config.Figure2(2)} {
+		p, err := core.NewCMP(m, cmpSources(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p.Graduated() < 5_000 {
+			p.Step(1 << 50)
+		}
+		rep := p.Report()
+		if rep.Cores != 0 || rep.PerCoreGraduated != nil {
+			t.Errorf("one-core report has Cores %d, PerCoreGraduated %v", rep.Cores, rep.PerCoreGraduated)
+		}
+		if len(rep.MemLevels) != len(m.Mem.Hierarchy) {
+			t.Errorf("MemLevels = %+v, want the %d levels below the L1", rep.MemLevels, len(m.Mem.Hierarchy))
+		}
+		for _, l := range rep.MemLevels {
+			if strings.HasSuffix(l.Name, ".L1") {
+				t.Errorf("one-core MemLevels has an L1 row %q", l.Name)
+			}
+		}
+		ms := p.Core(0).Mem()
+		if rep.Collector != *p.Core(0).Collector() || rep.Mem != ms.Stats() ||
+			rep.BusUtilization != ms.Bus().Utilization(p.Now(), rep.Cycles) {
+			t.Errorf("one-core report is not core 0's window: %+v", rep)
+		}
 	}
 }
 

@@ -51,7 +51,7 @@ type Core struct {
 	// cal is the event calendar: every future cycle at which machine
 	// state can change on its own is inserted the moment its time
 	// becomes known (loads accepted, branches issued, registers
-	// written, redirects), and Step's fast-forward reads the earliest
+	// written, redirects), and CMP.Step's fast-forward reads the earliest
 	// pending event with one O(1) peek.
 	cal calendar
 	// branchResolveAt is the earliest issued-branch resolution time
@@ -63,12 +63,12 @@ type Core struct {
 	col stats.Collector
 
 	// skippedCycles counts cycles fast-forwarded over rather than ticked
-	// (for reporting; they are fully accounted in the collector).
+	// (CMP.SkippedCycles; they are fully accounted in the collector).
 	skippedCycles int64
 	// progressed reports whether the last Tick changed machine state
 	// beyond the constant per-cycle stall accounting. A cycle without
 	// progress is provably identical to every following cycle up to the
-	// next scheduled event, which is what lets Step fast-forward.
+	// next scheduled event, which is what lets CMP.Step fast-forward.
 	progressed bool
 	// fetchFrozen suspends the fetch stage while DrainPipeline empties
 	// the machine to the architectural boundary a functional warp
@@ -99,35 +99,13 @@ type Core struct {
 	orderBuf    []int
 }
 
-// New builds a core for machine m (after applying the latency scaling
-// rule) with one instruction source per thread.
-func New(m config.Machine, sources []trace.Reader) (*Core, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	m = m.Effective()
-	ms, err := mem.New(m.Mem)
-	if err != nil {
-		return nil, err
-	}
-	return newCore(m, sources, ms)
-}
-
-// newCore wires a core around an already-built memory system (its own,
-// from New, or a CMP interconnect slot, from NewCMP). m must already be
-// effective and validated.
+// newCore wires a core around its slot of a CMP interconnect. m must
+// already be effective and validated.
 func newCore(m config.Machine, sources []trace.Reader, ms *mem.System) (*Core, error) {
 	if len(sources) != m.Threads {
 		return nil, fmt.Errorf("core: %d sources for %d threads", len(sources), m.Threads)
 	}
 	c := &Core{cfg: m, mem: ms, branchResolveAt: Never, spec: newSpec(m.Spec)}
-	// Shared hierarchy levels (finite L2 and below) install lines — and
-	// book dirty-victim write-backs on their downstream buses — at their
-	// fill cycles; registering the calendar here guarantees the machine
-	// ticks at exactly those cycles, so fast-forwarding stays
-	// bit-identical to stepping. The default flat model books no such
-	// fills and never calls back.
-	ms.SetFillScheduler(func(at int64) { c.cal.schedule(c.now, at) })
 	for i := 0; i < m.Threads; i++ {
 		ctx, err := newContext(i, m, sources[i])
 		if err != nil {
@@ -149,11 +127,6 @@ func (c *Core) Mem() *mem.System { return c.mem }
 
 // Now returns the current cycle.
 func (c *Core) Now() int64 { return c.now }
-
-// SkippedCycles returns how many cycles Step fast-forwarded over instead
-// of simulating stage by stage. The skipped cycles are fully accounted in
-// the collector; this counter only measures the scheduler's leverage.
-func (c *Core) SkippedCycles() int64 { return c.skippedCycles }
 
 // Collector returns the statistics collector (mutable; reset between
 // warm-up and measurement).
@@ -196,61 +169,6 @@ func (c *Core) Tick() {
 	c.dispatchStallDelta = c.col.DispatchStalls - dispatchStalls
 	c.conflictStallDelta = c.col.LoadConflictStalls - conflictStalls
 	c.lodStallDelta = c.col.LoDStalls - lodStalls
-}
-
-// Step advances the machine by at least one cycle, fast-forwarding over
-// provably idle stretches: when a Tick makes no forward progress, every
-// following cycle is identical to it until the next scheduled event (a
-// load or store completes, a branch resolves, fetch unfreezes, an operand
-// arrives), so Step jumps directly to the cycle before that event,
-// bulk-accounting the skipped cycles into the same waste buckets stepping
-// would fill. Results are bit-identical to calling Tick in a loop. The
-// machine never advances past the absolute cycle horizon.
-func (c *Core) Step(horizon int64) {
-	c.Tick()
-	if c.progressed || c.now >= horizon {
-		return
-	}
-	end := c.nextEventAt() - 1
-	if end > horizon {
-		end = horizon
-	}
-	// A tick that discovers source exhaustion can drain the machine
-	// without registering progress; never skip once Done. The check runs
-	// only when a non-empty skip is actually pending, keeping the
-	// no-progress-but-event-imminent path (busy low-latency machines)
-	// free of the context scan.
-	if end > c.now && !c.Done() {
-		c.fastForward(end - c.now)
-	}
-}
-
-// Run advances until every source is drained or the cycle limit is hit
-// (fast-forwarding over idle stretches); it returns the number of cycles
-// executed and whether the machine drained.
-func (c *Core) Run(maxCycles int64) (int64, bool) {
-	start := c.now
-	for !c.Done() {
-		if c.now-start >= maxCycles {
-			return c.now - start, false
-		}
-		c.Step(start + maxCycles)
-	}
-	return c.now - start, true
-}
-
-// RunStepped is Run without fast-forwarding: the golden reference the
-// equivalence tests compare Run against, and the baseline the speedup
-// benchmarks measure.
-func (c *Core) RunStepped(maxCycles int64) (int64, bool) {
-	start := c.now
-	for !c.Done() {
-		if c.now-start >= maxCycles {
-			return c.now - start, false
-		}
-		c.Tick()
-	}
-	return c.now - start, true
 }
 
 // ----------------------------------------------------------------------------

@@ -44,11 +44,58 @@ func brInst(pc uint64, cond int, taken bool) isa.Inst {
 	return isa.Inst{PC: pc, Op: isa.OpBranch, Dest: isa.NoReg, Src1: isa.IntReg(cond), Src2: isa.NoReg, Taken: taken}
 }
 
-// runTrace builds a single-thread core over the given instructions, runs
-// it to completion and returns it.
-func runTrace(t *testing.T, m config.Machine, insts []isa.Inst) *Core {
+// machine is the single-core machine as the tests drive it: a one-core
+// CMP, with its core's accessors promoted.
+type machine struct {
+	*Core
+	p *CMP
+}
+
+// newMachine builds the one-core CMP for m, one source per thread.
+func newMachine(m config.Machine, sources []trace.Reader) (machine, error) {
+	p, err := NewCMP(m, sources)
+	if err != nil {
+		return machine{}, err
+	}
+	return machine{p.Core(0), p}, nil
+}
+
+// Tick advances the whole machine one cycle (the levels below the L1
+// first, as CMP.Tick does).
+func (m machine) Tick()                { m.p.Tick() }
+func (m machine) DrainPipeline() bool  { return m.p.DrainPipeline() }
+func (m machine) Warp(n int64) int64   { return m.p.Warp(n) }
+func (m machine) SkippedCycles() int64 { return m.p.SkippedCycles() }
+
+// Run advances until every source is drained or maxCycles pass,
+// fast-forwarding over idle stretches; it returns the number of cycles
+// executed and whether the machine drained.
+func (m machine) Run(maxCycles int64) (int64, bool) { return m.run(maxCycles, false) }
+
+// RunStepped is Run ticking every cycle: the golden reference the
+// fast-forward equivalence tests compare Run against.
+func (m machine) RunStepped(maxCycles int64) (int64, bool) { return m.run(maxCycles, true) }
+
+func (m machine) run(maxCycles int64, stepped bool) (int64, bool) {
+	start := m.Now()
+	for !m.Done() {
+		if m.Now()-start >= maxCycles {
+			return m.Now() - start, false
+		}
+		if stepped {
+			m.p.Tick()
+		} else {
+			m.p.Step(start + maxCycles)
+		}
+	}
+	return m.Now() - start, true
+}
+
+// runTrace builds a single-thread machine over the given instructions,
+// runs it to completion and returns it.
+func runTrace(t *testing.T, m config.Machine, insts []isa.Inst) machine {
 	t.Helper()
-	c, err := New(m, []trace.Reader{trace.Slice(insts)})
+	c, err := newMachine(m, []trace.Reader{trace.Slice(insts)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +523,7 @@ func TestSMTThroughputScales(t *testing.T) {
 		for i := range srcs {
 			srcs[i] = trace.Slice(mk())
 		}
-		c, err := New(config.Figure2(threads), srcs)
+		c, err := newMachine(config.Figure2(threads), srcs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -534,7 +581,7 @@ func TestEmptyTrace(t *testing.T) {
 }
 
 func TestThreadCountMismatch(t *testing.T) {
-	_, err := New(config.Figure2(2), []trace.Reader{trace.Slice(nil)})
+	_, err := newMachine(config.Figure2(2), []trace.Reader{trace.Slice(nil)})
 	if err == nil {
 		t.Fatal("accepted 1 source for 2 threads")
 	}
@@ -543,7 +590,7 @@ func TestThreadCountMismatch(t *testing.T) {
 func TestInvalidConfigRejected(t *testing.T) {
 	m := config.Figure2(1)
 	m.IQSize = 0
-	_, err := New(m, []trace.Reader{trace.Slice(nil)})
+	_, err := newMachine(m, []trace.Reader{trace.Slice(nil)})
 	if err == nil {
 		t.Fatal("accepted invalid machine")
 	}
@@ -552,7 +599,7 @@ func TestInvalidConfigRejected(t *testing.T) {
 func TestRunCycleLimit(t *testing.T) {
 	// A trace the machine cannot finish in 3 cycles must report
 	// not-drained rather than hanging.
-	c, err := New(oneThread(), []trace.Reader{trace.Slice(slipTrace(100))})
+	c, err := newMachine(oneThread(), []trace.Reader{trace.Slice(slipTrace(100))})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,13 +24,13 @@ func highLatency() config.Machine {
 // runPair runs the same machine and trace through Run and RunStepped and
 // requires identical results; it returns the fast core for further
 // assertions.
-func runPair(t *testing.T, m config.Machine, insts []isa.Inst, maxCycles int64) (*Core, *Core) {
+func runPair(t *testing.T, m config.Machine, insts []isa.Inst, maxCycles int64) (machine, machine) {
 	t.Helper()
-	fast, err := New(m, []trace.Reader{trace.Slice(insts)})
+	fast, err := newMachine(m, []trace.Reader{trace.Slice(insts)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stepped, err := New(m, []trace.Reader{trace.Slice(insts)})
+	stepped, err := newMachine(m, []trace.Reader{trace.Slice(insts)})
 	if err != nil {
 		t.Fatal(err)
 	}

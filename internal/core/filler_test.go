@@ -51,7 +51,7 @@ func TestQuickFillerDrainsLikePlainReader(t *testing.T) {
 					sources[i] = trace.Slice(insts)
 				}
 			}
-			c, err := New(config.Figure2(threads), sources)
+			c, err := newMachine(config.Figure2(threads), sources)
 			if err != nil {
 				return stats.Collector{}, 0, false
 			}

@@ -14,13 +14,13 @@ import (
 )
 
 // runThreads builds a core with one trace per thread and drains it.
-func runThreads(t *testing.T, m config.Machine, traces ...[]isa.Inst) *Core {
+func runThreads(t *testing.T, m config.Machine, traces ...[]isa.Inst) machine {
 	t.Helper()
 	sources := make([]trace.Reader, len(traces))
 	for i, tr := range traces {
 		sources[i] = trace.Slice(tr)
 	}
-	c, err := New(m.WithThreads(len(traces)), sources)
+	c, err := newMachine(m.WithThreads(len(traces)), sources)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestQuickProgramsDrainBothModes(t *testing.T) {
 		}
 		insts := genProgram(data)
 		run := func(m config.Machine) (int64, int64, bool) {
-			c, err := New(m, []trace.Reader{trace.Slice(insts)})
+			c, err := newMachine(m, []trace.Reader{trace.Slice(insts)})
 			if err != nil {
 				return 0, 0, false
 			}
@@ -341,7 +341,7 @@ func TestQuickSlotAccountingIdentity(t *testing.T) {
 		for i := range sources {
 			sources[i] = trace.Slice(genProgram(data))
 		}
-		c, err := New(config.Figure2(threads), sources)
+		c, err := newMachine(config.Figure2(threads), sources)
 		if err != nil {
 			return false
 		}
@@ -374,7 +374,7 @@ func TestQuickPerceivedBounded(t *testing.T) {
 			return true
 		}
 		m := config.Figure2(1).WithL2Latency(64)
-		c, err := New(m, []trace.Reader{trace.Slice(genProgram(data))})
+		c, err := newMachine(m, []trace.Reader{trace.Slice(genProgram(data))})
 		if err != nil {
 			return false
 		}

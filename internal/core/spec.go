@@ -61,7 +61,9 @@ func fracThresh(f float64) uint64 {
 		return ^uint64(0)
 	}
 	// Two power-of-two scalings: exact, and the product stays below 2⁶⁴.
-	return uint64(f * float64(1<<63) * 2)
+	// The conversion keeps the compiler from fusing the first product
+	// into the doubling (x*2 becomes x+x) as a multiply-add.
+	return uint64(float64(f*float64(1<<63)) * 2)
 }
 
 // specHash mixes one load's identity into a uniform draw (splitmix64

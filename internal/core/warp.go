@@ -30,22 +30,6 @@ func (c *Core) PipelineEmpty() bool {
 	return true
 }
 
-// DrainPipeline freezes fetch and ticks the machine until the pipeline
-// has emptied and the memory system has no miss in flight — the clean
-// boundary the functional warp resumes from — then unfreezes fetch. It
-// reports whether the drain completed within the cycle guard. The
-// drained cycles are simulated normally and land in the current
-// statistics window; the sampling driver resets statistics afterwards.
-func (c *Core) DrainPipeline() bool {
-	c.fetchFrozen = true
-	limit := c.now + drainMaxCycles
-	for !(c.PipelineEmpty() && c.mem.Quiescent()) && c.now < limit {
-		c.Tick()
-	}
-	c.fetchFrozen = false
-	return c.PipelineEmpty() && c.mem.Quiescent()
-}
-
 // warpLane is one context as the functional warp sees it: its current
 // source window and the state its instructions touch. bht is the
 // context's predictor when it is the paper's BHT, trained directly
@@ -55,15 +39,6 @@ type warpLane struct {
 	bht *branch.BHT // ctx.Pred when it is a BHT, else nil
 	mem *mem.System
 	win []isa.Inst
-}
-
-// appendLanes appends one warp lane per context, in context order.
-func (c *Core) appendLanes(lanes []warpLane) []warpLane {
-	for _, ctx := range c.ctxs {
-		bht, _ := ctx.Pred.(*branch.BHT)
-		lanes = append(lanes, warpLane{ctx: ctx, bht: bht, mem: c.mem})
-	}
-	return lanes
 }
 
 // replay applies the first k records of every live lane's window, round
@@ -132,27 +107,13 @@ func warp(lanes []warpLane, n int64) int64 {
 	return done
 }
 
-// Warp advances architectural state by up to n instructions without any
-// timing: trace cursors move, branch predictors train, and the memory
-// footprint warms the caches functionally. Contexts take turns one
-// instruction at a time, mirroring fetch's rotation. Simulated time does
-// not advance and no statistics change. It returns the number of
-// instructions consumed, which falls short of n only when every source
-// runs dry. Call only on a drained pipeline (DrainPipeline).
-//
-// The speculative-DAE extension is a timing model (squash penalties and
-// LoD fetch holds) and is deliberately not applied across a warp: the
-// warped instructions' speculative prefetches coincide with their own
-// functional warming, and the per-context LoD countdown simply does not
-// advance. Sampled-mode runs therefore estimate a machine whose gaps
-// are speculation-free; exact runs model every event.
-func (c *Core) Warp(n int64) int64 {
-	return warp(c.appendLanes(nil), n)
-}
-
-// DrainPipeline is the CMP drain: fetch freezes on every core and the
-// lockstep machine ticks until all pipelines and memory systems are
-// quiet.
+// DrainPipeline freezes fetch on every core and ticks the lockstep
+// machine until every pipeline has emptied and no memory system has a
+// miss in flight — the clean boundary the functional warp resumes from —
+// then unfreezes fetch. It reports whether the drain completed within
+// the cycle guard. The drained cycles are simulated normally and land in
+// the current statistics window; the sampling driver resets statistics
+// afterwards.
 func (p *CMP) DrainPipeline() bool {
 	for _, co := range p.cores {
 		co.fetchFrozen = true
@@ -176,13 +137,29 @@ func (p *CMP) drained() bool {
 	return true
 }
 
-// Warp is the CMP functional warp: each round visits every core in index
-// order, one instruction per context — the same deterministic
-// interleaving lockstep ticking gives the detailed machine.
+// Warp advances architectural state by up to n instructions without any
+// timing: trace cursors move, branch predictors train, and the memory
+// footprint warms the caches functionally. Each round visits every core
+// in index order, one instruction per context — mirroring fetch's
+// rotation and the deterministic interleaving lockstep ticking gives the
+// detailed machine. Simulated time does not advance and no statistics
+// change. It returns the number of instructions consumed, which falls
+// short of n only when every source runs dry. Call only on a drained
+// pipeline (DrainPipeline).
+//
+// The speculative-DAE extension is a timing model (squash penalties and
+// LoD fetch holds) and is deliberately not applied across a warp: the
+// warped instructions' speculative prefetches coincide with their own
+// functional warming, and the per-context LoD countdown simply does not
+// advance. Sampled-mode runs therefore estimate a machine whose gaps
+// are speculation-free; exact runs model every event.
 func (p *CMP) Warp(n int64) int64 {
 	var lanes []warpLane
 	for _, co := range p.cores {
-		lanes = co.appendLanes(lanes)
+		for _, ctx := range co.ctxs {
+			bht, _ := ctx.Pred.(*branch.BHT)
+			lanes = append(lanes, warpLane{ctx: ctx, bht: bht, mem: co.mem})
+		}
 	}
 	return warp(lanes, n)
 }

@@ -28,7 +28,7 @@ func TestDecoupledDrainSlackCounterexample(t *testing.T) {
 	}
 	insts := genProgram(data)
 	run := func(m config.Machine) (int64, int64) {
-		c, err := New(m, []trace.Reader{trace.Slice(insts)})
+		c, err := newMachine(m, []trace.Reader{trace.Slice(insts)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func warpProgram(n int, addrBase uint64) []isa.Inst {
 // remainder of the program still drains on the timed path.
 func TestWarpAdvancesArchitecturalStateOnly(t *testing.T) {
 	insts := warpProgram(200, 0x10000)
-	c, err := New(config.Figure2(1), []trace.Reader{trace.Slice(insts)})
+	c, err := newMachine(config.Figure2(1), []trace.Reader{trace.Slice(insts)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestWarpRoundRobinAcrossContexts(t *testing.T) {
 	// distance is not a multiple of the cache size).
 	a := warpProgram(40, 0x10000)
 	b := warpProgram(40, 0x24000)
-	c, err := New(config.Figure2(2), []trace.Reader{trace.Slice(a), trace.Slice(b)})
+	c, err := newMachine(config.Figure2(2), []trace.Reader{trace.Slice(a), trace.Slice(b)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestWarpRoundRobinAcrossContexts(t *testing.T) {
 		t.Error("round-robin warp did not touch both contexts' footprints")
 	}
 	// An exhausted context is skipped, the other drains the budget.
-	short, err := New(config.Figure2(2), []trace.Reader{
+	short, err := newMachine(config.Figure2(2), []trace.Reader{
 		trace.Slice(a[:3]), trace.Slice(b)})
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +147,7 @@ func TestWarpRoundRobinAcrossContexts(t *testing.T) {
 // and fetch unfrozen afterwards (the machine still finishes).
 func TestDrainPipelineReachesQuietBoundary(t *testing.T) {
 	insts := warpProgram(400, 0x10000)
-	c, err := New(config.Figure2(1), []trace.Reader{trace.Slice(insts)})
+	c, err := newMachine(config.Figure2(1), []trace.Reader{trace.Slice(insts)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,16 +249,6 @@ func oracleWarp(cores []*Core, n int64) int64 {
 	return done
 }
 
-// sampledMachine is the surface Core and CMP share for sampled execution.
-type sampledMachine interface {
-	Tick()
-	Step(horizon int64)
-	DrainPipeline() bool
-	Warp(n int64) int64
-	Done() bool
-	Now() int64
-}
-
 // warpMachines are the machine shapes the kernel must match the oracle
 // on: the flat-tag path (one core, or a CMP declared disjoint), and every
 // fallback — an ablation predictor, an associative L1, a finite shared
@@ -300,7 +290,7 @@ func TestQuickWarpMatchesOracle(t *testing.T) {
 		threads := int(threadsRaw%3) + 1
 		for _, wm := range warpMachines {
 			m := wm.machine(threads)
-			build := func() (sampledMachine, []*Core) {
+			build := func() (*CMP, []*Core) {
 				sources := make([]trace.Reader, m.CoreCount()*threads)
 				for i := range sources {
 					var insts []isa.Inst
@@ -320,13 +310,6 @@ func TestQuickWarpMatchesOracle(t *testing.T) {
 					} else {
 						sources[i] = trace.Slice(insts)
 					}
-				}
-				if m.CoreCount() == 1 {
-					c, err := New(m, sources)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return c, []*Core{c}
 				}
 				p, err := NewCMP(m, sources)
 				if err != nil {
@@ -391,7 +374,7 @@ func TestQuickWarpMatchesOracle(t *testing.T) {
 // drivers rely on.
 func TestCoreAccessors(t *testing.T) {
 	m := config.Figure2(2)
-	c, err := New(m, []trace.Reader{
+	c, err := newMachine(m, []trace.Reader{
 		trace.Slice(warpProgram(10, 0x1000)), trace.Slice(warpProgram(10, 0x2000))})
 	if err != nil {
 		t.Fatal(err)

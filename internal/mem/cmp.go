@@ -2,11 +2,12 @@ package mem
 
 import "fmt"
 
-// This file composes several cores' private memory systems over shared
-// lower levels: the Interconnect owns everything below the private L1s —
-// the finite shared hierarchy (or one private chain per core over the
-// shared DRAM, for the private-L2 ablation axis), plus the
-// write-invalidate coherence fabric between the L1s.
+// This file composes one or more cores' private memory systems over
+// the lower levels: the Interconnect owns everything below the private
+// L1s — the flat L2 terminus or the finite shared hierarchy (or one
+// private chain per core over the shared DRAM, for the private-L2
+// ablation axis), plus the write-invalidate coherence fabric between the
+// L1s. A one-core interconnect is the paper's machine.
 //
 // Coherence is deliberately simple (and documented in DESIGN.md §9): on
 // every store a core performs, the interconnect eagerly invalidates the
@@ -19,7 +20,7 @@ import "fmt"
 // traffic timing is eager, matching the eager tag-probe approximation
 // the single-core miss pipeline already uses.
 
-// Interconnect is the shared memory fabric of a chip multiprocessor:
+// Interconnect is the memory fabric of a machine of one or more cores:
 // the levels below the cores' private L1s, and the coherence broadcast
 // between them. Create with NewInterconnect, then attach one core per
 // System slot. Like System, it is single-goroutine by design: the CMP
@@ -56,8 +57,10 @@ type Interconnect struct {
 	disjoint bool
 }
 
-// NewInterconnect builds the shared fabric for the given number of
+// NewInterconnect builds the memory fabric for the given number of
 // cores. Each core's private System is pre-built; fetch it with System.
+// It is the only way to build a memory system: the paper's single-core
+// machine is a one-core interconnect.
 func NewInterconnect(cfg Config, cores int) (*Interconnect, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -65,7 +68,8 @@ func NewInterconnect(cfg Config, cores int) (*Interconnect, error) {
 	if cores < 1 {
 		return nil, fmt.Errorf("mem: interconnect needs at least one core, got %d", cores)
 	}
-	ic := &Interconnect{cfg: cfg, cores: cores}
+	// One core has no remote copies to invalidate, whatever the workload.
+	ic := &Interconnect{cfg: cfg, cores: cores, disjoint: cores == 1}
 
 	// Backend below each core's L1, by mode.
 	lower := make([]backend, cores)
@@ -134,8 +138,9 @@ func (ic *Interconnect) System(c int) *System { return ic.systems[c] }
 
 // SetDisjointAddressSpaces declares (or retracts) the workload's promise
 // that no two cores ever touch the same line, letting the functional
-// warm path skip its invalidate broadcast (see the disjoint field).
-func (ic *Interconnect) SetDisjointAddressSpaces(v bool) { ic.disjoint = v }
+// warm path skip its invalidate broadcast (see the disjoint field). A
+// one-core interconnect stays disjoint.
+func (ic *Interconnect) SetDisjointAddressSpaces(v bool) { ic.disjoint = v || ic.cores == 1 }
 
 // eachLevel visits every level the interconnect owns (shared chain or
 // all private chains).
@@ -150,10 +155,14 @@ func (ic *Interconnect) eachLevel(fn func(*level)) {
 	}
 }
 
-// SetFillScheduler registers fn with every level the interconnect owns,
-// exactly as System.SetFillScheduler does for a single core's hierarchy:
-// the CMP driver registers the cores' event calendars here so
-// fast-forwarding never skips a shared-level (or private-L2) fill cycle.
+// SetFillScheduler registers fn to be called with every future fill
+// cycle a level the interconnect owns books. The CMP driver registers
+// the cores' event calendars here, so fast-forwarding never skips the
+// cycle at which a shared (or private-L2) cache installs a line and its
+// dirty victim, if any, books bus time — the invariant the
+// stepped/fast equivalence suite relies on. The flat model books no
+// internal fills; fn is never called there. The L1s' own fill times
+// travel back through access Results and are scheduled by the cores.
 func (ic *Interconnect) SetFillScheduler(fn func(at int64)) {
 	ic.eachLevel(func(l *level) { l.sched = fn })
 }

@@ -80,7 +80,8 @@ type LevelStats struct {
 	Writebacks int64
 	// BusUtilization is the fraction of the measurement window the
 	// level's downstream bus was busy (the memory bus, for the last
-	// level). Filled in by System.LevelStats.
+	// level). Filled in by Interconnect.LevelStats and
+	// System.L1LevelStats.
 	BusUtilization float64
 	// Invalidations counts lines invalidated by a remote core's write
 	// (CMP write-invalidate coherence; always 0 — and omitted from

@@ -14,8 +14,12 @@
 //   - a 16-byte/cycle bus per level carrying miss requests, line refills
 //     and dirty write-backs.
 //
-// The subsystem is cycle-stepped: the core calls BeginCycle once per cycle
-// (which completes fills bottom-up and frees MSHRs), then issues
+// An Interconnect owns everything below the L1s, for one core (the
+// paper's machine) or several; each core's System is its slot there.
+// The subsystem is cycle-stepped: the driver calls
+// Interconnect.BeginCycle and then each core's System.BeginCycle once
+// per cycle (completing fills bottom-up and freeing MSHRs); the core then
+// issues
 // Load/StoreCommit accesses, which either succeed with a data-ready cycle
 // or report a structural stall (no free port, no free MSHR at some level)
 // to be retried next cycle.
@@ -165,7 +169,7 @@ type Result struct {
 // into a pending MSHR are delayed hits and appear only in
 // SecondaryMisses — the accounting Figure 1-c of the paper implies (its
 // ratios track lines fetched, not stalled accesses). Shared hierarchy
-// levels keep their own LevelStats (System.LevelStats).
+// levels keep their own LevelStats (Interconnect.LevelStats).
 type Stats struct {
 	LoadAccesses    int64
 	LoadMisses      int64
@@ -213,56 +217,27 @@ func (s *Stats) Merge(o Stats) {
 	s.LowerRejects += o.LowerRejects
 }
 
-// System is the memory subsystem: the port-arbitrated L1 level over a
-// backend chain of shared levels ending in a fixed-latency terminus.
-// Create with New; not safe for concurrent use (the simulator is
+// System is one core's private memory subsystem: the port-arbitrated
+// L1 level over the backend chain its Interconnect owns (shared levels,
+// this core's private chain, or the flat infinite L2), ending in a
+// fixed-latency terminus. Build it with NewInterconnect — a single-core
+// machine is a one-core interconnect — and fetch it with
+// Interconnect.System. Not safe for concurrent use (the simulator is
 // single-goroutine by design).
 type System struct {
 	cfg Config
 	l1  *level
-	// levels are the shared hierarchy levels under the L1, top-down
-	// (levels[0] is the L2). Nil in the default flat model.
-	levels []*level
 
 	now       int64
 	portsUsed int
 	stats     Stats
 	l1Stats   LevelStats
-	// levelStats backs each shared level's counters.
-	levelStats []LevelStats
 
-	// ic and coreID attach this System to a CMP interconnect: the shared
-	// levels live in the interconnect (s.levels is nil then) and stores
-	// broadcast write-invalidations to the other cores' private levels.
-	// Nil on the paper's single-core machine.
+	// ic owns every level below the L1; stores broadcast
+	// write-invalidations through it to the other cores' private levels
+	// (none on a one-core machine). coreID is this System's slot.
 	ic     *Interconnect
 	coreID int
-}
-
-// New builds a memory subsystem. It returns an error for invalid
-// configurations.
-func New(cfg Config) (*System, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	s := &System{cfg: cfg}
-	// Build bottom-up: DRAM (or the flat infinite L2) first, then each
-	// shared level over it, then the L1 on top.
-	var lower backend = terminus{latency: cfg.L2Latency}
-	if n := len(cfg.Hierarchy); n > 0 {
-		lower = terminus{latency: cfg.DRAMLatency}
-		s.levelStats = make([]LevelStats, n)
-		s.levels = make([]*level, n)
-		for i := n - 1; i >= 0; i-- {
-			spec := cfg.Hierarchy[i]
-			s.levelStats[i].Name = levelName(spec, i)
-			s.levels[i] = newLevel(spec.Cache, spec.MSHRs, spec.HitLatency,
-				spec.BusBytesPerCycle, lower, &s.levelStats[i])
-			lower = s.levels[i]
-		}
-	}
-	s.l1 = newLevel(cfg.L1, cfg.MSHRs, cfg.HitLatency, cfg.BusBytesPerCycle, lower, &s.l1Stats)
-	return s, nil
 }
 
 // Config returns the configuration.
@@ -274,35 +249,12 @@ func (s *System) Bus() *bus.Bus { return s.l1.bus }
 // Cache exposes the L1 tag array (for tests and reports).
 func (s *System) Cache() *cache.Cache { return s.l1.tags }
 
-// LevelCache exposes shared level i's tag array (for tests and reports).
-func (s *System) LevelCache(i int) *cache.Cache { return s.levels[i].tags }
-
-// LevelBus exposes shared level i's downstream bus (the memory bus, for
-// the last level).
-func (s *System) LevelBus(i int) *bus.Bus { return s.levels[i].bus }
-
 // Stats returns a snapshot of the L1 counters.
 func (s *System) Stats() Stats {
 	st := s.stats
 	st.Fills = s.l1Stats.Fills
 	st.Writebacks = s.l1Stats.Writebacks
 	return st
-}
-
-// LevelStats returns per-shared-level counters with downstream-bus
-// utilization computed over the measurement window ending at cycle end
-// (nil for the default flat model, keeping report encodings unchanged).
-func (s *System) LevelStats(end, window int64) []LevelStats {
-	if len(s.levels) == 0 {
-		return nil
-	}
-	out := make([]LevelStats, len(s.levels))
-	for i, l := range s.levels {
-		ls := *l.lstats
-		ls.BusUtilization = l.bus.Utilization(end, window)
-		out[i] = ls
-	}
-	return out
 }
 
 // L1LevelStats returns the private L1's counters in LevelStats form
@@ -324,7 +276,7 @@ func (s *System) L1LevelStats(end, window int64) LevelStats {
 func (s *System) MSHRsInUse() int { return s.l1.mshrsInUse }
 
 // Quiescent reports whether no miss is in flight at the L1 or at any
-// finite level below it (this core's view, for CMP machines): the
+// finite level below it (this core's view of the chain): the
 // memory-side half of the drained-machine condition sampled execution
 // warps from.
 func (s *System) Quiescent() bool {
@@ -339,36 +291,17 @@ func (s *System) Quiescent() bool {
 	return true
 }
 
-// SetFillScheduler registers fn to be called with every future fill
-// cycle a shared level books. The core registers its event calendar
-// here, so fast-forwarding never skips the cycle at which a shared
-// cache installs a line (and its dirty victim, if any, books memory-bus
-// time) — the invariant the stepped/fast equivalence suite relies on.
-// The default flat model books no internal fills; fn is never called
-// there. The L1's own fill times travel back through access Results and
-// are scheduled by the core directly.
-func (s *System) SetFillScheduler(fn func(at int64)) {
-	for _, l := range s.levels {
-		l.sched = fn
-	}
-}
-
-// BeginCycle advances the subsystem to the given cycle: it releases the
-// access ports and completes any refills whose data has arrived — bottom
-// level first, so a line installs below before (hypothetically) being
-// requested from above in the same cycle — installing lines (write-backs
-// of dirty victims reserve bus bandwidth) and freeing MSHRs. It returns
-// the number of lines installed anywhere, which is zero on quiescent
-// cycles.
+// BeginCycle advances the L1 to the given cycle: it releases the access
+// ports and completes any refills whose data has arrived, installing
+// lines (write-backs of dirty victims reserve bus bandwidth) and freeing
+// MSHRs. The levels below advance first, in Interconnect.BeginCycle, so
+// a line installs below before (hypothetically) being requested from
+// above in the same cycle. It returns the number of lines installed,
+// which is zero on quiescent cycles.
 func (s *System) BeginCycle(now int64) int {
 	s.now = now
 	s.portsUsed = 0
-	filled := 0
-	for i := len(s.levels) - 1; i >= 0; i-- {
-		filled += s.levels[i].beginCycle(now)
-	}
-	filled += s.l1.beginCycle(now)
-	return filled
+	return s.l1.beginCycle(now)
 }
 
 // access implements the shared load/store path. isStore selects
@@ -385,9 +318,7 @@ func (s *System) access(addr uint64, isStore bool) Result {
 		s.count(isStore, false)
 		if isStore {
 			l1.tags.SetDirty(addr)
-			if s.ic != nil {
-				s.ic.invalidateRemote(s.coreID, line)
-			}
+			s.ic.invalidateRemote(s.coreID, line)
 		}
 		return Result{OK: true, ReadyAt: s.now + s.cfg.HitLatency}
 	}
@@ -400,8 +331,6 @@ func (s *System) access(addr uint64, isStore bool) Result {
 		e.cancelled = false // a fresh access re-arms an invalidated fill
 		if isStore {
 			e.dirty = true
-		}
-		if isStore && s.ic != nil {
 			s.ic.invalidateRemote(s.coreID, line)
 		}
 		return Result{OK: true, ReadyAt: e.fill, Miss: true}
@@ -425,7 +354,7 @@ func (s *System) access(addr uint64, isStore bool) Result {
 	}
 	s.portsUsed++
 	s.count(isStore, true)
-	if isStore && s.ic != nil {
+	if isStore {
 		// The invalidation rides the miss request: remote copies die at
 		// the (eager) access time, matching the eager tag-probe timing
 		// approximation the rest of the miss pipeline uses.
@@ -464,14 +393,11 @@ func (s *System) StoreCommit(addr uint64) Result {
 	return s.access(addr, true)
 }
 
-// ResetStats clears counters and bus accounting at every level (used to
-// exclude warm-up from measurements). Cache and MSHR state are preserved.
+// ResetStats clears the L1's counters and bus accounting (used to
+// exclude warm-up from measurements); Interconnect.ResetStats clears the
+// levels below. Cache and MSHR state are preserved.
 func (s *System) ResetStats() {
 	s.stats = Stats{}
 	s.l1Stats = LevelStats{Name: s.l1Stats.Name}
 	s.l1.bus.Reset()
-	for i, l := range s.levels {
-		s.levelStats[i] = LevelStats{Name: s.levelStats[i].Name}
-		l.bus.Reset()
-	}
 }

@@ -18,14 +18,38 @@ func testConfig() Config {
 	}
 }
 
-func newSys(t *testing.T, cfg Config) *System {
+// sys is the paper's single-core memory system: core 0's System on a
+// one-core Interconnect, with the interconnect's levels in reach.
+type sys struct {
+	*System
+	ic *Interconnect
+}
+
+func newSys(t testing.TB, cfg Config) sys {
 	t.Helper()
-	s, err := New(cfg)
+	ic, err := NewInterconnect(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return sys{ic.System(0), ic}
 }
+
+// BeginCycle advances the levels below first, then the L1 — the order
+// CMP.Tick uses.
+func (s sys) BeginCycle(now int64) int {
+	return s.ic.BeginCycle(now) + s.System.BeginCycle(now)
+}
+
+// ResetStats clears the L1's and the levels' counters, as CMP.ResetStats
+// does.
+func (s sys) ResetStats() {
+	s.System.ResetStats()
+	s.ic.ResetStats()
+}
+
+func (s sys) LevelStats(end, window int64) []LevelStats { return s.ic.LevelStats(end, window) }
+
+func (s sys) LevelCache(i int) *cache.Cache { return s.ic.levels[i].tags }
 
 func TestConfigValidate(t *testing.T) {
 	if err := testConfig().Validate(); err != nil {
@@ -45,8 +69,8 @@ func TestConfigValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
 		}
-		if _, err := New(c); err == nil {
-			t.Errorf("New accepted mutation %d", i)
+		if _, err := NewInterconnect(c, 1); err == nil {
+			t.Errorf("NewInterconnect accepted mutation %d", i)
 		}
 	}
 }
@@ -305,10 +329,7 @@ func TestQuickMSHRBounds(t *testing.T) {
 		cfg := testConfig()
 		cfg.MSHRs = int(mshrRaw%8) + 1
 		cfg.Ports = 64
-		s, err := New(cfg)
-		if err != nil {
-			return false
-		}
+		s := newSys(t, cfg)
 		now := int64(0)
 		for _, a := range addrsRaw {
 			s.BeginCycle(now)
@@ -334,10 +355,7 @@ func TestQuickMSHRBounds(t *testing.T) {
 // current cycle, and hits are exactly hit-latency away.
 func TestQuickReadyAtMonotone(t *testing.T) {
 	f := func(addrsRaw []uint16) bool {
-		s, err := New(testConfig())
-		if err != nil {
-			return false
-		}
+		s := newSys(t, testConfig())
 		now := int64(0)
 		for _, a := range addrsRaw {
 			s.BeginCycle(now)
@@ -360,7 +378,7 @@ func TestQuickReadyAtMonotone(t *testing.T) {
 }
 
 func BenchmarkLoadHit(b *testing.B) {
-	s, _ := New(testConfig())
+	s := newSys(b, testConfig())
 	s.BeginCycle(0)
 	s.Load(0x1000)
 	s.BeginCycle(100)
@@ -372,7 +390,7 @@ func BenchmarkLoadHit(b *testing.B) {
 }
 
 func BenchmarkLoadMissStream(b *testing.B) {
-	s, _ := New(testConfig())
+	s := newSys(b, testConfig())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.BeginCycle(int64(i * 4))

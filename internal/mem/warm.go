@@ -13,13 +13,10 @@ package mem
 // warmChain returns the finite levels below this core's L1 (the shared
 // chain, this core's private chain, or nothing in the flat model).
 func (s *System) warmChain() []*level {
-	if s.ic != nil {
-		if s.ic.priv != nil {
-			return s.ic.priv[s.coreID]
-		}
-		return s.ic.levels
+	if s.ic.priv != nil {
+		return s.ic.priv[s.coreID]
 	}
-	return s.levels
+	return s.ic.levels
 }
 
 // Warm touches addr functionally: a store dirties the line, a miss
@@ -27,17 +24,19 @@ func (s *System) warmChain() []*level {
 // level that already holds it. Dirty L1 victims write back into the
 // level below (allocate + dirty, mirroring the timed write-allocate
 // path); victims of deeper levels are dropped — DRAM backs everything,
-// so losing them only costs warm-up fidelity, never correctness. On CMP
-// machines a store also runs the write-invalidate broadcast so remote
-// copies die exactly as they would in the timed model.
+// so losing them only costs warm-up fidelity, never correctness. Unless
+// the interconnect is disjoint, a store also runs the write-invalidate
+// broadcast so remote copies die exactly as they would in the timed
+// model.
 //
-// The paper's machine — a direct-mapped L1 over the flat model, and no
-// broadcast to run — warms with one L1 probe (cache.TouchDirect): there
-// is no level below to allocate into or write a victim back to.
+// The paper's machine — a direct-mapped L1 over the flat model, one core
+// and so no broadcast to run — warms with one L1 probe
+// (cache.TouchDirect): there is no level below to allocate into or write
+// a victim back to.
 func (s *System) Warm(addr uint64, store bool) {
 	l1 := s.l1.tags
 	chain := s.warmChain()
-	if len(chain) == 0 && s.cfg.L1.Assoc == 1 && (s.ic == nil || s.ic.disjoint) {
+	if len(chain) == 0 && s.cfg.L1.Assoc == 1 && s.ic.disjoint {
 		l1.TouchDirect(addr, store)
 		return
 	}
@@ -61,7 +60,7 @@ func (s *System) Warm(addr uint64, store bool) {
 		// With a declared-disjoint workload no remote copy can exist, so
 		// the broadcast is skipped — the dominant cost of warming a
 		// many-core machine through a sampling gap.
-		if s.ic != nil && !s.ic.disjoint {
+		if !s.ic.disjoint {
 			s.ic.warmInvalidate(s.coreID, line)
 		}
 	}

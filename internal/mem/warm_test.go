@@ -52,8 +52,8 @@ func TestWarmFlatProbe(t *testing.T) {
 		name string
 		sys  *System
 	}{
-		{"direct-mapped", newSys(t, testConfig())},
-		{"2-way", newSys(t, assoc)},
+		{"direct-mapped", newSys(t, testConfig()).System},
+		{"2-way", newSys(t, assoc).System},
 		{"disjoint CMP", flatCMP.sys[1]},
 	} {
 		ref := cache.New(tc.sys.Config().L1)
@@ -239,8 +239,8 @@ func TestSystemAccessorsAndQuiescence(t *testing.T) {
 	if got := s.Config(); got.DRAMLatency != 64 {
 		t.Errorf("Config().DRAMLatency = %d", got.DRAMLatency)
 	}
-	if s.LevelBus(0) == nil {
-		t.Error("LevelBus(0) is nil")
+	if s.ic.levels[0].bus == nil {
+		t.Error("level 0 bus is nil")
 	}
 	if !s.Quiescent() {
 		t.Error("idle system not quiescent")
@@ -248,7 +248,7 @@ func TestSystemAccessorsAndQuiescence(t *testing.T) {
 
 	// Fill cycles booked by the shared level reach a registered scheduler.
 	var scheduled []int64
-	s.SetFillScheduler(func(at int64) { scheduled = append(scheduled, at) })
+	s.ic.SetFillScheduler(func(at int64) { scheduled = append(scheduled, at) })
 
 	s.BeginCycle(1)
 	if r := s.Load(0x1000); !r.OK || !r.Miss {

@@ -11,8 +11,8 @@ import (
 
 // The CMP arm of the golden equivalence suite: multi-core runs must be
 // bit-identical between cycle stepping and fast-forwarding, for the
-// shared and the private hierarchy, and Run must dispatch to the CMP
-// driver purely on the machine's core count.
+// shared and the private hierarchy, and report one row of per-core
+// counters per core.
 
 func TestEquivalenceCMPConfigs(t *testing.T) {
 	sharedL2 := func(m config.Machine) config.Machine {
@@ -86,39 +86,48 @@ func TestCMPRunDeterministic(t *testing.T) {
 // be byte-identical with the optimization on and off. Sampled mode is the
 // interesting arm — its warp gaps drive Warm for every instruction — but
 // the exact path is pinned too.
+//
+// One core has no remote copy to broadcast to, so its interconnect is
+// disjoint whatever the workload declares; the 1-core input pins that
+// its non-disjoint warm path matches the disjoint one too.
 func TestCMPDisjointWarmEquivalence(t *testing.T) {
-	m := config.Figure2(2).WithCores(2).
-		WithHierarchy(64, config.SharedL2(64<<10, 8))
-	n := m.TotalContexts()
-	for _, mode := range []Mode{ModeExact, ModeSampled} {
-		name := "exact"
-		if mode != ModeExact {
-			name = string(mode)
+	for _, cores := range []int{2, 1} {
+		m := config.Figure2(2).WithCores(cores).
+			WithHierarchy(64, config.SharedL2(64<<10, 8))
+		n := m.TotalContexts()
+		for _, mode := range []Mode{ModeExact, ModeSampled} {
+			name := "exact"
+			if mode != ModeExact {
+				name = string(mode)
+			}
+			if cores == 1 {
+				name = "1core/" + name
+			}
+			t.Run(name, func(t *testing.T) {
+				run := func(disjoint bool) Result {
+					opts := Options{
+						Machine:               m,
+						Sources:               mixSources(t, n, 11),
+						WarmupInsts:           shortWarmup * int64(n),
+						MeasureInsts:          shortMeasure * int64(n) * 4,
+						Mode:                  mode,
+						DisjointAddressSpaces: disjoint,
+					}
+					if mode == ModeSampled {
+						opts.Sampling = Sampling{PeriodInsts: 5_000, UnitInsts: 500, WarmupInsts: 1_000}
+					}
+					res, err := Run(context.Background(), opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res
+				}
+				on, off := run(true), run(false)
+				if !reflect.DeepEqual(on, off) {
+					t.Fatalf("disjoint-warm skip changed the result:\non:  %+v\noff: %+v", on, off)
+				}
+			})
 		}
-		t.Run(name, func(t *testing.T) {
-			run := func(disjoint bool) Result {
-				opts := Options{
-					Machine:               m,
-					Sources:               mixSources(t, n, 11),
-					WarmupInsts:           shortWarmup * int64(n),
-					MeasureInsts:          shortMeasure * int64(n) * 4,
-					Mode:                  mode,
-					DisjointAddressSpaces: disjoint,
-				}
-				if mode == ModeSampled {
-					opts.Sampling = Sampling{PeriodInsts: 5_000, UnitInsts: 500, WarmupInsts: 1_000}
-				}
-				res, err := Run(context.Background(), opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
-			}
-			on, off := run(true), run(false)
-			if !reflect.DeepEqual(on, off) {
-				t.Fatalf("disjoint-warm skip changed the result:\non:  %+v\noff: %+v", on, off)
-			}
-		})
 	}
 }
 

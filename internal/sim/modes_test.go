@@ -8,6 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/stats"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // Execution-mode tests: "adaptive" is an alias of exact execution and
@@ -197,5 +200,56 @@ func TestModeValidation(t *testing.T) {
 	spelled.Mode = "exact"
 	if _, err := Run(context.Background(), spelled); err != nil {
 		t.Errorf("spelled-out exact mode rejected: %v", err)
+	}
+}
+
+// TestSampledNoUnitReportsEmptyWindow: when the sources run dry during
+// the initial warm-up no unit is measured, and the sampled report must be
+// the empty window an exact run of the same request reports — none of
+// the warm-up's memory counters or bus time.
+func TestSampledNoUnitReportsEmptyWindow(t *testing.T) {
+	swim, err := workload.ByName("swim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		machine config.Machine
+	}{
+		{"flat", config.Figure2(1)},
+		{"sharedL2", config.Figure2(1).WithHierarchy(64, config.SharedL2(64<<10, 8))},
+		{"cmp2x1", config.Figure2(1).WithCores(2).WithHierarchy(64, config.SharedL2(64<<10, 8))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(mode Mode) stats.Report {
+				t.Helper()
+				srcs := make([]trace.Reader, tc.machine.TotalContexts())
+				for i := range srcs {
+					srcs[i] = trace.Limit(swim.NewReader(workload.ReaderOpts{Seed: uint64(i)}), 3_000)
+				}
+				res, err := Run(context.Background(), Options{
+					Machine:      tc.machine,
+					Sources:      srcs,
+					WarmupInsts:  5_000 * int64(len(srcs)),
+					MeasureInsts: 10_000,
+					Mode:         mode,
+				})
+				if err != nil {
+					t.Fatalf("%s run: %v", mode, err)
+				}
+				return res.Report
+			}
+			exact, sampled := run(ModeExact), run(ModeSampled)
+			if sampled.Cycles != 0 || sampled.Graduated != 0 {
+				t.Fatalf("sampled run measured %d instructions in %d cycles; the trace should run dry in warm-up",
+					sampled.Graduated, sampled.Cycles)
+			}
+			if sampled.Mem != exact.Mem || !reflect.DeepEqual(sampled.MemLevels, exact.MemLevels) ||
+				sampled.BusUtilization != exact.BusUtilization {
+				t.Errorf("sampled no-unit report differs from exact:\nsampled: %+v %+v %v\nexact:   %+v %+v %v",
+					sampled.Mem, sampled.MemLevels, sampled.BusUtilization,
+					exact.Mem, exact.MemLevels, exact.BusUtilization)
+			}
+		})
 	}
 }

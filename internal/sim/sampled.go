@@ -1,6 +1,9 @@
 package sim
 
-import "repro/internal/stats"
+import (
+	"repro/internal/core"
+	"repro/internal/stats"
+)
 
 // The sampled execution mode, after SMARTS (Wunderlich et al., ISCA'03):
 // systematic sampling measures short detailed units at a fixed
@@ -11,7 +14,7 @@ import "repro/internal/stats"
 //	functional warp (gap) → detailed warm-up → measured unit
 //
 // — where the warp advances trace cursors, branch predictors and the
-// cache footprint with no timing (core.Warp after core.DrainPipeline),
+// cache footprint with no timing (CMP.Warp after CMP.DrainPipeline),
 // the detailed warm-up re-fills the pipeline and MSHRs so the unit does
 // not measure a cold restart, and the unit's statistics become one IPC
 // sample. The report aggregates all measured units' counters and carries
@@ -43,19 +46,23 @@ func (a *sampledAgg) add(rep stats.Report) {
 			a.rep.PerCoreGraduated[i] += g
 		}
 	}
-	a.busW += rep.BusUtilization * w
+	// The explicit conversions round each product before the sum, so no
+	// architecture fuses them into a multiply-add and the report bytes
+	// stay the same everywhere.
+	a.busW += float64(rep.BusUtilization * w)
 	for i, l := range rep.MemLevels {
-		a.levelsW[i] += l.BusUtilization * w
+		a.levelsW[i] += float64(l.BusUtilization * w)
 	}
 }
 
 // finish resolves the weighted utilizations and returns the aggregate.
-// fallback supplies the machine-identity fields when no unit completed.
-func (a *sampledAgg) finish(fallback func() stats.Report) stats.Report {
+// When no unit completed it reports an empty window of m instead — the
+// report an exact run that measured nothing gives, with none of the
+// last warm-up window's counters.
+func (a *sampledAgg) finish(m *core.CMP) stats.Report {
 	if !a.have {
-		rep := fallback()
-		rep.Collector.Reset()
-		return rep
+		m.ResetStats()
+		return m.Report()
 	}
 	if c := float64(a.rep.Cycles); c > 0 {
 		a.rep.BusUtilization = a.busW / c
@@ -142,7 +149,7 @@ func (r *runner) runSampled() (Result, error) {
 		advanced += m.Graduated()
 	}
 
-	rep := agg.finish(m.Report)
+	rep := agg.finish(m)
 	s := stats.SummarizeCPI(samples)
 	s.WarpedInsts = warped
 	rep.Sampled = &s

@@ -1,7 +1,9 @@
-// Package sim is the simulation front-end: it builds a machine from a
-// configuration and per-thread instruction sources, runs a warm-up window
-// (the paper skips each benchmark's start-up phase), resets the statistics,
-// runs the measurement window, and produces the final report.
+// Package sim is the simulation front-end: it builds the machine — a
+// core.CMP, one core for the paper's machine or several — from a
+// configuration and per-context instruction sources, runs a warm-up
+// window (the paper skips each benchmark's start-up phase), resets the
+// statistics, runs the measurement window, and produces the final
+// report, whose shape CMP.Report decides.
 //
 // Two execution modes cover the speed/fidelity lattice (DESIGN.md §10),
 // both driven by one serial loop:
@@ -22,6 +24,7 @@ import (
 	"fmt"
 
 	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -73,7 +76,7 @@ const (
 	DefaultSamplingWarmup = 4_000
 )
 
-// withDefaults resolves zero fields to the documented defaults.
+// WithDefaults resolves zero fields to the documented defaults.
 func (s Sampling) WithDefaults() Sampling {
 	if s.PeriodInsts == 0 {
 		s.PeriodInsts = DefaultSamplingPeriod
@@ -128,9 +131,11 @@ type Options struct {
 	// DisjointAddressSpaces declares that the sources give every context
 	// a private address space (true for every built-in generator
 	// workload; false for imported traces, whose addresses are whatever
-	// was captured). On CMP machines the functional warm path then skips
-	// its write-invalidate broadcast — a pure optimization, never part
-	// of a request hash, with results equivalent by construction.
+	// was captured). With more than one core the functional warm path
+	// then skips its write-invalidate broadcast — a pure optimization,
+	// never part of a request hash, with results equivalent by
+	// construction. One core has no remote copy to invalidate, so its
+	// warm path skips the broadcast either way.
 	DisjointAddressSpaces bool
 	// Stepped forces cycle-by-cycle simulation, disabling the core's
 	// event-calendar fast-forward over idle stretches. Results are
@@ -213,13 +218,11 @@ func Run(ctx context.Context, opts Options) (Result, error) {
 			return Result{}, fmt.Errorf("sim: sampled mode needs a positive instruction budget")
 		}
 	}
-	m, err := build(opts.Machine, opts.Sources)
+	m, err := core.NewCMP(opts.Machine, opts.Sources)
 	if err != nil {
 		return Result{}, err
 	}
-	if cm, ok := m.(cmpMachine); ok && opts.DisjointAddressSpaces {
-		cm.p.Interconnect().SetDisjointAddressSpaces(true)
-	}
+	m.Interconnect().SetDisjointAddressSpaces(opts.DisjointAddressSpaces)
 	r := newRunner(ctx, opts, m)
 	if mode == ModeSampled {
 		return r.runSampled()

@@ -55,7 +55,7 @@ func Summarize(samples []float64) Sampled {
 	var ss float64
 	for _, x := range samples {
 		d := x - mean
-		ss += d * d
+		ss += float64(d * d) // no fused multiply-add: same sum on every GOARCH
 	}
 	variance := ss / float64(n-1)
 	return Sampled{
