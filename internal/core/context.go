@@ -26,7 +26,7 @@ type Context struct {
 	Exhausted bool
 
 	// filler is Source's bulk-read interface when it has one (workload
-	// generators and interned replays).
+	// generators, interned and trace-file replays).
 	filler trace.Filler
 	// ahead[aheadPos:aheadLen] is the lookahead batch, read before the
 	// Source: fetch must inspect the next instruction before consuming it

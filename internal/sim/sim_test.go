@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -317,5 +318,37 @@ func TestRunStreamsProgressSnapshots(t *testing.T) {
 	}
 	if !reflect.DeepEqual(plain, res) {
 		t.Fatal("enabling progress snapshots changed the result")
+	}
+}
+
+// TestRepeatedRunsRetainBoundedMemory: re-running a seed, as sweeps and
+// servers do, keeps at most the interner's bounded prefix of the stream
+// alive. A 1T sampled run of 2M instructions runs twice on one seed; a
+// copy of the whole stream kept between the runs would hold ~48 MB of
+// live heap, and the growth allowed is 8 MiB.
+func TestRepeatedRunsRetainBoundedMemory(t *testing.T) {
+	run := func() {
+		_, err := Run(context.Background(), Options{
+			Machine:      config.Figure2(1),
+			Sources:      workload.MixSources(1, workload.MixOpts{Seed: 0x7e7a1}),
+			Mode:         ModeSampled,
+			Sampling:     Sampling{PeriodInsts: 200_000, UnitInsts: 1_000, WarmupInsts: 2_000},
+			MeasureInsts: 2_000_000,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	liveHeap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := liveHeap()
+	run()
+	run()
+	if grown := liveHeap() - before; grown >= 8<<20 {
+		t.Fatalf("live heap grew by %d bytes over two runs of one seed", grown)
 	}
 }

@@ -38,8 +38,8 @@ type Peeker interface {
 // Filler is an optional Reader extension for bulk reads: Fill writes the
 // next records of the stream into dst and returns how many it wrote,
 // exactly the records len(dst) Next calls would have produced. It returns
-// fewer than len(dst) only when the stream ends. Workload generators and
-// interned replays implement it so the core fills its per-context
+// fewer than len(dst) only when the stream ends. Workload generators,
+// interned replays and trace-file replays implement it so the core fills its per-context
 // lookahead batch with one call instead of one interface call per
 // instruction.
 type Filler interface {

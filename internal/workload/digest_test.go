@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/isa"
@@ -17,14 +18,13 @@ const digestLen = 1 << 20
 // streamDigest returns the SHA-256 of the first n records of r in a fixed
 // little-endian record encoding (every isa.Inst field: PC, Op, Dest,
 // Src1, Src2, Addr, Size, Taken).
-func streamDigest(t *testing.T, r trace.Reader, n int) string {
-	t.Helper()
+func streamDigest(r trace.Reader, n int) (string, error) {
 	h := sha256.New()
 	var buf []byte
 	var in isa.Inst
 	for i := 0; i < n; i++ {
 		if !r.Next(&in) {
-			t.Fatalf("stream ended at %d/%d", i, n)
+			return "", fmt.Errorf("stream ended at %d/%d", i, n)
 		}
 		buf = binary.LittleEndian.AppendUint64(buf, in.PC)
 		buf = append(buf, byte(in.Op), byte(in.Dest), byte(in.Src1), byte(in.Src2))
@@ -40,7 +40,51 @@ func streamDigest(t *testing.T, r trace.Reader, n int) string {
 		}
 	}
 	h.Write(buf)
-	return hex.EncodeToString(h.Sum(nil))
+	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// TestMixSourcesConcurrent: mix readers built and drained by 8
+// goroutines at once, as a runner's workers do, reproduce the streams of
+// serial readers. Declared first in the package, it also makes the first
+// use of the shared programs a contended one.
+func TestMixSourcesConcurrent(t *testing.T) {
+	const threads, workers = 4, 8
+	n := 200_000
+	if testing.Short() {
+		n = 20_000
+	}
+	opts := MixOpts{Seed: 77, SegmentLen: 3_000}
+	got := make([][]string, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for _, r := range MixSources(threads, opts) {
+				d, err := streamDigest(r, n)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[w] = append(got[w], d)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for tid := 0; tid < threads; tid++ {
+		want, err := streamDigest(newMixReader(tid, opts), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := range got {
+			if len(got[w]) != threads || got[w][tid] != want {
+				t.Fatalf("worker %d thread %d: digests %v, serial %s", w, tid, got[w], want)
+			}
+		}
+	}
 }
 
 // digestOpts are the (Seed, AddrOffset) pairs every builtin is pinned at.
@@ -95,7 +139,7 @@ var pinnedStreamDigests = map[string]string{
 }
 
 // liveStreams names every pinned stream with a constructor for a fresh
-// live (never interned) reader of it.
+// reader of it.
 func liveStreams() map[string]func() trace.Reader {
 	m := map[string]func() trace.Reader{}
 	for _, b := range All() {
@@ -116,7 +160,10 @@ func liveStreams() map[string]func() trace.Reader {
 // pairs and the per-thread mixes at two segment lengths.
 func TestGeneratorStreamDigestsPinned(t *testing.T) {
 	for name, mk := range liveStreams() {
-		got := streamDigest(t, mk(), digestLen)
+		got, err := streamDigest(mk(), digestLen)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if want := pinnedStreamDigests[name]; got != want {
 			t.Errorf("%q: %s, want %s", name, got, want)
 		}

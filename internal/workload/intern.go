@@ -37,12 +37,11 @@ import (
 // memory traffic for nothing — a 20M-instruction dae-sim run measured
 // ~35% slower with eager interning); the second reader for the same key
 // starts materializing the shared buffer from scratch, and later readers
-// replay it. A sweep's N points over one stream thus generate it at most
-// twice instead of N times. First sightings are remembered in a bounded
-// set (internSeenMax keys, forgotten all at once when full), so a
-// long-running server handling a never-seen seed per request holds no
-// per-request state; a key re-requested after such a reset simply runs
-// live once more.
+// replay it as far as the budget let it grow. First sightings are
+// remembered in a bounded set (internSeenMax keys, forgotten all at
+// once when full), so a long-running server handling a never-seen seed
+// per request holds no per-request state; a key re-requested after such
+// a reset simply runs live once more.
 
 // internChunkLen is the number of instructions materialized per chunk
 // (24 KiB per chunk at 24 bytes per instruction).
@@ -51,10 +50,13 @@ const internChunkLen = 1024
 // InternBudgetBytes caps the total memory the trace interner may hold
 // across all streams, in bytes. Once exhausted, streams stop growing and
 // readers beyond the shared prefix generate privately. Set to 0 (before
-// any simulation) to disable interning. The default covers the full
-// default instruction budgets of every figure sweep's early segments —
-// the region sweep points actually share.
-var InternBudgetBytes int64 = 256 << 20
+// any simulation) to disable interning. Generation from the shared
+// compiled programs costs a few ns per instruction, so replaying a whole
+// stream saves little time while holding 24 bytes per instruction: a
+// Figure-4 pass under a 256 MiB budget held ~80 MB of streams to save
+// about 1% of its CPU. The default therefore holds the interner to less
+// than a third of the ~14 MiB that pass peaks at with interning off.
+var InternBudgetBytes int64 = 4 << 20
 
 type internChunk = [internChunkLen]isa.Inst
 
@@ -221,9 +223,9 @@ func (r *internReader) refresh() bool {
 			// The shared prefix is frozen short of r.pos: fall back to a
 			// private generator fast-forwarded to this reader's position.
 			r.live = s.newGen()
-			var skip isa.Inst
-			for i := int64(0); i < r.pos; i++ {
-				r.live.Next(&skip)
+			skip := make([]isa.Inst, min(r.pos, internChunkLen))
+			for left := r.pos; left > 0; left -= int64(len(skip)) {
+				r.live.Fill(skip[:min(left, int64(len(skip)))])
 			}
 			return false
 		}

@@ -45,12 +45,13 @@ func ThreadAddrOffset(threadID int) uint64 {
 // Mix returns thread `threadID`'s infinite instruction stream: the ten
 // benchmarks concatenated in a rotated order (thread 0 starts at
 // benchmark 0, thread 1 at benchmark 1, ...), SegmentLen instructions per
-// segment, forever.
+// segment, forever. Readers generate from the built-in programs shared
+// across the process.
 //
 // Mix streams are interned at the mix level (see intern.go): the second
-// and later requests for the same (thread, options) stream — every sweep
-// point after the first, every benchmark iteration — replay a shared
-// packed buffer instead of re-running the segment generators.
+// and later requests for the same (thread, options) stream replay a
+// shared packed buffer, as far as the intern budget let it grow, instead
+// of re-running the segment generators.
 func Mix(threadID int, opts MixOpts) trace.Reader {
 	if threadID < 0 {
 		panic(fmt.Sprintf("workload: negative thread id %d", threadID))
@@ -75,14 +76,10 @@ func newMixReader(threadID int, opts MixOpts) *mixReader {
 	if segLen <= 0 {
 		segLen = DefaultSegmentLen
 	}
-	benches := builtins()
-	progs := make([]*program, len(benches))
-	for i, b := range benches {
-		progs[i] = compile(b)
-	}
+	progs := builtinPrograms()
 	return &mixReader{
 		progs:    progs,
-		next:     threadID % len(benches),
+		next:     threadID % len(progs),
 		segLen:   segLen,
 		addrOff:  ThreadAddrOffset(threadID),
 		seedBase: opts.Seed ^ (uint64(threadID)*0x9e3779b97f4a7c15 + 1),
@@ -100,7 +97,7 @@ func MixSources(threads int, opts MixOpts) []trace.Reader {
 
 // mixReader is the live Mix stream. It implements trace.Filler.
 type mixReader struct {
-	progs    []*program // one per builtin benchmark, shared by its segments
+	progs    []*program // the built-in programs, shared process-wide
 	next     int
 	segLen   int64
 	addrOff  uint64

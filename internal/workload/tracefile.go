@@ -5,45 +5,21 @@ package workload
 // served through the same trace.Reader interface as the synthetic
 // generators.
 //
-// Unlike generator streams — infinite, re-derivable, interned chunk by
-// chunk — a trace file is finite and already materialized on disk, so
-// the PR 3 chunked interner (which grows streams unboundedly and assumes
-// an infinite generator behind every chunk) is the wrong shape. Trace
-// files get their own registry: the whole file is decoded once into
-// per-stream instruction slices and retained under the same global
-// InternBudgetBytes accounting the chunk interner uses. When retaining a
-// file would blow the budget, the decode still happens but nothing is
-// pinned — the "live fallback": every run re-reads the file, trading
-// repeat I/O for bounded memory, with bit-identical streams either way.
+// A container is decoded afresh for every run and nothing is kept
+// between runs, so memory holds only the traces being replayed, and a
+// file rewritten at the same path replays its new records. (Decoding
+// costs about 100 ns per record, roughly a third of an exact replay.)
 
 import (
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"sync"
-	"unsafe"
 
 	"repro/internal/isa"
 	"repro/internal/trace"
 	"repro/internal/traceio"
 )
-
-// instBytes is the in-memory footprint of one decoded record, for
-// budget accounting (shared with the chunk interner's arithmetic).
-const instBytes = int64(unsafe.Sizeof(isa.Inst{}))
-
-var (
-	traceFileMu sync.Mutex
-	traceFiles  = map[string][][]isa.Inst{}
-)
-
-// traceFileStats reports the registry's entry count (tests only).
-func traceFileStats() int {
-	traceFileMu.Lock()
-	defer traceFileMu.Unlock()
-	return len(traceFiles)
-}
 
 // loadTraceStreams decodes the container at path into per-stream
 // slices. Other formats are import-only, so a file that is not a
@@ -64,66 +40,40 @@ func loadTraceStreams(path string) ([][]isa.Inst, error) {
 	return streams, nil
 }
 
-// traceStreamsFor returns the file's decoded streams, serving from the
-// registry when the file was already ingested and retaining the decode
-// under the intern budget otherwise.
-func traceStreamsFor(path string) ([][]isa.Inst, error) {
-	traceFileMu.Lock()
-	if streams, ok := traceFiles[path]; ok {
-		traceFileMu.Unlock()
-		return streams, nil
-	}
-	traceFileMu.Unlock()
-
-	// Decode outside the lock: files can be large and two concurrent
-	// first sightings are rare (the runner ingests once per sweep).
-	streams, err := loadTraceStreams(path)
-	if err != nil {
-		return nil, err
-	}
-	var total int64
-	for _, s := range streams {
-		total += int64(len(s))
-	}
-	bytes := total * instBytes
-	if InternBudgetBytes > 0 && internUsed.Add(bytes) <= InternBudgetBytes {
-		traceFileMu.Lock()
-		if prior, ok := traceFiles[path]; ok {
-			// Lost a first-sighting race: keep the published decode and
-			// return this one's budget charge.
-			internUsed.Add(-bytes)
-			streams = prior
-		} else {
-			traceFiles[path] = streams
-		}
-		traceFileMu.Unlock()
-	} else if InternBudgetBytes > 0 {
-		// Budget exceeded: live fallback — serve this decode uncached so
-		// memory stays bounded; later runs re-read the file.
-		internUsed.Add(-bytes)
-	}
-	return streams, nil
+// traceReader replays one decoded stream with delta added to every
+// memory address — the per-context address-space relocation applied
+// when a container's stream count and the machine's context count
+// differ. It implements trace.Filler, so the core copies whole batches.
+type traceReader struct {
+	insts []isa.Inst // the records not yet read; shared by the run's readers, never written
+	delta uint64
 }
 
-// shiftedSlice replays insts with delta added to every memory address —
-// the per-context address-space relocation applied when a container's
-// stream count and the machine's context count differ.
-func shiftedSlice(insts []isa.Inst, delta uint64) trace.Reader {
-	if delta == 0 {
-		return trace.Slice(insts)
+// Next implements trace.Reader.
+func (r *traceReader) Next(out *isa.Inst) bool {
+	if len(r.insts) == 0 {
+		return false
 	}
-	i := 0
-	return trace.Func(func(out *isa.Inst) bool {
-		if i >= len(insts) {
-			return false
+	*out = r.insts[0]
+	r.insts = r.insts[1:]
+	if out.IsMem() {
+		out.Addr += r.delta
+	}
+	return true
+}
+
+// Fill implements trace.Filler.
+func (r *traceReader) Fill(dst []isa.Inst) int {
+	n := copy(dst, r.insts)
+	r.insts = r.insts[n:]
+	if r.delta != 0 {
+		for i := range dst[:n] {
+			if dst[i].IsMem() {
+				dst[i].Addr += r.delta
+			}
 		}
-		*out = insts[i]
-		i++
-		if out.IsMem() {
-			out.Addr += delta
-		}
-		return true
-	})
+	}
+	return n
 }
 
 // TraceSources builds one finite reader per hardware context from a
@@ -137,7 +87,7 @@ func TraceSources(path string, contexts int) ([]trace.Reader, error) {
 	if contexts <= 0 {
 		return nil, fmt.Errorf("workload: trace sources for %d contexts", contexts)
 	}
-	streams, err := traceStreamsFor(path)
+	streams, err := loadTraceStreams(path)
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +98,7 @@ func TraceSources(path string, contexts int) ([]trace.Reader, error) {
 	for t := 0; t < contexts; t++ {
 		s := t % len(streams)
 		delta := ThreadAddrOffset(t) - ThreadAddrOffset(s)
-		readers[t] = shiftedSlice(streams[s], delta)
+		readers[t] = &traceReader{insts: streams[s], delta: delta}
 	}
 	return readers, nil
 }

@@ -5,15 +5,27 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/trace"
 	"repro/internal/traceio"
 )
 
 // exportToFile writes a benchmark capture to a temp container file.
 func exportToFile(t *testing.T, name string, contexts int, seed uint64, perStream int64) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name+".dct")
+	if err := os.WriteFile(path, exportBytes(t, name, contexts, seed, perStream), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// exportBytes returns a benchmark capture as a container.
+func exportBytes(t *testing.T, name string, contexts int, seed uint64, perStream int64) []byte {
 	t.Helper()
 	b, err := ByName(name)
 	if err != nil {
@@ -29,11 +41,7 @@ func exportToFile(t *testing.T, name string, contexts int, seed uint64, perStrea
 			t.Fatalf("stream %d captured %d records, want %d", s, c, perStream)
 		}
 	}
-	path := filepath.Join(t.TempDir(), name+".dct")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
+	return buf.Bytes()
 }
 
 // TestTraceSourcesMatchGenerator: replaying an exported container feeds
@@ -85,6 +93,76 @@ func TestTraceSourcesReplication(t *testing.T) {
 		}
 		if repl[i] != want {
 			t.Fatalf("record %d: got %+v want %+v", i, repl[i], want)
+		}
+	}
+}
+
+// TestTraceSourcesSeesRewrittenFile: a container rewritten at the same
+// path replays its new records, not a copy of the old ones decoded by an
+// earlier run.
+func TestTraceSourcesSeesRewrittenFile(t *testing.T) {
+	path := exportToFile(t, "fpppp", 1, 1, 2000)
+	if _, err := TraceSources(path, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, exportBytes(t, "fpppp", 1, 2, 3000), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b, err := ByName("fpppp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := readN(t, b.NewReader(ReaderOpts{AddrOffset: ThreadAddrOffset(0), Seed: 2}), 3000)
+	sources, err := TraceSources(path, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := readN(t, sources[0], len(want)); !reflect.DeepEqual(got, want) {
+		t.Fatal("replayed the old file")
+	}
+	var extra isa.Inst
+	if sources[0].Next(&extra) {
+		t.Fatal("replay longer than the rewritten file")
+	}
+}
+
+// TestTraceReaderFillMatchesNext: Fill on a trace replay is Next in bulk,
+// for a stream replayed in place and for copies relocated into other
+// contexts' address spaces, up to and past the end of the stream; and
+// relocating a batch leaves the decode the contexts share untouched.
+func TestTraceReaderFillMatchesNext(t *testing.T) {
+	const contexts, n = 3, 1000
+	path := exportToFile(t, "su2cor", 1, 6, n)
+	filled, err := TraceSources(path, contexts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twins, err := TraceSources(path, contexts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := []int{1, 3, 64, 7, 200, 61}
+	buf := make([]isa.Inst, 200)
+	for ctx := contexts - 1; ctx >= 0; ctx-- {
+		f := filled[ctx].(trace.Filler)
+		got := 0
+		for b := 0; ; b++ {
+			dst := buf[:batches[b%len(batches)]]
+			k := f.Fill(dst)
+			for i := range dst[:k] {
+				var want isa.Inst
+				if !twins[ctx].Next(&want) || dst[i] != want {
+					t.Fatalf("ctx %d record %d: Fill %+v, Next %+v", ctx, got+i, dst[i], want)
+				}
+			}
+			got += k
+			if k < len(dst) {
+				break
+			}
+		}
+		var extra isa.Inst
+		if got != n || f.Fill(buf[:1]) != 0 || twins[ctx].Next(&extra) {
+			t.Fatalf("ctx %d: Fill replayed %d of %d records, or the stream did not end", ctx, got, n)
 		}
 	}
 }

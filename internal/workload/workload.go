@@ -25,6 +25,8 @@ package workload
 
 import (
 	"fmt"
+	"reflect"
+	"sync"
 
 	"repro/internal/isa"
 	"repro/internal/rng"
@@ -189,12 +191,15 @@ type ReaderOpts struct {
 // panics on an invalid benchmark definition (the built-in set is validated
 // by tests; custom definitions should be validated by the caller).
 //
+// A built-in benchmark generates from the program compiled once per
+// process and shared by every reader (see builtinPrograms); any other
+// definition is compiled for its reader alone.
+//
 // Streams are interned on reuse: when a second reader asks for the same
-// (benchmark spec, options) pair — as every sweep point after the first
-// does — the instructions are materialized once into a shared packed
-// buffer and replayed from then on (see intern.go), so sweep points stop
-// re-deriving identical traces. Set InternBudgetBytes to 0 to force live
-// generation.
+// (benchmark spec, options) pair, the instructions are materialized into
+// a shared packed buffer, as far as InternBudgetBytes allows, and
+// replayed from then on (see intern.go). Set InternBudgetBytes to 0 to
+// force live generation.
 func (b Benchmark) NewReader(opts ReaderOpts) trace.Reader {
 	if err := b.Validate(); err != nil {
 		panic(err)
@@ -207,10 +212,10 @@ func (b Benchmark) NewReader(opts ReaderOpts) trace.Reader {
 	return b.newGenerator(opts)
 }
 
-// newGenerator builds a live generator over a freshly compiled program.
+// newGenerator builds a live generator over b's program.
 func (b Benchmark) newGenerator(opts ReaderOpts) *generator {
 	g := &generator{}
-	g.reset(compile(b), opts)
+	g.reset(programFor(b), opts)
 	return g
 }
 
@@ -219,11 +224,11 @@ func (b Benchmark) newGenerator(opts ReaderOpts) *generator {
 // A kernel iteration's static shape — which slots are live, which
 // registers they name, the closing branch's outcome — is fixed by four
 // bits of loop state, so a kernel has at most numShapes distinct
-// iterations. Each is compiled once into a template: the iteration's
-// records with every field final except the ones drawn at generation
-// time (a memory access's address, the LoD branch's outcome), which the
-// slot's tag names. Generation copies template records and draws the
-// tagged fields in slot order as the records are read. The stream
+// iterations. Each is compiled into a template: the iteration's records
+// with every field final except the ones drawn at generation time (a
+// memory access's address, the LoD branch's outcome), which the shape
+// lists as draws, in slot order. Generation copies template records and
+// performs the draws in slot order as the records are read. The stream
 // positions and the rng are private to the generator, so drawing a field
 // when its record is read, rather than when its iteration starts, yields
 // the same values.
@@ -242,50 +247,69 @@ const (
 	tagStream        // Addr, from stream tag-tagStream
 )
 
+// draw names one template record whose field generation draws.
+type draw struct {
+	slot int   // index into shape.insts
+	tag  uint8 // tagLoD or a tagStream
+}
+
 // shape is one compiled iteration template.
 type shape struct {
 	insts   []isa.Inst
-	tags    []uint8 // per slot, see tagPlain
-	lodProb float64 // the kernel's LODTakenProb, for tagLoD slots
+	draws   []draw  // the records that draw, in slot order, then a sentinel
+	lodProb float64 // the kernel's LODTakenProb, for tagLoD draws
 }
 
-// program is a benchmark compiled for generation: each kernel's
-// iteration templates, built on first use. A program is independent of
-// the reader options, so every segment a mix reader generates from one
-// benchmark shares one.
+// kernelProgram is one kernel compiled: its spec, whose periods pick
+// the template of each iteration, and every template.
+type kernelProgram struct {
+	Kernel
+	shapes [numShapes]shape
+}
+
+// program is a benchmark compiled for generation. Every template is
+// built up front, so a program is immutable and readers share it without
+// locks; it is independent of the reader options, so every segment a mix
+// reader generates from one benchmark shares one too.
 type program struct {
-	bench  Benchmark
-	shapes [][numShapes]*shape
+	bench   Benchmark
+	kernels []kernelProgram
 }
 
 func compile(b Benchmark) *program {
-	return &program{bench: b, shapes: make([][numShapes]*shape, len(b.Kernels))}
+	p := &program{bench: b, kernels: make([]kernelProgram, len(b.Kernels))}
+	for ki, k := range b.Kernels {
+		kp := &p.kernels[ki]
+		kp.Kernel = k
+		for sh := range kp.shapes {
+			kp.shapes[sh] = p.build(ki, sh)
+		}
+	}
+	return p
 }
 
-// shapeOf returns kernel k's shape at iteration iter.
-func shapeOf(k *Kernel, iter int) int {
-	sh := iter & shapeOdd
-	if k.IntLoad.Every > 0 && iter%k.IntLoad.Every == 0 {
-		sh |= shapeIntLoad
+// builtinPrograms returns the built-in benchmarks compiled, in the
+// paper's order. They are compiled on first use rather than at package
+// init, so a process that never generates pays nothing, and then shared
+// by every reader for the life of the process.
+var builtinPrograms = sync.OnceValue(func() []*program {
+	bs := builtins()
+	progs := make([]*program, len(bs))
+	for i, b := range bs {
+		progs[i] = compile(b)
 	}
-	if k.LODEvery > 0 && iter%k.LODEvery == k.LODEvery-1 {
-		sh |= shapeLoD
-	}
-	if iter%k.InnerTrip != k.InnerTrip-1 {
-		sh |= shapeTaken
-	}
-	return sh
-}
+	return progs
+})
 
-// shape returns kernel ki's template for shape sh, compiling it on first
-// use.
-func (p *program) shape(ki, sh int) *shape {
-	s := p.shapes[ki][sh]
-	if s == nil {
-		s = p.build(ki, sh)
-		p.shapes[ki][sh] = s
+// programFor returns the shared program when b is a built-in benchmark
+// and compiles b otherwise.
+func programFor(b Benchmark) *program {
+	for _, p := range builtinPrograms() {
+		if p.bench.Name == b.Name && reflect.DeepEqual(p.bench, b) {
+			return p
+		}
 	}
-	return s
+	return compile(b)
 }
 
 // Register conventions (architectural, per kernel iteration):
@@ -313,9 +337,9 @@ const (
 
 // build compiles kernel ki's iteration of shape sh, assigning stable PCs
 // per static slot: a suppressed block keeps its slots reserved.
-func (p *program) build(ki, sh int) *shape {
+func (p *program) build(ki, sh int) shape {
 	k := &p.bench.Kernels[ki]
-	s := &shape{lodProb: k.LODTakenProb}
+	s := shape{lodProb: k.LODTakenProb}
 
 	// Stable code layout: per-benchmark base (derived from the seed) plus
 	// per-kernel spacing, chosen to avoid systematic BHT aliasing between
@@ -325,8 +349,10 @@ func (p *program) build(ki, sh int) *shape {
 	emit := func(in isa.Inst, tag uint8) {
 		in.PC = pcBase + uint64(slot)*4
 		slot++
+		if tag != tagPlain {
+			s.draws = append(s.draws, draw{slot: len(s.insts), tag: tag})
+		}
 		s.insts = append(s.insts, in)
-		s.tags = append(s.tags, tag)
 	}
 	stream := func(i int) uint8 { return tagStream + uint8(i) }
 	intReg, fpReg := isa.IntReg, isa.FPReg
@@ -416,6 +442,9 @@ func (p *program) build(ki, sh int) *shape {
 
 	// 7. Inner-loop closing branch: taken except on loop exit.
 	emit(isa.Inst{Op: isa.OpBranch, Dest: isa.NoReg, Src1: intReg(regCounter), Src2: isa.NoReg, Taken: sh&shapeTaken != 0}, tagPlain)
+	// The sentinel lies past every slot, so scans for the next draw stop
+	// on it without a length check.
+	s.draws = append(s.draws, draw{slot: len(s.insts)})
 	return s
 }
 
@@ -446,7 +475,7 @@ func (s *streamState) advance() uint64 {
 }
 
 // generator is the streaming kernel interpreter: it replays the current
-// iteration's template and draws the tagged fields.
+// iteration's template and performs its draws.
 type generator struct {
 	prog    *program
 	rng     rng.Source
@@ -454,10 +483,14 @@ type generator struct {
 
 	kernel    int // current kernel index
 	kernIters int // iterations completed in the current kernel run
-	iter      int // absolute iteration number within the kernel (for trips)
+	// The current iteration's number within the kernel, modulo 2 and
+	// modulo each of the kernel's periods: the counters that select its
+	// shape without a division.
+	odd, il, lod, trip int
 
-	cur *shape // the current iteration's template
-	pos int    // read cursor into cur
+	cur  *shape // the current iteration's template
+	pos  int    // read cursor into cur.insts
+	next int    // the first of cur.draws not yet performed
 }
 
 // reset positions g at the start of p's stream for opts.
@@ -477,7 +510,7 @@ func (g *generator) reset(p *program, opts ReaderOpts) {
 			reuse:  s.reuse(),
 		}
 	}
-	g.cur = p.shape(0, shapeOf(&p.bench.Kernels[0], 0))
+	g.selectShape()
 }
 
 // Next implements trace.Reader. The stream is infinite.
@@ -486,34 +519,43 @@ func (g *generator) Next(out *isa.Inst) bool {
 		g.nextIteration()
 	}
 	*out = g.cur.insts[g.pos]
-	if tag := g.cur.tags[g.pos]; tag != tagPlain {
-		g.draw(out, tag)
+	if d := g.cur.draws[g.next]; d.slot == g.pos {
+		g.draw(out, d.tag)
+		g.next++
 	}
 	g.pos++
 	return true
 }
 
 // Fill implements trace.Filler: whole template runs are copied at once,
-// then their tagged fields drawn in slot order. The stream is infinite,
-// so dst is always filled.
+// then the draws they cover performed in slot order (draw's body, written
+// out because the call would not be inlined). The stream is infinite, so
+// dst is always filled.
 func (g *generator) Fill(dst []isa.Inst) int {
 	for n := 0; n < len(dst); {
 		if g.pos == len(g.cur.insts) {
 			g.nextIteration()
 		}
-		k := copy(dst[n:], g.cur.insts[g.pos:])
-		for i, tag := range g.cur.tags[g.pos : g.pos+k] {
-			if tag != tagPlain {
-				g.draw(&dst[n+i], tag)
+		cur := g.cur
+		k := copy(dst[n:], cur.insts[g.pos:])
+		base, end := n-g.pos, g.pos+k // dst index of slot 0, end slot
+		i := g.next
+		for ; cur.draws[i].slot < end; i++ {
+			d := cur.draws[i]
+			in := &dst[base+d.slot]
+			if d.tag == tagLoD {
+				in.Taken = g.rng.Bool(cur.lodProb)
+			} else {
+				in.Addr = g.streams[d.tag-tagStream].advance()
 			}
 		}
-		g.pos += k
+		g.next, g.pos = i, end
 		n += k
 	}
 	return len(dst)
 }
 
-// draw fills in the generation-time field a slot tag names.
+// draw fills in the generation-time field a tag names.
 func (g *generator) draw(in *isa.Inst, tag uint8) {
 	if tag == tagLoD {
 		in.Taken = g.rng.Bool(g.cur.lodProb)
@@ -525,23 +567,42 @@ func (g *generator) draw(in *isa.Inst, tag uint8) {
 // nextIteration advances the kernel rotation state past the finished
 // iteration and selects the next iteration's template.
 func (g *generator) nextIteration() {
-	b := &g.prog.bench
-	g.iter++
+	k := &g.prog.kernels[g.kernel]
 	g.kernIters++
-	if g.kernIters >= b.Kernels[g.kernel].Weight && len(b.Kernels) > 1 {
-		g.kernIters = 0
-		g.iter = 0
-		g.kernel = (g.kernel + 1) % len(b.Kernels)
+	if g.kernIters >= k.Weight && len(g.prog.kernels) > 1 {
+		g.kernel = (g.kernel + 1) % len(g.prog.kernels)
+		g.kernIters, g.odd, g.il, g.lod, g.trip = 0, 0, 0, 0, 0
+	} else {
+		g.odd ^= shapeOdd
+		g.il = step(g.il, k.IntLoad.Every)
+		g.lod = step(g.lod, k.LODEvery)
+		g.trip = step(g.trip, k.InnerTrip)
 	}
-	g.cur = g.prog.shape(g.kernel, shapeOf(&b.Kernels[g.kernel], g.iter))
-	g.pos = 0
+	g.selectShape()
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
+// step advances a counter modulo period (0: the counter only grows).
+func step(c, period int) int {
+	if c++; c == period {
+		return 0
 	}
-	return b
+	return c
+}
+
+// selectShape points g at the template its iteration counters select.
+func (g *generator) selectShape() {
+	k := &g.prog.kernels[g.kernel]
+	sh := g.odd
+	if k.IntLoad.Every > 0 && g.il == 0 {
+		sh |= shapeIntLoad
+	}
+	if g.lod == k.LODEvery-1 {
+		sh |= shapeLoD
+	}
+	if g.trip != k.InnerTrip-1 {
+		sh |= shapeTaken
+	}
+	g.cur, g.pos, g.next = &k.shapes[sh], 0, 0
 }
 
 // InstsPerIteration returns the fixed slot count of one iteration of the

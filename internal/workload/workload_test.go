@@ -8,6 +8,18 @@ import (
 	"repro/internal/trace"
 )
 
+// readN pulls n instructions from a reader into a slice.
+func readN(t *testing.T, r trace.Reader, n int) []isa.Inst {
+	t.Helper()
+	out := make([]isa.Inst, n)
+	for i := range out {
+		if !r.Next(&out[i]) {
+			t.Fatalf("stream ended at %d/%d", i, n)
+		}
+	}
+	return out
+}
+
 func TestAllBuiltinsValid(t *testing.T) {
 	bs := All()
 	if len(bs) != 10 {
@@ -351,10 +363,8 @@ func TestMixNegativeThreadPanics(t *testing.T) {
 	Mix(-1, MixOpts{})
 }
 
-// benchLive measures live generation per instruction, one Next at a
-// time and in the core's 64-record Fill batches. Each round builds a
-// fresh reader directly, bypassing the interner: NewReader or Mix on a
-// repeated key would replay an interned buffer instead of generating.
+// benchLive measures generation per instruction, one Next at a time and
+// in the core's 64-record Fill batches.
 func benchLive(b *testing.B, mk func() trace.Filler) {
 	b.Run("Next", func(b *testing.B) {
 		r := mk()
@@ -499,5 +509,42 @@ func TestFillMatchesNext(t *testing.T) {
 			name := fmt.Sprintf("mix t=%d seg=%d", tid, seg)
 			fillMatchesNext(t, name, newMixReader(tid, opts), newMixReader(tid, opts), 2*DefaultSegmentLen+123, batches)
 		}
+	}
+}
+
+// TestBuiltinReadersShareProgram: readers of a built-in benchmark
+// generate from the process-wide program, while a definition that only
+// shares a built-in's name gets its own.
+func TestBuiltinReadersShareProgram(t *testing.T) {
+	progs := builtinPrograms()
+	for i, b := range All() {
+		if g := b.newGenerator(ReaderOpts{Seed: 4}); g.prog != progs[i] {
+			t.Errorf("%s: reader compiled a private program", b.Name)
+		}
+	}
+	custom, err := ByName("swim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	custom.Kernels = append([]Kernel(nil), custom.Kernels...)
+	custom.Kernels[0].Weight++
+	g := custom.newGenerator(ReaderOpts{})
+	if g.prog == progs[1] {
+		t.Fatal("a modified swim reused the built-in program")
+	}
+	if g.prog.bench.Kernels[0].Weight != custom.Kernels[0].Weight {
+		t.Fatal("custom program compiled from the wrong definition")
+	}
+}
+
+var mixSink *mixReader
+
+// TestMixReaderBuildsNoProgram: after first use, a mix reader allocates
+// only itself; every program it generates from is shared.
+func TestMixReaderBuildsNoProgram(t *testing.T) {
+	builtinPrograms()
+	allocs := testing.AllocsPerRun(100, func() { mixSink = newMixReader(3, MixOpts{Seed: 9}) })
+	if allocs > 1 {
+		t.Fatalf("newMixReader made %v allocations, want 1 (the reader)", allocs)
 	}
 }
