@@ -14,6 +14,7 @@ package daesim
 // `go run ./cmd/dae-sweep -fig all`; EXPERIMENTS.md records those numbers.
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/experiments"
@@ -28,18 +29,24 @@ func benchBudget() experiments.Budget {
 	}
 }
 
+// runFigure regenerates the figure a dae-sweep key selects.
+func runFigure(b *testing.B, key string) *experiments.Result {
+	b.Helper()
+	r, err := experiments.Find(key).Run(benchBudget())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return r
+}
+
 // BenchmarkFig1a regenerates Figure 1-a (perceived FP-load miss latency
 // per benchmark across L2 latencies) and reports fpppp's and tomcatv's
 // 256-cycle points — the paper's outlier and a representative stream code.
 func BenchmarkFig1a(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig1(benchBudget())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := len(r.Latencies) - 1
-		b.ReportMetric(r.PerceivedFP[idxOf(b, r.Benchmarks, "fpppp")][last], "fpppp-fp-perc@256")
-		b.ReportMetric(r.PerceivedFP[idxOf(b, r.Benchmarks, "tomcatv")][last], "tomcatv-fp-perc@256")
+		r := runFigure(b, "1a")
+		b.ReportMetric(r.Float("perceived_fp", "benchmark", "fpppp", "l2", 256), "fpppp-fp-perc@256")
+		b.ReportMetric(r.Float("perceived_fp", "benchmark", "tomcatv", "l2", 256), "tomcatv-fp-perc@256")
 	}
 }
 
@@ -47,38 +54,27 @@ func BenchmarkFig1a(b *testing.B) {
 // latency) and reports the gather codes' exposure.
 func BenchmarkFig1b(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig1(benchBudget())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := len(r.Latencies) - 1
-		b.ReportMetric(r.PerceivedInt[idxOf(b, r.Benchmarks, "su2cor")][last], "su2cor-int-perc@256")
-		b.ReportMetric(r.PerceivedInt[idxOf(b, r.Benchmarks, "swim")][last], "swim-int-perc@256")
+		r := runFigure(b, "1b")
+		b.ReportMetric(r.Float("perceived_int", "benchmark", "su2cor", "l2", 256), "su2cor-int-perc@256")
+		b.ReportMetric(r.Float("perceived_int", "benchmark", "swim", "l2", 256), "swim-int-perc@256")
 	}
 }
 
 // BenchmarkFig1c regenerates Figure 1-c (L1 miss ratios at L2=256).
 func BenchmarkFig1c(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig1(benchBudget())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*r.LoadMiss[idxOf(b, r.Benchmarks, "hydro2d")], "hydro2d-loadmiss-%")
-		b.ReportMetric(100*r.LoadMiss[idxOf(b, r.Benchmarks, "fpppp")], "fpppp-loadmiss-%")
+		r := runFigure(b, "1c")
+		b.ReportMetric(100*r.Float("load_miss", "benchmark", "hydro2d"), "hydro2d-loadmiss-%")
+		b.ReportMetric(100*r.Float("load_miss", "benchmark", "fpppp"), "fpppp-loadmiss-%")
 	}
 }
 
 // BenchmarkFig1d regenerates Figure 1-d (IPC loss vs L2 latency).
 func BenchmarkFig1d(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig1(benchBudget())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := len(r.Latencies) - 1
-		b.ReportMetric(100*r.IPCLoss[idxOf(b, r.Benchmarks, "su2cor")][last], "su2cor-loss-%@256")
-		b.ReportMetric(100*r.IPCLoss[idxOf(b, r.Benchmarks, "applu")][last], "applu-loss-%@256")
+		r := runFigure(b, "1d")
+		b.ReportMetric(100*r.Float("ipc_loss", "benchmark", "su2cor", "l2", 256), "su2cor-loss-%@256")
+		b.ReportMetric(100*r.Float("ipc_loss", "benchmark", "applu", "l2", 256), "applu-loss-%@256")
 	}
 }
 
@@ -87,14 +83,11 @@ func BenchmarkFig1d(b *testing.B) {
 // (a 2.31x speedup), 6.65 at 4.
 func BenchmarkFig3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig3(benchBudget())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.IPC[0], "IPC-1T")
-		b.ReportMetric(r.IPC[2], "IPC-3T")
-		b.ReportMetric(r.IPC[3], "IPC-4T")
-		b.ReportMetric(r.Speedup(3), "speedup-3T")
+		r := runFigure(b, "3")
+		b.ReportMetric(r.Float("ipc", "threads", 1), "IPC-1T")
+		b.ReportMetric(r.Float("ipc", "threads", 3), "IPC-3T")
+		b.ReportMetric(r.Float("ipc", "threads", 4), "IPC-4T")
+		b.ReportMetric(r.Float("ipc", "threads", 3)/r.Float("ipc", "threads", 1), "speedup-3T")
 	}
 }
 
@@ -107,12 +100,9 @@ func BenchmarkFig4(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, _, decLoss, _ := r.At(4, true, 32)
-		_, _, nonLoss, _ := r.At(4, false, 32)
-		decP, _, _, _ := r.At(4, true, 256)
-		b.ReportMetric(-100*decLoss, "dec-loss-%@32")
-		b.ReportMetric(-100*nonLoss, "nondec-loss-%@32")
-		b.ReportMetric(decP, "dec-perceived@256")
+		b.ReportMetric(-100*r.Float("ipc_loss", "threads", 4, "decoupled", true, "l2", 32), "dec-loss-%@32")
+		b.ReportMetric(-100*r.Float("ipc_loss", "threads", 4, "decoupled", false, "l2", 32), "nondec-loss-%@32")
+		b.ReportMetric(r.Float("perceived", "threads", 4, "decoupled", true, "l2", 256), "dec-perceived@256")
 	}
 }
 
@@ -121,70 +111,43 @@ func BenchmarkFig4(b *testing.B) {
 // L2=16, plus the non-decoupled bus utilization at 16 threads and L2=64.
 func BenchmarkFig5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig5(benchBudget())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(experiments.PeakThreads(r.ThreadsShort, r.IPC16Dec, 0.05)), "dec-peak-threads")
-		b.ReportMetric(float64(experiments.PeakThreads(r.ThreadsShort, r.IPC16Non, 0.05)), "nondec-peak-threads")
-		b.ReportMetric(100*r.Bus64Non[len(r.Bus64Non)-1], "nondec-bus-%@16T")
+		r := runFigure(b, "5")
+		dec := r.Floats("ipc", "l2", 16, "decoupled", true)
+		non := r.Floats("ipc", "l2", 16, "decoupled", false)
+		b.ReportMetric(float64(experiments.PeakThreads(experiments.Fig5ThreadsShort, dec, 0.05)), "dec-peak-threads")
+		b.ReportMetric(float64(experiments.PeakThreads(experiments.Fig5ThreadsShort, non, 0.05)), "nondec-peak-threads")
+		b.ReportMetric(100*r.Float("bus_util", "l2", 64, "decoupled", false, "threads", 16), "nondec-bus-%@16T")
 	}
 }
 
 // BenchmarkAblationUnitWidths measures the paper's deferred design idea
 // (per-unit issue widths, §3.1).
-func BenchmarkAblationUnitWidths(b *testing.B) {
-	benchAblation(b, experiments.AblationUnitWidths)
-}
+func BenchmarkAblationUnitWidths(b *testing.B) { benchAblation(b, "a1") }
 
 // BenchmarkAblationFetchPolicy compares ICOUNT and round-robin fetch.
-func BenchmarkAblationFetchPolicy(b *testing.B) {
-	benchAblation(b, experiments.AblationFetchPolicy)
-}
+func BenchmarkAblationFetchPolicy(b *testing.B) { benchAblation(b, "a2") }
 
 // BenchmarkAblationAssoc sweeps L1 associativity.
-func BenchmarkAblationAssoc(b *testing.B) {
-	benchAblation(b, experiments.AblationAssoc)
-}
+func BenchmarkAblationAssoc(b *testing.B) { benchAblation(b, "a3") }
 
 // BenchmarkAblationForwarding toggles SAQ store→load forwarding.
-func BenchmarkAblationForwarding(b *testing.B) {
-	benchAblation(b, experiments.AblationForwarding)
-}
+func BenchmarkAblationForwarding(b *testing.B) { benchAblation(b, "a4") }
 
 // BenchmarkAblationMemory sweeps MSHRs and bus width.
-func BenchmarkAblationMemory(b *testing.B) {
-	benchAblation(b, experiments.AblationMemory)
-}
+func BenchmarkAblationMemory(b *testing.B) { benchAblation(b, "a5") }
 
 // BenchmarkAblationScaling contrasts fixed and latency-scaled buffering.
-func BenchmarkAblationScaling(b *testing.B) {
-	benchAblation(b, experiments.AblationScaling)
-}
+func BenchmarkAblationScaling(b *testing.B) { benchAblation(b, "a6") }
 
 // BenchmarkAblationPolicies compares issue priorities and predictors.
-func BenchmarkAblationPolicies(b *testing.B) {
-	benchAblation(b, experiments.AblationPolicies)
-}
+func BenchmarkAblationPolicies(b *testing.B) { benchAblation(b, "a7") }
 
-func benchAblation(b *testing.B, run func(experiments.Budget) (*experiments.AblationResult, error)) {
+func benchAblation(b *testing.B, key string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		r, err := run(benchBudget())
-		if err != nil {
-			b.Fatal(err)
-		}
-		best, worst := r.Rows[0].IPC, r.Rows[0].IPC
-		for _, row := range r.Rows {
-			if row.IPC > best {
-				best = row.IPC
-			}
-			if row.IPC < worst {
-				worst = row.IPC
-			}
-		}
-		b.ReportMetric(best, "best-IPC")
-		b.ReportMetric(worst, "worst-IPC")
+		ipc := runFigure(b, key).Floats("ipc")
+		b.ReportMetric(slices.Max(ipc), "best-IPC")
+		b.ReportMetric(slices.Min(ipc), "worst-IPC")
 	}
 }
 
@@ -203,15 +166,4 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(insts)*float64(b.N)/b.Elapsed().Seconds(), "sim-insts/s")
-}
-
-func idxOf(b *testing.B, names []string, name string) int {
-	b.Helper()
-	for i, n := range names {
-		if n == name {
-			return i
-		}
-	}
-	b.Fatalf("benchmark %s missing", name)
-	return -1
 }

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 func TestParseArgsDefaults(t *testing.T) {
@@ -37,8 +39,11 @@ func TestParseArgsOverrides(t *testing.T) {
 		t.Errorf("fig not lower-cased: %q", opts.fig)
 	}
 	b := opts.budget
-	if b.WarmupPerThread != 123 || b.MeasurePerThread != 456 || b.Seed != 9 || b.Parallelism != 3 {
+	if b.WarmupPerThread != 123 || b.MeasurePerThread != 456 || b.Seed != 9 {
 		t.Errorf("budget = %+v", b)
+	}
+	if opts.workers != 3 {
+		t.Errorf("workers = %d, want 3", opts.workers)
 	}
 	if opts.csvDir != "out" || opts.cacheDir != "cachedir" || !opts.progress {
 		t.Errorf("opts = %+v", opts)
@@ -72,8 +77,16 @@ func TestFlagErrorsPrintedOnce(t *testing.T) {
 
 func TestRunUnknownFigure(t *testing.T) {
 	var stdout, stderr strings.Builder
-	if code := run([]string{"-fig", "9z"}, &stdout, &stderr); code != 1 {
+	csvDir := filepath.Join(t.TempDir(), "out")
+	cacheDir := filepath.Join(t.TempDir(), "c")
+	if code := run([]string{"-fig", "9z", "-csv", csvDir, "-cache", cacheDir}, &stdout, &stderr); code != 1 {
 		t.Fatalf("exit code %d, want 1", code)
+	}
+	// The key is checked before anything touches the file system.
+	for _, dir := range []string{csvDir, cacheDir} {
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Errorf("mistyped -fig left %s behind (stat: %v)", dir, err)
+		}
 	}
 	if !strings.Contains(stderr.String(), `unknown figure "9z"`) {
 		t.Errorf("stderr = %q", stderr.String())
@@ -95,12 +108,19 @@ func TestRunFigList(t *testing.T) {
 		t.Fatalf("exit code %d, stderr: %s", code, stderr.String())
 	}
 	out := stdout.String()
-	// Every catalog key appears with a description, including the
+	// Every registry panel appears with its description, including the
 	// interference study and the catch-all.
-	for _, f := range figureCatalog {
-		if !strings.Contains(out, f.key) || !strings.Contains(out, f.desc) {
-			t.Errorf("list output missing %q (%s)", f.key, f.desc)
+	n := 0
+	for _, f := range experiments.Figures {
+		for _, p := range f.Panels {
+			n++
+			if !strings.Contains(out, "  "+p.Key+" ") || !strings.Contains(out, p.Desc) {
+				t.Errorf("list output missing %q (%s)", p.Key, p.Desc)
+			}
 		}
+	}
+	if n != 20 {
+		t.Errorf("registry has %d panels, want 20", n)
 	}
 	if !strings.Contains(out, "all") {
 		t.Error("list output missing the 'all' key")

@@ -5,167 +5,122 @@ import (
 
 	"repro/internal/branch"
 	"repro/internal/config"
-	"repro/internal/runner"
 )
 
-// This file implements the ablation studies DESIGN.md calls out (A1–A6):
+// This file declares the ablation studies DESIGN.md calls out (A1–A7):
 // design choices the paper fixes (or defers to future work) whose impact
 // the harness quantifies on the 4-thread Figure-2 machine with the
 // benchmark mixes.
 
-// AblationRow is one configuration of an ablation sweep.
-type AblationRow struct {
-	Label   string
-	IPC     float64
-	BusUtil float64
-	// Perceived is the combined perceived load-miss latency.
-	Perceived float64
+// A variant is one labelled machine of an ablation.
+type variant struct {
+	label string
+	m     config.Machine
 }
 
-// AblationResult is a labelled sweep.
-type AblationResult struct {
-	Title string
-	Rows  []AblationRow
+// fig2x4 is the 4-thread Figure-2 machine at L2 latency l2, changed by
+// edit.
+func fig2x4(l2 int64, edit func(*config.Machine)) config.Machine {
+	m := config.Figure2(4).WithL2Latency(l2)
+	edit(&m)
+	return m
 }
 
-// Table renders the sweep.
-func (r *AblationResult) Table() string {
-	header := []string{"config", "IPC", "bus-util", "perceived"}
-	rows := make([][]string, len(r.Rows))
-	for i, row := range r.Rows {
-		rows[i] = []string{row.Label, f2(row.IPC), pct(row.BusUtil), f1(row.Perceived)}
+// ablation declares a figure that runs one machine per variant. Its
+// -fig list line is the table title unless desc is set.
+func ablation(key, title, desc string, vs []variant) *Figure {
+	if desc == "" {
+		desc = title
 	}
-	return formatTable(r.Title, header, rows)
+	return &Figure{
+		Name: key,
+		Panels: []Panel{{key, desc, View{Title: title, Lines: [][]Cell{{
+			cell("config", "config", str), cell("IPC", "ipc", f2),
+			cell("bus-util", "bus_util", pct), cell("perceived", "perceived", f1),
+		}}}}},
+		Columns: []Column{{Name: "config"}, {"ipc", ipc}, {"bus_util", busUtil}, {"perceived", perceived}},
+		points: func(b Budget) []*Point {
+			pts := make([]*Point, len(vs))
+			for i, v := range vs {
+				pts[i] = point(Row{"config": v.label}, b.mixJob(fmt.Sprintf("%s [%s]", title, v.label), v.m))
+			}
+			return pts
+		},
+	}
 }
 
-// runAblation executes one machine per label.
-func runAblation(b Budget, title string, labels []string, machines []config.Machine) (*AblationResult, error) {
-	r := &AblationResult{Title: title, Rows: make([]AblationRow, len(machines))}
-	jobs := make([]runner.Job, len(machines))
-	for i, m := range machines {
-		jobs[i] = b.mixJob(fmt.Sprintf("%s [%s]", title, labels[i]), m)
-	}
-	reps, err := b.sweep(jobs)
-	if err != nil {
-		return nil, err
-	}
-	for i, rep := range reps {
-		r.Rows[i] = AblationRow{
-			Label:     labels[i],
-			IPC:       rep.IPC(),
-			BusUtil:   rep.BusUtilization,
-			Perceived: rep.Perceived().Mean(),
-		}
-	}
-	return r, nil
-}
-
-// AblationUnitWidths quantifies the paper's deferred idea (§3.1): the AP
+// ablationA1 quantifies the paper's deferred idea (§3.1): the AP
 // saturates before the EP because of the instruction-mix imbalance, so a
 // wider AP should raise the effective peak.
-func AblationUnitWidths(b Budget) (*AblationResult, error) {
-	shapes := []struct {
-		ap, ep int
-	}{{4, 4}, {5, 3}, {6, 4}, {4, 6}, {6, 6}}
-	var labels []string
-	var machines []config.Machine
-	for _, s := range shapes {
-		m := config.Figure2(4)
-		m.APWidth, m.EPWidth = s.ap, s.ep
-		labels = append(labels, fmt.Sprintf("AP=%d EP=%d", s.ap, s.ep))
-		machines = append(machines, m)
+var ablationA1 = func() *Figure {
+	var vs []variant
+	for _, w := range [][2]int{{4, 4}, {5, 3}, {6, 4}, {4, 6}, {6, 6}} {
+		vs = append(vs, variant{fmt.Sprintf("AP=%d EP=%d", w[0], w[1]),
+			fig2x4(16, func(m *config.Machine) { m.APWidth, m.EPWidth = w[0], w[1] })})
 	}
-	return runAblation(b, "Ablation A1: per-unit issue widths (4 threads, L2=16)", labels, machines)
-}
+	return ablation("a1", "Ablation A1: per-unit issue widths (4 threads, L2=16)", "", vs)
+}()
 
-// AblationFetchPolicy compares ICOUNT with plain round-robin fetch.
-func AblationFetchPolicy(b Budget) (*AblationResult, error) {
-	icount := config.Figure2(4)
-	rr := config.Figure2(4)
-	rr.FetchPolicy = config.FetchRoundRobin
-	return runAblation(b, "Ablation A2: fetch policy (4 threads, L2=16)",
-		[]string{"ICOUNT", "round-robin"},
-		[]config.Machine{icount, rr})
-}
+// ablationA2 compares ICOUNT with plain round-robin fetch.
+var ablationA2 = ablation("a2", "Ablation A2: fetch policy (4 threads, L2=16)",
+	"Ablation A2: ICOUNT vs round-robin fetch (4 threads, L2=16)", []variant{
+		{"ICOUNT", config.Figure2(4)},
+		{"round-robin", fig2x4(16, func(m *config.Machine) { m.FetchPolicy = config.FetchRoundRobin })},
+	})
 
-// AblationAssoc sweeps L1 associativity (the paper's cache is
-// direct-mapped; higher ways cut the cross-thread conflicts that grow
-// with context count).
-func AblationAssoc(b Budget) (*AblationResult, error) {
-	var labels []string
-	var machines []config.Machine
+// ablationA3 sweeps L1 associativity (the paper's cache is direct-mapped;
+// higher ways cut the cross-thread conflicts that grow with context
+// count).
+var ablationA3 = func() *Figure {
+	var vs []variant
 	for _, assoc := range []int{1, 2, 4} {
-		m := config.Figure2(4)
-		m.Mem.L1.Assoc = assoc
-		labels = append(labels, fmt.Sprintf("%d-way", assoc))
-		machines = append(machines, m)
+		vs = append(vs, variant{fmt.Sprintf("%d-way", assoc),
+			fig2x4(16, func(m *config.Machine) { m.Mem.L1.Assoc = assoc })})
 	}
-	return runAblation(b, "Ablation A3: L1 associativity (4 threads, L2=16)", labels, machines)
-}
+	return ablation("a3", "Ablation A3: L1 associativity (4 threads, L2=16)", "", vs)
+}()
 
-// AblationForwarding toggles SAQ store→load forwarding (the paper's SAQ
-// only lets loads bypass non-conflicting stores).
-func AblationForwarding(b Budget) (*AblationResult, error) {
-	off := config.Figure2(4)
-	on := config.Figure2(4)
-	on.StoreForwarding = true
-	return runAblation(b, "Ablation A4: SAQ store-to-load forwarding (4 threads, L2=16)",
-		[]string{"bypass only (paper)", "forwarding"},
-		[]config.Machine{off, on})
-}
+// ablationA4 toggles SAQ store→load forwarding (the paper's SAQ only lets
+// loads bypass non-conflicting stores).
+var ablationA4 = ablation("a4", "Ablation A4: SAQ store-to-load forwarding (4 threads, L2=16)", "", []variant{
+	{"bypass only (paper)", config.Figure2(4)},
+	{"forwarding", fig2x4(16, func(m *config.Machine) { m.StoreForwarding = true })},
+})
 
-// AblationMemory sweeps MSHR count and bus width around the Figure-2
-// design point.
-func AblationMemory(b Budget) (*AblationResult, error) {
-	var labels []string
-	var machines []config.Machine
+// ablationA5 sweeps MSHR count and bus width around the Figure-2 design
+// point.
+var ablationA5 = func() *Figure {
+	var vs []variant
 	for _, mshrs := range []int{4, 8, 16, 32} {
-		m := config.Figure2(4).WithL2Latency(64)
-		m.MSHRsPerThread = mshrs
-		labels = append(labels, fmt.Sprintf("MSHRs/thread=%d bus=16B", mshrs))
-		machines = append(machines, m)
+		vs = append(vs, variant{fmt.Sprintf("MSHRs/thread=%d bus=16B", mshrs),
+			fig2x4(64, func(m *config.Machine) { m.MSHRsPerThread = mshrs })})
 	}
 	for _, busB := range []int{8, 32} {
-		m := config.Figure2(4).WithL2Latency(64)
-		m.Mem.BusBytesPerCycle = busB
-		labels = append(labels, fmt.Sprintf("MSHRs/thread=16 bus=%dB", busB))
-		machines = append(machines, m)
+		vs = append(vs, variant{fmt.Sprintf("MSHRs/thread=16 bus=%dB", busB),
+			fig2x4(64, func(m *config.Machine) { m.Mem.BusBytesPerCycle = busB })})
 	}
-	return runAblation(b, "Ablation A5: memory-system sizing (4 threads, L2=64)", labels, machines)
-}
+	return ablation("a5", "Ablation A5: memory-system sizing (4 threads, L2=64)",
+		"Ablation A5: MSHR count and bus width (4 threads, L2=64)", vs)
+}()
 
-// AblationPolicies compares the paper's round-robin issue priority with
-// oldest-first, and the 2-bit BHT with gshare and static predictors.
-func AblationPolicies(b Budget) (*AblationResult, error) {
-	var labels []string
-	var machines []config.Machine
-
-	rr := config.Figure2(4)
-	labels = append(labels, "issue=RR pred=BHT (paper)")
-	machines = append(machines, rr)
-
-	oldest := config.Figure2(4)
-	oldest.IssuePolicy = config.IssueOldestFirst
-	labels = append(labels, "issue=oldest pred=BHT")
-	machines = append(machines, oldest)
-
-	for _, kind := range []branch.Kind{branch.KindGshare, branch.KindTaken, branch.KindNotTaken} {
-		m := config.Figure2(4)
-		m.Predictor = kind
-		labels = append(labels, fmt.Sprintf("issue=RR pred=%s", kind))
-		machines = append(machines, m)
-	}
-	return runAblation(b, "Ablation A7: issue priority and branch predictor (4 threads, L2=16)", labels, machines)
-}
-
-// AblationScaling contrasts fixed Figure-2 queue/MSHR sizes with the
+// ablationA6 contrasts fixed Figure-2 queue/MSHR sizes with the
 // latency-proportional scaling rule at a large L2 latency — the
 // interpretation difference discussed in DESIGN.md.
-func AblationScaling(b Budget) (*AblationResult, error) {
-	fixed := config.Figure2(4).WithL2Latency(256)
-	scaled := config.Figure2(4).WithL2Latency(256)
-	scaled.ScaleWithLatency = true
-	return runAblation(b, "Ablation A6: fixed vs latency-scaled buffering (4 threads, L2=256)",
-		[]string{"fixed Figure-2 sizes", "scaled (Section-2 rule)"},
-		[]config.Machine{fixed, scaled})
-}
+var ablationA6 = ablation("a6", "Ablation A6: fixed vs latency-scaled buffering (4 threads, L2=256)", "", []variant{
+	{"fixed Figure-2 sizes", fig2x4(256, func(*config.Machine) {})},
+	{"scaled (Section-2 rule)", fig2x4(256, func(m *config.Machine) { m.ScaleWithLatency = true })},
+})
+
+// ablationA7 compares the paper's round-robin issue priority with
+// oldest-first, and the 2-bit BHT with gshare and static predictors.
+var ablationA7 = func() *Figure {
+	vs := []variant{
+		{"issue=RR pred=BHT (paper)", config.Figure2(4)},
+		{"issue=oldest pred=BHT", fig2x4(16, func(m *config.Machine) { m.IssuePolicy = config.IssueOldestFirst })},
+	}
+	for _, kind := range []branch.Kind{branch.KindGshare, branch.KindTaken, branch.KindNotTaken} {
+		vs = append(vs, variant{fmt.Sprintf("issue=RR pred=%s", kind),
+			fig2x4(16, func(m *config.Machine) { m.Predictor = kind })})
+	}
+	return ablation("a7", "Ablation A7: issue priority and branch predictor (4 threads, L2=16)", "", vs)
+}()

@@ -7,9 +7,14 @@ import (
 	"testing"
 )
 
-func parseCSV(t *testing.T, s string) [][]string {
+// csvRows writes a result's CSV and parses it back.
+func csvRows(t *testing.T, r *Result) [][]string {
 	t.Helper()
-	rows, err := csv.NewReader(strings.NewReader(s)).ReadAll()
+	var b strings.Builder
+	if err := r.WriteCSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := csv.NewReader(strings.NewReader(b.String())).ReadAll()
 	if err != nil {
 		t.Fatalf("invalid CSV: %v", err)
 	}
@@ -17,16 +22,9 @@ func parseCSV(t *testing.T, s string) [][]string {
 }
 
 func TestFig1CSV(t *testing.T) {
-	r, err := Fig1(testBudget())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	if err := r.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	rows := parseCSV(t, b.String())
-	want := 1 + len(r.Benchmarks)*len(r.Latencies)
+	r := mustRun(t, Find("1a"))
+	rows := csvRows(t, r)
+	want := 1 + 10*len(PaperLatencies)
 	if len(rows) != want {
 		t.Fatalf("%d rows, want %d", len(rows), want)
 	}
@@ -43,16 +41,8 @@ func TestFig1CSV(t *testing.T) {
 }
 
 func TestFig3CSV(t *testing.T) {
-	r, err := Fig3(testBudget())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	if err := r.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	rows := parseCSV(t, b.String())
-	if len(rows) != 1+len(r.Threads)*2 {
+	rows := csvRows(t, mustRun(t, Find("3")))
+	if len(rows) != 1+len(Fig3Threads)*2 {
 		t.Fatalf("%d rows", len(rows))
 	}
 	// Fractions per unit must sum to ~1 (the accounting identity).
@@ -73,25 +63,13 @@ func TestFig4And5CSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var b strings.Builder
-	if err := r4.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	rows := parseCSV(t, b.String())
-	if len(rows) != 1+len(r4.Configs)*len(r4.Latencies) {
+	rows := csvRows(t, r4)
+	if len(rows) != 1+len(Fig4Configs)*len(PaperLatencies) {
 		t.Fatalf("fig4: %d rows", len(rows))
 	}
 
-	r5, err := Fig5(testBudget())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Reset()
-	if err := r5.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	rows = parseCSV(t, b.String())
-	want := 1 + 2*len(r5.ThreadsShort) + 2*len(r5.ThreadsLong)
+	rows = csvRows(t, mustRun(t, Find("5")))
+	want := 1 + 2*len(Fig5ThreadsShort) + 2*len(Fig5ThreadsLong)
 	if len(rows) != want {
 		t.Fatalf("fig5: %d rows, want %d", len(rows), want)
 	}
@@ -107,16 +85,9 @@ func TestFig4And5CSV(t *testing.T) {
 }
 
 func TestAblationCSV(t *testing.T) {
-	r, err := AblationFetchPolicy(testBudget())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	if err := r.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	rows := parseCSV(t, b.String())
-	if len(rows) != 1+len(r.Rows) {
+	r := mustRun(t, Find("a2"))
+	rows := csvRows(t, r)
+	if len(rows) != 1+len(r.Rows) || len(r.Rows) != 2 {
 		t.Fatalf("%d rows", len(rows))
 	}
 }
@@ -131,17 +102,10 @@ func parseF(t *testing.T, s string) float64 {
 }
 
 func TestInterferenceCSV(t *testing.T) {
-	r, err := InterferenceGrid(testBudget(), []int{64 << 10, 1 << 20}, []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	if err := r.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	rows := parseCSV(t, b.String())
-	if len(rows) != 1+len(r.Sizes)*len(r.Threads) {
-		t.Fatalf("%d rows, want header + %d points", len(rows), len(r.Sizes)*len(r.Threads))
+	sizes, threads := []int{64 << 10, 1 << 20}, []int{1, 2}
+	rows := csvRows(t, mustRun(t, InterferenceGrid(sizes, threads)))
+	if len(rows) != 1+len(sizes)*len(threads) {
+		t.Fatalf("%d rows, want header + %d points", len(rows), len(sizes)*len(threads))
 	}
 	for _, row := range rows[1:] {
 		if miss := parseF(t, row[3]); miss < 0 || miss > 1 {

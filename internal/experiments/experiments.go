@@ -3,25 +3,24 @@
 // the parameter table, reproduced by config.Figure2) plus the ablation
 // studies DESIGN.md calls out.
 //
-// Each experiment is a deterministic sweep of independent simulation
-// runs, described as runner.Jobs and executed by the internal/runner
-// batch engine: the runs execute concurrently on the host's cores, every
-// run is itself single-threaded and seeded (so results are
-// bit-reproducible), and points shared between figures — or re-run after
-// a crash, with an on-disk cache — are simulated once and served from
-// the result cache afterwards. Formatting helpers print the same
-// rows/series the paper plots.
+// Every experiment is one Figure value in the Figures registry: the
+// sweep of independent simulation runs it measures, its long-form rows
+// (exactly its CSV) and the table panels that view those rows. The runs
+// are runner.Jobs executed by the internal/runner batch engine: they run
+// concurrently on the host's cores, every run is itself single-threaded
+// and seeded (so results are bit-reproducible), and points shared
+// between figures — or re-run after a crash, with an on-disk cache — are
+// simulated once and served from the result cache afterwards.
 package experiments
 
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
+	"time"
 
 	"repro/internal/config"
 	"repro/internal/runner"
-	"repro/internal/stats"
 )
 
 // Budget controls the instruction budgets of every run in a sweep and
@@ -32,18 +31,13 @@ type Budget struct {
 	// and measures T×MeasurePerThread graduated instructions.
 	WarmupPerThread  int64
 	MeasurePerThread int64
-	// SegmentLen overrides the mix rotation length (0 = default).
-	SegmentLen int64
 	// Seed perturbs the workloads.
 	Seed uint64
-	// Parallelism bounds concurrent runs (0 = GOMAXPROCS). Ignored when
-	// Runner is set (the runner's own worker count governs).
-	Parallelism int
 	// Runner executes the sweep's jobs. Sharing one runner across
 	// figures lets them reuse each other's points (fig3 and fig5 sweep
 	// the same L2=16 thread axis) and, with a cache directory, resume
 	// interrupted sweeps. When nil, each sweep uses a private in-memory
-	// runner.
+	// runner with one worker per core.
 	Runner *runner.Runner
 	// Ctx cancels the sweep: in-flight simulations abort promptly and
 	// remaining points fail with the context's error (nil =
@@ -53,23 +47,10 @@ type Budget struct {
 	Ctx context.Context
 }
 
-// ctx returns the sweep context.
-func (b Budget) ctx() context.Context {
-	if b.Ctx != nil {
-		return b.Ctx
-	}
-	return context.Background()
-}
-
 // DefaultBudget is sized for figure-quality sweeps: large enough for
 // steady state, small enough to regenerate every figure in minutes.
 func DefaultBudget() Budget {
 	return Budget{WarmupPerThread: 150_000, MeasurePerThread: 500_000}
-}
-
-// QuickBudget is sized for tests.
-func QuickBudget() Budget {
-	return Budget{WarmupPerThread: 20_000, MeasurePerThread: 60_000}
 }
 
 // ShortBudget is sized for CI (`go test -short`): every sweep still
@@ -77,13 +58,6 @@ func QuickBudget() Budget {
 // quantitative invariants — tests assert only structure in short mode.
 func ShortBudget() Budget {
 	return Budget{WarmupPerThread: 2_000, MeasurePerThread: 8_000}
-}
-
-func (b Budget) parallelism() int {
-	if b.Parallelism > 0 {
-		return b.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // totals converts the per-thread budget into a job's machine-wide
@@ -102,7 +76,7 @@ func (b Budget) mixJob(key string, m config.Machine) runner.Job {
 	return runner.Job{
 		Key:      key,
 		Machine:  m,
-		Workload: runner.MixWorkload(b.Seed, b.SegmentLen),
+		Workload: runner.MixWorkload(b.Seed, 0),
 		Budget:   b.totals(m.TotalContexts()),
 	}
 }
@@ -117,48 +91,66 @@ func (b Budget) benchJob(key string, m config.Machine, bench string) runner.Job 
 	}
 }
 
-// sweep executes a figure's jobs on the budget's runner (or a private
-// one) and returns the reports in job order. Every job runs even when
-// some fail; the returned error aggregates all failures.
-func (b Budget) sweep(jobs []runner.Job) ([]stats.Report, error) {
+// run executes jobs on the budget's runner (or a private one) and
+// returns their results in job order. Every job of a batch runs even
+// when some fail; the returned error aggregates all failures. A serial
+// sweep runs each job as its own batch, so each run's wall clock is its
+// own.
+func (b Budget) run(jobs []runner.Job, serial bool) ([]Run, error) {
 	r := b.Runner
 	if r == nil {
 		var err error
-		r, err = runner.New(runner.Options{Workers: b.parallelism()})
-		if err != nil {
+		if r, err = runner.New(runner.Options{}); err != nil {
 			return nil, err
 		}
 	}
-	results, err := r.RunContext(b.ctx(), jobs)
-	if err != nil {
-		return nil, err
+	ctx := b.Ctx
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	return runner.Reports(results), nil
+	batches := [][]runner.Job{jobs}
+	if serial {
+		batches = nil
+		for _, j := range jobs {
+			batches = append(batches, []runner.Job{j})
+		}
+	}
+	var runs []Run
+	for _, batch := range batches {
+		start := time.Now()
+		results, err := r.RunContext(ctx, batch)
+		if err != nil {
+			return nil, err
+		}
+		wall := time.Since(start)
+		for _, res := range results {
+			runs = append(runs, Run{Result: res, Wall: wall})
+		}
+	}
+	return runs, nil
 }
 
 // PaperLatencies is the L2 sweep of Figures 1 and 4.
 var PaperLatencies = []int64{1, 16, 32, 64, 128, 256}
 
-// ----------------------------------------------------------------------------
-// Table formatting.
-
-// formatTable renders a fixed-width text table.
+// formatTable renders a fixed-width text table: a title line, then the
+// header, a dashed separator and the rows, every column right-aligned.
 func formatTable(title string, header []string, rows [][]string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
+	sep := make([]string, len(header))
+	lines := append([][]string{header, sep}, rows...)
 	widths := make([]int, len(header))
-	for i, h := range header {
-		widths[i] = len(h)
-	}
-	for _, r := range rows {
-		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
+	for _, line := range lines {
+		for i, c := range line {
+			widths[i] = max(widths[i], len(c))
 		}
 	}
-	line := func(cells []string) {
-		for i, c := range cells {
+	for i := range sep {
+		sep[i] = strings.Repeat("-", widths[i])
+	}
+	var b strings.Builder
+	b.WriteString(title + "\n")
+	for _, line := range lines {
+		for i, c := range line {
 			if i > 0 {
 				b.WriteString("  ")
 			}
@@ -166,19 +158,22 @@ func formatTable(title string, header []string, rows [][]string) string {
 		}
 		b.WriteByte('\n')
 	}
-	line(header)
-	sep := make([]string, len(header))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	line(sep)
-	for _, r := range rows {
-		line(r)
-	}
 	return b.String()
 }
 
-func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
-func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
+// format returns a cell formatter that prints a value with one fmt verb.
+func format(verb string) func(any) string {
+	return func(v any) string { return fmt.Sprintf(verb, v) }
+}
 
-func pct(v float64) string { return fmt.Sprintf("%.1f%%", 100*v) }
+var (
+	str = format("%v")
+	f1  = format("%.1f")
+	f2  = format("%.2f")
+)
+
+// pct prints a fraction as a percentage.
+func pct(v any) string { return fmt.Sprintf("%.1f%%", 100*v.(float64)) }
+
+// kb prints a byte count in KiB.
+func kb(v any) string { return fmt.Sprintf("%dKB", v.(int)>>10) }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/runner"
+	"repro/internal/workload"
 )
 
 // The experiment tests normally run with QuickBudget (tens of thousands
@@ -29,6 +30,11 @@ var sweepRunner = func() *runner.Runner {
 	return r
 }()
 
+// QuickBudget is sized for tests.
+func QuickBudget() Budget {
+	return Budget{WarmupPerThread: 20_000, MeasurePerThread: 60_000}
+}
+
 // testBudget returns the sweep budget for the current test mode, wired
 // to the shared runner.
 func testBudget() Budget {
@@ -44,72 +50,78 @@ func testBudget() Budget {
 // asserted (they need at least QuickBudget).
 func quant() bool { return !testing.Short() }
 
-func TestFig1Structure(t *testing.T) {
-	r, err := Fig1(testBudget())
+// mustRun runs a figure at the test budget.
+func mustRun(t *testing.T, f *Figure) *Result {
+	t.Helper()
+	r, err := f.Run(testBudget())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Benchmarks) != 10 || len(r.Latencies) != 6 {
-		t.Fatalf("grid shape: %d benchmarks × %d latencies", len(r.Benchmarks), len(r.Latencies))
+	return r
+}
+
+// tables renders every panel of a result.
+func tables(r *Result) []string {
+	var out []string
+	for _, p := range r.Panels {
+		out = append(out, r.Table(p.View))
 	}
-	idx := func(name string) int {
-		for i, b := range r.Benchmarks {
-			if b == name {
-				return i
-			}
-		}
-		t.Fatalf("benchmark %s missing", name)
-		return -1
+	return out
+}
+
+func TestFig1Structure(t *testing.T) {
+	r := mustRun(t, Find("1"))
+	benchmarks := workload.Names()
+	if len(benchmarks) != 10 || len(r.Rows) != 10*len(PaperLatencies) || len(PaperLatencies) != 6 {
+		t.Fatalf("grid shape: %d rows for %d benchmarks × %d latencies", len(r.Rows), len(benchmarks), len(PaperLatencies))
 	}
-	for bi := range r.Benchmarks {
-		for li := range r.Latencies {
-			if r.IPC[bi][li] <= 0 {
-				t.Errorf("%s L2=%d: non-positive IPC", r.Benchmarks[bi], r.Latencies[li])
-			}
+	for _, row := range r.Rows {
+		if row["ipc"].(float64) <= 0 {
+			t.Errorf("%s L2=%d: non-positive IPC", row["benchmark"], row["l2"])
 		}
 	}
 	if quant() {
-		last := len(r.Latencies) - 1
+		// Every Figure-1 value below is read at L2 = 256.
+		at := func(col, bench string) float64 { return r.Float(col, "benchmark", bench, "l2", 256) }
 		// fpppp has the worst perceived FP latency at 256 (Fig 1-a).
-		fp := idx("fpppp")
 		for _, name := range []string{"tomcatv", "swim", "mgrid", "applu", "apsi"} {
-			if r.PerceivedFP[fp][last] <= r.PerceivedFP[idx(name)][last] {
+			if at("perceived_fp", "fpppp") <= at("perceived_fp", name) {
 				t.Errorf("fpppp perceived FP (%.1f) not above %s (%.1f)",
-					r.PerceivedFP[fp][last], name, r.PerceivedFP[idx(name)][last])
+					at("perceived_fp", "fpppp"), name, at("perceived_fp", name))
 			}
 		}
 		// The gather codes dominate perceived integer latency (Fig 1-b).
 		for _, gather := range []string{"su2cor", "wave5", "turb3d", "fpppp"} {
-			if r.PerceivedInt[idx(gather)][last] < 10 {
-				t.Errorf("%s perceived int latency %.1f too small at 256", gather, r.PerceivedInt[idx(gather)][last])
+			if v := at("perceived_int", gather); v < 10 {
+				t.Errorf("%s perceived int latency %.1f too small at 256", gather, v)
 			}
 		}
 		for _, regular := range []string{"tomcatv", "swim", "mgrid"} {
-			if r.PerceivedInt[idx(regular)][last] > 10 {
-				t.Errorf("%s perceived int latency %.1f unexpectedly high", regular, r.PerceivedInt[idx(regular)][last])
+			if v := at("perceived_int", regular); v > 10 {
+				t.Errorf("%s perceived int latency %.1f unexpectedly high", regular, v)
 			}
 		}
 		// fpppp has a near-zero miss ratio; hydro2d/swim are tall (Fig 1-c).
-		if r.LoadMiss[idx("fpppp")] > 0.03 {
-			t.Errorf("fpppp load miss %.3f too high", r.LoadMiss[idx("fpppp")])
+		if v := at("load_miss", "fpppp"); v > 0.03 {
+			t.Errorf("fpppp load miss %.3f too high", v)
 		}
-		if r.LoadMiss[idx("hydro2d")] < 2*r.LoadMiss[idx("mgrid")] {
+		if at("load_miss", "hydro2d") < 2*at("load_miss", "mgrid") {
 			t.Errorf("hydro2d (%.3f) not well above mgrid (%.3f)",
-				r.LoadMiss[idx("hydro2d")], r.LoadMiss[idx("mgrid")])
+				at("load_miss", "hydro2d"), at("load_miss", "mgrid"))
 		}
 		// The degraded trio loses the most IPC at 256 (Fig 1-d).
 		for _, bad := range []string{"su2cor", "hydro2d", "wave5"} {
 			for _, good := range []string{"mgrid", "applu", "turb3d"} {
-				if r.IPCLoss[idx(bad)][last] > r.IPCLoss[idx(good)][last] {
+				if at("ipc_loss", bad) > at("ipc_loss", good) {
 					t.Errorf("%s (%.2f) does not degrade more than %s (%.2f)",
-						bad, r.IPCLoss[idx(bad)][last], good, r.IPCLoss[idx(good)][last])
+						bad, at("ipc_loss", bad), good, at("ipc_loss", good))
 				}
 			}
 		}
 	}
 	// Tables render without panicking and mention every benchmark.
-	for _, table := range []string{r.TableA(), r.TableB(), r.TableC(), r.TableD()} {
-		for _, b := range r.Benchmarks {
+	for _, table := range tables(r) {
+		for _, b := range benchmarks {
 			if !strings.Contains(table, b) {
 				t.Errorf("table missing %s:\n%s", b, table)
 			}
@@ -118,41 +130,40 @@ func TestFig1Structure(t *testing.T) {
 }
 
 func TestFig3Structure(t *testing.T) {
-	r, err := Fig3(testBudget())
-	if err != nil {
-		t.Fatal(err)
+	r := mustRun(t, Find("3"))
+	if len(r.Rows) != 2*len(Fig3Threads) || len(Fig3Threads) != 6 {
+		t.Fatalf("axis shape: %d rows for %d thread counts", len(r.Rows), len(Fig3Threads))
 	}
-	if len(r.Threads) != 6 || len(r.IPC) != 6 || len(r.Slots) != 6 {
-		t.Fatalf("axis shape: %d threads, %d IPC, %d slots", len(r.Threads), len(r.IPC), len(r.Slots))
-	}
-	for i, t2 := range r.Threads {
-		if r.IPC[i] <= 0 {
+	ipc := func(threads int) float64 { return r.Float("ipc", "threads", threads) }
+	for _, t2 := range Fig3Threads {
+		if ipc(t2) <= 0 {
 			t.Errorf("threads=%d: non-positive IPC", t2)
 		}
 	}
 	if quant() {
 		// Multithreading raises throughput substantially from 1 to 3 threads
 		// and the curve flattens beyond 4 (paper: 2.31x, ~flat after 4).
-		if s := r.Speedup(3); s < 1.6 {
+		if s := ipc(3) / ipc(1); s < 1.6 {
 			t.Errorf("3-thread speedup %.2f too small", s)
 		}
-		if r.IPC[3] < r.IPC[2] {
-			t.Errorf("IPC dropped from 3 to 4 threads: %.2f -> %.2f", r.IPC[2], r.IPC[3])
+		if ipc(4) < ipc(3) {
+			t.Errorf("IPC dropped from 3 to 4 threads: %.2f -> %.2f", ipc(3), ipc(4))
 		}
 		// With one thread the EP wastes more slots on FU latency than on
 		// memory (the paper's central single-thread observation).
-		ep := r.Slots[0][1]
-		if ep.Wasted[2] <= ep.Wasted[1] { // WasteFU vs WasteMem
-			t.Errorf("1-thread EP not FU-bound: fu=%.0f mem=%.0f", ep.Wasted[2], ep.Wasted[1])
+		fu, mem := r.Float("wait_fu", "threads", 1, "unit", "EP"), r.Float("wait_mem", "threads", 1, "unit", "EP")
+		if fu <= mem {
+			t.Errorf("1-thread EP not FU-bound: fu=%.3f mem=%.3f", fu, mem)
 		}
 		// AP utilization grows monotonically in threads.
-		for i := 1; i < len(r.Threads); i++ {
-			if r.Slots[i][0].UsefulFrac()+1e-9 < r.Slots[i-1][0].UsefulFrac()-0.05 {
-				t.Errorf("AP utilization regressed at %d threads", r.Threads[i])
+		useful := r.Floats("useful", "unit", "AP")
+		for i := 1; i < len(useful); i++ {
+			if useful[i]+1e-9 < useful[i-1]-0.05 {
+				t.Errorf("AP utilization regressed at %d threads", Fig3Threads[i])
 			}
 		}
 	}
-	if !strings.Contains(r.Table(), "threads") {
+	if !strings.Contains(r.Table(r.Panels[0].View), "threads") {
 		t.Error("table missing header")
 	}
 }
@@ -162,28 +173,22 @@ func TestFig4Structure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Configs) != 8 || len(r.Latencies) != 6 {
-		t.Fatalf("grid shape: %d configs × %d latencies", len(r.Configs), len(r.Latencies))
+	if len(Fig4Configs) != 8 || len(r.Rows) != 8*len(PaperLatencies) {
+		t.Fatalf("grid shape: %d rows for %d configs × %d latencies", len(r.Rows), len(Fig4Configs), len(PaperLatencies))
 	}
-	for ci, cfg := range r.Configs {
-		for li := range r.Latencies {
-			if r.IPC[ci][li] <= 0 {
-				t.Errorf("%v L2=%d: non-positive IPC", cfg, r.Latencies[li])
-			}
+	for _, row := range r.Rows {
+		if row["ipc"].(float64) <= 0 {
+			t.Errorf("%dT dec=%v L2=%d: non-positive IPC", row["threads"], row["decoupled"], row["l2"])
 		}
+	}
+	at := func(col string, threads int, decoupled bool, lat int64) float64 {
+		return r.Float(col, "threads", threads, "decoupled", decoupled, "l2", lat)
 	}
 	if quant() {
 		// Decoupled configurations lose far less IPC from 1→32 cycles than
 		// non-decoupled ones (paper: <4% vs >23%).
 		for threads := 1; threads <= 4; threads++ {
-			_, _, decLoss, ok := r.At(threads, true, 32)
-			if !ok {
-				t.Fatal("missing decoupled config")
-			}
-			_, _, nonLoss, ok := r.At(threads, false, 32)
-			if !ok {
-				t.Fatal("missing non-decoupled config")
-			}
+			decLoss, nonLoss := at("ipc_loss", threads, true, 32), at("ipc_loss", threads, false, 32)
 			// Losses are negative; decoupled must lose less (be closer to 0).
 			if decLoss < nonLoss {
 				t.Errorf("%dT: decoupled loss %.1f%% worse than non-decoupled %.1f%%",
@@ -192,21 +197,19 @@ func TestFig4Structure(t *testing.T) {
 		}
 		// Perceived latency: decoupled stays low, non-decoupled grows with
 		// the L2 latency.
-		decP, _, _, _ := r.At(4, true, 256)
-		nonP, _, _, _ := r.At(4, false, 256)
+		decP, nonP := at("perceived", 4, true, 256), at("perceived", 4, false, 256)
 		if decP > nonP/4 {
 			t.Errorf("4T perceived at 256: decoupled %.1f vs non-decoupled %.1f — gap too small", decP, nonP)
 		}
 		// Multithreading raises absolute IPC at every latency.
 		for _, lat := range []int64{1, 64} {
-			_, one, _, _ := r.At(1, true, lat)
-			_, four, _, _ := r.At(4, true, lat)
+			one, four := at("ipc", 1, true, lat), at("ipc", 4, true, lat)
 			if four <= one {
 				t.Errorf("4T IPC (%.2f) not above 1T (%.2f) at L2=%d", four, one, lat)
 			}
 		}
 	}
-	for _, table := range []string{r.TableA(), r.TableB(), r.TableC()} {
+	for _, table := range tables(r) {
 		if !strings.Contains(table, "decoupled") {
 			t.Error("table missing config labels")
 		}
@@ -214,40 +217,46 @@ func TestFig4Structure(t *testing.T) {
 }
 
 func TestFig5Structure(t *testing.T) {
-	r, err := Fig5(testBudget())
-	if err != nil {
-		t.Fatal(err)
+	r := mustRun(t, Find("5"))
+	if len(Fig5ThreadsShort) != 7 || len(Fig5ThreadsLong) != 16 {
+		t.Fatalf("axis shape: %d short, %d long", len(Fig5ThreadsShort), len(Fig5ThreadsLong))
 	}
-	if len(r.ThreadsShort) != 7 || len(r.ThreadsLong) != 16 {
-		t.Fatalf("axis shape: %d short, %d long", len(r.ThreadsShort), len(r.ThreadsLong))
+	curve := func(col string, l2 int, decoupled bool) []float64 {
+		return r.Floats(col, "l2", l2, "decoupled", decoupled)
 	}
-	for i := range r.ThreadsLong {
-		if r.IPC64Dec[i] <= 0 || r.IPC64Non[i] <= 0 {
-			t.Errorf("threads=%d: non-positive L2=64 IPC", r.ThreadsLong[i])
+	ipc64Dec, ipc64Non := curve("ipc", 64, true), curve("ipc", 64, false)
+	if len(curve("ipc", 16, true)) != 7 || len(ipc64Dec) != 16 || len(ipc64Non) != 16 {
+		t.Fatalf("curve lengths: %d at L2=16, %d/%d at L2=64",
+			len(curve("ipc", 16, true)), len(ipc64Dec), len(ipc64Non))
+	}
+	for i, threads := range Fig5ThreadsLong {
+		if ipc64Dec[i] <= 0 || ipc64Non[i] <= 0 {
+			t.Errorf("threads=%d: non-positive L2=64 IPC", threads)
 		}
 	}
 	if quant() {
 		// The decoupled machine reaches near-peak with fewer threads than the
 		// non-decoupled machine at L2=16.
-		decPeak := PeakThreads(r.ThreadsShort, r.IPC16Dec, 0.05)
-		nonPeak := PeakThreads(r.ThreadsShort, r.IPC16Non, 0.05)
+		decPeak := PeakThreads(Fig5ThreadsShort, curve("ipc", 16, true), 0.05)
+		nonPeak := PeakThreads(Fig5ThreadsShort, curve("ipc", 16, false), 0.05)
 		if decPeak >= nonPeak {
 			t.Errorf("peak threads: decoupled %d, non-decoupled %d — decoupling should need fewer", decPeak, nonPeak)
 		}
 		// At L2=64, the decoupled machine beats the non-decoupled one at
 		// every matched thread count.
-		for i := range r.ThreadsLong {
-			if r.IPC64Dec[i] < r.IPC64Non[i] {
+		for i, threads := range Fig5ThreadsLong {
+			if ipc64Dec[i] < ipc64Non[i] {
 				t.Errorf("L2=64 at %d threads: decoupled %.2f below non-decoupled %.2f",
-					r.ThreadsLong[i], r.IPC64Dec[i], r.IPC64Non[i])
+					threads, ipc64Dec[i], ipc64Non[i])
 			}
 		}
 		// Non-decoupled bus utilization grows with thread count at L2=64.
-		if r.Bus64Non[len(r.Bus64Non)-1] < r.Bus64Non[3] {
+		bus := curve("bus_util", 64, false)
+		if bus[len(bus)-1] < bus[3] {
 			t.Error("non-decoupled bus utilization did not grow with threads")
 		}
 	}
-	if !strings.Contains(r.Table(), "bus64") {
+	if !strings.Contains(r.Table(r.Panels[0].View), "bus64") {
 		t.Error("table missing bus columns")
 	}
 }
@@ -264,34 +273,32 @@ func TestPeakThreads(t *testing.T) {
 }
 
 func TestAblationsRun(t *testing.T) {
-	b := testBudget()
 	for _, a := range []struct {
-		name string
-		run  func(Budget) (*AblationResult, error)
+		key  string
 		rows int
 	}{
-		{"unit widths", AblationUnitWidths, 5},
-		{"fetch policy", AblationFetchPolicy, 2},
-		{"associativity", AblationAssoc, 3},
-		{"forwarding", AblationForwarding, 2},
-		{"memory", AblationMemory, 6},
-		{"scaling", AblationScaling, 2},
+		{"a1", 5}, // unit widths
+		{"a2", 2}, // fetch policy
+		{"a3", 3}, // associativity
+		{"a4", 2}, // forwarding
+		{"a5", 6}, // memory
+		{"a6", 2}, // scaling
 	} {
-		r, err := a.run(b)
+		r, err := Find(a.key).Run(testBudget())
 		if err != nil {
-			t.Errorf("%s: %v", a.name, err)
+			t.Errorf("%s: %v", a.key, err)
 			continue
 		}
 		if len(r.Rows) != a.rows {
-			t.Errorf("%s: %d rows, want %d", a.name, len(r.Rows), a.rows)
+			t.Errorf("%s: %d rows, want %d", a.key, len(r.Rows), a.rows)
 		}
 		for _, row := range r.Rows {
-			if row.IPC <= 0 {
-				t.Errorf("%s [%s]: non-positive IPC", a.name, row.Label)
+			if row["ipc"].(float64) <= 0 {
+				t.Errorf("%s [%s]: non-positive IPC", a.key, row["config"])
 			}
 		}
-		if !strings.Contains(r.Table(), "IPC") {
-			t.Errorf("%s: table malformed", a.name)
+		if !strings.Contains(r.Table(r.Panels[0].View), "IPC") {
+			t.Errorf("%s: table malformed", a.key)
 		}
 	}
 }
@@ -310,16 +317,6 @@ func TestFormatTableAlignment(t *testing.T) {
 	}
 }
 
-func TestBudgetParallelism(t *testing.T) {
-	b := Budget{Parallelism: 3}
-	if b.parallelism() != 3 {
-		t.Fatal("explicit parallelism ignored")
-	}
-	if (Budget{}).parallelism() < 1 {
-		t.Fatal("default parallelism invalid")
-	}
-}
-
 // TestSweepAggregatesAllErrors pins the semantics that replaced the old
 // parallel() helper: a sweep with several failing points reports every
 // failure, not just the first.
@@ -327,7 +324,7 @@ func TestSweepAggregatesAllErrors(t *testing.T) {
 	b := ShortBudget()
 	badA := b.mixJob("bad-a", config.Machine{}) // fails validation
 	badB := b.benchJob("bad-b", config.Figure2(1), "no-such-benchmark")
-	_, err := b.sweep([]runner.Job{b.mixJob("ok", config.Figure2(1)), badA, badB})
+	_, err := b.run([]runner.Job{b.mixJob("ok", config.Figure2(1)), badA, badB}, false)
 	if err == nil {
 		t.Fatal("sweep with failing jobs returned nil error")
 	}
@@ -356,7 +353,7 @@ func TestFigSweepsHitSharedCache(t *testing.T) {
 	b := ShortBudget()
 	b.Runner = r
 
-	first, err := Fig3(b)
+	first, err := Find("3").Run(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,111 +361,113 @@ func TestFigSweepsHitSharedCache(t *testing.T) {
 	if afterFirst.Simulated == 0 {
 		t.Fatal("first sweep simulated nothing")
 	}
-	second, err := Fig3(b)
+	second, err := Find("3").Run(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := r.Stats().Simulated; got != afterFirst.Simulated {
 		t.Fatalf("re-run simulated %d new points, want 0", got-afterFirst.Simulated)
 	}
-	for i := range first.IPC {
-		if first.IPC[i] != second.IPC[i] {
-			t.Fatalf("cached fig3 IPC differs at %d threads", first.Threads[i])
+	firstIPC, secondIPC := first.Floats("ipc", "unit", "AP"), second.Floats("ipc", "unit", "AP")
+	for i := range firstIPC {
+		if firstIPC[i] != secondIPC[i] {
+			t.Fatalf("cached fig3 IPC differs at %d threads", Fig3Threads[i])
 		}
 	}
 
 	// Fig5's L2=16 decoupled curve revisits fig3's six points (same
 	// machine, workload and budget), so a shared runner skips them.
 	before := r.Stats()
-	f5, err := Fig5(b)
+	f5, err := Find("5").Run(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	delta := r.Stats()
 	newPoints := delta.Simulated - before.Simulated
-	total := int64(2*len(f5.ThreadsShort) + 2*len(f5.ThreadsLong))
-	if newPoints != total-int64(len(first.Threads)) {
+	total := int64(len(f5.Rows))
+	if newPoints != total-int64(len(Fig3Threads)) {
 		t.Errorf("fig5 simulated %d of %d points after fig3; want %d shared",
-			newPoints, total, len(first.Threads))
+			newPoints, total, len(Fig3Threads))
 	}
-	for i, threads := range first.Threads {
-		if f5.IPC16Dec[i] != first.IPC[i] {
+	ipc16Dec := f5.Floats("ipc", "l2", 16, "decoupled", true)
+	for i, threads := range Fig3Threads {
+		if ipc16Dec[i] != firstIPC[i] {
 			t.Errorf("shared point threads=%d: fig5 %.4f != fig3 %.4f",
-				threads, f5.IPC16Dec[i], first.IPC[i])
+				threads, ipc16Dec[i], firstIPC[i])
 		}
 	}
 }
 
 func TestInterferenceStructure(t *testing.T) {
-	b := testBudget()
 	// The trimmed grid keeps the quantitative invariants (the capacity
 	// extremes, where the interference signal lives) at a fraction of
 	// the canonical grid's cost; the canonical axes are exercised by the
 	// -fig i1 CLI path and the determinism gate.
 	sizes := []int{64 << 10, 1 << 20}
 	threads := []int{1, 2, 4, 6}
-	r, err := InterferenceGrid(b, sizes, threads)
-	if err != nil {
-		t.Fatal(err)
+	r := mustRun(t, InterferenceGrid(sizes, threads))
+	if len(r.Rows) != len(sizes)*len(threads) {
+		t.Fatalf("grid has %d points, want %dx%d", len(r.Rows), len(sizes), len(threads))
 	}
-	if len(r.IPC) != len(sizes) || len(r.IPC[0]) != len(threads) {
-		t.Fatalf("grid shape %dx%d, want %dx%d", len(r.IPC), len(r.IPC[0]), len(sizes), len(threads))
+	at := func(col string, si, ti int) float64 {
+		return r.Float(col, "l2_bytes", sizes[si], "threads", threads[ti])
 	}
 	for si := range sizes {
 		for ti := range threads {
-			if r.IPC[si][ti] <= 0 {
+			if at("ipc", si, ti) <= 0 {
 				t.Errorf("L2=%d t=%d: non-positive IPC", sizes[si], threads[ti])
 			}
-			if r.L2Miss[si][ti] < 0 || r.L2Miss[si][ti] > 1 {
-				t.Errorf("L2=%d t=%d: miss ratio %f out of range", sizes[si], threads[ti], r.L2Miss[si][ti])
+			if m := at("l2_miss", si, ti); m < 0 || m > 1 {
+				t.Errorf("L2=%d t=%d: miss ratio %f out of range", sizes[si], threads[ti], m)
 			}
 		}
 	}
 	for _, want := range []string{"L2 miss", "64KB", "1024KB", "mem-bus"} {
-		if !strings.Contains(r.Table(), want) {
+		if !strings.Contains(r.Table(r.Panels[0].View), want) {
 			t.Errorf("table missing %q", want)
 		}
 	}
 	if quant() {
 		small, large := 0, 1
 		lastT := len(threads) - 1
+		miss := func(si, ti int) float64 { return at("l2_miss", si, ti) }
 		// One context cannot interfere with itself: at a single thread
 		// the L2 capacity barely matters (both runs are compulsory-miss
 		// dominated over this budget).
-		if d := r.L2Miss[small][0] - r.L2Miss[large][0]; d > 0.1 || d < -0.1 {
+		if d := miss(small, 0) - miss(large, 0); d > 0.1 || d < -0.1 {
 			t.Errorf("1-thread miss ratios differ by %.3f across capacities (%.3f vs %.3f)",
-				d, r.L2Miss[small][0], r.L2Miss[large][0])
+				d, miss(small, 0), miss(large, 0))
 		}
 		// The interference signature: at six contexts the small L2's
 		// per-thread miss ratio is far above the large one's.
-		gap := r.L2Miss[small][lastT] - r.L2Miss[large][lastT]
+		gap := miss(small, lastT) - miss(large, lastT)
 		if gap < 0.2 {
 			t.Errorf("6-thread capacity gap %.3f, want > 0.2 (small %.3f, large %.3f)",
-				gap, r.L2Miss[small][lastT], r.L2Miss[large][lastT])
+				gap, miss(small, lastT), miss(large, lastT))
 		}
 		// At the small capacity the miss ratio climbs as contexts are
 		// added (from 2 contexts on: the 1-thread point is cold-start
 		// dominated); at the large one it never climbs comparably.
 		for ti := 2; ti <= lastT; ti++ {
-			if r.L2Miss[small][ti] <= r.L2Miss[small][ti-1] {
+			if miss(small, ti) <= miss(small, ti-1) {
 				t.Errorf("small L2 miss ratio not rising: t=%d %.3f <= t=%d %.3f",
-					threads[ti], r.L2Miss[small][ti], threads[ti-1], r.L2Miss[small][ti-1])
+					threads[ti], miss(small, ti), threads[ti-1], miss(small, ti-1))
 			}
 		}
-		if rise := r.L2Miss[large][lastT] - r.L2Miss[large][1]; rise > 0.1 {
+		if rise := miss(large, lastT) - miss(large, 1); rise > 0.1 {
 			t.Errorf("large L2 miss ratio rose %.3f from 2 to %d contexts, want flat",
 				rise, threads[lastT])
 		}
 		// Interference costs throughput: the roomy L2 outruns the tiny
 		// one at full occupancy.
-		if r.IPC[large][lastT] <= r.IPC[small][lastT] {
+		if at("ipc", large, lastT) <= at("ipc", small, lastT) {
 			t.Errorf("6-thread IPC %.2f (1MB) not above %.2f (64KB)",
-				r.IPC[large][lastT], r.IPC[small][lastT])
+				at("ipc", large, lastT), at("ipc", small, lastT))
 		}
 		// Contention shows on the memory bus too.
-		if r.MemBus[small][lastT] <= r.MemBus[large][lastT] {
+		if at("mem_bus_util", small, lastT) <= at("mem_bus_util", large, lastT) {
 			t.Errorf("6-thread memory-bus utilization %.2f (64KB) not above %.2f (1MB)",
-				r.MemBus[small][lastT], r.MemBus[large][lastT])
+				at("mem_bus_util", small, lastT), at("mem_bus_util", large, lastT))
 		}
 	}
 }

@@ -2,14 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/config"
-	"repro/internal/runner"
-	"repro/internal/stats"
 )
 
-// This file implements the CMP scaling study (figure C1), the first
+// This file declares the CMP scaling study (figure C1), the first
 // experiment over the multi-core composition: Figure-2 cores — each with
 // its own SMT contexts, decoupled queues and private L1 — sharing a
 // finite L2 over DRAM. Three questions, three sections of one sweep:
@@ -44,162 +41,75 @@ const C1SharedL2Size = 256 << 10
 // section (C1SharedL2Size points come from the scaling section).
 var C1InterferenceSizes = []int{64 << 10, 1 << 20}
 
-// c1Machine builds a C1 point: Figure-2 with the given contexts per
-// core, cores sharing (or, with private set, replicating) an 8-way L2 of
-// the given capacity over DRAM.
-func c1Machine(cores, contexts, l2Size int, private bool) config.Machine {
-	m := config.Figure2(contexts).WithCores(cores).
-		WithHierarchy(InterferenceDRAMLatency, config.SharedL2(l2Size, 8))
-	if private {
-		m = m.WithPrivateHierarchy()
-	}
-	return m
-}
-
-// C1Point is one measured configuration of the study.
-type C1Point struct {
-	// Cores and Contexts (per core) identify the machine shape.
-	Cores, Contexts int
-	// L2Size is the L2 capacity in bytes (per core when Private).
-	L2Size int
-	// Private marks the replicated-L2 machines.
-	Private bool
-
-	// IPC is aggregate machine throughput.
-	IPC float64
-	// L2Miss is the L2 miss ratio (misses per accepted access, summed
-	// over the per-core L2s when Private).
-	L2Miss float64
-	// MemBus is the L2↔memory bus utilization (mean over per-core L2s
-	// when Private).
-	MemBus float64
-	// Invalidations sums write-invalidate coherence events across all
-	// levels (zero for this workload: private address spaces).
-	Invalidations int64
-}
-
-// C1Result is the study's point list, scaling section first, then
-// private-vs-shared, then interference (fixed deterministic order).
-type C1Result struct {
-	Cores    []int
-	Contexts []int
-	Sizes    []int
-	Points   []C1Point
-}
-
-// C1 runs the canonical study.
-func C1(b Budget) (*C1Result, error) {
-	return C1Grid(b, C1Cores, C1Contexts, C1InterferenceSizes)
-}
-
-// C1Grid runs the study over caller-chosen axes (tests trim them; the
-// canonical axes make the committed figure).
-func C1Grid(b Budget, cores, contexts []int, sizes []int) (*C1Result, error) {
-	r := &C1Result{Cores: cores, Contexts: contexts, Sizes: sizes}
-	var jobs []runner.Job
-	add := func(p C1Point) {
-		r.Points = append(r.Points, p)
-		kind := "shared"
-		if p.Private {
-			kind = "private"
-		}
-		jobs = append(jobs, b.mixJob(
-			fmt.Sprintf("c1 cores=%d ctx=%d L2=%dKB %s", p.Cores, p.Contexts, p.L2Size>>10, kind),
-			c1Machine(p.Cores, p.Contexts, p.L2Size, p.Private)))
-	}
-	// Scaling: cores × contexts at the fixed shared L2.
-	for _, c := range cores {
-		for _, t := range contexts {
-			add(C1Point{Cores: c, Contexts: t, L2Size: C1SharedL2Size})
-		}
-	}
-	// Private-vs-shared: multi-core points at one context per core (the
-	// shared counterparts are the scaling rows above).
-	for _, c := range cores {
-		if c > 1 && len(contexts) > 0 {
-			add(C1Point{Cores: c, Contexts: contexts[0], L2Size: C1SharedL2Size, Private: true})
-		}
-	}
-	// Interference: cores × capacity at one context per core.
-	for _, size := range sizes {
-		for _, c := range cores {
-			if len(contexts) > 0 {
-				add(C1Point{Cores: c, Contexts: contexts[0], L2Size: size})
+// C1Grid declares the study over the given axes (tests trim them; the
+// registry holds the canonical axes): the scaling section first, then
+// private-vs-shared, then interference. l2_bytes is per core on private
+// machines, where the L2 miss ratio sums the per-core L2s' counters and
+// the memory-bus utilization averages them. Invalidations sums
+// write-invalidate events across all levels (zero for this workload).
+func C1Grid(cores, contexts, sizes []int) *Figure {
+	return &Figure{
+		Name: "c1",
+		Panels: []Panel{{"c1", "Figure C1: CMP scaling — aggregate IPC vs cores × contexts, shared vs private L2, cross-core interference", View{
+			Title: "Figure C1: CMP scaling — aggregate IPC vs cores × contexts, shared vs private L2, cross-core interference",
+			Lines: [][]Cell{{
+				cell("cores", "cores", str), cell("ctx/core", "contexts", str), cell("L2", "l2_bytes", kb),
+				cell("mode", "private", func(v any) string {
+					if v.(bool) {
+						return "private"
+					}
+					return "shared"
+				}),
+				cell("IPC", "ipc", f2), cell("L2 miss", "l2_miss", pct), cell("mem-bus", "mem_bus_util", pct),
+				cell("invals", "invalidations", str),
+			}},
+		}}},
+		Columns: []Column{
+			{Name: "cores"},
+			{Name: "contexts"},
+			{Name: "l2_bytes"},
+			{Name: "private"},
+			{"ipc", ipc},
+			{"l2_miss", l2Miss},
+			{"mem_bus_util", memBus},
+			{"invalidations", func(p *Point) any { _, _, inv := l2Levels(p.rep()); return inv }},
+		},
+		points: func(b Budget) []*Point {
+			var pts []*Point
+			add := func(cores, contexts, l2Size int, private bool) {
+				kind := "shared"
+				m := config.Figure2(contexts).WithCores(cores).
+					WithHierarchy(InterferenceDRAMLatency, config.SharedL2(l2Size, 8))
+				if private {
+					kind = "private"
+					m = m.WithPrivateHierarchy()
+				}
+				pts = append(pts, point(Row{"cores": cores, "contexts": contexts, "l2_bytes": l2Size, "private": private},
+					b.mixJob(fmt.Sprintf("c1 cores=%d ctx=%d L2=%dKB %s", cores, contexts, l2Size>>10, kind), m)))
 			}
-		}
+			// Scaling: cores × contexts at the fixed shared L2.
+			for _, c := range cores {
+				for _, t := range contexts {
+					add(c, t, C1SharedL2Size, false)
+				}
+			}
+			if len(contexts) == 0 {
+				return pts
+			}
+			// Private-vs-shared: multi-core points at one context per
+			// core (the shared counterparts are the scaling rows above).
+			for _, c := range cores {
+				if c > 1 {
+					add(c, contexts[0], C1SharedL2Size, true)
+				}
+			}
+			// Interference: cores × capacity at one context per core.
+			for _, size := range sizes {
+				for _, c := range cores {
+					add(c, contexts[0], size, false)
+				}
+			}
+			return pts
+		},
 	}
-	reps, err := b.sweep(jobs)
-	if err != nil {
-		return nil, err
-	}
-	for i := range r.Points {
-		r.Points[i].fill(reps[i])
-	}
-	return r, nil
-}
-
-// fill extracts the point's metrics from its report. The L2 rows of
-// Report.MemLevels are every level that is not a per-core L1: the one
-// shared "L2" entry, or the "c<i>.L2" entries of a private-hierarchy
-// machine (summed counters, bus utilization averaged).
-func (p *C1Point) fill(rep stats.Report) {
-	p.IPC = rep.IPC()
-	var accesses, misses int64
-	var bus float64
-	l2s := 0
-	for _, lv := range rep.MemLevels {
-		p.Invalidations += lv.Invalidations
-		if strings.HasSuffix(lv.Name, ".L1") {
-			continue
-		}
-		accesses += lv.Accesses
-		misses += lv.Misses
-		bus += lv.BusUtilization
-		l2s++
-	}
-	if accesses > 0 {
-		p.L2Miss = float64(misses) / float64(accesses)
-	}
-	if l2s > 0 {
-		p.MemBus = bus / float64(l2s)
-	}
-}
-
-// Lookup returns the first point matching the machine shape (nil when
-// the grid did not include it).
-func (r *C1Result) Lookup(cores, contexts, l2Size int, private bool) *C1Point {
-	for i := range r.Points {
-		p := &r.Points[i]
-		if p.Cores == cores && p.Contexts == contexts && p.L2Size == l2Size && p.Private == private {
-			return p
-		}
-	}
-	return nil
-}
-
-// Table renders the three sections.
-func (r *C1Result) Table() string {
-	var b strings.Builder
-	header := []string{"cores", "ctx/core", "L2", "mode", "IPC", "L2 miss", "mem-bus", "invals"}
-	var rows [][]string
-	for _, p := range r.Points {
-		mode := "shared"
-		if p.Private {
-			mode = "private"
-		}
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", p.Cores),
-			fmt.Sprintf("%d", p.Contexts),
-			fmt.Sprintf("%dKB", p.L2Size>>10),
-			mode,
-			f2(p.IPC),
-			pct(p.L2Miss),
-			pct(p.MemBus),
-			fmt.Sprintf("%d", p.Invalidations),
-		})
-	}
-	b.WriteString(formatTable(
-		"Figure C1: CMP scaling — aggregate IPC vs cores × contexts, shared vs private L2, cross-core interference",
-		header, rows))
-	return b.String()
 }

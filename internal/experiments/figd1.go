@@ -2,15 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"repro/internal/config"
-	"repro/internal/runner"
 	"repro/internal/stats"
 )
 
-// This file implements the speculative-DAE study (figure D1): how much of
+// This file declares the speculative-DAE study (figure D1): how much of
 // multithreading's latency tolerance survives when the access slice turns
 // speculative. The paper's machine decouples conservatively — loads wait
 // for their addresses and control; speculative-DAE proposals (Speculative
@@ -49,127 +46,75 @@ const D1MisspecProb = 0.05
 // D1L2Latency is the fixed L2 latency of the study.
 const D1L2Latency = 64
 
-// d1Machine builds one D1 point's machine.
-func d1Machine(threads int, frac float64, lod int64) config.Machine {
-	m := config.Figure2(threads).WithL2Latency(D1L2Latency)
-	if frac > 0 || lod > 0 {
-		s := config.Speculation{SpecLoadFrac: frac, LoDEvery: lod}
-		if frac > 0 {
-			s.MisspecProb = D1MisspecProb
-		}
-		m = m.WithSpeculation(s)
-	}
-	return m
-}
-
-// D1Point is one measured configuration of the study.
-type D1Point struct {
-	// Threads, SpecFrac and LoDEvery identify the configuration.
-	Threads  int
-	SpecFrac float64
-	LoDEvery int64
-
-	// IPC is machine throughput.
-	IPC float64
-	// SpecLoads, Squashes and LoDStalls are the raw speculation counters
-	// of the measurement window.
-	SpecLoads, Squashes, LoDStalls int64
-	// SpecLoadsPerKI and SquashesPerKI normalize per 1000 graduated
-	// instructions.
-	SpecLoadsPerKI, SquashesPerKI float64
-	// LoDStallFrac is the fraction of context-cycles spent fetch-blocked
-	// waiting for the EP queue to drain at an LoD event.
-	LoDStallFrac float64
-}
-
-// D1Result is the study's point list in sweep order (threads outermost,
-// then speculation fraction, then LoD cadence).
-type D1Result struct {
-	Threads   []int
-	SpecFracs []float64
-	LoDs      []int64
-	Points    []D1Point
-}
-
-// D1 runs the canonical study.
-func D1(b Budget) (*D1Result, error) {
-	return D1Grid(b, D1Threads, D1SpecFracs, D1LoDEvery)
-}
-
-// D1Grid runs the study over caller-chosen axes (tests trim them; the
-// canonical axes make the committed figure).
-func D1Grid(b Budget, threads []int, fracs []float64, lods []int64) (*D1Result, error) {
-	r := &D1Result{Threads: threads, SpecFracs: fracs, LoDs: lods}
-	var jobs []runner.Job
-	for _, t := range threads {
-		for _, f := range fracs {
-			for _, lod := range lods {
-				r.Points = append(r.Points, D1Point{Threads: t, SpecFrac: f, LoDEvery: lod})
-				jobs = append(jobs, b.mixJob(
-					fmt.Sprintf("d1 t=%d spec=%.2f lod=%d", t, f, lod),
-					d1Machine(t, f, lod)))
+// D1Grid declares the study over the given axes (tests trim them; the
+// registry holds the canonical axes), threads outermost, then
+// speculation fraction, then LoD cadence. Besides the raw speculation
+// counters of the measurement window, the rows carry them per 1000
+// graduated instructions, and the LoD stall fraction: the share of
+// context-cycles spent fetch-blocked waiting for the EP queue to drain
+// at an LoD event.
+func D1Grid(threads []int, fracs []float64, lods []int64) *Figure {
+	return &Figure{
+		Name: "d1",
+		Panels: []Panel{{"d1", "Figure D1: speculative-DAE — IPC vs contexts × speculation aggressiveness × loss-of-decoupling rate (L2=64)", View{
+			Title: "Figure D1: speculative-DAE — IPC vs contexts × speculation aggressiveness × loss-of-decoupling rate (L2=64)",
+			Lines: [][]Cell{{
+				cell("threads", "threads", str), cell("spec-frac", "spec_frac", f2),
+				cell("lod-every", "lod_every", func(v any) string {
+					if v.(int64) > 0 {
+						return fmt.Sprint(v)
+					}
+					return "never"
+				}),
+				cell("IPC", "ipc", f2), cell("spec/kI", "spec_per_ki", f1),
+				cell("squash/kI", "squash_per_ki", f2), cell("lod-stall", "lod_stall_frac", pct),
+			}},
+		}}},
+		Columns: []Column{
+			{Name: "threads"},
+			{Name: "spec_frac"},
+			{Name: "lod_every"},
+			{"ipc", ipc},
+			{"spec_loads", func(p *Point) any { return p.rep().SpeculativeLoads }},
+			{"squashes", func(p *Point) any { return p.rep().Squashes }},
+			{"lod_stalls", func(p *Point) any { return p.rep().LoDStalls }},
+			{"spec_per_ki", func(p *Point) any { return perKI(p.rep(), p.rep().SpeculativeLoads) }},
+			{"squash_per_ki", func(p *Point) any { return perKI(p.rep(), p.rep().Squashes) }},
+			{"lod_stall_frac", func(p *Point) any {
+				rep, t := p.rep(), int64(p.At["threads"].(int))
+				if rep.Cycles > 0 && t > 0 {
+					return float64(rep.LoDStalls) / float64(rep.Cycles*t)
+				}
+				return 0.0
+			}},
+		},
+		points: func(b Budget) []*Point {
+			var pts []*Point
+			for _, t := range threads {
+				for _, f := range fracs {
+					for _, lod := range lods {
+						m := config.Figure2(t).WithL2Latency(D1L2Latency)
+						if f > 0 || lod > 0 {
+							s := config.Speculation{SpecLoadFrac: f, LoDEvery: lod}
+							if f > 0 {
+								s.MisspecProb = D1MisspecProb
+							}
+							m = m.WithSpeculation(s)
+						}
+						pts = append(pts, point(Row{"threads": t, "spec_frac": f, "lod_every": lod},
+							b.mixJob(fmt.Sprintf("d1 t=%d spec=%.2f lod=%d", t, f, lod), m)))
+					}
+				}
 			}
-		}
-	}
-	reps, err := b.sweep(jobs)
-	if err != nil {
-		return nil, err
-	}
-	for i := range r.Points {
-		r.Points[i].fill(reps[i])
-	}
-	return r, nil
-}
-
-// fill extracts the point's metrics from its report.
-func (p *D1Point) fill(rep stats.Report) {
-	p.IPC = rep.IPC()
-	p.SpecLoads = rep.SpeculativeLoads
-	p.Squashes = rep.Squashes
-	p.LoDStalls = rep.LoDStalls
-	if rep.Graduated > 0 {
-		p.SpecLoadsPerKI = 1000 * float64(rep.SpeculativeLoads) / float64(rep.Graduated)
-		p.SquashesPerKI = 1000 * float64(rep.Squashes) / float64(rep.Graduated)
-	}
-	if rep.Cycles > 0 && p.Threads > 0 {
-		p.LoDStallFrac = float64(rep.LoDStalls) / float64(rep.Cycles*int64(p.Threads))
+			return pts
+		},
 	}
 }
 
-// Lookup returns the first point matching the configuration (nil when
-// the grid did not include it).
-func (r *D1Result) Lookup(threads int, frac float64, lod int64) *D1Point {
-	for i := range r.Points {
-		p := &r.Points[i]
-		if p.Threads == threads && p.SpecFrac == frac && p.LoDEvery == lod {
-			return p
-		}
+// perKI normalizes a counter per 1000 graduated instructions.
+func perKI(rep *stats.Report, n int64) float64 {
+	if rep.Graduated <= 0 {
+		return 0
 	}
-	return nil
-}
-
-// Table renders the study.
-func (r *D1Result) Table() string {
-	var b strings.Builder
-	header := []string{"threads", "spec-frac", "lod-every", "IPC", "spec/kI", "squash/kI", "lod-stall"}
-	var rows [][]string
-	for _, p := range r.Points {
-		lod := "never"
-		if p.LoDEvery > 0 {
-			lod = strconv.FormatInt(p.LoDEvery, 10)
-		}
-		rows = append(rows, []string{
-			strconv.Itoa(p.Threads),
-			fmt.Sprintf("%.2f", p.SpecFrac),
-			lod,
-			f2(p.IPC),
-			f1(p.SpecLoadsPerKI),
-			f2(p.SquashesPerKI),
-			pct(p.LoDStallFrac),
-		})
-	}
-	b.WriteString(formatTable(
-		"Figure D1: speculative-DAE — IPC vs contexts × speculation aggressiveness × loss-of-decoupling rate (L2=64)",
-		header, rows))
-	return b.String()
+	return 1000 * float64(n) / float64(rep.Graduated)
 }

@@ -2,12 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/config"
-	"repro/internal/runner"
+	"repro/internal/stats"
 )
 
-// This file implements the shared-L2 interference study (ablation I1),
+// This file declares the shared-L2 interference study (ablation I1),
 // the first experiment built on the composable memory hierarchy: the
 // Figure-2 machine with its infinite flat L2 replaced by a finite shared
 // L2 over DRAM, swept across hardware contexts at several L2 capacities.
@@ -28,94 +29,76 @@ var InterferenceL2Sizes = []int{64 << 10, 256 << 10, 1 << 20}
 // InterferenceDRAMLatency is the fixed DRAM latency behind the L2.
 const InterferenceDRAMLatency = 64
 
-// interferenceMachine builds the study's machine: Figure-2 with a
-// finite shared L2 (8-way, Figure-2-flavoured defaults) of the given
-// capacity, backed by DRAM.
-func interferenceMachine(threads, l2Size int) config.Machine {
-	return config.Figure2(threads).WithHierarchy(InterferenceDRAMLatency, config.SharedL2(l2Size, 8))
-}
-
-// InterferenceResult is the sweep grid: rows are L2 sizes, columns are
-// context counts.
-type InterferenceResult struct {
-	// Sizes is the L2 capacity axis in bytes.
-	Sizes []int
-	// Threads is the context-count axis.
-	Threads []int
-	// IPC[s][t] is machine throughput.
-	IPC [][]float64
-	// L2Miss[s][t] is the per-thread L2 miss ratio (primary misses per
-	// accepted L2 access — the miss ratio each thread experiences at the
-	// shared level).
-	L2Miss [][]float64
-	// MemBus[s][t] is the L2↔memory bus utilization.
-	MemBus [][]float64
-}
-
-// Interference runs the canonical grid.
-func Interference(b Budget) (*InterferenceResult, error) {
-	return InterferenceGrid(b, InterferenceL2Sizes, InterferenceThreads)
-}
-
-// InterferenceGrid runs the study over a caller-chosen grid (tests trim
-// it; the canonical axes make the committed figure).
-func InterferenceGrid(b Budget, sizes []int, threads []int) (*InterferenceResult, error) {
-	r := &InterferenceResult{
-		Sizes:   sizes,
-		Threads: threads,
-		IPC:     make([][]float64, len(sizes)),
-		L2Miss:  make([][]float64, len(sizes)),
-		MemBus:  make([][]float64, len(sizes)),
+// InterferenceGrid declares the study over the given L2 sizes (bytes)
+// and context counts (tests trim them; the registry holds the canonical
+// axes). Its table stacks three metric lines per L2 size across the
+// context axis. The L2 miss ratio is the one each thread experiences:
+// primary misses per accepted access at the shared level.
+func InterferenceGrid(sizes, threads []int) *Figure {
+	lines := [][]Cell{
+		{cell("L2 size", "l2_bytes", kb), label("metric", "IPC")},
+		{label("", ""), label("", "L2 miss")},
+		{label("", ""), label("", "mem-bus")},
 	}
-	var jobs []runner.Job
-	for _, size := range sizes {
-		for _, t := range threads {
-			jobs = append(jobs, b.mixJob(
-				fmt.Sprintf("interference L2=%dKB threads=%d", size>>10, t),
-				interferenceMachine(t, size)))
-		}
+	for _, t := range threads {
+		head := fmt.Sprintf("%dT", t)
+		lines[0] = append(lines[0], cell(head, "ipc", f2, "threads", t))
+		lines[1] = append(lines[1], cell(head, "l2_miss", pct, "threads", t))
+		lines[2] = append(lines[2], cell(head, "mem_bus_util", pct, "threads", t))
 	}
-	reps, err := b.sweep(jobs)
-	if err != nil {
-		return nil, err
-	}
-	for si := range sizes {
-		r.IPC[si] = make([]float64, len(threads))
-		r.L2Miss[si] = make([]float64, len(threads))
-		r.MemBus[si] = make([]float64, len(threads))
-		for ti := range threads {
-			rep := reps[si*len(threads)+ti]
-			r.IPC[si][ti] = rep.IPC()
-			if len(rep.MemLevels) > 0 {
-				r.L2Miss[si][ti] = rep.MemLevels[0].MissRatio()
-				r.MemBus[si][ti] = rep.MemLevels[0].BusUtilization
+	return &Figure{
+		Name: "i1",
+		Panels: []Panel{{"i1", "Ablation I1: shared-L2 interference — IPC and per-thread L2 miss ratio vs contexts at several finite L2 sizes (L2+DRAM hierarchy)", View{
+			Title: "Ablation I1: shared-L2 interference — IPC and per-thread L2 miss ratio vs contexts (finite L2 + DRAM)",
+			By:    []string{"l2_bytes"},
+			Lines: lines,
+		}}},
+		Columns: []Column{
+			{Name: "l2_bytes"},
+			{Name: "threads"},
+			{"ipc", ipc},
+			{"l2_miss", l2Miss},
+			{"mem_bus_util", memBus},
+		},
+		points: func(b Budget) []*Point {
+			var pts []*Point
+			for _, size := range sizes {
+				for _, t := range threads {
+					m := config.Figure2(t).WithHierarchy(InterferenceDRAMLatency, config.SharedL2(size, 8))
+					pts = append(pts, point(Row{"l2_bytes": size, "threads": t},
+						b.mixJob(fmt.Sprintf("interference L2=%dKB threads=%d", size>>10, t), m)))
+				}
 			}
-		}
+			return pts
+		},
 	}
-	return r, nil
 }
 
-// Table renders the grid: one row per (L2 size, metric) pair across the
-// context axis.
-func (r *InterferenceResult) Table() string {
-	header := []string{"L2 size", "metric"}
-	for _, t := range r.Threads {
-		header = append(header, fmt.Sprintf("%dT", t))
-	}
-	var rows [][]string
-	for si, size := range r.Sizes {
-		label := fmt.Sprintf("%dKB", size>>10)
-		ipc := []string{label, "IPC"}
-		miss := []string{"", "L2 miss"}
-		bus := []string{"", "mem-bus"}
-		for ti := range r.Threads {
-			ipc = append(ipc, f2(r.IPC[si][ti]))
-			miss = append(miss, pct(r.L2Miss[si][ti]))
-			bus = append(bus, pct(r.MemBus[si][ti]))
+// l2Levels sums the report's L2 rows — every level that is not a
+// per-core L1: the one shared "L2" entry, or the "c<i>.L2" entries of a
+// private-hierarchy machine — into a miss ratio and a mean L2↔memory
+// bus utilization, and counts invalidations across all levels.
+func l2Levels(rep *stats.Report) (miss, bus float64, invalidations int64) {
+	var accesses, misses int64
+	l2s := 0
+	for _, lv := range rep.MemLevels {
+		invalidations += lv.Invalidations
+		if strings.HasSuffix(lv.Name, ".L1") {
+			continue
 		}
-		rows = append(rows, ipc, miss, bus)
+		accesses += lv.Accesses
+		misses += lv.Misses
+		bus += lv.BusUtilization
+		l2s++
 	}
-	return formatTable(
-		"Ablation I1: shared-L2 interference — IPC and per-thread L2 miss ratio vs contexts (finite L2 + DRAM)",
-		header, rows)
+	if accesses > 0 {
+		miss = float64(misses) / float64(accesses)
+	}
+	if l2s > 0 {
+		bus /= float64(l2s)
+	}
+	return miss, bus, invalidations
 }
+
+func l2Miss(p *Point) any { miss, _, _ := l2Levels(p.rep()); return miss }
+func memBus(p *Point) any { _, bus, _ := l2Levels(p.rep()); return bus }

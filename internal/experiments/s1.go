@@ -2,24 +2,24 @@ package experiments
 
 import (
 	"fmt"
-	"time"
+	"math"
 
 	"repro/internal/config"
-	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
-// This file implements study S1: sampled-mode validation. For each of the
+// This file declares study S1: sampled-mode validation. For each of the
 // four figure configurations it runs the same instruction budget twice —
 // once in exact mode, once under SMARTS-style systematic sampling — and
 // reports the sampled IPC estimate with its 95% confidence interval, the
 // error against the exact result, and the wall-clock speedup. The report
 // hashes of both runs are deterministic (and land in -hashfile for the CI
 // determinism gate); the wall-clock columns are measured here and appear
-// only in the table/CSV, never in a hash. Speedups are only meaningful
-// when the runs actually simulate — on a warm result cache they collapse
-// toward 1.
+// only in the table/CSV, never in a hash. A speedup is only measured
+// when both runs simulate: when either was served from the result cache
+// (another figure of the sweep already ran that exact point, or a warm
+// cache directory did), the table reads "cached" and the CSV's
+// wall-clock cells are empty.
 //
 // The quantitative claim (error inside the estimate's own CI, speedup
 // ≥5× at large budgets) is asserted by the tests at QuickBudget with a
@@ -39,131 +39,94 @@ var S1Configs = []struct {
 	{"4T-L2_256", 4, 256},
 }
 
-// S1Point is one configuration's exact-vs-sampled comparison.
-type S1Point struct {
-	// Config labels the machine (S1Configs entry).
-	Config  string
-	Threads int
-	L2      int64
-	// ExactIPC is the exact-mode reference over the full budget.
-	ExactIPC float64
-	// SampledIPC and CI are the sampling estimate (Report.Sampled).
-	SampledIPC float64
-	CI         float64
-	// Units is the number of measured sampling units.
-	Units int
-	// ErrPct is 100·|sampled−exact|/exact.
-	ErrPct float64
-	// InCI reports whether the exact IPC lies inside the estimate's own
-	// 95% confidence interval — the honesty check: an estimator may be
-	// wrong, but it must know how wrong.
-	InCI bool
-	// ExactWall and SampledWall are the measured wall-clock times; their
-	// ratio is Speedup. Only meaningful on a cold cache.
-	ExactWall   time.Duration
-	SampledWall time.Duration
-	Speedup     float64
-}
-
-// S1Result is the study output.
-type S1Result struct {
-	// Sampling is the resolved sampling parameterization used.
-	Sampling sim.Sampling
-	Points   []S1Point
-}
-
-// S1 runs the study with the default sampling parameters.
-func S1(b Budget) (*S1Result, error) {
-	return S1Sampled(b, sim.Sampling{})
-}
-
-// S1Sampled runs the study with explicit sampling parameters (zero fields
-// take the defaults). Tests shrink the period so a quick budget still
-// yields enough units for a meaningful confidence interval.
-func S1Sampled(b Budget, sp sim.Sampling) (*S1Result, error) {
+// S1Sampled declares the study with explicit sampling parameters (zero
+// fields take the defaults). Tests shrink the period so a quick budget
+// still yields enough units for a meaningful confidence interval.
+func S1Sampled(sp sim.Sampling) (*Figure, error) {
 	sp = sp.WithDefaults()
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	r := &S1Result{Sampling: sp}
-	// Jobs run one at a time so each point's wall clock is its own: the
-	// study measures simulation speed, and overlapping the runs would
-	// charge each one for its neighbors' cores.
-	run := func(job runner.Job) (stats.Report, time.Duration, error) {
-		start := time.Now()
-		reps, err := b.sweep([]runner.Job{job})
-		if err != nil {
-			return stats.Report{}, 0, err
-		}
-		return reps[0], time.Since(start), nil
-	}
-	for _, c := range S1Configs {
-		m := config.Figure2(c.Threads).WithL2Latency(c.L2)
-		exactJob := b.mixJob(fmt.Sprintf("s1 %s exact", c.Name), m)
-		sampledJob := b.mixJob(fmt.Sprintf("s1 %s sampled", c.Name), m)
-		sampledJob.Budget.Mode = sim.ModeSampled
-		spc := sp
-		sampledJob.Budget.Sampling = &spc
-
-		exact, exactWall, err := run(exactJob)
-		if err != nil {
-			return nil, err
-		}
-		sampled, sampledWall, err := run(sampledJob)
-		if err != nil {
-			return nil, err
-		}
-		if sampled.Sampled == nil {
-			return nil, fmt.Errorf("s1 %s: sampled run carried no Sampled summary", c.Name)
-		}
-		p := S1Point{
-			Config:      c.Name,
-			Threads:     c.Threads,
-			L2:          c.L2,
-			ExactIPC:    exact.IPC(),
-			SampledIPC:  sampled.Sampled.Mean,
-			CI:          sampled.Sampled.CI,
-			Units:       sampled.Sampled.Units,
-			ExactWall:   exactWall,
-			SampledWall: sampledWall,
-		}
-		if p.ExactIPC > 0 {
-			p.ErrPct = 100 * abs(p.SampledIPC-p.ExactIPC) / p.ExactIPC
-		}
-		p.InCI = abs(p.SampledIPC-p.ExactIPC) <= p.CI
-		if sampledWall > 0 {
-			p.Speedup = float64(exactWall) / float64(sampledWall)
-		}
-		r.Points = append(r.Points, p)
-	}
-	return r, nil
+	return s1Figure(sp), nil
 }
 
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
+// s1Figure declares the study for resolved, valid sampling parameters.
+// Each row reads two runs, exact then sampled, executed one at a time so
+// each wall clock is its own: the study measures simulation speed, and
+// overlapping the runs would charge each one for its neighbors' cores.
+// InCI reports whether the exact IPC lies inside the estimate's own 95%
+// confidence interval — the honesty check: an estimator may be wrong,
+// but it must know how wrong.
+func s1Figure(sp sim.Sampling) *Figure {
+	exact := func(p *Point) float64 { return p.Runs[0].Report.IPC() }
+	sampled := func(p *Point) float64 { return p.Runs[1].Report.Sampled.Mean }
+	ci := func(p *Point) float64 { return p.Runs[1].Report.Sampled.CI }
+	// wall is a run's wall clock in milliseconds, nil when either run of
+	// the pair was a cache hit.
+	wall := func(p *Point, i int) any {
+		if p.Runs[0].Cached || p.Runs[1].Cached {
+			return nil
+		}
+		return p.Runs[i].Wall.Seconds() * 1e3
 	}
-	return v
-}
-
-// Table renders the study.
-func (r *S1Result) Table() string {
-	header := []string{"config", "exact IPC", "sampled IPC", "±95% CI", "units", "err", "in CI", "speedup"}
-	var rows [][]string
-	for _, p := range r.Points {
-		rows = append(rows, []string{
-			p.Config,
-			f2(p.ExactIPC),
-			f2(p.SampledIPC),
-			fmt.Sprintf("±%.3f", p.CI),
-			fmt.Sprintf("%d", p.Units),
-			fmt.Sprintf("%.1f%%", p.ErrPct),
-			fmt.Sprintf("%v", p.InCI),
-			fmt.Sprintf("%.1fx", p.Speedup),
-		})
+	return &Figure{
+		Name:   "s1",
+		serial: true,
+		Panels: []Panel{{"s1", "Study S1: sampled vs exact — IPC error, confidence intervals and wall-clock speedup on the four figure configs", View{
+			Title: fmt.Sprintf("Study S1: sampled vs exact — IPC error and wall-clock speedup (period=%d unit=%d warmup=%d)",
+				sp.PeriodInsts, sp.UnitInsts, sp.WarmupInsts),
+			Lines: [][]Cell{{
+				cell("config", "config", str), cell("exact IPC", "exact_ipc", f2),
+				cell("sampled IPC", "sampled_ipc", f2), cell("±95% CI", "ci", format("±%.3f")),
+				cell("units", "units", str), cell("err", "err_pct", format("%.1f%%")),
+				cell("in CI", "in_ci", str),
+				cell("speedup", "speedup", func(v any) string {
+					if v == nil {
+						return "cached"
+					}
+					return fmt.Sprintf("%.1fx", v)
+				}),
+			}},
+		}}},
+		Columns: []Column{
+			{Name: "config"},
+			{Name: "threads"},
+			{Name: "l2"},
+			{"exact_ipc", func(p *Point) any { return exact(p) }},
+			{"sampled_ipc", func(p *Point) any { return sampled(p) }},
+			{"ci", func(p *Point) any { return ci(p) }},
+			{"units", func(p *Point) any { return p.Runs[1].Report.Sampled.Units }},
+			{"err_pct", func(p *Point) any {
+				if exact(p) <= 0 {
+					return 0.0
+				}
+				return 100 * math.Abs(sampled(p)-exact(p)) / exact(p)
+			}},
+			{"in_ci", func(p *Point) any { return math.Abs(sampled(p)-exact(p)) <= ci(p) }},
+			{"exact_ms", func(p *Point) any { return wall(p, 0) }},
+			{"sampled_ms", func(p *Point) any { return wall(p, 1) }},
+			{"speedup", func(p *Point) any {
+				if wall(p, 0) == nil {
+					return nil
+				}
+				if w := p.Runs[1].Wall; w > 0 {
+					return float64(p.Runs[0].Wall) / float64(w)
+				}
+				return 0.0
+			}},
+		},
+		points: func(b Budget) []*Point {
+			var pts []*Point
+			for _, c := range S1Configs {
+				m := config.Figure2(c.Threads).WithL2Latency(c.L2)
+				sampledJob := b.mixJob(fmt.Sprintf("s1 %s sampled", c.Name), m)
+				sampledJob.Budget.Mode = sim.ModeSampled
+				spc := sp
+				sampledJob.Budget.Sampling = &spc
+				pts = append(pts, point(Row{"config": c.Name, "threads": c.Threads, "l2": c.L2},
+					b.mixJob(fmt.Sprintf("s1 %s exact", c.Name), m), sampledJob))
+			}
+			return pts
+		},
 	}
-	return formatTable(
-		fmt.Sprintf("Study S1: sampled vs exact — IPC error and wall-clock speedup (period=%d unit=%d warmup=%d)",
-			r.Sampling.PeriodInsts, r.Sampling.UnitInsts, r.Sampling.WarmupInsts),
-		header, rows)
 }
