@@ -32,9 +32,6 @@ func New(bytesPerCycle int) *Bus {
 	return &Bus{bytesPerCycle: bytesPerCycle}
 }
 
-// BytesPerCycle returns the configured bus width.
-func (b *Bus) BytesPerCycle() int { return b.bytesPerCycle }
-
 // TransferCycles returns how many bus cycles moving n bytes occupies
 // (at least 1).
 func (b *Bus) TransferCycles(n int) int64 {

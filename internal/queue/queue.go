@@ -134,12 +134,3 @@ func (r *Ring[T]) Set(i int, v T) {
 	}
 	r.buf[r.wrap(r.head+i)] = v
 }
-
-// Clear empties the queue, releasing element references.
-func (r *Ring[T]) Clear() {
-	var zero T
-	for i := 0; i < r.size; i++ {
-		r.buf[r.wrap(r.head+i)] = zero
-	}
-	r.head, r.size = 0, 0
-}

@@ -128,24 +128,6 @@ func TestSetPanicsOutOfRange(t *testing.T) {
 	q.Set(1, 5)
 }
 
-func TestClear(t *testing.T) {
-	q := New[*int](3)
-	x := 5
-	q.Push(&x)
-	q.Push(&x)
-	q.Clear()
-	if !q.Empty() || q.Len() != 0 {
-		t.Fatal("Clear left elements")
-	}
-	if !q.Push(&x) {
-		t.Fatal("push after Clear failed")
-	}
-	v, _ := q.Pop()
-	if v != &x {
-		t.Fatal("wrong element after Clear")
-	}
-}
-
 func TestLenCapFreeInvariant(t *testing.T) {
 	q := New[int](5)
 	check := func() {

@@ -61,21 +61,6 @@ func (s *Source) Bool(p float64) bool {
 	return s.Float64() < p
 }
 
-// Geometric returns a sample from a geometric distribution with mean m
-// (m >= 1), i.e. the number of trials up to and including the first
-// success when the success probability is 1/m. Used for run lengths.
-func (s *Source) Geometric(m float64) int {
-	if m <= 1 {
-		return 1
-	}
-	p := 1 / m
-	n := 1
-	for !s.Bool(p) && n < 1<<20 {
-		n++
-	}
-	return n
-}
-
 // Split derives a new independent Source from this one. The derived stream
 // does not overlap the parent stream for practical sequence lengths.
 func (s *Source) Split() *Source {

@@ -118,31 +118,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	s := New(13)
-	const n = 50000
-	sum := 0
-	for i := 0; i < n; i++ {
-		sum += s.Geometric(8)
-	}
-	mean := float64(sum) / n
-	if mean < 7 || mean > 9 {
-		t.Fatalf("Geometric(8) mean = %v, want ~8", mean)
-	}
-}
-
-func TestGeometricDegenerate(t *testing.T) {
-	s := New(17)
-	for i := 0; i < 100; i++ {
-		if g := s.Geometric(1); g != 1 {
-			t.Fatalf("Geometric(1) = %d, want 1", g)
-		}
-		if g := s.Geometric(0.5); g != 1 {
-			t.Fatalf("Geometric(0.5) = %d, want 1", g)
-		}
-	}
-}
-
 func TestSplitIndependence(t *testing.T) {
 	parent := New(23)
 	child := parent.Split()

@@ -87,16 +87,6 @@ func BenchWorkload(name string, seed uint64) Workload {
 	return Workload{Kind: KindBench, Bench: name, Seed: seed}
 }
 
-// CustomWorkload describes a caller-defined benchmark model.
-func CustomWorkload(b workload.Benchmark, seed uint64) Workload {
-	return Workload{Kind: KindCustom, Custom: &b, Seed: seed}
-}
-
-// TraceWorkload describes an ingested trace file replay.
-func TraceWorkload(path, format string) Workload {
-	return Workload{Kind: KindTrace, Trace: &TraceRef{Path: path, Format: format}}
-}
-
 // Budget is a job's instruction budget in machine-wide totals (callers
 // with per-thread budgets multiply by the thread count first, as the
 // experiments package does).

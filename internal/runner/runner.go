@@ -393,20 +393,3 @@ func (r *Runner) runJob(ctx context.Context, j Job) Result {
 func (r *Runner) Lookup(hash string) (stats.Report, bool) {
 	return r.cache.get(hash)
 }
-
-// DiskEntries reports how many results the on-disk cache tier currently
-// holds (0 with no cache directory).
-func (r *Runner) DiskEntries() (int, error) {
-	return r.cache.diskEntries()
-}
-
-// Reports extracts the report slice from a batch's results, preserving
-// job order, for callers that fill result grids. It must only be used
-// when RunContext returned a nil error.
-func Reports(results []Result) []stats.Report {
-	reps := make([]stats.Report, len(results))
-	for i, res := range results {
-		reps[i] = res.Report
-	}
-	return reps
-}

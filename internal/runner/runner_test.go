@@ -239,7 +239,7 @@ func TestCancelledSweepResumesFromDiskCache(t *testing.T) {
 	if completed == 0 || completed == int64(len(jobs)) {
 		t.Fatalf("cancelled sweep completed %d of %d points", completed, len(jobs))
 	}
-	onDisk, err := r1.DiskEntries()
+	onDisk, err := r1.cache.diskEntries()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestOrphanedTempFilesSwept(t *testing.T) {
 	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
 		t.Error("orphaned .tmp file survived cache startup")
 	}
-	if n, _ := r.DiskEntries(); n != 1 {
+	if n, _ := r.cache.diskEntries(); n != 1 {
 		t.Errorf("%d disk entries, want 1", n)
 	}
 }
@@ -383,22 +383,6 @@ func TestValidateRejectsBadJobs(t *testing.T) {
 		if err := j.Validate(); err == nil {
 			t.Errorf("%s: invalid job accepted", name)
 		}
-	}
-}
-
-func TestReportsAlignsWithJobs(t *testing.T) {
-	r := mustRunner(t, Options{Workers: 2})
-	jobs := []Job{mixJob("a", 1, 0), mixJob("b", 2, 0)}
-	results, err := r.Run(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reps := Reports(results)
-	if len(reps) != 2 {
-		t.Fatalf("%d reports", len(reps))
-	}
-	if reps[0].Threads != 1 || reps[1].Threads != 2 {
-		t.Fatalf("report order does not match job order: %d/%d threads", reps[0].Threads, reps[1].Threads)
 	}
 }
 
@@ -516,7 +500,7 @@ func TestCustomWorkloadJobs(t *testing.T) {
 	j := Job{
 		Key:      "custom",
 		Machine:  config.Figure2(1),
-		Workload: CustomWorkload(b, 3),
+		Workload: Workload{Kind: KindCustom, Custom: &b, Seed: 3},
 		Budget:   testBudget(),
 	}
 	if err := j.Validate(); err != nil {

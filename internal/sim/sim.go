@@ -63,13 +63,15 @@ type Sampling struct {
 // Default sampling parameters: 2k-instruction units every 197k
 // instructions with a 4k detailed re-warm — a ~3% detailed duty cycle, in
 // the regime SMARTS showed keeps IPC error in the low percents for
-// steady-state workloads. The period is deliberately *not* a round
-// number: systematic sampling aliases badly when the period is
-// commensurate with a workload's own periodicity (the built-in mix
-// rotates benchmarks every 40k instructions, so a 200k period would pin
-// every unit to a single phase offset forever). 197_000 shares only a
-// factor of 1000 with such round periodicities, so successive units
-// stride through the phases instead.
+// steady-state workloads. The non-round period does not escape the
+// built-in mix's own periodicity. Each thread rotates through ten 40k
+// segments, so its stream repeats every 400k instructions, and 197k is
+// close to half that cycle: a one-context run samples a slowly drifting
+// pair of phases. On `dae-sim -threads 1 -l2 16 -measure 10000000
+// -seed 1` the exact IPC is 2.938; the default period reads 2.769
+// ±0.372 (-5.8%), and a 200k period, which puts every unit in the same
+// phase, reads 3.513 ±0.002. ROADMAP.md's sampled-mode item replaces the
+// fixed gaps with jittered unit placement.
 const (
 	DefaultSamplingPeriod = 197_000
 	DefaultSamplingUnit   = 2_000
@@ -228,14 +230,4 @@ func Run(ctx context.Context, opts Options) (Result, error) {
 		return r.runSampled()
 	}
 	return r.runDetailed()
-}
-
-// RunOrDie is a convenience for examples and tools: it runs and panics on
-// configuration errors (which are programming errors there).
-func RunOrDie(opts Options) Result {
-	r, err := Run(context.Background(), opts)
-	if err != nil {
-		panic(fmt.Sprintf("sim: %v", err))
-	}
-	return r
 }

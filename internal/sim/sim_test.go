@@ -171,17 +171,6 @@ func TestReportIdentifiesConfiguration(t *testing.T) {
 	}
 }
 
-func TestRunOrDiePanicsOnBadConfig(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("RunOrDie did not panic")
-		}
-	}()
-	m := config.Figure2(1)
-	m.IQSize = 0
-	RunOrDie(Options{Machine: m, Sources: []trace.Reader{finiteTrace(1)}})
-}
-
 func TestTraceFileRoundTripThroughSimulator(t *testing.T) {
 	// Generate a trace, encode it to a trace container, decode it, and
 	// verify the simulator produces *identical* results from the

@@ -1,7 +1,6 @@
 // Package trace defines the dynamic instruction stream abstraction that
-// feeds the simulator, together with combinators (limit, concatenation,
-// interleaving, skipping). It holds no file codec: trace files are
-// package traceio's.
+// feeds the simulator, together with the Slice, Limit and Count helpers.
+// It holds no file codec: trace files are package traceio's.
 //
 // The paper's methodology is trace-driven simulation: DEC Alpha binaries
 // instrumented with ATOM produce per-benchmark instruction traces which the
@@ -81,55 +80,6 @@ func Limit(r Reader, n int64) Reader {
 		remaining--
 		return true
 	})
-}
-
-// Concat returns a Reader that yields all instructions from each reader in
-// turn.
-func Concat(readers ...Reader) Reader {
-	idx := 0
-	return Func(func(out *isa.Inst) bool {
-		for idx < len(readers) {
-			if readers[idx].Next(out) {
-				return true
-			}
-			idx++
-		}
-		return false
-	})
-}
-
-// Interleave returns a Reader that alternates between the given readers
-// instruction by instruction (round-robin), dropping exhausted readers.
-// Useful for building custom multiprogrammed streams for a single
-// context.
-func Interleave(readers ...Reader) Reader {
-	live := append([]Reader(nil), readers...)
-	next := 0
-	return Func(func(out *isa.Inst) bool {
-		for len(live) > 0 {
-			if next >= len(live) {
-				next = 0
-			}
-			if live[next].Next(out) {
-				next++
-				return true
-			}
-			live = append(live[:next], live[next+1:]...)
-		}
-		return false
-	})
-}
-
-// Skip discards the first n instructions of r (the paper skips each
-// benchmark's start-up phase before measuring) and returns r.
-func Skip(r Reader, n int64) Reader {
-	var tmp isa.Inst
-	for i := int64(0); i < n; i++ {
-		if !r.Next(&tmp) {
-			break
-		}
-	}
-	return r
 }
 
 // Count drains r and returns the number of instructions it yielded.

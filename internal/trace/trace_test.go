@@ -49,74 +49,3 @@ func TestLimit(t *testing.T) {
 		t.Fatalf("Limit(0) yielded %d", n)
 	}
 }
-
-func TestConcat(t *testing.T) {
-	a := sampleInsts()[:2]
-	b := sampleInsts()[2:]
-	r := Concat(Slice(a), Slice(b))
-	if n := Count(r); n != int64(len(a)+len(b)) {
-		t.Fatalf("Concat yielded %d records", n)
-	}
-	// Order must be preserved across the seam.
-	r = Concat(Slice(a), Slice(b))
-	var got isa.Inst
-	all := sampleInsts()
-	for i := range all {
-		r.Next(&got)
-		if got.PC != all[i].PC {
-			t.Fatalf("record %d: pc %#x want %#x", i, got.PC, all[i].PC)
-		}
-	}
-}
-
-func TestConcatEmpty(t *testing.T) {
-	if n := Count(Concat()); n != 0 {
-		t.Fatal("empty Concat yielded records")
-	}
-	if n := Count(Concat(Slice(nil), Slice(sampleInsts()))); n != int64(len(sampleInsts())) {
-		t.Fatal("Concat with empty first reader lost records")
-	}
-}
-
-func TestSkip(t *testing.T) {
-	r := Skip(Slice(sampleInsts()), 2)
-	var got isa.Inst
-	if !r.Next(&got) || got.PC != 0x1008 {
-		t.Fatalf("Skip(2) first record pc = %#x", got.PC)
-	}
-	// Skipping past the end leaves an exhausted reader.
-	r = Skip(Slice(sampleInsts()), 100)
-	if r.Next(&got) {
-		t.Fatal("Skip past end still yields")
-	}
-}
-
-func TestInterleave(t *testing.T) {
-	a := []isa.Inst{{PC: 1, Op: isa.OpIntALU}, {PC: 2, Op: isa.OpIntALU}, {PC: 3, Op: isa.OpIntALU}}
-	b := []isa.Inst{{PC: 10, Op: isa.OpFPALU}}
-	r := Interleave(Slice(a), Slice(b))
-	var got []uint64
-	var in isa.Inst
-	for r.Next(&in) {
-		got = append(got, in.PC)
-	}
-	want := []uint64{1, 10, 2, 3}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-}
-
-func TestInterleaveEmpty(t *testing.T) {
-	var in isa.Inst
-	if Interleave().Next(&in) {
-		t.Fatal("empty interleave yielded")
-	}
-	if Interleave(Slice(nil), Slice(nil)).Next(&in) {
-		t.Fatal("interleave of empty readers yielded")
-	}
-}

@@ -3,13 +3,78 @@ package traceio
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
 	"repro/internal/isa"
 	"repro/internal/trace"
 )
+
+// The text and binary formats are import-only: the program never writes
+// them. WriteText and WriteBinary produce them for the round-trip tests
+// and FuzzDecode's seeds.
+
+// WriteText encodes r in the text format and returns the record count.
+func WriteText(w io.Writer, r interface{ Next(*isa.Inst) bool }) (int64, error) {
+	bw := bufio.NewWriterSize(w, 1<<16)
+	var in isa.Inst
+	var n int64
+	for r.Next(&in) {
+		var line string
+		switch {
+		case in.IsMem():
+			line = fmt.Sprintf("%s 0x%x %s %s %s 0x%x %d", in.Op, in.PC, in.Dest, in.Src1, in.Src2, in.Addr, in.Size)
+		case in.IsBranch():
+			outcome := "not-taken"
+			if in.Taken {
+				outcome = "taken"
+			}
+			line = fmt.Sprintf("%s 0x%x %s %s %s %s", in.Op, in.PC, in.Dest, in.Src1, in.Src2, outcome)
+		default:
+			line = fmt.Sprintf("%s 0x%x %s %s %s", in.Op, in.PC, in.Dest, in.Src1, in.Src2)
+		}
+		if _, err := fmt.Fprintln(bw, line); err != nil {
+			return n, fmt.Errorf("traceio: writing text trace: %w", err)
+		}
+		n++
+	}
+	return n, bw.Flush()
+}
+
+// WriteBinary encodes r in the binary format and returns the record
+// count.
+func WriteBinary(w io.Writer, r interface{ Next(*isa.Inst) bool }) (int64, error) {
+	bw := bufio.NewWriterSize(w, 1<<16)
+	if _, err := bw.Write(BinaryMagic[:]); err != nil {
+		return 0, fmt.Errorf("traceio: writing binary magic: %w", err)
+	}
+	var in isa.Inst
+	var rec [binaryRecordLen]byte
+	var n int64
+	for r.Next(&in) {
+		binary.LittleEndian.PutUint64(rec[0:8], in.PC)
+		binary.LittleEndian.PutUint64(rec[8:16], in.Addr)
+		rec[16] = byte(in.Op)
+		rec[17] = byte(in.Dest)
+		rec[18] = byte(in.Src1)
+		rec[19] = byte(in.Src2)
+		rec[20] = in.Size
+		rec[21] = 0
+		if in.Taken {
+			rec[21] = 1
+		}
+		rec[22], rec[23] = 0, 0
+		if _, err := bw.Write(rec[:]); err != nil {
+			return n, fmt.Errorf("traceio: writing binary record: %w", err)
+		}
+		n++
+	}
+	return n, bw.Flush()
+}
 
 // TestTextRoundTrip: write → parse reproduces the exact records.
 func TestTextRoundTrip(t *testing.T) {
