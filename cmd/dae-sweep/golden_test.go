@@ -11,21 +11,44 @@ import (
 )
 
 // TestAllFiguresMatchGoldens pins every table and CSV of `-fig all` at
-// a small budget byte for byte. Only study S1's wall-clock cells are
-// masked (the table's speedup column; the CSV's exact_ms, sampled_ms and
-// speedup columns): they measure this host, not the simulator.
+// a small budget byte for byte, and its -hashfile too: every point's job
+// hash (the cache-file name), result hash and key. Only study S1's
+// wall-clock cells are masked (the table's speedup column; the CSV's
+// exact_ms, sampled_ms and speedup columns): they measure this host, not
+// the simulator. The hashfile's key column is not masked: a point shared
+// by two figures keeps the key of the figure that ran it first, and
+// figures run one after another, so that key never depends on worker
+// scheduling.
 //
 // After an intended output change, regenerate the goldens from the
 // repository root with
 //
 //	go run ./cmd/dae-sweep -fig all -warmup 2000 -measure 8000 \
 //	    -csv cmd/dae-sweep/testdata > cmd/dae-sweep/testdata/all.txt
+//
+// and, after an intended change to a job or result hash, the hashfile
+// with
+//
+//	go run ./cmd/dae-sweep -fig all -warmup 2000 -measure 8000 \
+//	    -hashfile cmd/dae-sweep/testdata/hashes.txt > /dev/null
 func TestAllFiguresMatchGoldens(t *testing.T) {
 	dir := t.TempDir()
+	hashFile := filepath.Join(t.TempDir(), "hashes.txt")
 	var stdout, stderr strings.Builder
-	args := []string{"-fig", "all", "-warmup", "2000", "-measure", "8000", "-csv", dir}
+	args := []string{"-fig", "all", "-warmup", "2000", "-measure", "8000", "-csv", dir, "-hashfile", hashFile}
 	if code := run(args, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit code %d, stderr: %s", code, stderr.String())
+	}
+	gotHashes, err := os.ReadFile(hashFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantHashes, err := os.ReadFile(filepath.Join("testdata", "hashes.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(gotHashes) != string(wantHashes) {
+		t.Errorf("-hashfile differs from testdata/hashes.txt:\n%s", gotHashes)
 	}
 	want, err := os.ReadFile(filepath.Join("testdata", "all.txt"))
 	if err != nil {
