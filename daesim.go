@@ -39,6 +39,7 @@ package daesim
 import (
 	"repro/internal/config"
 	"repro/internal/mem"
+	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -147,6 +148,6 @@ type RunOpts struct {
 // windows; these defaults keep interactive runs fast while remaining in
 // steady state — raise them for publication-grade numbers.
 const (
-	DefaultWarmup  = 200_000
-	DefaultMeasure = 1_000_000
+	DefaultWarmup  = runner.DefaultWarmup
+	DefaultMeasure = runner.DefaultMeasure
 )

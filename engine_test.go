@@ -21,23 +21,14 @@ func testEngine(t *testing.T, opts EngineOpts) *Engine {
 	return e
 }
 
-// runDirect executes req without an Engine: validation, then one
-// uncached simulation of its job.
-func runDirect(req Request) (Report, error) {
-	if err := req.Validate(); err != nil {
-		return Report{}, err
-	}
-	return req.Normalized().job().Execute(context.Background(), nil, 0)
-}
-
 func shortOpts() RunOpts {
 	return RunOpts{WarmupInsts: 2_000, MeasureInsts: 8_000}
 }
 
 // TestEngineMatchesDirectRunByteForByte is the bit-identity acceptance
-// gate: for each of the four figure configurations the Engine's Report
-// must serialize to exactly the bytes the direct, engine-less path
-// produces.
+// gate: for each of the four figure configurations a shared 2-worker
+// Engine's Report must serialize to exactly the bytes a fresh
+// single-worker Engine (runOnce) produces.
 func TestEngineMatchesDirectRunByteForByte(t *testing.T) {
 	eng := testEngine(t, EngineOpts{Workers: 2})
 	ctx := context.Background()
@@ -51,7 +42,7 @@ func TestEngineMatchesDirectRunByteForByte(t *testing.T) {
 		{"4T-L2_256", Figure2(4).WithL2Latency(256)},
 	}
 	for _, cfg := range configs {
-		direct, err := runDirect(MixRequest(cfg.machine, shortOpts()))
+		direct, err := runOnce(MixRequest(cfg.machine, shortOpts()))
 		if err != nil {
 			t.Fatalf("%s: direct: %v", cfg.name, err)
 		}
@@ -347,7 +338,7 @@ func TestEngineCustomWorkloadsAreCacheable(t *testing.T) {
 	b.Kernels[0].FPChains = 2
 	req := CustomRequest(b, Figure2(1), shortOpts())
 
-	direct, err := runDirect(CustomRequest(b, Figure2(1), shortOpts()))
+	direct, err := runOnce(CustomRequest(b, Figure2(1), shortOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}

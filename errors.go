@@ -1,23 +1,21 @@
 package daesim
 
 import (
-	"errors"
-
 	"repro/internal/config"
 	"repro/internal/runner"
 	"repro/internal/workload"
 )
 
 // Typed error classification. Every validation failure surfaced by the
-// package — from Request.Validate, the Engine, or the deprecated Run*
-// wrappers — wraps exactly one of these sentinels, so callers (and the
-// dae-serve HTTP layer, which maps them to status codes) classify with
-// errors.Is instead of matching message text.
+// package — from Request.Validate or the Engine — wraps exactly one of
+// these sentinels, so callers (and the dae-serve HTTP layer, which maps
+// them to status codes) classify with errors.Is instead of matching
+// message text.
 var (
 	// ErrInvalidRequest is wrapped by every malformed-Request failure:
 	// negative budgets, an unknown workload kind, a custom workload
 	// without (or with an inconsistent) benchmark model.
-	ErrInvalidRequest = errors.New("daesim: invalid request")
+	ErrInvalidRequest = runner.ErrInvalidRequest
 	// ErrUnknownBenchmark is wrapped when a workload names a benchmark
 	// that is not one of the ten built-in models (see Benchmarks).
 	ErrUnknownBenchmark = workload.ErrUnknownBenchmark

@@ -59,9 +59,6 @@ func NewBHT(entries int) *BHT {
 	return &BHT{table: t, mask: uint64(entries - 1)}
 }
 
-// Entries returns the table size.
-func (b *BHT) Entries() int { return len(b.table) }
-
 func (b *BHT) index(pc uint64) uint64 {
 	// Instructions are 4-byte aligned; drop the low bits so consecutive
 	// branches map to distinct entries.

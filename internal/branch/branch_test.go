@@ -45,7 +45,7 @@ func TestNewBHTValidation(t *testing.T) {
 			NewBHT(n)
 		}()
 	}
-	if b := NewBHT(2048); b.Entries() != 2048 {
+	if b := NewBHT(2048); len(b.table) != 2048 {
 		t.Fatal("Entries mismatch")
 	}
 }

@@ -21,7 +21,6 @@ type Bus struct {
 	bytesPerCycle int
 	busyUntil     int64
 	busyCycles    int64
-	transactions  int64
 }
 
 // New returns a bus transferring bytesPerCycle bytes per cycle.
@@ -54,18 +53,8 @@ func (b *Bus) Reserve(ready int64, cycles int64) (done int64) {
 	}
 	b.busyUntil = start + cycles
 	b.busyCycles += cycles
-	b.transactions++
 	return b.busyUntil
 }
-
-// BusyUntil returns the cycle at which all booked traffic completes.
-func (b *Bus) BusyUntil() int64 { return b.busyUntil }
-
-// BusyCycles returns the total cycles of traffic booked so far.
-func (b *Bus) BusyCycles() int64 { return b.busyCycles }
-
-// Transactions returns the number of reservations made.
-func (b *Bus) Transactions() int64 { return b.transactions }
 
 // Utilization returns the fraction of a measurement window the bus was
 // busy. The window ends at absolute cycle `end` and spans `window`
@@ -97,5 +86,4 @@ func (b *Bus) Utilization(end, window int64) float64 {
 // transfers keep their reservations — so it is preserved.
 func (b *Bus) Reset() {
 	b.busyCycles = 0
-	b.transactions = 0
 }

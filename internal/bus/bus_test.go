@@ -35,8 +35,8 @@ func TestReserveIdleBus(t *testing.T) {
 	if done != 12 {
 		t.Fatalf("done = %d, want 12", done)
 	}
-	if b.BusyUntil() != 12 || b.BusyCycles() != 2 || b.Transactions() != 1 {
-		t.Fatalf("state = (%d,%d,%d)", b.BusyUntil(), b.BusyCycles(), b.Transactions())
+	if b.busyUntil != 12 || b.busyCycles != 2 {
+		t.Fatalf("state = (%d,%d)", b.busyUntil, b.busyCycles)
 	}
 }
 
@@ -114,10 +114,10 @@ func TestReset(t *testing.T) {
 	b := New(16)
 	b.Reserve(0, 5)
 	b.Reset()
-	if b.BusyCycles() != 0 || b.Transactions() != 0 {
+	if b.busyCycles != 0 {
 		t.Fatal("Reset left accounting behind")
 	}
-	if b.BusyUntil() != 5 {
+	if b.busyUntil != 5 {
 		t.Fatal("Reset discarded the physical busy horizon")
 	}
 }
@@ -149,7 +149,7 @@ func TestQuickNoOverlap(t *testing.T) {
 			lastDone = done
 			total += cycles
 		}
-		return b.BusyCycles() == total
+		return b.busyCycles == total
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

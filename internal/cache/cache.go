@@ -92,9 +92,6 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// Config returns the geometry.
-func (c *Cache) Config() Config { return c.cfg }
-
 // LineAddr returns the line-aligned address containing addr.
 func (c *Cache) LineAddr(addr uint64) uint64 {
 	return addr &^ (uint64(c.cfg.LineBytes) - 1)
@@ -140,8 +137,7 @@ func (c *Cache) lookupAssoc(t uint64) bool {
 	return true
 }
 
-// Probe reports whether addr hits without touching LRU state (used for
-// inspection and tests).
+// Probe reports whether addr hits without touching LRU state.
 func (c *Cache) Probe(addr uint64) bool { return c.find(c.tag(addr)) >= 0 }
 
 // Victim describes a line evicted by a Fill.
@@ -256,15 +252,4 @@ func (c *Cache) Flush() int {
 		c.ways[i] = way{}
 	}
 	return dirty
-}
-
-// ValidLines returns the number of valid lines (for tests and reports).
-func (c *Cache) ValidLines() int {
-	n := 0
-	for i := range c.ways {
-		if c.ways[i].valid {
-			n++
-		}
-	}
-	return n
 }

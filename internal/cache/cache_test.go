@@ -193,7 +193,7 @@ func TestFlush(t *testing.T) {
 	if n := c.Flush(); n != 1 {
 		t.Fatalf("Flush returned %d dirty lines, want 1", n)
 	}
-	if c.ValidLines() != 0 {
+	if validLines(c) != 0 {
 		t.Fatal("lines survived flush")
 	}
 }
@@ -203,13 +203,13 @@ func TestValidLines(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.Fill(uint64(i * 32))
 	}
-	if got := c.ValidLines(); got != 10 {
-		t.Fatalf("ValidLines = %d, want 10", got)
+	if got := validLines(c); got != 10 {
+		t.Fatalf("validLines = %d, want 10", got)
 	}
 	// Refill of present lines must not double count.
 	c.Fill(0)
-	if got := c.ValidLines(); got != 10 {
-		t.Fatalf("ValidLines after refill = %d, want 10", got)
+	if got := validLines(c); got != 10 {
+		t.Fatalf("validLines after refill = %d, want 10", got)
 	}
 }
 
@@ -236,7 +236,7 @@ func TestQuickCapacityInvariant(t *testing.T) {
 			if !c.Probe(addr) {
 				return false
 			}
-			if c.ValidLines() > capacity {
+			if validLines(c) > capacity {
 				return false
 			}
 		}
@@ -366,7 +366,7 @@ func TestQuickMatchesReferenceModel(t *testing.T) {
 		for _, set := range r.sets {
 			n += len(set)
 		}
-		return c.ValidLines() == n
+		return validLines(c) == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -412,4 +412,15 @@ func BenchmarkFillConflict(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.Fill(uint64(i) * 64 * 1024)
 	}
+}
+
+// validLines returns the number of valid lines in c.
+func validLines(c *Cache) int {
+	n := 0
+	for i := range c.ways {
+		if c.ways[i].valid {
+			n++
+		}
+	}
+	return n
 }

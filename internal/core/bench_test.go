@@ -74,7 +74,7 @@ func BenchmarkCoreRun(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				c := newBenchCore(b, cfg.machine)
 				runTo(c, benchInsts)
-				skipped += c.SkippedCycles()
+				skipped += core.SkippedCycles(c)
 				cycles += c.Core(0).Collector().Cycles
 			}
 			reportSimRate(b, cycles)

@@ -73,9 +73,6 @@ func NewCMP(m config.Machine, sources []trace.Reader) (*CMP, error) {
 	return p, nil
 }
 
-// Config returns the effective machine configuration (Cores set).
-func (p *CMP) Config() config.Machine { return p.cfg }
-
 // Cores returns the number of cores.
 func (p *CMP) Cores() int { return len(p.cores) }
 
@@ -87,10 +84,6 @@ func (p *CMP) Interconnect() *mem.Interconnect { return p.ic }
 
 // Now returns the current cycle (identical across the lockstep cores).
 func (p *CMP) Now() int64 { return p.cores[0].now }
-
-// SkippedCycles returns how many cycles Step fast-forwarded over
-// (machine-level: the lockstep cores always skip together).
-func (p *CMP) SkippedCycles() int64 { return p.cores[0].skippedCycles }
 
 // Graduated sums instructions retired across all cores in the current
 // window.

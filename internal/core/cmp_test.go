@@ -164,7 +164,7 @@ func TestCMPStepMatchesTick(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return b, p.Now(), p.SkippedCycles()
+				return b, p.Now(), core.SkippedCycles(p)
 			}
 			fast, fastNow, skipped := run(false)
 			slow, slowNow, _ := run(true)

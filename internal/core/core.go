@@ -63,7 +63,8 @@ type Core struct {
 	col stats.Collector
 
 	// skippedCycles counts cycles fast-forwarded over rather than ticked
-	// (CMP.SkippedCycles; they are fully accounted in the collector).
+	// (the fast-forward tests read it; they are fully accounted in the
+	// collector).
 	skippedCycles int64
 	// progressed reports whether the last Tick changed machine state
 	// beyond the constant per-cycle stall accounting. A cycle without
@@ -118,9 +119,6 @@ func newCore(m config.Machine, sources []trace.Reader, ms *mem.System) (*Core, e
 	c.orderBuf = make([]int, 0, m.Threads)
 	return c, nil
 }
-
-// Config returns the effective (scaled) machine configuration.
-func (c *Core) Config() config.Machine { return c.cfg }
 
 // Mem returns the memory subsystem.
 func (c *Core) Mem() *mem.System { return c.mem }

@@ -65,7 +65,7 @@ func newMachine(m config.Machine, sources []trace.Reader) (machine, error) {
 func (m machine) Tick()                { m.p.Tick() }
 func (m machine) DrainPipeline() bool  { return m.p.DrainPipeline() }
 func (m machine) Warp(n int64) int64   { return m.p.Warp(n) }
-func (m machine) SkippedCycles() int64 { return m.p.SkippedCycles() }
+func (m machine) SkippedCycles() int64 { return SkippedCycles(m.p) }
 
 // Run advances until every source is drained or maxCycles pass,
 // fast-forwarding over idle stretches; it returns the number of cycles

@@ -379,8 +379,8 @@ func TestCoreAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Config(); got.Threads != 2 {
-		t.Errorf("Config().Threads = %d, want 2", got.Threads)
+	if got := c.cfg; got.Threads != 2 {
+		t.Errorf("cfg.Threads = %d, want 2", got.Threads)
 	}
 	if c.Context(0) == nil || c.Context(1) == nil {
 		t.Error("Context returned nil")
@@ -393,8 +393,8 @@ func TestCoreAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Config(); got.Cores != 2 {
-		t.Errorf("CMP Config().Cores = %d, want 2", got.Cores)
+	if got := p.cfg; got.Cores != 2 {
+		t.Errorf("CMP cfg.Cores = %d, want 2", got.Cores)
 	}
 	if p.Interconnect() == nil {
 		t.Error("Interconnect returned nil")

@@ -76,7 +76,7 @@ func (b Budget) mixJob(key string, m config.Machine) runner.Job {
 	return runner.Job{
 		Key:      key,
 		Machine:  m,
-		Workload: runner.MixWorkload(b.Seed, 0),
+		Workload: runner.Workload{Kind: runner.WorkloadMix, Seed: b.Seed},
 		Budget:   b.totals(m.TotalContexts()),
 	}
 }
@@ -86,7 +86,7 @@ func (b Budget) benchJob(key string, m config.Machine, bench string) runner.Job 
 	return runner.Job{
 		Key:      key,
 		Machine:  m,
-		Workload: runner.BenchWorkload(bench, b.Seed),
+		Workload: runner.Workload{Kind: runner.WorkloadBench, Bench: bench, Seed: b.Seed},
 		Budget:   b.totals(m.TotalContexts()),
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/config"
+	"repro/internal/runner"
 	"repro/internal/sim"
 )
 
@@ -120,7 +121,7 @@ func s1Figure(sp sim.Sampling) *Figure {
 			for _, c := range S1Configs {
 				m := config.Figure2(c.Threads).WithL2Latency(c.L2)
 				sampledJob := b.mixJob(fmt.Sprintf("s1 %s sampled", c.Name), m)
-				sampledJob.Budget.Mode = sim.ModeSampled
+				sampledJob.Budget.Mode = runner.ModeSampled
 				spc := sp
 				sampledJob.Budget.Sampling = &spc
 				pts = append(pts, point(Row{"config": c.Name, "threads": c.Threads, "l2": c.L2},

@@ -92,23 +92,6 @@ func (r *Ring) Add(member string) {
 	r.sortLocked()
 }
 
-// Remove deletes a member. Removing an absent member is a no-op.
-func (r *Ring) Remove(member string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.members[member] {
-		return
-	}
-	delete(r.members, member)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.member != member {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
 // sortLocked restores point order. Ties on position (astronomically
 // unlikely with 64-bit FNV, but determinism must not hinge on luck) are
 // broken by member name so every process builds the identical ring.
@@ -119,26 +102,6 @@ func (r *Ring) sortLocked() {
 		}
 		return r.points[i].member < r.points[j].member
 	})
-}
-
-// Members returns the current membership, sorted.
-func (r *Ring) Members() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.members))
-	for m := range r.members {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Owner returns the member owning key, or "" on an empty ring.
-func (r *Ring) Owner(key string) string {
-	if succ := r.Successors(key, 1); len(succ) > 0 {
-		return succ[0]
-	}
-	return ""
 }
 
 // Successors returns up to n distinct members in ring order starting at

@@ -16,10 +16,18 @@ func ringKeys(n int) []string {
 	return keys
 }
 
+// owner returns the member owning key, or "" on an empty ring.
+func owner(r *Ring, key string) string {
+	if succ := r.Successors(key, 1); len(succ) > 0 {
+		return succ[0]
+	}
+	return ""
+}
+
 func owners(r *Ring, keys []string) map[string]string {
 	m := make(map[string]string, len(keys))
 	for _, k := range keys {
-		m[k] = r.Owner(k)
+		m[k] = owner(r, k)
 	}
 	return m
 }
@@ -28,7 +36,8 @@ func owners(r *Ring, keys []string) map[string]string {
 // property the fabric's warm caches depend on: across many random
 // membership removals, a key changes owner if and only if its owner
 // departed — and its new owner is the next member on its successor
-// chain, so routers agree on where the key went.
+// chain, so routers agree on where the key went. The ring is a pure
+// function of its membership, so the smaller ring is built afresh.
 func TestRingRemovalMovesOnlyDepartedKeys(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	keys := ringKeys(4096)
@@ -49,8 +58,13 @@ func TestRingRemovalMovesOnlyDepartedKeys(t *testing.T) {
 		}
 
 		departing := members[rng.Intn(n)]
-		r.Remove(departing)
-		after := owners(r, keys)
+		smaller := NewRing(DefaultVNodes)
+		for _, m := range members {
+			if m != departing {
+				smaller.Add(m)
+			}
+		}
+		after := owners(smaller, keys)
 
 		moved := 0
 		for _, k := range keys {
@@ -143,7 +157,7 @@ func TestRingDeterministicAcrossInstances(t *testing.T) {
 // successor bounds.
 func TestRingEdgeCases(t *testing.T) {
 	r := NewRing(8)
-	if got := r.Owner("k"); got != "" {
+	if got := owner(r, "k"); got != "" {
 		t.Errorf("empty ring owner %q", got)
 	}
 	if got := r.Successors("k", 3); got != nil {
@@ -151,18 +165,13 @@ func TestRingEdgeCases(t *testing.T) {
 	}
 	r.Add("only")
 	r.Add("only") // duplicate: no-op
-	if got := r.Owner("k"); got != "only" {
+	if got := owner(r, "k"); got != "only" {
 		t.Errorf("single-member owner %q", got)
 	}
 	if got := r.Successors("k", 5); len(got) != 1 {
 		t.Errorf("successors %v, want exactly the one member", got)
 	}
-	if got := len(r.Members()); got != 1 {
+	if got := len(r.members); got != 1 {
 		t.Errorf("%d members after duplicate add", got)
-	}
-	r.Remove("absent") // no-op
-	r.Remove("only")
-	if got := r.Owner("k"); got != "" {
-		t.Errorf("owner %q after removing the last member", got)
 	}
 }

@@ -258,7 +258,7 @@ func TestRouterReplicaDeathMidSweep(t *testing.T) {
 		req := daesim.MixRequest(daesim.Figure2(1), daesim.RunOpts{
 			WarmupInsts: 500, MeasureInsts: 2_000, Seed: seed})
 		req.Label = fmt.Sprintf("kill-%d", seed)
-		if mirror.Owner(req.Hash()) == victim.URL {
+		if owner(mirror, req.Hash()) == victim.URL {
 			victimOwned++
 		}
 		reqs = append(reqs, req)

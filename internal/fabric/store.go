@@ -45,9 +45,6 @@ func (s *Store) Get(hash string) (stats.Report, bool) {
 	return runner.LoadEntry(s.dir, hash)
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // validHash reports whether hash looks like a runner content hash
 // (non-empty lowercase hex).
 func validHash(hash string) bool {

@@ -208,11 +208,11 @@ func TestInvalidateRacesInFlightFill(t *testing.T) {
 	}
 
 	fillsBefore := h.sys[1].l1Stats.Fills
-	if h.sys[1].MSHRsInUse() != 1 {
-		t.Fatalf("core 1 MSHRs in use = %d, want 1", h.sys[1].MSHRsInUse())
+	if h.sys[1].l1.mshrsInUse != 1 {
+		t.Fatalf("core 1 MSHRs in use = %d, want 1", h.sys[1].l1.mshrsInUse)
 	}
 	h.runTo(r.ReadyAt)
-	if h.sys[1].MSHRsInUse() != 0 {
+	if h.sys[1].l1.mshrsInUse != 0 {
 		t.Fatal("cancelled fill did not free its MSHR")
 	}
 	if got := h.sys[1].l1Stats.Fills; got != fillsBefore {
@@ -273,7 +273,7 @@ func TestSharedMSHRExhaustionTwoCores(t *testing.T) {
 	}
 
 	h.tick()
-	mshrs0, mshrs1 := h.sys[0].MSHRsInUse(), h.sys[1].MSHRsInUse()
+	mshrs0, mshrs1 := h.sys[0].l1.mshrsInUse, h.sys[1].l1.mshrsInUse
 	r0 := h.sys[0].Load(b)
 	r1 := h.sys[1].Load(c)
 	if r0.OK || r0.Stall != StallLowerMSHR {
@@ -283,7 +283,7 @@ func TestSharedMSHRExhaustionTwoCores(t *testing.T) {
 		t.Fatalf("core 1 concurrent miss = %+v, want StallLowerMSHR", r1)
 	}
 	// Rejection is stateless: neither L1 allocated an MSHR.
-	if h.sys[0].MSHRsInUse() != mshrs0 || h.sys[1].MSHRsInUse() != mshrs1 {
+	if h.sys[0].l1.mshrsInUse != mshrs0 || h.sys[1].l1.mshrsInUse != mshrs1 {
 		t.Fatal("rejected access left an L1 MSHR allocated")
 	}
 	l2 := h.ic.LevelStats(h.now, h.now)[0]

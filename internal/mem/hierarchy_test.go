@@ -196,7 +196,7 @@ func TestHierarchyLowerMSHRStall(t *testing.T) {
 	if got := s.Stats().LowerRejects; got != 1 {
 		t.Fatalf("LowerRejects = %d, want 1", got)
 	}
-	if got := s.MSHRsInUse(); got != 2 {
+	if got := s.l1.mshrsInUse; got != 2 {
 		t.Fatalf("L1 MSHRs in use = %d, want 2 (reject must not leak)", got)
 	}
 	ls := s.LevelStats(0, 1)

@@ -240,9 +240,6 @@ type System struct {
 	coreID int
 }
 
-// Config returns the configuration.
-func (s *System) Config() Config { return s.cfg }
-
 // Bus exposes the L1's downstream bus for utilization reporting.
 func (s *System) Bus() *bus.Bus { return s.l1.bus }
 
@@ -271,9 +268,6 @@ func (s *System) L1LevelStats(end, window int64) LevelStats {
 	ls.BusUtilization = s.l1.bus.Utilization(end, window)
 	return ls
 }
-
-// MSHRsInUse returns the number of occupied L1 MSHRs.
-func (s *System) MSHRsInUse() int { return s.l1.mshrsInUse }
 
 // Quiescent reports whether no miss is in flight at the L1 or at any
 // finite level below it (this core's view of the chain): the

@@ -4,8 +4,17 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bus"
 	"repro/internal/cache"
 )
+
+// busyCycles reads the traffic booked on b since its last Reset: over a
+// window ending after every booking, utilization times a power-of-two
+// window is exact.
+func busyCycles(b *bus.Bus) int64 {
+	const window = 1 << 30
+	return int64(b.Utilization(1<<62, window) * window)
+}
 
 func testConfig() Config {
 	return Config{
@@ -124,13 +133,13 @@ func TestSecondaryMissMerges(t *testing.T) {
 	if st.SecondaryMisses != 1 {
 		t.Fatalf("SecondaryMisses = %d, want 1", st.SecondaryMisses)
 	}
-	if s.MSHRsInUse() != 1 {
-		t.Fatalf("MSHRs in use = %d, want 1 (merged)", s.MSHRsInUse())
+	if s.l1.mshrsInUse != 1 {
+		t.Fatalf("MSHRs in use = %d, want 1 (merged)", s.l1.mshrsInUse)
 	}
 	// Only one refill should have crossed the data bus (requests ride the
 	// command channel).
-	if got := s.Bus().Transactions(); got != 1 {
-		t.Fatalf("bus transactions = %d, want 1", got)
+	if got, want := busyCycles(s.Bus()), s.Bus().TransferCycles(32); got != want {
+		t.Fatalf("bus busy for %d cycles, want one %d-cycle refill", got, want)
 	}
 }
 
@@ -185,15 +194,15 @@ func TestMSHRFreedAfterFill(t *testing.T) {
 	s := newSys(t, testConfig())
 	s.BeginCycle(0)
 	r := s.Load(0x4000)
-	if s.MSHRsInUse() != 1 {
+	if s.l1.mshrsInUse != 1 {
 		t.Fatal("MSHR not allocated")
 	}
 	s.BeginCycle(r.ReadyAt - 1)
-	if s.MSHRsInUse() != 1 {
+	if s.l1.mshrsInUse != 1 {
 		t.Fatal("MSHR freed early")
 	}
 	s.BeginCycle(r.ReadyAt)
-	if s.MSHRsInUse() != 0 {
+	if s.l1.mshrsInUse != 0 {
 		t.Fatal("MSHR not freed at fill time")
 	}
 	if s.Stats().Fills != 1 {
@@ -317,7 +326,7 @@ func TestResetStats(t *testing.T) {
 	if s.Stats() != (Stats{}) {
 		t.Fatal("stats survived reset")
 	}
-	if s.Bus().BusyCycles() != 0 {
+	if busyCycles(s.Bus()) != 0 {
 		t.Fatal("bus accounting survived reset")
 	}
 }
@@ -334,17 +343,17 @@ func TestQuickMSHRBounds(t *testing.T) {
 		for _, a := range addrsRaw {
 			s.BeginCycle(now)
 			s.Load(uint64(a) << 5) // distinct lines
-			if s.MSHRsInUse() > cfg.MSHRs {
+			if s.l1.mshrsInUse > cfg.MSHRs {
 				return false
 			}
 			now++
 		}
 		// Run forward; everything must drain.
-		for i := 0; i < 10000 && s.MSHRsInUse() > 0; i++ {
+		for i := 0; i < 10000 && s.l1.mshrsInUse > 0; i++ {
 			now++
 			s.BeginCycle(now)
 		}
-		return s.MSHRsInUse() == 0
+		return s.l1.mshrsInUse == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

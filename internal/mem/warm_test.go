@@ -56,7 +56,7 @@ func TestWarmFlatProbe(t *testing.T) {
 		{"2-way", newSys(t, assoc).System},
 		{"disjoint CMP", flatCMP.sys[1]},
 	} {
-		ref := cache.New(tc.sys.Config().L1)
+		ref := cache.New(tc.sys.cfg.L1)
 		for i := uint64(0); i < 5000; i++ {
 			addr := (i * 0x9e3779b97f4a7c15) % (1 << 20) // 16 tags per DM L1 set
 			store := i%3 == 0
@@ -236,8 +236,8 @@ func TestSystemAccessorsAndQuiescence(t *testing.T) {
 	cfg.DRAMLatency = 64
 	s := newSys(t, cfg)
 
-	if got := s.Config(); got.DRAMLatency != 64 {
-		t.Errorf("Config().DRAMLatency = %d", got.DRAMLatency)
+	if got := s.cfg; got.DRAMLatency != 64 {
+		t.Errorf("cfg.DRAMLatency = %d", got.DRAMLatency)
 	}
 	if s.ic.levels[0].bus == nil {
 		t.Error("level 0 bus is nil")
@@ -260,7 +260,7 @@ func TestSystemAccessorsAndQuiescence(t *testing.T) {
 	if len(scheduled) == 0 {
 		t.Error("shared-level fill was not scheduled")
 	}
-	for c := int64(2); s.MSHRsInUse() > 0; c++ {
+	for c := int64(2); s.l1.mshrsInUse > 0; c++ {
 		s.BeginCycle(c)
 	}
 	if !s.Quiescent() {

@@ -32,12 +32,6 @@ func New[T any](capacity int) *Ring[T] {
 // Len returns the number of queued elements.
 func (r *Ring[T]) Len() int { return r.size }
 
-// Cap returns the queue capacity.
-func (r *Ring[T]) Cap() int { return len(r.buf) }
-
-// Empty reports whether the queue holds no elements.
-func (r *Ring[T]) Empty() bool { return r.size == 0 }
-
 // Full reports whether the queue is at capacity.
 func (r *Ring[T]) Full() bool { return r.size == len(r.buf) }
 

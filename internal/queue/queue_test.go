@@ -131,8 +131,8 @@ func TestSetPanicsOutOfRange(t *testing.T) {
 func TestLenCapFreeInvariant(t *testing.T) {
 	q := New[int](5)
 	check := func() {
-		if q.Len()+q.Free() != q.Cap() {
-			t.Fatalf("Len(%d)+Free(%d) != Cap(%d)", q.Len(), q.Free(), q.Cap())
+		if q.Len()+q.Free() != len(q.buf) {
+			t.Fatalf("Len(%d)+Free(%d) != capacity %d", q.Len(), q.Free(), len(q.buf))
 		}
 	}
 	check()
@@ -140,7 +140,7 @@ func TestLenCapFreeInvariant(t *testing.T) {
 		q.Push(i)
 		check()
 	}
-	for !q.Empty() {
+	for q.Len() != 0 {
 		q.Pop()
 		check()
 	}
@@ -200,7 +200,7 @@ func BenchmarkPushPop(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		q.Push(i)
 		if q.Full() {
-			for !q.Empty() {
+			for q.Len() != 0 {
 				q.Pop()
 			}
 		}

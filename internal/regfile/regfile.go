@@ -49,7 +49,6 @@ type File struct {
 	entries []Entry
 	free    []PhysReg // stack of free registers
 	inFree  []bool    // per-register free-list membership (O(1) double-free check)
-	inUse   int
 }
 
 // New returns a file with n physical registers, all free. n must be
@@ -77,9 +76,6 @@ func (f *File) Size() int { return len(f.entries) }
 // FreeCount returns the number of free registers.
 func (f *File) FreeCount() int { return len(f.free) }
 
-// InUse returns the number of allocated registers.
-func (f *File) InUse() int { return f.inUse }
-
 // Alloc takes a register from the free list. It reports failure when the
 // file is exhausted (dispatch must stall). A fresh register is not ready
 // until the producer calls SetReadyAt, and its classification flags are
@@ -92,7 +88,6 @@ func (f *File) Alloc() (PhysReg, bool) {
 	f.free = f.free[:len(f.free)-1]
 	f.inFree[p] = false
 	f.entries[p] = Entry{ReadyAt: NeverReady}
-	f.inUse++
 	return p, true
 }
 
@@ -118,7 +113,6 @@ func (f *File) Free(p PhysReg) {
 	}
 	f.inFree[p] = true
 	f.free = append(f.free, p)
-	f.inUse--
 }
 
 // SetReadyAt records that p's value becomes available at the given cycle.

@@ -74,15 +74,3 @@ func (t *Table) Set(r isa.Reg, p regfile.PhysReg) (prev regfile.PhysReg) {
 	t.mapping[r] = p
 	return prev
 }
-
-// Mapped returns the number of architectural registers with a valid
-// mapping (used by tests).
-func (t *Table) Mapped() int {
-	n := 0
-	for _, p := range t.mapping {
-		if p.Valid() {
-			n++
-		}
-	}
-	return n
-}

@@ -9,15 +9,10 @@
 package rng
 
 // Source is a deterministic 64-bit PRNG (SplitMix64). The zero value is a
-// valid generator seeded with 0.
+// valid generator seeded with 0; Seed reseeds it, and distinct seeds
+// produce statistically independent streams.
 type Source struct {
 	state uint64
-}
-
-// New returns a Source seeded with seed. Distinct seeds produce
-// statistically independent streams.
-func New(seed uint64) *Source {
-	return &Source{state: seed}
 }
 
 // Seed resets the generator to the given seed.
@@ -59,10 +54,4 @@ func (s *Source) Bool(p float64) bool {
 		return true
 	}
 	return s.Float64() < p
-}
-
-// Split derives a new independent Source from this one. The derived stream
-// does not overlap the parent stream for practical sequence lengths.
-func (s *Source) Split() *Source {
-	return New(s.Uint64() ^ 0xd1b54a32d192ed03)
 }

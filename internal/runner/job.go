@@ -5,7 +5,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"path/filepath"
 
 	"repro/internal/config"
 	"repro/internal/sim"
@@ -21,94 +23,105 @@ import (
 // silently serving results from an older model.
 const schemaVersion = 1
 
-// WorkloadKind selects how a job's instruction sources are built.
+// ErrInvalidRequest is wrapped by every malformed run description. Its
+// text names the public daesim package, which re-exports it.
+var ErrInvalidRequest = errors.New("daesim: invalid request")
+
+// WorkloadKind selects how a run's instruction streams are built.
 type WorkloadKind string
 
+// Workload kinds.
 const (
-	// KindMix runs the paper's Section-3 workload: every context executes
-	// a rotated concatenation of all ten benchmarks.
-	KindMix WorkloadKind = "mix"
-	// KindBench runs one named benchmark on every context, each copy with
-	// a private address space and a perturbed seed.
-	KindBench WorkloadKind = "bench"
-	// KindCustom runs a caller-defined benchmark model (Workload.Custom)
-	// on every context, like KindBench runs a built-in.
-	KindCustom WorkloadKind = "custom"
-	// KindTrace replays an ingested trace file (Workload.Trace): each
-	// context replays one of the file's streams via workload.TraceSources.
-	KindTrace WorkloadKind = "trace"
+	// WorkloadMix is the paper's Section-3 workload: every context runs a
+	// rotated concatenation of all ten benchmarks.
+	WorkloadMix WorkloadKind = "mix"
+	// WorkloadBench runs one named built-in benchmark on every context,
+	// each copy with a private address space and a perturbed seed.
+	WorkloadBench WorkloadKind = "bench"
+	// WorkloadCustom runs a caller-defined Benchmark model the same way.
+	WorkloadCustom WorkloadKind = "custom"
+	// WorkloadTrace replays a trace container (`dae-trace export` or
+	// `import`), one stream per context, replicated modulo the context
+	// count with per-context address relocation.
+	WorkloadTrace WorkloadKind = "trace"
 )
 
-// TraceRef locates a trace file for KindTrace. The *reference* is what
-// hashes — the job hash names the result of replaying whatever the path
-// holds, so replacing a file's content behind an unchanged path reuses
-// the stale cache entry (the same contract file-driven simulators
-// conventionally accept; dae-sweep's cache can be cleared per file).
+// TraceRef locates the trace file of a WorkloadTrace run. The reference
+// is what hashes, so replacing file content behind an unchanged path
+// reuses the stale cache entry.
 type TraceRef struct {
 	// Path is the trace file location.
-	Path string
-	// Format is "", "auto" or "container": only containers replay
-	// (traceio.CheckReplayFormat). It stays in the hash, so the spelled-out
-	// "container" keeps its own cache entries.
-	Format string `json:",omitempty"`
+	Path string `json:"path"`
+	// Format is empty (the canonical spelling of "auto") or "container":
+	// the simulator replays containers only. The import-only formats
+	// ("legacy", "bin", "text") fail Validate; `dae-trace import`
+	// converts them.
+	Format string `json:"format,omitempty"`
 }
 
-// Workload is the canonical description of a job's instruction streams.
-// It is part of the job hash, so two workloads with equal fields are
-// assumed to generate identical streams (which the workload package
-// guarantees for a given seed).
+// Workload is the serializable description of a run's instruction
+// streams. Equal workloads generate identical streams, which is what
+// lets the workload take part in the hash.
 type Workload struct {
-	Kind WorkloadKind
-	// Bench names the benchmark for KindBench.
-	Bench string
-	// Custom is the full benchmark model for KindCustom. It must be nil
-	// for the other kinds (the omitempty keeps mix/bench job hashes
-	// identical to the pre-custom cache schema, so existing on-disk
-	// entries stay valid).
-	Custom *workload.Benchmark `json:",omitempty"`
-	// Trace locates the trace file for KindTrace. It must be nil for the
-	// other kinds (omitempty keeps every generator-workload job hash —
-	// and on-disk cache entry — identical to the pre-trace schema).
-	Trace *TraceRef `json:",omitempty"`
-	// SegmentLen overrides the mix rotation length for KindMix (0 =
-	// workload.DefaultSegmentLen).
-	SegmentLen int64
-	// Seed perturbs the workload's data-dependent randomness.
-	Seed uint64
+	// Kind selects the workload; empty normalizes to WorkloadMix.
+	Kind WorkloadKind `json:"kind"`
+	// Bench names the built-in benchmark for WorkloadBench.
+	Bench string `json:"bench,omitempty"`
+	// Custom is the benchmark model for WorkloadCustom.
+	Custom *workload.Benchmark `json:"custom,omitempty"`
+	// Trace locates the trace file for WorkloadTrace.
+	Trace *TraceRef `json:"trace,omitempty"`
+	// SegmentLen overrides the mix rotation length for WorkloadMix
+	// (0 = workload.DefaultSegmentLen).
+	SegmentLen int64 `json:"segmentLen,omitempty"`
+	// Seed perturbs the workload's data-dependent randomness; runs with
+	// the same description (seed included) are bit-identical.
+	Seed uint64 `json:"seed,omitempty"`
 }
 
-// MixWorkload describes the all-benchmark mix.
-func MixWorkload(seed uint64, segmentLen int64) Workload {
-	return Workload{Kind: KindMix, Seed: seed, SegmentLen: segmentLen}
-}
+// Execution modes a Budget can ask for.
+const (
+	// ModeExact is full detailed simulation (the default; an empty mode
+	// normalizes to it, and "exact" spelled out hashes identically).
+	ModeExact = "exact"
+	// ModeAdaptive runs the exact driver. It keeps its own canonical
+	// form, and so its own hash, which keeps cached adaptive results
+	// addressable.
+	ModeAdaptive = "adaptive"
+	// ModeSampled is SMARTS-style systematic sampling: an IPC *estimate*
+	// with a 95% confidence interval in Report.Sampled, at a fraction of
+	// the detailed cost.
+	ModeSampled = "sampled"
+)
 
-// BenchWorkload describes a single named benchmark.
-func BenchWorkload(name string, seed uint64) Workload {
-	return Workload{Kind: KindBench, Bench: name, Seed: seed}
-}
+// Default instruction budgets. The paper simulates 100M-instruction
+// windows; these defaults keep interactive runs fast while remaining in
+// steady state — raise them for publication-grade numbers.
+const (
+	DefaultWarmup  = 200_000
+	DefaultMeasure = 1_000_000
+)
 
-// Budget is a job's instruction budget in machine-wide totals (callers
+// Budget is a run's instruction budget in machine-wide totals (callers
 // with per-thread budgets multiply by the thread count first, as the
 // experiments package does).
 type Budget struct {
-	// WarmupInsts graduates before statistics reset.
-	WarmupInsts int64
-	// MeasureInsts is the measurement window.
-	MeasureInsts int64
-	// MaxCycles caps the run (0 = sim.DefaultMaxCycles).
-	MaxCycles int64
-	// Mode selects the execution mode (sim.Mode; empty = exact). Both
-	// new fields are omitempty so every pre-existing exact-mode job
-	// hashes exactly as it did before modes existed, keeping on-disk
-	// cache entries valid. "adaptive" is an alias that runs the exact
-	// driver but keeps its own hash, so cache entries written under that
-	// name stay valid.
-	Mode sim.Mode `json:",omitempty"`
-	// Sampling parameterizes sampled mode. Callers must spell the
-	// parameters out (daesim.Request.Normalized resolves the defaults),
-	// so a job's hash never depends on which sim version's defaults were
-	// compiled in. Nil for exact jobs.
-	Sampling *sim.Sampling `json:",omitempty"`
+	// WarmupInsts graduates before statistics reset (0 = DefaultWarmup).
+	WarmupInsts int64 `json:"warmupInsts"`
+	// MeasureInsts is the measurement window (0 = DefaultMeasure). In
+	// sampled mode it is the total instruction budget the sampling
+	// schedule covers.
+	MeasureInsts int64 `json:"measureInsts"`
+	// MaxCycles caps the run as a deadlock guard (0 = a large default).
+	MaxCycles int64 `json:"maxCycles,omitempty"`
+	// Mode selects the execution mode: ModeExact (default), ModeAdaptive
+	// or ModeSampled. Omitted — and normalized away for "exact" — so
+	// every pre-mode description hashes exactly as it always did.
+	Mode string `json:"mode,omitempty"`
+	// Sampling parameterizes ModeSampled; it must be nil otherwise.
+	// Normalization spells the schedule out, so a hash never depends on
+	// which simulator version's defaults were compiled in.
+	Sampling *sim.Sampling `json:"sampling,omitempty"`
 }
 
 // Job describes one simulation point. Jobs are pure data: everything a
@@ -124,88 +137,244 @@ type Job struct {
 	Budget   Budget
 }
 
-// hashable is the canonical hash input. Field order is fixed by the
-// struct definition, so encoding/json produces a deterministic byte
-// stream for a given value.
+// Normalized returns the job in canonical form: defaults resolved and
+// every spelling of the same run folded to one, so they hash alike.
+// Negative fields are left for Validate to reject. The runner never
+// normalizes a job itself: experiments jobs hash as written.
+func (j Job) Normalized() Job {
+	if j.Workload.Kind == "" {
+		j.Workload.Kind = WorkloadMix
+	}
+	if j.Budget.WarmupInsts == 0 {
+		j.Budget.WarmupInsts = DefaultWarmup
+	}
+	if j.Budget.MeasureInsts == 0 {
+		j.Budget.MeasureInsts = DefaultMeasure
+	}
+	// Mode canonicalization: "exact" folds to the zero value, and sampled
+	// runs get their schedule spelled out in full.
+	if j.Budget.Mode == ModeExact {
+		j.Budget.Mode = ""
+	}
+	if j.Budget.Mode == ModeSampled {
+		var s sim.Sampling
+		if j.Budget.Sampling != nil {
+			s = *j.Budget.Sampling
+		}
+		s = s.WithDefaults()
+		j.Budget.Sampling = &s
+	}
+	// Memory-hierarchy canonicalization: an empty-but-non-nil Hierarchy
+	// (a JSON "Hierarchy":[] round-trip) is the flat model, and under a
+	// real hierarchy the meaningless flat L2 latency is zeroed.
+	if len(j.Machine.Mem.Hierarchy) == 0 {
+		j.Machine.Mem.Hierarchy = nil
+	} else {
+		j.Machine.Mem.L2Latency = 0
+	}
+	// Cores canonicalization: one core IS the single-core machine, so an
+	// explicit Cores=1 hashes (and caches) identically to the default 0.
+	if j.Machine.Cores == 1 {
+		j.Machine.Cores = 0
+	}
+	// Speculation canonicalization: the all-zero block is "off" (nil),
+	// and an active block's zero squash penalty is spelled out. The
+	// input's block is never mutated — descriptions are values.
+	if s := j.Machine.Spec; s != nil {
+		switch {
+		case *s == (config.Speculation{}):
+			j.Machine.Spec = nil
+		case s.SpecLoadFrac > 0 && s.SquashCycles == 0:
+			cp := *s
+			cp.SquashCycles = config.DefaultSquashCycles
+			j.Machine.Spec = &cp
+		}
+	}
+	// Trace canonicalization: "auto" spelled out folds to the empty
+	// string, and the path is lexically cleaned, so trivially different
+	// spellings of the same reference share one hash (and cache entry).
+	if t := j.Workload.Trace; t != nil {
+		cp := *t
+		if cp.Format == string(traceio.FormatAuto) {
+			cp.Format = ""
+		}
+		if cp.Path != "" { // Clean("") is "."; keep "" so Validate rejects it
+			cp.Path = filepath.Clean(cp.Path)
+		}
+		if cp != *t {
+			j.Workload.Trace = &cp
+		}
+	}
+	return j
+}
+
+// Validate checks a job in canonical form (see Job.Normalized) before
+// any simulation state is built; the Key is not checked. Every failure
+// wraps one typed sentinel: ErrInvalidRequest (malformed budgets or
+// workload), workload.ErrUnknownBenchmark or config.ErrInvalid.
+func Validate(j Job) error {
+	w, b := j.Workload, j.Budget
+	invalid := func(format string, args ...any) error {
+		return fmt.Errorf("%w: %s", ErrInvalidRequest, fmt.Sprintf(format, args...))
+	}
+	switch {
+	case b.WarmupInsts < 0:
+		return invalid("negative warm-up budget %d", b.WarmupInsts)
+	case b.MeasureInsts < 0:
+		return invalid("negative measurement budget %d", b.MeasureInsts)
+	case b.MeasureInsts == 0:
+		return invalid("zero measurement budget")
+	case b.MaxCycles < 0:
+		return invalid("negative cycle cap %d", b.MaxCycles)
+	case w.SegmentLen < 0:
+		return invalid("negative mix segment length %d", w.SegmentLen)
+	}
+	switch b.Mode {
+	case "", ModeAdaptive:
+		if b.Sampling != nil {
+			return invalid("sampling parameters require sampled mode")
+		}
+	case ModeSampled:
+		s := b.Sampling
+		switch {
+		case s == nil:
+			return invalid("sampled mode without sampling parameters")
+		case s.PeriodInsts <= 0 || s.UnitInsts <= 0 || s.WarmupInsts < 0:
+			return invalid("non-positive sampling parameters (period=%d unit=%d warmup=%d)",
+				s.PeriodInsts, s.UnitInsts, s.WarmupInsts)
+		case s.UnitInsts+s.WarmupInsts > s.PeriodInsts:
+			return invalid("sampling unit+warmup (%d+%d) exceed the period (%d)",
+				s.UnitInsts, s.WarmupInsts, s.PeriodInsts)
+		}
+	default:
+		return invalid("unknown execution mode %q", b.Mode)
+	}
+	// Stray cross-field content is rejected rather than ignored: every
+	// field is part of the content hash, so a bench run carrying a
+	// leftover SegmentLen (say) would hash — and cache — apart from the
+	// canonical spelling of the same run.
+	if w.Kind != WorkloadTrace && w.Trace != nil {
+		return invalid("trace reference applies only to trace workloads")
+	}
+	switch w.Kind {
+	case WorkloadMix:
+		if w.Bench != "" || w.Custom != nil {
+			return invalid("mix workload must not name a benchmark")
+		}
+	case WorkloadBench:
+		if w.Custom != nil {
+			return invalid("bench workload must not carry a custom model")
+		}
+		if w.SegmentLen != 0 {
+			return invalid("segment length applies only to mix workloads")
+		}
+		if _, err := workload.ByName(w.Bench); err != nil {
+			return fmt.Errorf("daesim: %w", err)
+		}
+	case WorkloadCustom:
+		if w.Bench != "" {
+			return invalid("custom workload must not also name a built-in benchmark")
+		}
+		if w.SegmentLen != 0 {
+			return invalid("segment length applies only to mix workloads")
+		}
+		if w.Custom == nil {
+			return invalid("custom workload without a benchmark model")
+		}
+		if err := w.Custom.Validate(); err != nil {
+			return fmt.Errorf("%w: %w", ErrInvalidRequest, err)
+		}
+	case WorkloadTrace:
+		if w.Bench != "" || w.Custom != nil {
+			return invalid("trace workload must not also name a benchmark")
+		}
+		if w.SegmentLen != 0 {
+			return invalid("segment length applies only to mix workloads")
+		}
+		if w.Seed != 0 {
+			// A replay has no data-dependent randomness to perturb; the
+			// stray seed would hash the same run apart.
+			return invalid("seed applies only to generator workloads")
+		}
+		if w.Trace == nil || w.Trace.Path == "" {
+			return invalid("trace workload without a trace path")
+		}
+		if err := traceio.CheckReplayFormat(w.Trace.Format); err != nil {
+			return fmt.Errorf("%w: %w", ErrInvalidRequest, err)
+		}
+	default:
+		return invalid("unknown workload kind %q", w.Kind)
+	}
+	if err := j.Machine.Validate(); err != nil {
+		return fmt.Errorf("daesim: %w", err)
+	}
+	return nil
+}
+
+// hashable is the canonical hash input, and the one place that knows the
+// hash format: the untagged field names, order and omitempty set every
+// cached result has been filed under, independent of the wire tags.
+// Custom, Trace, Mode and Sampling are omitempty so hashes from before
+// those fields existed stay put. Field order is fixed by the definition,
+// so encoding/json produces a deterministic byte stream.
 type hashable struct {
 	Version  int
 	Machine  config.Machine
-	Workload Workload
-	Budget   Budget
+	Workload struct {
+		Kind       WorkloadKind
+		Bench      string
+		Custom     *workload.Benchmark `json:",omitempty"`
+		Trace      *hashTrace          `json:",omitempty"`
+		SegmentLen int64
+		Seed       uint64
+	}
+	Budget struct {
+		WarmupInsts  int64
+		MeasureInsts int64
+		MaxCycles    int64
+		Mode         string        `json:",omitempty"`
+		Sampling     *hashSampling `json:",omitempty"`
+	}
 }
+
+// hashTrace and hashSampling are TraceRef and sim.Sampling in the hash
+// format (struct conversion ignores the tags).
+type (
+	hashTrace struct {
+		Path   string
+		Format string `json:",omitempty"`
+	}
+	hashSampling struct{ PeriodInsts, UnitInsts, WarmupInsts int64 }
+)
 
 // Hash returns the canonical content hash identifying the job's result:
 // a hex SHA-256 of the (Machine, Workload, Budget) triple plus the cache
 // schema version. Job.Key is deliberately excluded.
 func (j Job) Hash() string {
-	b, err := json.Marshal(hashable{
-		Version:  schemaVersion,
-		Machine:  j.Machine,
-		Workload: j.Workload,
-		Budget:   j.Budget,
-	})
+	raw, err := json.Marshal(j.hashInput())
 	if err != nil {
 		// Machine/Workload/Budget are plain data; Marshal cannot fail.
 		panic(fmt.Sprintf("runner: hash job %q: %v", j.Key, err))
 	}
-	sum := sha256.Sum256(b)
+	sum := sha256.Sum256(raw)
 	return hex.EncodeToString(sum[:])
 }
 
-// Validate checks the job before it is scheduled.
-func (j Job) Validate() error {
-	switch j.Workload.Kind {
-	case KindMix:
-	case KindBench:
-		if _, err := workload.ByName(j.Workload.Bench); err != nil {
-			return fmt.Errorf("runner: job %q: %w", j.Key, err)
-		}
-	case KindCustom:
-		if j.Workload.Custom == nil {
-			return fmt.Errorf("runner: job %q: custom workload without a benchmark model", j.Key)
-		}
-		if err := j.Workload.Custom.Validate(); err != nil {
-			return fmt.Errorf("runner: job %q: %w", j.Key, err)
-		}
-	case KindTrace:
-		if j.Workload.Trace == nil || j.Workload.Trace.Path == "" {
-			return fmt.Errorf("runner: job %q: trace workload without a trace path", j.Key)
-		}
-		if err := traceio.CheckReplayFormat(j.Workload.Trace.Format); err != nil {
-			return fmt.Errorf("runner: job %q: %w", j.Key, err)
-		}
-	default:
-		return fmt.Errorf("runner: job %q: unknown workload kind %q", j.Key, j.Workload.Kind)
-	}
-	if j.Budget.MeasureInsts <= 0 {
-		return fmt.Errorf("runner: job %q: non-positive measurement budget", j.Key)
-	}
-	switch j.Budget.Mode {
-	case sim.ModeExact, sim.ModeAdaptive:
-		if j.Budget.Sampling != nil {
-			return fmt.Errorf("runner: job %q: sampling parameters without sampled mode", j.Key)
-		}
-	case sim.ModeSampled:
-		if j.Budget.Sampling == nil {
-			return fmt.Errorf("runner: job %q: sampled mode without sampling parameters", j.Key)
-		}
-		if err := j.Budget.Sampling.Validate(); err != nil {
-			return fmt.Errorf("runner: job %q: %w", j.Key, err)
-		}
-	default:
-		return fmt.Errorf("runner: job %q: unknown execution mode %q", j.Key, j.Budget.Mode)
-	}
-	if err := j.Machine.Validate(); err != nil {
-		return fmt.Errorf("runner: job %q: %w", j.Key, err)
-	}
-	return nil
+// hashInput copies the job into the hash format.
+func (j Job) hashInput() hashable {
+	h := hashable{Version: schemaVersion, Machine: j.Machine}
+	w, b := &h.Workload, &h.Budget
+	w.Kind, w.Bench, w.Custom = j.Workload.Kind, j.Workload.Bench, j.Workload.Custom
+	w.Trace = (*hashTrace)(j.Workload.Trace)
+	w.SegmentLen, w.Seed = j.Workload.SegmentLen, j.Workload.Seed
+	b.WarmupInsts, b.MeasureInsts, b.MaxCycles = j.Budget.WarmupInsts, j.Budget.MeasureInsts, j.Budget.MaxCycles
+	b.Mode, b.Sampling = j.Budget.Mode, (*hashSampling)(j.Budget.Sampling)
+	return h
 }
 
 // benchSources builds one per-context reader copy of benchmark b, each
-// with a private address space and a perturbed seed. On CMP machines
-// every context across every core gets its own copy (contexts are
-// numbered core-major), so cores interfere through the shared levels
-// only, never by sharing a stream.
+// with a private address space and a perturbed seed: on CMP machines
+// cores interfere through the shared levels only, never by a stream.
 func (j Job) benchSources(b workload.Benchmark) []trace.Reader {
 	n := j.Machine.TotalContexts()
 	srcs := make([]trace.Reader, n)
@@ -218,42 +387,31 @@ func (j Job) benchSources(b workload.Benchmark) []trace.Reader {
 	return srcs
 }
 
-// sources builds the per-context instruction streams.
+// sources builds the per-context instruction streams of a validated job.
 func (j Job) sources() ([]trace.Reader, error) {
 	switch j.Workload.Kind {
-	case KindMix:
+	case WorkloadMix:
 		return workload.MixSources(j.Machine.TotalContexts(), workload.MixOpts{
 			SegmentLen: j.Workload.SegmentLen,
 			Seed:       j.Workload.Seed,
 		}), nil
-	case KindBench:
+	case WorkloadBench:
 		b, err := workload.ByName(j.Workload.Bench)
 		if err != nil {
 			return nil, err
 		}
 		return j.benchSources(b), nil
-	case KindCustom:
-		if j.Workload.Custom == nil {
-			return nil, fmt.Errorf("custom workload without a benchmark model")
-		}
+	case WorkloadCustom:
 		return j.benchSources(*j.Workload.Custom), nil
-	case KindTrace:
-		if j.Workload.Trace == nil {
-			return nil, fmt.Errorf("trace workload without a trace reference")
-		}
+	default: // WorkloadTrace, the one kind Validate admits besides these
 		return workload.TraceSources(j.Workload.Trace.Path, j.Machine.TotalContexts())
-	default:
-		return nil, fmt.Errorf("unknown workload kind %q", j.Workload.Kind)
 	}
 }
 
-// Execute runs the job's simulation once, bypassing every cache tier and
-// the worker pool — the uncached one-shot path behind the public
-// package-level Run* wrappers. Cancelling ctx aborts the run promptly
-// with an error wrapping ctx.Err(). onProgress, when non-nil, receives
-// periodic in-run snapshots (every "every" graduated instructions;
-// <= 0 applies the sim default).
-func (j Job) Execute(ctx context.Context, onProgress func(sim.Snapshot), every int64) (stats.Report, error) {
+// execute runs a validated job's simulation once, bypassing the cache.
+// Cancelling ctx aborts it with an error wrapping ctx.Err(). onProgress,
+// when non-nil, receives a snapshot every "every" graduated instructions.
+func (j Job) execute(ctx context.Context, onProgress func(sim.Snapshot), every int64) (stats.Report, error) {
 	srcs, err := j.sources()
 	if err != nil {
 		return stats.Report{}, fmt.Errorf("runner: job %q: %w", j.Key, err)
@@ -264,11 +422,11 @@ func (j Job) Execute(ctx context.Context, onProgress func(sim.Snapshot), every i
 		WarmupInsts:  j.Budget.WarmupInsts,
 		MeasureInsts: j.Budget.MeasureInsts,
 		MaxCycles:    j.Budget.MaxCycles,
-		Mode:         j.Budget.Mode,
+		Mode:         sim.Mode(j.Budget.Mode),
 		// Every generator workload gives each context a private address
 		// space (ThreadAddrOffset); an imported trace's addresses are
 		// whatever was captured, so only traces withhold the promise.
-		DisjointAddressSpaces: j.Workload.Kind != KindTrace,
+		DisjointAddressSpaces: j.Workload.Kind != WorkloadTrace,
 		OnProgress:            onProgress,
 		ProgressEvery:         every,
 	}

@@ -1,10 +1,16 @@
-// Package runner is the batch sweep engine behind the repository's
-// figure regeneration and ablation studies: a deterministic worker-pool
-// scheduler with content-addressed result caching.
+// Package runner is the batch engine behind every simulation the
+// repository runs — the figure sweeps, the public daesim.Engine and
+// dae-serve: a deterministic worker-pool scheduler with content-addressed
+// result caching. It also owns the run description itself.
 //
 // Every simulation point is described by a Job — a pure-data triple of
-// (machine configuration, workload spec, instruction budget) — and
-// identified by a canonical hash of that triple. The runner executes
+// (machine configuration, workload, instruction budget) — and
+// identified by a canonical hash of that triple. Workload, TraceRef and
+// Budget carry the public JSON wire tags (daesim re-exports them as
+// aliases); Job.Normalized is the one normalizer, Validate the one
+// validator, and Job.Hash the one place that knows the hash format. The
+// runner validates every job it schedules but never normalizes one:
+// experiments jobs hash exactly as written. The runner executes
 // batches of jobs across a bounded worker pool and consults a two-level
 // result cache first: repeated points within a process (two figures
 // sweeping the same configuration) are simulated once, and with an
@@ -283,11 +289,11 @@ dispatch:
 // runJob resolves one job: validation, cache lookup, in-flight
 // deduplication, then a fresh simulation under the global semaphore.
 func (r *Runner) runJob(ctx context.Context, j Job) Result {
-	if err := j.Validate(); err != nil {
+	if err := Validate(j); err != nil {
 		r.mu.Lock()
 		r.stats.Failures++
 		r.mu.Unlock()
-		return Result{Job: j, Err: err}
+		return Result{Job: j, Err: fmt.Errorf("runner: job %q: %w", j.Key, err)}
 	}
 	h := j.Hash()
 	for {
@@ -356,7 +362,7 @@ func (r *Runner) runJob(ctx context.Context, j Job) Result {
 			if r.onSnapshot != nil {
 				snap = func(s sim.Snapshot) { r.onSnapshot(Snapshot{Job: j, Hash: h, Sim: s}) }
 			}
-			rep, err = j.Execute(ctx, snap, r.snapEvery)
+			rep, err = j.execute(ctx, snap, r.snapEvery)
 			<-r.sem
 		case <-ctx.Done():
 			err = fmt.Errorf("runner: job %q: %w", j.Key, ctx.Err())

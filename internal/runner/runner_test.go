@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/config"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -28,7 +29,7 @@ func mixJob(key string, threads int, seed uint64) Job {
 	return Job{
 		Key:      key,
 		Machine:  config.Figure2(threads),
-		Workload: MixWorkload(seed, 0),
+		Workload: Workload{Kind: WorkloadMix, Seed: seed},
 		Budget:   testBudget(),
 	}
 }
@@ -38,7 +39,7 @@ func benchJob(key, bench string, l2 int64) Job {
 	return Job{
 		Key:      key,
 		Machine:  config.Figure2(1).WithL2Latency(l2),
-		Workload: BenchWorkload(bench, 0),
+		Workload: Workload{Kind: WorkloadBench, Bench: bench},
 		Budget:   testBudget(),
 	}
 }
@@ -72,7 +73,7 @@ func TestHashIgnoresKeyAndSeparatesContent(t *testing.T) {
 		"threads": mixJob("x", 2, 0),
 		"bench":   benchJob("x", "swim", 16),
 		"budget": {Key: "x", Machine: config.Figure2(1),
-			Workload: MixWorkload(0, 0), Budget: Budget{WarmupInsts: 500, MeasureInsts: 2_001}},
+			Workload: Workload{Kind: WorkloadMix}, Budget: Budget{WarmupInsts: 500, MeasureInsts: 2_001}},
 	} {
 		if other.Hash() == a.Hash() {
 			t.Errorf("%s change did not change the hash", name)
@@ -80,7 +81,7 @@ func TestHashIgnoresKeyAndSeparatesContent(t *testing.T) {
 	}
 	m := config.Figure2(1)
 	m.Mem.L2Latency = 17
-	diff := Job{Key: "x", Machine: m, Workload: MixWorkload(0, 0), Budget: testBudget()}
+	diff := Job{Key: "x", Machine: m, Workload: Workload{Kind: WorkloadMix}, Budget: testBudget()}
 	if diff.Hash() == a.Hash() {
 		t.Error("machine change did not change the hash")
 	}
@@ -368,20 +369,35 @@ func TestProgressReporting(t *testing.T) {
 
 func TestValidateRejectsBadJobs(t *testing.T) {
 	good := mixJob("ok", 1, 0)
-	if err := good.Validate(); err != nil {
+	if err := Validate(good); err != nil {
 		t.Fatalf("valid job rejected: %v", err)
 	}
-	noBudget := good
-	noBudget.Budget.MeasureInsts = 0
-	badKind := good
-	badKind.Workload.Kind = "interleaved"
-	badMachine := good
-	badMachine.Machine.Threads = -1
-	for name, j := range map[string]Job{
-		"budget": noBudget, "kind": badKind, "machine": badMachine,
+	bench := benchJob("ok", "swim", 16)
+	if err := Validate(bench); err != nil {
+		t.Fatalf("valid bench job rejected: %v", err)
+	}
+	trace := good
+	trace.Workload = Workload{Kind: WorkloadTrace, Trace: &TraceRef{Path: "swim.dct"}}
+	if err := Validate(trace); err != nil {
+		t.Fatalf("valid trace job rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*Job)
+		want error
+	}{
+		{"budget", func(j *Job) { j.Budget.MeasureInsts = 0 }, ErrInvalidRequest},
+		{"kind", func(j *Job) { j.Workload.Kind = "interleaved" }, ErrInvalidRequest},
+		{"machine", func(j *Job) { j.Machine.Threads = -1 }, config.ErrInvalid},
+		{"bench with a segment length", func(j *Job) { *j = bench; j.Workload.SegmentLen = 4096 }, ErrInvalidRequest},
+		{"trace with a seed", func(j *Job) { *j = trace; j.Workload.Seed = 7 }, ErrInvalidRequest},
+		{"mix naming a benchmark", func(j *Job) { j.Workload.Bench = "swim" }, ErrInvalidRequest},
+		{"negative warm-up", func(j *Job) { j.Budget.WarmupInsts = -1 }, ErrInvalidRequest},
 	} {
-		if err := j.Validate(); err == nil {
-			t.Errorf("%s: invalid job accepted", name)
+		j := good
+		tc.edit(&j)
+		if err := Validate(j); !errors.Is(err, tc.want) {
+			t.Errorf("%s: got %v, want an error wrapping %q", tc.name, err, tc.want)
 		}
 	}
 }
@@ -419,10 +435,12 @@ func TestCancelAbortsRunningSimulationPromptly(t *testing.T) {
 }
 
 func TestGlobalSemaphoreBoundsOverlappingBatches(t *testing.T) {
-	// A 1-worker runner receiving two concurrent batches may only ever
-	// have one simulation in flight; the OnSnapshot stream proves it: no
-	// snapshot of one job may arrive between two snapshots of another
-	// unless the first job finished in between.
+	// A 1-worker runner receiving three concurrent batches may only ever
+	// have one simulation in flight; the OnSnapshot stream alone proves
+	// it. A job runs from its first snapshot to its final window-boundary
+	// snapshot (measure phase, target reached), which the simulator emits
+	// before the job gives its semaphore slot back, so no snapshot of one
+	// job may arrive while another is running.
 	var mu sync.Mutex
 	running := make(map[string]bool)
 	peak := 0
@@ -431,16 +449,12 @@ func TestGlobalSemaphoreBoundsOverlappingBatches(t *testing.T) {
 		SnapshotEvery: 200,
 		OnSnapshot: func(s Snapshot) {
 			mu.Lock()
+			defer mu.Unlock()
 			running[s.Job.Key] = true
-			mu.Unlock()
-		},
-		OnProgress: func(p Progress) {
-			mu.Lock()
-			if n := len(running); n > peak {
-				peak = n
+			peak = max(peak, len(running))
+			if s.Sim.Phase == sim.PhaseMeasure && s.Sim.Graduated >= s.Sim.TargetInsts {
+				delete(running, s.Job.Key)
 			}
-			delete(running, p.Job.Key)
-			mu.Unlock()
 		},
 	})
 	if err != nil {
@@ -500,10 +514,10 @@ func TestCustomWorkloadJobs(t *testing.T) {
 	j := Job{
 		Key:      "custom",
 		Machine:  config.Figure2(1),
-		Workload: Workload{Kind: KindCustom, Custom: &b, Seed: 3},
+		Workload: Workload{Kind: WorkloadCustom, Custom: &b, Seed: 3},
 		Budget:   testBudget(),
 	}
-	if err := j.Validate(); err != nil {
+	if err := Validate(j); err != nil {
 		t.Fatalf("valid custom job rejected: %v", err)
 	}
 	r := mustRunner(t, Options{})
@@ -519,28 +533,29 @@ func TestCustomWorkloadJobs(t *testing.T) {
 	}
 	// The equivalent bench job must hash differently (kind + spec are in
 	// the hash) even though the generated stream would match.
-	bench := Job{Key: "bench", Machine: j.Machine, Workload: BenchWorkload("swim", 3), Budget: j.Budget}
+	bench := Job{Key: "bench", Machine: j.Machine, Workload: Workload{Kind: WorkloadBench, Bench: "swim", Seed: 3}, Budget: j.Budget}
 	if bench.Hash() == j.Hash() {
 		t.Error("custom and bench jobs share a hash")
 	}
 	missing := j
 	missing.Workload.Custom = nil
-	if err := missing.Validate(); err == nil {
+	if err := Validate(missing); err == nil {
 		t.Error("custom job without a model accepted")
 	}
 }
 
 // TestMixBenchHashesUnchangedByCustomField pins the cache schema: adding
 // the Custom workload field must not move any existing mix/bench job
-// hash (the on-disk sweep caches would all be invalidated).
+// hash (the on-disk sweep caches would all be invalidated), and the
+// workload's wire tags must not reach the hash input.
 func TestMixBenchHashesUnchangedByCustomField(t *testing.T) {
 	for _, j := range testJobs() {
-		raw, err := json.Marshal(j.Workload)
+		raw, err := json.Marshal(j.hashInput())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if strings.Contains(string(raw), "Custom") {
-			t.Fatalf("nil Custom field leaks into the hash input: %s", raw)
+		if strings.Contains(string(raw), "Custom") || !strings.Contains(string(raw), `"Workload":{"Kind":`) {
+			t.Fatalf("hash input has a Custom field or wire-tagged names: %s", raw)
 		}
 	}
 }

@@ -48,16 +48,17 @@ const (
 
 // Sampling parameterizes ModeSampled: every PeriodInsts instructions, one
 // detailed unit of UnitInsts is measured after a detailed warm-up of
-// WarmupInsts; the rest of the period is functionally warped.
+// WarmupInsts; the rest of the period is functionally warped. Its JSON
+// form is the sampling block of a daesim Request's budget.
 type Sampling struct {
 	// PeriodInsts is the sampling period (0 = DefaultSamplingPeriod).
-	PeriodInsts int64
+	PeriodInsts int64 `json:"periodInsts,omitempty"`
 	// UnitInsts is the measured unit length (0 = DefaultSamplingUnit).
-	UnitInsts int64
+	UnitInsts int64 `json:"unitInsts,omitempty"`
 	// WarmupInsts is the detailed warm-up run before each unit
 	// (0 = DefaultSamplingWarmup; it cannot be disabled — warming is what
 	// bounds the cold-pipeline bias).
-	WarmupInsts int64
+	WarmupInsts int64 `json:"warmupInsts,omitempty"`
 }
 
 // Default sampling parameters: 2k-instruction units every 197k
