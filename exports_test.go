@@ -19,7 +19,7 @@ var testOnlyExportAllowlist = map[string]string{
 	"trace.Count":              "drains a Reader; stream-length checks in six packages' tests",
 	"workload.All":             "the ten builtins in paper order; workload-sweeping tests iterate it",
 	"experiments.PeakThreads":  "Figure 5's saturation point; the sweep and experiments tests assert it",
-	"experiments.S1Sampled":    "S1's sampled request builder; the sampled-digest tests pin its output",
+	"experiments.S1Sampled":    "S1's sampled-figure constructor; the sampled-digest tests pin its output",
 	"cache.Cache.Probe":        "line presence without an LRU update; mem's tests inspect the L1 and shared levels",
 	"cache.Cache.IsDirty":      "line dirtiness; mem's write-back tests read it across the package boundary",
 	"fabric.waiterHeap.Less":   "heap.Interface; container/heap calls it",

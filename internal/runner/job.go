@@ -84,7 +84,7 @@ const (
 	// ModeExact is full detailed simulation (the default; an empty mode
 	// normalizes to it, and "exact" spelled out hashes identically).
 	ModeExact = "exact"
-	// ModeAdaptive runs the exact driver. It keeps its own canonical
+	// ModeAdaptive runs the exact simulation. It keeps its own canonical
 	// form, and so its own hash, which keeps cached adaptive results
 	// addressable.
 	ModeAdaptive = "adaptive"
