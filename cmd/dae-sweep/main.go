@@ -22,9 +22,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 
@@ -140,7 +142,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// strictly separated: stdout carries only tables or JSON.
 	var jsonErr error
 	enc := json.NewEncoder(stdout)
+	// ledger holds the -hashfile lines: per job hash, the hash of the
+	// result the sweep produced or served and the first key that named it.
+	ledger := make(map[string]string)
 	ropts.OnProgress = func(p runner.Progress) {
+		if opts.hashFile != "" && p.Err == nil {
+			if _, ok := ledger[p.Hash]; !ok {
+				ledger[p.Hash] = runner.ReportHash(p.Report) + " " + p.Job.Key
+			}
+		}
 		if opts.progress {
 			switch {
 			case p.Err != nil:
@@ -164,7 +174,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}
-	if !opts.progress && !opts.jsonOut {
+	if !opts.progress && !opts.jsonOut && opts.hashFile == "" {
 		ropts.OnProgress = nil
 	}
 	r, err := runner.New(ropts)
@@ -189,7 +199,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	if opts.hashFile != "" {
-		if err := writeHashFile(opts.hashFile, r, stderr); err != nil {
+		if err := writeHashFile(opts.hashFile, ledger, stderr); err != nil {
 			fmt.Fprintln(stderr, "dae-sweep:", err)
 			return 1
 		}
@@ -201,21 +211,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// writeHashFile dumps the runner's result content hashes for the
-// determinism gate.
-func writeHashFile(path string, r *runner.Runner, stderr io.Writer) error {
-	f, err := os.Create(path)
-	if err != nil {
+// writeHashFile writes the ledger for the determinism gate, one
+// "jobhash reporthash key" line per job hash, sorted by job hash so two
+// runs of the same sweep are diffable byte for byte.
+func writeHashFile(path string, ledger map[string]string, stderr io.Writer) error {
+	var b strings.Builder
+	for _, h := range slices.Sorted(maps.Keys(ledger)) {
+		fmt.Fprintf(&b, "%s %s\n", h, ledger[h])
+	}
+	if err := os.WriteFile(path, []byte(b.String()), 0o666); err != nil {
 		return err
 	}
-	n, err := r.WriteHashes(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "wrote %d result hashes to %s\n", n, path)
+	fmt.Fprintf(stderr, "wrote %d result hashes to %s\n", len(ledger), path)
 	return nil
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -298,5 +299,57 @@ func TestRunC1OutputShape(t *testing.T) {
 	}
 	if !strings.HasPrefix(string(b), "cores,contexts,l2_bytes,private") {
 		t.Errorf("c1.csv header: %q", string(b[:60]))
+	}
+}
+
+// hashSweep runs one sweep with -hashfile and returns the file and
+// stderr.
+func hashSweep(t *testing.T, args ...string) (string, string) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "hashes.txt")
+	var stdout, stderr strings.Builder
+	if code := run(tinyArgs(append(args, "-progress", "-hashfile", path)...), &stdout, &stderr); code != 0 {
+		t.Fatalf("exit code %d, stderr: %s", code, stderr.String())
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw), stderr.String()
+}
+
+// TestWriteHashesDeterministic is the in-process determinism gate: two
+// independent sweeps of the same figure, at different worker counts,
+// must write byte-identical hash files with one line per simulated
+// point.
+func TestWriteHashesDeterministic(t *testing.T) {
+	first, stderr := hashSweep(t, "-fig", "3", "-workers", "1")
+	second, _ := hashSweep(t, "-fig", "3", "-workers", "3")
+	if first != second {
+		t.Fatalf("hash files differ between identical sweeps:\n%s\nvs\n%s", first, second)
+	}
+	lines := strings.Split(strings.TrimSpace(first), "\n")
+	if want := fmt.Sprintf("sweep: %d simulated, 0 cache hits", len(lines)); !strings.Contains(stderr, want) {
+		t.Fatalf("%d hash lines, stderr %q", len(lines), stderr)
+	}
+	for _, line := range lines {
+		if fields := strings.Fields(line); len(fields) < 3 || len(fields[0]) != 64 || len(fields[1]) != 64 {
+			t.Fatalf("malformed hash line %q", line)
+		}
+	}
+}
+
+// TestWriteHashesCoversCacheHits ensures served-from-cache results are
+// listed too: a re-run served wholly from the disk cache writes the same
+// hash file as the run that simulated.
+func TestWriteHashesCoversCacheHits(t *testing.T) {
+	cache := t.TempDir()
+	first, _ := hashSweep(t, "-fig", "a2", "-cache", cache)
+	second, stderr := hashSweep(t, "-fig", "a2", "-cache", cache)
+	if !strings.Contains(stderr, "0 simulated, 2 cache hits") {
+		t.Fatalf("re-run was not served from the cache: %q", stderr)
+	}
+	if first != second || strings.Count(second, "\n") != 2 {
+		t.Fatalf("cache-served sweep changed the hash file:\n%s\nvs\n%s", first, second)
 	}
 }

@@ -11,13 +11,14 @@
 //     admitted ahead of batch sweeps, overflow is refused immediately
 //     (429 + Retry-After at the HTTP layer) and a draining router sheds
 //     its waiters instead of stranding them.
-//   - flightGroup: single-flight collapsing of concurrent identical
-//     forwards, so a dead replica's in-flight work is recomputed exactly
-//     once on its successor no matter how many clients were waiting.
-//   - Store: a read-only view of the shared content-addressed result
-//     store (the replicas' common cache directory), letting the router
-//     serve any cached hash itself — even when every replica is down.
-//   - Router: the HTTP front end wiring all of the above together.
+//   - Router: the HTTP front end wiring these together. It collapses
+//     concurrent identical forwards with the runner's single-flight
+//     (runner.Flight), so a dead replica's in-flight work is recomputed
+//     exactly once on its successor no matter how many clients were
+//     waiting, and it reads the shared content-addressed result store
+//     (the replicas' common cache directory) with runner.LoadEntry, so
+//     it serves any cached hash itself — even when every replica is
+//     down.
 //
 // Reports served through the fabric are byte-identical to `dae-sim
 // -json`: the router relays replica response bytes verbatim on the run

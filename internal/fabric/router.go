@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"sort"
 	"strconv"
 	"sync"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	daesim "repro"
+	"repro/internal/runner"
 	"repro/internal/serveapi"
 )
 
@@ -35,8 +37,10 @@ type Config struct {
 	// RetryAfter is the hint clients get with 429/503 (<= 0 = 1s).
 	RetryAfter time.Duration
 	// StoreDir mounts the replicas' shared content-addressed result store
-	// read-only, letting the router itself serve cached hashes
-	// ("" = always forward).
+	// read-only: the cache directory every replica's Engine writes
+	// (dae-serve -cache), one JSON file per Request hash. The router reads
+	// it through runner.LoadEntry, so it serves cache hits and
+	// GET-by-hash itself, replicas dead or alive ("" = always forward).
 	StoreDir string
 	// SweepFanout bounds a sweep's concurrent per-request forwards
 	// (<= 0 = 2 per replica, min 4).
@@ -64,8 +68,7 @@ type Router struct {
 	ring     *Ring
 	replicas map[string]*replicaState
 	queue    *Queue
-	flights  flightGroup
-	store    *Store // nil without StoreDir
+	flights  runner.Flight[*forwardResult]
 	client   *http.Client
 	mux      *http.ServeMux
 
@@ -131,12 +134,12 @@ func NewRouter(cfg Config) (*Router, error) {
 		rt.replicas[base] = st
 		rt.ring.Add(base)
 	}
+	// The router can boot before the first replica creates the store,
+	// and an unusable path fails here rather than missing forever.
 	if cfg.StoreDir != "" {
-		store, err := OpenStore(cfg.StoreDir)
-		if err != nil {
-			return nil, err
+		if err := os.MkdirAll(cfg.StoreDir, 0o755); err != nil {
+			return nil, fmt.Errorf("fabric: store dir: %w", err)
 		}
-		rt.store = store
 	}
 	if rt.client == nil {
 		rt.client = &http.Client{Transport: &http.Transport{
@@ -314,21 +317,21 @@ func (rt *Router) admissionError(w http.ResponseWriter, err error) {
 // identical requests — including the retry stampede after a replica
 // death — cost one recomputation.
 func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
-	raw, req, ok := rt.decodeRun(w, r)
-	if !ok {
+	var req daesim.Request
+	raw, err := serveapi.DecodeBody(w, r, rt.cfg.MaxBody, &req)
+	if err != nil {
+		serveapi.WriteJSON(w, http.StatusBadRequest, serveapi.ErrorResponse{Error: err.Error()})
 		return
 	}
 	hash := req.Hash()
 	// Shared-store fast path: cached results bypass the queue entirely,
 	// which is what keeps cached-run p99 flat under sweep pressure.
-	if rt.store != nil {
-		if rep, ok := rt.store.Get(hash); ok {
-			serveapi.WriteJSON(w, http.StatusOK, serveapi.RunResponse{
-				Label: req.Label, Hash: hash, Cached: true, Report: &rep})
-			return
-		}
+	if rep, ok := runner.LoadEntry(rt.cfg.StoreDir, hash); ok {
+		serveapi.WriteJSON(w, http.StatusOK, serveapi.RunResponse{
+			Label: req.Label, Hash: hash, Cached: true, Report: &rep})
+		return
 	}
-	res, err := rt.flights.do(r.Context(), hash, func() (*forwardResult, error) {
+	res, _, err := rt.flights.Do(r.Context(), hash, func() (*forwardResult, error) {
 		release, err := rt.queue.Acquire(r.Context(), PriorityRun)
 		if err != nil {
 			return nil, err
@@ -348,24 +351,6 @@ func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 	default:
 		relay(w, res)
 	}
-}
-
-// decodeRun strictly parses a Request body, answering 400 like a replica
-// would on failure. The raw bytes are returned for verbatim forwarding.
-func (rt *Router) decodeRun(w http.ResponseWriter, r *http.Request) ([]byte, daesim.Request, bool) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBody))
-	if err != nil {
-		serveapi.WriteJSON(w, http.StatusBadRequest, serveapi.ErrorResponse{Error: fmt.Sprintf("decode body: %v", err)})
-		return nil, daesim.Request{}, false
-	}
-	var req daesim.Request
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		serveapi.WriteJSON(w, http.StatusBadRequest, serveapi.ErrorResponse{Error: fmt.Sprintf("decode body: %v", err)})
-		return nil, daesim.Request{}, false
-	}
-	return raw, req, true
 }
 
 // routedResult mirrors serveapi.RunResponse with the report kept as raw
@@ -392,10 +377,8 @@ type routedSweepResponse struct {
 // bounded by SweepFanout.
 func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var sweep serveapi.SweepRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sweep); err != nil {
-		serveapi.WriteJSON(w, http.StatusBadRequest, serveapi.ErrorResponse{Error: fmt.Sprintf("decode body: %v", err)})
+	if _, err := serveapi.DecodeBody(w, r, rt.cfg.MaxBody, &sweep); err != nil {
+		serveapi.WriteJSON(w, http.StatusBadRequest, serveapi.ErrorResponse{Error: err.Error()})
 		return
 	}
 	if len(sweep.Requests) == 0 {
@@ -441,19 +424,17 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 // to the owner chain.
 func (rt *Router) runOne(ctx context.Context, req daesim.Request) routedResult {
 	hash := req.Hash()
-	if rt.store != nil {
-		if rep, ok := rt.store.Get(hash); ok {
-			raw, err := json.Marshal(&rep)
-			if err == nil {
-				return routedResult{Label: req.Label, Hash: hash, Cached: true, Report: raw}
-			}
+	if rep, ok := runner.LoadEntry(rt.cfg.StoreDir, hash); ok {
+		raw, err := json.Marshal(&rep)
+		if err == nil {
+			return routedResult{Label: req.Label, Hash: hash, Cached: true, Report: raw}
 		}
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
 		return routedResult{Label: req.Label, Error: fmt.Sprintf("encode request: %v", err)}
 	}
-	res, err := rt.flights.do(ctx, hash, func() (*forwardResult, error) {
+	res, _, err := rt.flights.Do(ctx, hash, func() (*forwardResult, error) {
 		return rt.forward(ctx, http.MethodPost, "/v1/runs", body, hash)
 	})
 	if err != nil {
@@ -485,11 +466,9 @@ func (rt *Router) runOne(ctx context.Context, req daesim.Request) routedResult {
 // proxied down the owner chain.
 func (rt *Router) handleGet(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
-	if rt.store != nil {
-		if rep, ok := rt.store.Get(hash); ok {
-			serveapi.WriteJSON(w, http.StatusOK, serveapi.RunResponse{Hash: hash, Cached: true, Report: &rep})
-			return
-		}
+	if rep, ok := runner.LoadEntry(rt.cfg.StoreDir, hash); ok {
+		serveapi.WriteJSON(w, http.StatusOK, serveapi.RunResponse{Hash: hash, Cached: true, Report: &rep})
+		return
 	}
 	res, err := rt.forward(r.Context(), http.MethodGet, "/v1/runs/"+hash, nil, hash)
 	if err != nil {

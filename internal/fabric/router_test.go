@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -556,5 +558,23 @@ func TestRouterSingleFlightCollapsesStampede(t *testing.T) {
 		if rr.Hash != first.Hash || rr.Report == nil {
 			t.Errorf("client %d: hash %q report %v", i, rr.Hash, rr.Report != nil)
 		}
+	}
+}
+
+// TestRouterGetRefusesPathHashes: the router's store mount, like a
+// replica's cache, looks a hash up only if it is lowercase hex, so an
+// escaped path never reaches a file outside the store.
+func TestRouterGetRefusesPathHashes(t *testing.T) {
+	root := t.TempDir()
+	_, fabricTS, _ := newFabric(t, 1, Config{StoreDir: filepath.Join(root, "store")})
+	planted, err := json.Marshal(map[string]any{"Hash": "../x", "Key": "planted", "Report": daesim.Report{Threads: 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, "x.json"), planted, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if status, body := get(t, fabricTS.URL+"/v1/runs/..%2Fx"); status != http.StatusNotFound {
+		t.Fatalf("path-shaped hash: status %d, want 404: %s", status, body)
 	}
 }

@@ -65,9 +65,6 @@ func (c *cache) get(hash string) (stats.Report, bool) {
 	if ok {
 		return rep, true
 	}
-	if c.dir == "" {
-		return stats.Report{}, false
-	}
 	rep, ok = LoadEntry(c.dir, hash)
 	if !ok {
 		return stats.Report{}, false
@@ -79,11 +76,16 @@ func (c *cache) get(hash string) (stats.Report, bool) {
 }
 
 // LoadEntry reads one on-disk cache entry by content hash straight from
-// a cache directory, without a Runner. Unreadable or mismatched entries
-// are misses. It is the read-only path behind the fabric's shared result
-// store: any process that can see the directory can serve any hash a
-// replica has computed.
+// a cache directory, without a Runner; it is the one disk reader. An
+// empty dir, a hash that is not non-empty lowercase hex (hashes arrive
+// from HTTP paths, so this keeps them inside dir) and an unreadable or
+// mismatched entry are misses. It is also the read-only path behind the
+// fabric's shared result store: any process that can see the directory
+// can serve any hash a replica has computed.
 func LoadEntry(dir, hash string) (stats.Report, bool) {
+	if dir == "" || !validHash(hash) {
+		return stats.Report{}, false
+	}
 	raw, err := os.ReadFile(filepath.Join(dir, hash+".json"))
 	if err != nil {
 		return stats.Report{}, false
@@ -93,6 +95,17 @@ func LoadEntry(dir, hash string) (stats.Report, bool) {
 		return stats.Report{}, false
 	}
 	return e.Report, true
+}
+
+// validHash reports whether hash looks like a job content hash
+// (non-empty lowercase hex).
+func validHash(hash string) bool {
+	for i := 0; i < len(hash); i++ {
+		if c := hash[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return hash != ""
 }
 
 // put stores a computed report in both tiers. The disk write goes

@@ -5,8 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
-	"sort"
 
 	"repro/internal/stats"
 )
@@ -23,49 +21,4 @@ func ReportHash(rep stats.Report) string {
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
-}
-
-// resultHash pairs one computed result's identifying hashes.
-type resultHash struct {
-	report string
-	key    string
-}
-
-// recordHash remembers the result hash for a job (first key wins: the
-// same point swept by two figures keeps its first label).
-func (r *Runner) recordHash(jobHash, key string, rep stats.Report) {
-	h := ReportHash(rep)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.hashes == nil {
-		r.hashes = make(map[string]resultHash)
-	}
-	if _, ok := r.hashes[jobHash]; !ok {
-		r.hashes[jobHash] = resultHash{report: h, key: key}
-	}
-}
-
-// WriteHashes writes one line per distinct result this runner has
-// produced or served — "jobhash reporthash key" — sorted by job hash, so
-// two invocations over the same sweep are diffable byte for byte. It
-// returns the number of lines written.
-func (r *Runner) WriteHashes(w io.Writer) (int, error) {
-	type line struct {
-		job string
-		resultHash
-	}
-	r.mu.Lock()
-	lines := make([]line, 0, len(r.hashes))
-	for j, h := range r.hashes {
-		lines = append(lines, line{j, h})
-	}
-	r.mu.Unlock()
-
-	sort.Slice(lines, func(i, j int) bool { return lines[i].job < lines[j].job })
-	for n, l := range lines {
-		if _, err := fmt.Fprintf(w, "%s %s %s\n", l.job, l.report, l.key); err != nil {
-			return n, err
-		}
-	}
-	return len(lines), nil
 }

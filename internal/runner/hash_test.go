@@ -1,72 +1,15 @@
 package runner
 
 import (
-	"strings"
+	"context"
 	"testing"
 )
-
-// TestWriteHashesDeterministic is the in-process determinism gate: two
-// independent runners executing the same batch must emit byte-identical
-// hash files.
-func TestWriteHashesDeterministic(t *testing.T) {
-	dump := func() string {
-		r := mustRunner(t, Options{Workers: 4})
-		if _, err := r.Run(testJobs()); err != nil {
-			t.Fatal(err)
-		}
-		var b strings.Builder
-		n, err := r.WriteHashes(&b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != len(testJobs()) {
-			t.Fatalf("wrote %d hash lines for %d jobs", n, len(testJobs()))
-		}
-		return b.String()
-	}
-	first, second := dump(), dump()
-	if first != second {
-		t.Fatalf("hash files differ between identical sweeps:\n%s\nvs\n%s", first, second)
-	}
-	for _, line := range strings.Split(strings.TrimSpace(first), "\n") {
-		if fields := strings.Fields(line); len(fields) < 3 || len(fields[0]) != 64 || len(fields[1]) != 64 {
-			t.Fatalf("malformed hash line %q", line)
-		}
-	}
-}
-
-// TestWriteHashesCoversCacheHits ensures served-from-cache results are
-// recorded too: a second batch over the same jobs adds no new lines and
-// changes no hashes.
-func TestWriteHashesCoversCacheHits(t *testing.T) {
-	r := mustRunner(t, Options{Workers: 2})
-	if _, err := r.Run(testJobs()); err != nil {
-		t.Fatal(err)
-	}
-	var first strings.Builder
-	if _, err := r.WriteHashes(&first); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Run(testJobs()); err != nil { // all cache hits
-		t.Fatal(err)
-	}
-	var second strings.Builder
-	if _, err := r.WriteHashes(&second); err != nil {
-		t.Fatal(err)
-	}
-	if first.String() != second.String() {
-		t.Fatal("cache-served batch changed the recorded hashes")
-	}
-	if s := r.Stats(); s.CacheHits == 0 {
-		t.Fatal("second batch did not hit the cache")
-	}
-}
 
 // TestReportHashSeparatesResults guards against a degenerate hash: two
 // different simulation points must (overwhelmingly) hash differently.
 func TestReportHashSeparatesResults(t *testing.T) {
 	r := mustRunner(t, Options{})
-	results, err := r.Run([]Job{benchJob("a", "swim", 16), benchJob("b", "swim", 256)})
+	results, err := r.RunContext(context.Background(), []Job{benchJob("a", "swim", 16), benchJob("b", "swim", 256)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -235,16 +235,18 @@ func Validate(j Job) error {
 			return invalid("sampling parameters require sampled mode")
 		}
 	case ModeSampled:
+		// The runner decides only that the schedule is spelled out in
+		// canonical form; sim.Sampling.Validate owns what makes one valid.
 		s := b.Sampling
 		switch {
 		case s == nil:
 			return invalid("sampled mode without sampling parameters")
-		case s.PeriodInsts <= 0 || s.UnitInsts <= 0 || s.WarmupInsts < 0:
-			return invalid("non-positive sampling parameters (period=%d unit=%d warmup=%d)",
+		case *s != s.WithDefaults():
+			return invalid("sampling parameters not in canonical form (period=%d unit=%d warmup=%d)",
 				s.PeriodInsts, s.UnitInsts, s.WarmupInsts)
-		case s.UnitInsts+s.WarmupInsts > s.PeriodInsts:
-			return invalid("sampling unit+warmup (%d+%d) exceed the period (%d)",
-				s.UnitInsts, s.WarmupInsts, s.PeriodInsts)
+		}
+		if err := s.Validate(); err != nil {
+			return fmt.Errorf("%w: %w", ErrInvalidRequest, err)
 		}
 	default:
 		return invalid("unknown execution mode %q", b.Mode)

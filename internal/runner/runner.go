@@ -13,12 +13,13 @@
 // experiments jobs hash exactly as written. The runner executes
 // batches of jobs across a bounded worker pool and consults a two-level
 // result cache first: repeated points within a process (two figures
-// sweeping the same configuration) are simulated once, and with an
-// on-disk cache directory, re-runs across processes skip every point
-// that already completed. Because each result is persisted the moment
-// its simulation finishes, a long sweep that crashes or is cancelled
-// resumes from where it stopped: re-running the same batch recomputes
-// only the missing points.
+// sweeping the same configuration) are simulated once, concurrent
+// duplicates wait on one run through Flight (the single-flight the
+// fabric router shares), and with an on-disk cache directory, re-runs
+// across processes skip every point that already completed. Because
+// each result is persisted the moment its simulation finishes, a long
+// sweep that crashes or is cancelled resumes from where it stopped:
+// re-running the same batch recomputes only the missing points.
 //
 // Unlike the ad-hoc helper it replaces, the runner never aborts a batch
 // on the first failure: every job runs, partial results are collected,
@@ -27,7 +28,6 @@ package runner
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -122,14 +122,6 @@ type Stats struct {
 	CacheWriteErrors int64
 }
 
-// call tracks an in-flight computation so concurrent duplicates of the
-// same point wait for the first worker instead of re-simulating.
-type call struct {
-	done chan struct{}
-	rep  stats.Report
-	err  error
-}
-
 // Runner schedules batches of simulation jobs. It is safe for
 // concurrent use; the cache, the in-flight deduplication table and the
 // worker semaphore are shared across batches.
@@ -144,12 +136,10 @@ type Runner struct {
 	// concurrency across overlapping batches.
 	sem chan struct{}
 
-	mu       sync.Mutex
-	inflight map[string]*call
-	stats    Stats
-	// hashes records, per job hash, the content hash of the result this
-	// runner produced or served (see WriteHashes — the determinism gate).
-	hashes map[string]resultHash
+	flights Flight[stats.Report]
+
+	mu    sync.Mutex
+	stats Stats
 }
 
 // New builds a Runner.
@@ -169,7 +159,6 @@ func New(opts Options) (*Runner, error) {
 		onSnapshot: opts.OnSnapshot,
 		snapEvery:  opts.SnapshotEvery,
 		sem:        make(chan struct{}, workers),
-		inflight:   make(map[string]*call),
 	}, nil
 }
 
@@ -178,11 +167,6 @@ func (r *Runner) Stats() Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.stats
-}
-
-// Run executes a batch. See RunContext.
-func (r *Runner) Run(jobs []Job) ([]Result, error) {
-	return r.RunContext(context.Background(), jobs)
 }
 
 // RunContext executes every job of a batch across the worker pool and
@@ -263,9 +247,7 @@ dispatch:
 			// point before it hit; only mark truly undispatched jobs.
 			if results[i].Err == nil && results[i].Hash == "" {
 				err := fmt.Errorf("runner: job %q: %w", jobs[i].Key, ctx.Err())
-				r.mu.Lock()
-				r.stats.Failures++
-				r.mu.Unlock()
+				r.count(&r.stats.Failures)
 				finish(i, Result{Job: jobs[i], Err: err})
 			}
 		}
@@ -286,110 +268,65 @@ dispatch:
 	return results, nil
 }
 
-// runJob resolves one job: validation, cache lookup, in-flight
-// deduplication, then a fresh simulation under the global semaphore.
+// runJob resolves one job: validation, a cache probe, then the
+// single-flight, whose owner probes again and runs a fresh simulation
+// under the global semaphore.
 func (r *Runner) runJob(ctx context.Context, j Job) Result {
 	if err := Validate(j); err != nil {
-		r.mu.Lock()
-		r.stats.Failures++
-		r.mu.Unlock()
+		r.count(&r.stats.Failures)
 		return Result{Job: j, Err: fmt.Errorf("runner: job %q: %w", j.Key, err)}
 	}
 	h := j.Hash()
-	for {
+	if rep, ok := r.cache.get(h); ok {
+		r.count(&r.stats.CacheHits)
+		return Result{Job: j, Hash: h, Report: rep, Cached: true}
+	}
+	simulated := false
+	rep, shared, err := r.flights.Do(ctx, h, func() (stats.Report, error) {
+		// A duplicate may have finished since the probe above.
 		if rep, ok := r.cache.get(h); ok {
-			r.mu.Lock()
-			r.stats.CacheHits++
-			r.mu.Unlock()
-			r.recordHash(h, j.Key, rep)
-			return Result{Job: j, Hash: h, Report: rep, Cached: true}
+			return rep, nil
 		}
-
-		r.mu.Lock()
-		if c, ok := r.inflight[h]; ok {
-			r.mu.Unlock()
-			select {
-			case <-c.done:
-			case <-ctx.Done():
-				r.mu.Lock()
-				r.stats.Failures++
-				r.mu.Unlock()
-				return Result{Job: j, Hash: h, Err: fmt.Errorf("runner: job %q: %w", j.Key, ctx.Err())}
-			}
-			if c.err != nil && ctx.Err() == nil &&
-				(errors.Is(c.err, context.Canceled) || errors.Is(c.err, context.DeadlineExceeded)) {
-				// The owning caller was cancelled or timed out, not us: its
-				// abort says nothing about this job's result. Loop and
-				// recompute.
-				continue
-			}
-			res := Result{Job: j, Hash: h, Report: c.rep, Cached: true, Err: c.err}
-			r.mu.Lock()
-			if c.err != nil {
-				r.stats.Failures++
-			} else {
-				r.stats.CacheHits++
-			}
-			r.mu.Unlock()
-			if c.err == nil {
-				r.recordHash(h, j.Key, c.rep)
-			}
-			return res
-		}
-		// Re-check under the lock: a duplicate may have completed (and
-		// deregistered) between the miss above and here, in which case its
-		// result is in the memory tier now.
-		if rep, ok := r.cache.get(h); ok {
-			r.stats.CacheHits++
-			r.mu.Unlock()
-			r.recordHash(h, j.Key, rep)
-			return Result{Job: j, Hash: h, Report: rep, Cached: true}
-		}
-		c := &call{done: make(chan struct{})}
-		r.inflight[h] = c
-		r.mu.Unlock()
-
-		// This caller owns the computation. Waiting for a semaphore slot
-		// still observes cancellation, but once registered the call MUST
-		// resolve (close done, deregister) or duplicates would hang.
-		var (
-			rep stats.Report
-			err error
-		)
 		select {
 		case r.sem <- struct{}{}:
-			var snap func(sim.Snapshot)
-			if r.onSnapshot != nil {
-				snap = func(s sim.Snapshot) { r.onSnapshot(Snapshot{Job: j, Hash: h, Sim: s}) }
-			}
-			rep, err = j.execute(ctx, snap, r.snapEvery)
-			<-r.sem
 		case <-ctx.Done():
-			err = fmt.Errorf("runner: job %q: %w", j.Key, ctx.Err())
+			return stats.Report{}, fmt.Errorf("runner: job %q: %w", j.Key, ctx.Err())
 		}
-		var writeErr error
-		if err == nil {
-			writeErr = r.cache.put(h, j.Key, rep)
+		var snap func(sim.Snapshot)
+		if r.onSnapshot != nil {
+			snap = func(s sim.Snapshot) { r.onSnapshot(Snapshot{Job: j, Hash: h, Sim: s}) }
 		}
-		c.rep, c.err = rep, err
-		close(c.done)
-
-		r.mu.Lock()
-		delete(r.inflight, h)
+		rep, err := j.execute(ctx, snap, r.snapEvery)
+		<-r.sem
 		if err != nil {
-			r.stats.Failures++
-		} else {
-			r.stats.Simulated++
-			if writeErr != nil {
-				r.stats.CacheWriteErrors++
-			}
+			return rep, err
 		}
-		r.mu.Unlock()
-		if err == nil {
-			r.recordHash(h, j.Key, rep)
+		simulated = true
+		if err := r.cache.put(h, j.Key, rep); err != nil {
+			r.count(&r.stats.CacheWriteErrors)
 		}
-		return Result{Job: j, Hash: h, Report: rep, Err: err}
+		return rep, nil
+	})
+	if err != nil && err == ctx.Err() {
+		// Our own context ended while another caller's run was going.
+		err = fmt.Errorf("runner: job %q: %w", j.Key, err)
 	}
+	switch {
+	case err != nil:
+		r.count(&r.stats.Failures)
+	case simulated:
+		r.count(&r.stats.Simulated)
+	default:
+		r.count(&r.stats.CacheHits)
+	}
+	return Result{Job: j, Hash: h, Report: rep, Cached: shared || (err == nil && !simulated), Err: err}
+}
+
+// count increments one lifetime counter.
+func (r *Runner) count(n *int64) {
+	r.mu.Lock()
+	*n++
+	r.mu.Unlock()
 }
 
 // Lookup returns the cached report for a job content hash, consulting

@@ -90,14 +90,14 @@ func TestHashIgnoresKeyAndSeparatesContent(t *testing.T) {
 func TestSecondRunHitsCacheAndIsIdentical(t *testing.T) {
 	r := mustRunner(t, Options{Workers: 4})
 	jobs := testJobs()
-	first, err := r.Run(jobs)
+	first, err := r.RunContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := r.Stats().Simulated; got != int64(len(jobs)) {
 		t.Fatalf("first run simulated %d jobs, want %d", got, len(jobs))
 	}
-	second, err := r.Run(jobs)
+	second, err := r.RunContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestSecondRunHitsCacheAndIsIdentical(t *testing.T) {
 func TestCachedAndUncachedReportsBitIdentical(t *testing.T) {
 	jobs := testJobs()
 	// Uncached reference: a fresh runner per run.
-	ref, err := mustRunner(t, Options{Workers: 2}).Run(jobs)
+	ref, err := mustRunner(t, Options{Workers: 2}).RunContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +125,11 @@ func TestCachedAndUncachedReportsBitIdentical(t *testing.T) {
 	// disk-backed runner reading the first one's entries.
 	dir := t.TempDir()
 	warm := mustRunner(t, Options{Workers: 2, CacheDir: dir})
-	if _, err := warm.Run(jobs); err != nil {
+	if _, err := warm.RunContext(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
 	cold := mustRunner(t, Options{Workers: 2, CacheDir: dir})
-	got, err := cold.Run(jobs)
+	got, err := cold.RunContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +148,11 @@ func TestCachedAndUncachedReportsBitIdentical(t *testing.T) {
 
 func TestWorkerCountInvariance(t *testing.T) {
 	jobs := testJobs()
-	ref, err := mustRunner(t, Options{Workers: 1}).Run(jobs)
+	ref, err := mustRunner(t, Options{Workers: 1}).RunContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := mustRunner(t, Options{Workers: 7}).Run(jobs)
+	wide, err := mustRunner(t, Options{Workers: 7}).RunContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestDuplicatePointsSimulateOnce(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = mixJob(fmt.Sprintf("dup-%d", i), 1, 0) // same point, different keys
 	}
-	results, err := r.Run(jobs)
+	results, err := r.RunContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestBatchCollectsAllErrorsAndPartialResults(t *testing.T) {
 	bad2 := benchJob("bad-bench", "no-such-benchmark", 16)
 	jobs := []Job{mixJob("good-a", 1, 0), bad1, bad2, mixJob("good-b", 2, 0)}
 
-	results, err := r.Run(jobs)
+	results, err := r.RunContext(context.Background(), jobs)
 	if err == nil {
 		t.Fatal("batch with invalid jobs returned nil error")
 	}
@@ -251,7 +251,7 @@ func TestCancelledSweepResumesFromDiskCache(t *testing.T) {
 	// A fresh process re-runs the same sweep: only the remainder is
 	// simulated.
 	r2 := mustRunner(t, Options{Workers: 2, CacheDir: dir})
-	results, err := r2.Run(jobs)
+	results, err := r2.RunContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestCorruptedDiskEntryIsRecomputed(t *testing.T) {
 	dir := t.TempDir()
 	jobs := []Job{mixJob("p", 1, 0)}
 	r1 := mustRunner(t, Options{CacheDir: dir})
-	want, err := r1.Run(jobs)
+	want, err := r1.RunContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestCorruptedDiskEntryIsRecomputed(t *testing.T) {
 		t.Fatal(err)
 	}
 	r2 := mustRunner(t, Options{CacheDir: dir})
-	got, err := r2.Run(jobs)
+	got, err := r2.RunContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestMismatchedHashEntryIsIgnored(t *testing.T) {
 	dir := t.TempDir()
 	jobs := []Job{mixJob("p", 1, 0)}
 	r1 := mustRunner(t, Options{CacheDir: dir})
-	if _, err := r1.Run(jobs); err != nil {
+	if _, err := r1.RunContext(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
 	// Copy the valid entry under a different point's hash — a model of a
@@ -309,7 +309,7 @@ func TestMismatchedHashEntryIsIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	r2 := mustRunner(t, Options{CacheDir: dir})
-	if _, err := r2.Run([]Job{other}); err != nil {
+	if _, err := r2.RunContext(context.Background(), []Job{other}); err != nil {
 		t.Fatal(err)
 	}
 	if r2.Stats().Simulated != 1 {
@@ -325,7 +325,7 @@ func TestOrphanedTempFilesSwept(t *testing.T) {
 	}
 	jobs := []Job{mixJob("p", 1, 0)}
 	r := mustRunner(t, Options{CacheDir: dir})
-	if _, err := r.Run(jobs); err != nil {
+	if _, err := r.RunContext(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
@@ -342,7 +342,7 @@ func TestProgressReporting(t *testing.T) {
 		events = append(events, p)
 	}})
 	jobs := testJobs()
-	if _, err := r.Run(jobs); err != nil {
+	if _, err := r.RunContext(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) != len(jobs) {
@@ -354,7 +354,7 @@ func TestProgressReporting(t *testing.T) {
 	}
 	// Re-run: every event reports a cache hit.
 	events = nil
-	if _, err := r.Run(jobs); err != nil {
+	if _, err := r.RunContext(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range events {
@@ -371,6 +371,14 @@ func TestValidateRejectsBadJobs(t *testing.T) {
 	good := mixJob("ok", 1, 0)
 	if err := Validate(good); err != nil {
 		t.Fatalf("valid job rejected: %v", err)
+	}
+	sampled := func(s sim.Sampling) func(*Job) {
+		return func(j *Job) { j.Budget.Mode, j.Budget.Sampling = ModeSampled, &s }
+	}
+	sampledJob := good
+	sampled(sim.Sampling{}.WithDefaults())(&sampledJob)
+	if err := Validate(sampledJob); err != nil {
+		t.Fatalf("valid sampled job rejected: %v", err)
 	}
 	bench := benchJob("ok", "swim", 16)
 	if err := Validate(bench); err != nil {
@@ -393,6 +401,10 @@ func TestValidateRejectsBadJobs(t *testing.T) {
 		{"trace with a seed", func(j *Job) { *j = trace; j.Workload.Seed = 7 }, ErrInvalidRequest},
 		{"mix naming a benchmark", func(j *Job) { j.Workload.Bench = "swim" }, ErrInvalidRequest},
 		{"negative warm-up", func(j *Job) { j.Budget.WarmupInsts = -1 }, ErrInvalidRequest},
+		{"sampled without a schedule", func(j *Job) { j.Budget.Mode = ModeSampled }, ErrInvalidRequest},
+		{"sampled schedule with a default left zero", sampled(sim.Sampling{PeriodInsts: 1000, UnitInsts: 100}), ErrInvalidRequest},
+		{"negative sampling unit", sampled(sim.Sampling{PeriodInsts: 1000, UnitInsts: -1, WarmupInsts: 100}), ErrInvalidRequest},
+		{"sampling unit+warm-up over the period", sampled(sim.Sampling{PeriodInsts: 500, UnitInsts: 400, WarmupInsts: 200}), ErrInvalidRequest},
 	} {
 		j := good
 		tc.edit(&j)
@@ -429,7 +441,7 @@ func TestCancelAbortsRunningSimulationPromptly(t *testing.T) {
 	}
 	// The runner stays usable after a cancellation.
 	ok := mixJob("ok", 1, 0)
-	if _, err := r.Run([]Job{ok}); err != nil {
+	if _, err := r.RunContext(context.Background(), []Job{ok}); err != nil {
 		t.Fatalf("runner broken after cancellation: %v", err)
 	}
 }
@@ -466,7 +478,7 @@ func TestGlobalSemaphoreBoundsOverlappingBatches(t *testing.T) {
 		go func(b int) {
 			defer wg.Done()
 			// Distinct seeds so batches cannot dedup onto each other.
-			if _, err := r.Run([]Job{mixJob(fmt.Sprintf("b%d", b), 1, uint64(10+b))}); err != nil {
+			if _, err := r.RunContext(context.Background(), []Job{mixJob(fmt.Sprintf("b%d", b), 1, uint64(10+b))}); err != nil {
 				t.Error(err)
 			}
 		}(b)
@@ -487,7 +499,7 @@ func TestLookupServesBothTiers(t *testing.T) {
 	if _, ok := r1.Lookup(j.Hash()); ok {
 		t.Fatal("lookup hit before anything ran")
 	}
-	want, err := r1.Run([]Job{j})
+	want, err := r1.RunContext(context.Background(), []Job{j})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,7 +533,7 @@ func TestCustomWorkloadJobs(t *testing.T) {
 		t.Fatalf("valid custom job rejected: %v", err)
 	}
 	r := mustRunner(t, Options{})
-	results, err := r.Run([]Job{j, j})
+	results, err := r.RunContext(context.Background(), []Job{j, j})
 	if err != nil {
 		t.Fatal(err)
 	}

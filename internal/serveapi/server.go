@@ -15,10 +15,12 @@
 package serveapi
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -141,14 +143,21 @@ func StatusFor(err error) int {
 	}
 }
 
-// decode strictly parses the JSON body into v.
-func (s *server) decode(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("decode body: %w", err)
+// DecodeBody reads r's body, at most limit bytes, and strictly decodes it
+// into v: unknown fields are errors. It returns the raw bytes for
+// verbatim forwarding. Its error is the "decode body: ..." message every
+// endpoint, replica or router, answers a bad body with (400).
+func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) ([]byte, error) {
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err == nil {
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		err = dec.Decode(v)
 	}
-	return nil
+	if err != nil {
+		return nil, fmt.Errorf("decode body: %w", err)
+	}
+	return raw, nil
 }
 
 // runCtx applies the per-run wall cap to the request context.
@@ -163,7 +172,7 @@ func (s *server) runCtx(r *http.Request) (context.Context, context.CancelFunc) {
 // body. Cached results return instantly with "cached": true.
 func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req daesim.Request
-	if err := s.decode(w, r, &req); err != nil {
+	if _, err := DecodeBody(w, r, s.maxBody, &req); err != nil {
 		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
 	}
@@ -189,7 +198,7 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 // error and the reply is always 200 once the body parses.
 func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := s.decode(w, r, &req); err != nil {
+	if _, err := DecodeBody(w, r, s.maxBody, &req); err != nil {
 		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
 	}

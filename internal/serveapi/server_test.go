@@ -173,6 +173,26 @@ func TestGetByHashEndpoint(t *testing.T) {
 	}
 }
 
+// TestGetByHashRefusesPathHashes: GET /v1/runs/{hash} looks a hash up
+// only if it is lowercase hex, so an escaped path never reaches a file
+// outside the cache directory, even one that parses as an entry filed
+// under that very path.
+func TestGetByHashRefusesPathHashes(t *testing.T) {
+	root := t.TempDir()
+	ts, _ := newTestServer(t, daesim.EngineOpts{Workers: 1, CacheDir: filepath.Join(root, "cache")}, 0)
+	planted, err := json.Marshal(map[string]any{"Hash": "../x", "Key": "planted", "Report": daesim.Report{Threads: 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, "x.json"), planted, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var got RunResponse
+	if code := do(t, "GET", ts.URL+"/v1/runs/..%2Fx", nil, &got); code != http.StatusNotFound {
+		t.Fatalf("path-shaped hash: status %d (report %+v), want 404", code, got.Report)
+	}
+}
+
 func TestSweepEndpointPartialFailure(t *testing.T) {
 	ts, _ := newTestServer(t, daesim.EngineOpts{Workers: 2}, 0)
 	sweep := SweepRequest{Requests: []daesim.Request{

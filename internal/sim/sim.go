@@ -93,15 +93,18 @@ func (s Sampling) WithDefaults() Sampling {
 	return s
 }
 
-// Validate checks the resolved sampling parameters.
+// Validate checks the resolved sampling parameters (zero fields take the
+// defaults, so only a negative one is non-positive). It is the one rule
+// for a valid schedule: the runner's job validator defers to it, and its
+// messages are the ones a dae-serve 400 carries.
 func (s Sampling) Validate() error {
 	s = s.WithDefaults()
 	switch {
 	case s.PeriodInsts < 0 || s.UnitInsts < 0 || s.WarmupInsts < 0:
-		return fmt.Errorf("sim: negative sampling parameter (period=%d unit=%d warmup=%d)",
+		return fmt.Errorf("non-positive sampling parameters (period=%d unit=%d warmup=%d)",
 			s.PeriodInsts, s.UnitInsts, s.WarmupInsts)
 	case s.UnitInsts+s.WarmupInsts > s.PeriodInsts:
-		return fmt.Errorf("sim: sampling unit+warmup (%d+%d) exceed the period (%d)",
+		return fmt.Errorf("sampling unit+warmup (%d+%d) exceed the period (%d)",
 			s.UnitInsts, s.WarmupInsts, s.PeriodInsts)
 	}
 	return nil
@@ -215,7 +218,7 @@ func Run(ctx context.Context, opts Options) (Result, error) {
 	}
 	if mode == ModeSampled {
 		if err := opts.Sampling.Validate(); err != nil {
-			return Result{}, err
+			return Result{}, fmt.Errorf("sim: %w", err)
 		}
 		if opts.MeasureInsts <= 0 {
 			return Result{}, fmt.Errorf("sim: sampled mode needs a positive instruction budget")
