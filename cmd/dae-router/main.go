@@ -9,7 +9,7 @@
 //	POST /v1/runs                route one daesim.Request to its owner
 //	POST /v1/sweeps              scatter {"requests": [...]} across the fabric
 //	GET  /v1/runs/{hash}         serve a result from the shared store or owner
-//	GET  /v1/runs/{hash}/events  proxy the owner's SSE/NDJSON progress stream
+//	GET  /v1/runs/{hash}/events  proxy the owner's SSE progress stream
 //	GET  /healthz                router liveness: replica states + queue depth
 //
 // Examples:
@@ -26,7 +26,7 @@
 // single-flight so a retry stampede recomputes each hash exactly once),
 // and recovery is picked up by background health probes. Admission is
 // bounded: past -max-active concurrent requests and -max-queue waiters,
-// clients get 429 + Retry-After. See DESIGN.md §8.
+// clients get 429 + "Retry-After: 1". See DESIGN.md §8.
 package main
 
 import (
@@ -51,11 +51,9 @@ func main() {
 		addr        = flag.String("addr", "127.0.0.1:8180", "listen address")
 		replicaList = flag.String("replicas", "", "comma-separated dae-serve base URLs (required)")
 		storeDir    = flag.String("store", "", "shared result-store directory (the replicas' -cache dir); lets the router answer cached hashes itself (\"\" = always forward)")
-		vnodes      = flag.Int("vnodes", 0, "virtual nodes per replica on the hash ring (0 = default)")
 		healthEvery = flag.Duration("health-every", time.Second, "replica health-probe interval")
 		maxActive   = flag.Int("max-active", 64, "max concurrently admitted requests")
 		maxQueue    = flag.Int("max-queue", 256, "max queued requests beyond -max-active before 429")
-		retryAfter  = flag.Duration("retry-after", time.Second, "Retry-After hint sent with 429/503")
 	)
 	flag.Parse()
 
@@ -74,11 +72,9 @@ func main() {
 	defer stop()
 	cfg := fabric.Config{
 		Replicas:    replicas,
-		VNodes:      *vnodes,
 		HealthEvery: *healthEvery,
 		MaxActive:   *maxActive,
 		MaxQueue:    *maxQueue,
-		RetryAfter:  *retryAfter,
 		StoreDir:    *storeDir,
 	}
 	if err := serve(ctx, *addr, cfg, os.Stderr, nil); err != nil {

@@ -7,7 +7,7 @@
 //	POST /v1/runs                execute one daesim.Request (JSON body)
 //	POST /v1/sweeps              execute {"requests": [...]}; per-result errors
 //	GET  /v1/runs/{hash}         serve a previously computed result by content hash
-//	GET  /v1/runs/{hash}/events  stream a run's progress (SSE; NDJSON via Accept)
+//	GET  /v1/runs/{hash}/events  stream a run's progress (SSE)
 //	GET  /healthz                liveness + engine cache statistics
 //
 // Examples:
@@ -49,14 +49,13 @@ func main() {
 		cacheDir = flag.String("cache", "", "on-disk result cache directory shared with dae-sweep/dae-sim (\"\" = in-memory only)")
 		workers  = flag.Int("workers", 0, "max concurrent simulations (0 = all cores)")
 		timeout  = flag.Duration("timeout", 0, "wall-clock cap per run/sweep request (0 = none)")
-		snapshot = flag.Int64("snapshot-every", 0, "progress-snapshot cadence in graduated instructions for /v1/runs/{hash}/events streams (0 = the simulator default)")
 		progress = flag.Bool("progress", false, "log per-run progress to stderr")
 	)
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := serve(ctx, *addr, daesim.EngineOpts{Workers: *workers, CacheDir: *cacheDir, SnapshotEvery: *snapshot}, *timeout, *progress, os.Stderr, nil); err != nil {
+	if err := serve(ctx, *addr, daesim.EngineOpts{Workers: *workers, CacheDir: *cacheDir}, *timeout, *progress, os.Stderr, nil); err != nil {
 		fmt.Fprintln(os.Stderr, "dae-serve:", err)
 		os.Exit(1)
 	}

@@ -136,7 +136,6 @@ func main() {
 		fail(fmt.Errorf("-sample-* flags require -mode sampled"))
 	}
 	req := daesim.MixRequest(m, opts)
-	what := "mix"
 	switch {
 	case *traceFile != "":
 		// A trace container is a first-class content-addressed Request:
@@ -145,10 +144,8 @@ func main() {
 			fail(fmt.Errorf("-seed applies to generator workloads, not trace replay"))
 		}
 		req = daesim.TraceRequest(*traceFile, "", m, opts)
-		what = "trace"
 	case *bench != "":
 		req = daesim.BenchmarkRequest(*bench, m, opts)
-		what = *bench
 	}
 	req.Budget.Mode = *mode
 	req.Budget.Sampling = sampling
@@ -156,15 +153,6 @@ func main() {
 	if err := req.Validate(); err != nil {
 		fail(err)
 	}
-	memDesc := fmt.Sprintf("L2=%d", m.Mem.L2Latency)
-	if *l2Size > 0 {
-		memDesc = fmt.Sprintf("l2size=%d", *l2Size)
-	}
-	coresDesc := ""
-	if m.CoreCount() > 1 {
-		coresDesc = fmt.Sprintf("cores=%d ", m.CoreCount())
-	}
-	req.Label = fmt.Sprintf("dae-sim %s %sthreads=%d %s", what, coresDesc, m.Threads, memDesc)
 	if *hashOnly {
 		fmt.Println(req.Hash())
 		return

@@ -18,9 +18,6 @@ type EngineOpts struct {
 	// entries are one JSON file per Request hash, so results computed by
 	// any of them serve the others.
 	CacheDir string
-	// SnapshotEvery is the progress-snapshot cadence in graduated
-	// instructions (<= 0 applies the simulator default of 100k).
-	SnapshotEvery int64
 }
 
 // Stats counts an Engine's lifetime activity: fresh simulations, cache
@@ -95,18 +92,24 @@ type RunResult struct {
 type Engine struct {
 	r *runner.Runner
 
-	mu      sync.Mutex
-	subs    map[int]chan Progress
-	nextSub int
+	mu   sync.Mutex
+	subs map[*subscriber]bool
+}
+
+// subscriber is one Watch or WatchHash channel. A non-empty hash filters
+// it to that request's events and ends it with that request's done
+// event.
+type subscriber struct {
+	ch   chan Progress
+	hash string
 }
 
 // NewEngine builds an Engine.
 func NewEngine(opts EngineOpts) (*Engine, error) {
-	e := &Engine{subs: make(map[int]chan Progress)}
+	e := &Engine{subs: make(map[*subscriber]bool)}
 	r, err := runner.New(runner.Options{
-		Workers:       opts.Workers,
-		CacheDir:      opts.CacheDir,
-		SnapshotEvery: opts.SnapshotEvery,
+		Workers:  opts.Workers,
+		CacheDir: opts.CacheDir,
 		OnProgress: func(p runner.Progress) {
 			errMsg := ""
 			if p.Err != nil {
@@ -231,31 +234,14 @@ func (e *Engine) Stats() Stats {
 // (with cache-stats snapshots). The channel's buffer holds buf events
 // (minimum 16); events beyond a full buffer are dropped rather than
 // slowing the simulation. The returned stop function unsubscribes and
-// closes the channel; it must be called exactly once.
+// closes the channel.
 func (e *Engine) Watch(buf int) (<-chan Progress, func()) {
-	if buf < 16 {
-		buf = 16
-	}
-	ch := make(chan Progress, buf)
-	e.mu.Lock()
-	id := e.nextSub
-	e.nextSub++
-	e.subs[id] = ch
-	e.mu.Unlock()
-	stop := func() {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		if _, ok := e.subs[id]; ok {
-			delete(e.subs, id)
-			close(ch)
-		}
-	}
-	return ch, stop
+	return e.subscribe("", buf)
 }
 
 // WatchHash subscribes to one request's slice of the progress stream:
-// the returned channel relays only events whose Hash matches, and is
-// closed after relaying that request's ProgressDone event — the
+// the returned channel carries only events whose Hash matches, and is
+// closed right after that request's ProgressDone event — the
 // subscription ends itself when the run does. This is the plumbing
 // behind dae-serve's GET /v1/runs/{hash}/events stream: one HTTP client
 // watches one run to completion without filtering the full firehose.
@@ -265,48 +251,48 @@ func (e *Engine) Watch(buf int) (<-chan Progress, func()) {
 // 16). The returned stop function unsubscribes early; it is safe to call
 // even after the channel has closed itself.
 func (e *Engine) WatchHash(hash string, buf int) (<-chan Progress, func()) {
-	if buf < 16 {
-		buf = 16
-	}
-	in, stopIn := e.Watch(buf)
-	out := make(chan Progress, buf)
-	stopped := make(chan struct{})
-	var once sync.Once
-	stop := func() {
-		once.Do(func() {
-			stopIn() // closes in, ending the relay goroutine
-			close(stopped)
-		})
-	}
-	go func() {
-		defer close(out)
-		defer stop()
-		for p := range in {
-			if p.Hash != hash {
-				continue
-			}
-			select {
-			case out <- p:
-			case <-stopped:
-				return
-			}
-			if p.Event == ProgressDone {
-				return
-			}
-		}
-	}()
-	return out, stop
+	return e.subscribe(hash, buf)
 }
 
-// publish fans an event out to every subscriber, dropping it for
-// subscribers whose buffer is full.
+// subscribe registers a subscriber and returns its channel and an
+// idempotent stop function.
+func (e *Engine) subscribe(hash string, buf int) (<-chan Progress, func()) {
+	s := &subscriber{ch: make(chan Progress, max(buf, 16)), hash: hash}
+	e.mu.Lock()
+	e.subs[s] = true
+	e.mu.Unlock()
+	stop := func() {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		e.unsubscribeLocked(s)
+	}
+	return s.ch, stop
+}
+
+// unsubscribeLocked removes s and closes its channel, once.
+func (e *Engine) unsubscribeLocked(s *subscriber) {
+	if e.subs[s] {
+		delete(e.subs, s)
+		close(s.ch)
+	}
+}
+
+// publish fans an event out to every subscriber it matches, dropping it
+// for subscribers whose buffer is full, and ends a hash subscription
+// with its request's done event.
 func (e *Engine) publish(p Progress) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, ch := range e.subs {
+	for s := range e.subs {
+		if s.hash != "" && s.hash != p.Hash {
+			continue
+		}
 		select {
-		case ch <- p:
+		case s.ch <- p:
 		default:
+		}
+		if s.hash != "" && p.Event == ProgressDone {
+			e.unsubscribeLocked(s)
 		}
 	}
 }

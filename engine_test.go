@@ -187,7 +187,7 @@ func TestEngineDiskCacheInteropAndLookup(t *testing.T) {
 }
 
 func TestEngineWatchStreamsProgress(t *testing.T) {
-	eng := testEngine(t, EngineOpts{Workers: 1, SnapshotEvery: 1_000})
+	eng := testEngine(t, EngineOpts{Workers: 1})
 	events, stop := eng.Watch(256)
 	defer stop()
 
@@ -196,7 +196,7 @@ func TestEngineWatchStreamsProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var snapshots, done int
+	var snapshots, midRun, done int
 	var sawMeasure bool
 	var lastStats Stats
 deadline:
@@ -206,6 +206,9 @@ deadline:
 			switch p.Event {
 			case ProgressSnapshot:
 				snapshots++
+				if p.Graduated < p.TargetInsts {
+					midRun++
+				}
 				if p.Phase == "measure" {
 					sawMeasure = true
 				}
@@ -221,8 +224,8 @@ deadline:
 			t.Fatal("no ProgressDone event")
 		}
 	}
-	if snapshots == 0 {
-		t.Error("no in-run snapshots streamed")
+	if snapshots == 0 || midRun == 0 {
+		t.Errorf("%d snapshots streamed, %d of them mid-window; want both > 0", snapshots, midRun)
 	}
 	if !sawMeasure {
 		t.Error("no measurement-phase snapshot streamed")
@@ -252,7 +255,7 @@ deadline:
 // the channel closes itself after that run's done event, while events
 // for other hashes never leak in.
 func TestEngineWatchHashFiltersAndSelfCloses(t *testing.T) {
-	eng := testEngine(t, EngineOpts{Workers: 2, SnapshotEvery: 1_000})
+	eng := testEngine(t, EngineOpts{Workers: 2})
 	watched := MixRequest(Figure2(1), shortOpts())
 	other := MixRequest(Figure2(2), shortOpts())
 
@@ -325,6 +328,35 @@ func TestEngineWatchHashCacheHit(t *testing.T) {
 	}
 	if _, ok := <-events; ok {
 		t.Error("channel not closed after the done event")
+	}
+}
+
+// TestEngineWatchHashClosesOnDoneWhenFull: publish itself ends a hash
+// subscription at its run's done event, synchronously and even when a
+// lagging consumer's full buffer drops that event, while a Watch
+// subscriber keeps its channel.
+func TestEngineWatchHashClosesOnDoneWhenFull(t *testing.T) {
+	eng := testEngine(t, EngineOpts{Workers: 1})
+	events, stop := eng.WatchHash("h", 16)
+	defer stop()
+	all, stopAll := eng.Watch(64)
+	defer stopAll()
+	for i := 0; i < 20; i++ {
+		eng.publish(Progress{Event: ProgressSnapshot, Hash: "h", Graduated: int64(i)})
+	}
+	eng.publish(Progress{Event: ProgressDone, Hash: "h"})
+	n := 0
+	for p := range events { // closed by the done event's publish
+		if p.Event != ProgressSnapshot || p.Graduated != int64(n) {
+			t.Fatalf("event %d is %+v, want snapshot %d", n, p, n)
+		}
+		n++
+	}
+	if n != 16 {
+		t.Errorf("lagging subscriber received %d events, want its 16-event buffer", n)
+	}
+	if got := len(all); got != 21 {
+		t.Errorf("Watch subscriber holds %d events, want all 21", got)
 	}
 }
 

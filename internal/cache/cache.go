@@ -241,15 +241,3 @@ func (c *Cache) Invalidate(addr uint64) (dirty, present bool) {
 	c.ways[i] = way{}
 	return dirty, true
 }
-
-// Flush invalidates every line, returning the number that were dirty.
-func (c *Cache) Flush() int {
-	dirty := 0
-	for i := range c.ways {
-		if c.ways[i].valid && c.ways[i].dirty {
-			dirty++
-		}
-		c.ways[i] = way{}
-	}
-	return dirty
-}

@@ -424,3 +424,15 @@ func validLines(c *Cache) int {
 	}
 	return n
 }
+
+// Flush invalidates every line, returning the number that were dirty.
+func (c *Cache) Flush() int {
+	dirty := 0
+	for i := range c.ways {
+		if c.ways[i].valid && c.ways[i].dirty {
+			dirty++
+		}
+		c.ways[i] = way{}
+	}
+	return dirty
+}

@@ -172,9 +172,6 @@ func (c *calendar) clearRange(from, to int64) {
 	}
 }
 
-// empty reports whether no events are scheduled (tests only).
-func (c *calendar) empty() bool { return c.summary == 0 && len(c.far) == 0 }
-
 // farPush inserts into the overflow min-heap.
 func (c *calendar) farPush(at int64) {
 	c.far = append(c.far, at)

@@ -331,3 +331,6 @@ func TestCalendarAgainstReference(t *testing.T) {
 		}
 	}
 }
+
+// empty reports whether no events are scheduled.
+func (c *calendar) empty() bool { return c.summary == 0 && len(c.far) == 0 }

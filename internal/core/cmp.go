@@ -73,9 +73,6 @@ func NewCMP(m config.Machine, sources []trace.Reader) (*CMP, error) {
 	return p, nil
 }
 
-// Cores returns the number of cores.
-func (p *CMP) Cores() int { return len(p.cores) }
-
 // Core returns core c (for tests and reports).
 func (p *CMP) Core(c int) *Core { return p.cores[c] }
 

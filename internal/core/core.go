@@ -120,18 +120,9 @@ func newCore(m config.Machine, sources []trace.Reader, ms *mem.System) (*Core, e
 	return c, nil
 }
 
-// Mem returns the memory subsystem.
-func (c *Core) Mem() *mem.System { return c.mem }
-
-// Now returns the current cycle.
-func (c *Core) Now() int64 { return c.now }
-
 // Collector returns the statistics collector (mutable; reset between
 // warm-up and measurement).
 func (c *Core) Collector() *stats.Collector { return &c.col }
-
-// Context returns thread t's context (for tests and reports).
-func (c *Core) Context(t int) *Context { return c.ctxs[t] }
 
 // Done reports whether every thread has exhausted its source and drained
 // its pipeline.

@@ -32,10 +32,10 @@ import (
 	"sync"
 )
 
-// DefaultVNodes is the virtual-node count per replica. 64 keeps the
-// ring's load spread within a few percent of uniform for small clusters
-// while membership changes stay cheap (a few hundred points re-sorted).
-const DefaultVNodes = 64
+// vnodes is the virtual-node count per member. 64 keeps the ring's load
+// spread within a few percent of uniform for small clusters while
+// membership changes stay cheap (a few hundred points re-sorted).
+const vnodes = 64
 
 // Ring is a consistent-hash ring with virtual nodes. Keys (Request
 // content hashes) map to the member owning the first ring point at or
@@ -46,8 +46,6 @@ const DefaultVNodes = 64
 // tests). The zero Ring is not usable; construct with NewRing. Safe for
 // concurrent use.
 type Ring struct {
-	vnodes int
-
 	mu      sync.RWMutex
 	points  []ringPoint // sorted by (hash, member)
 	members map[string]bool
@@ -60,13 +58,9 @@ type ringPoint struct {
 	member string
 }
 
-// NewRing builds a Ring with the given virtual-node count per member
-// (<= 0 applies DefaultVNodes).
-func NewRing(vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
-	return &Ring{vnodes: vnodes, members: make(map[string]bool)}
+// NewRing builds an empty Ring.
+func NewRing() *Ring {
+	return &Ring{members: make(map[string]bool)}
 }
 
 // hashKey positions a key (or virtual node label) on the circle.
@@ -84,7 +78,7 @@ func (r *Ring) Add(member string) {
 		return
 	}
 	r.members[member] = true
-	for i := 0; i < r.vnodes; i++ {
+	for i := 0; i < vnodes; i++ {
 		r.points = append(r.points, ringPoint{
 			pos:    hashKey(fmt.Sprintf("%s#%d", member, i)),
 			member: member,

@@ -43,7 +43,7 @@ func TestRingRemovalMovesOnlyDepartedKeys(t *testing.T) {
 	keys := ringKeys(4096)
 	for trial := 0; trial < 20; trial++ {
 		n := 2 + rng.Intn(6) // 2..7 replicas
-		r := NewRing(DefaultVNodes)
+		r := NewRing()
 		members := make([]string, n)
 		for i := range members {
 			members[i] = fmt.Sprintf("http://replica-%d-%d:81", trial, i)
@@ -58,7 +58,7 @@ func TestRingRemovalMovesOnlyDepartedKeys(t *testing.T) {
 		}
 
 		departing := members[rng.Intn(n)]
-		smaller := NewRing(DefaultVNodes)
+		smaller := NewRing()
 		for _, m := range members {
 			if m != departing {
 				smaller.Add(m)
@@ -93,7 +93,7 @@ func TestRingAdditionMovesKeysOnlyToArrival(t *testing.T) {
 	keys := ringKeys(4096)
 	for trial := 0; trial < 20; trial++ {
 		n := 1 + rng.Intn(6)
-		r := NewRing(DefaultVNodes)
+		r := NewRing()
 		for i := 0; i < n; i++ {
 			r.Add(fmt.Sprintf("http://replica-%d-%d:81", trial, i))
 		}
@@ -131,11 +131,11 @@ func TestRingAdditionMovesKeysOnlyToArrival(t *testing.T) {
 // successor chain. Routers must not need to coordinate.
 func TestRingDeterministicAcrossInstances(t *testing.T) {
 	members := []string{"http://a:81", "http://b:81", "http://c:81", "http://d:81"}
-	a := NewRing(32)
+	a := NewRing()
 	for _, m := range members {
 		a.Add(m)
 	}
-	b := NewRing(32)
+	b := NewRing()
 	for i := len(members) - 1; i >= 0; i-- {
 		b.Add(members[i])
 	}
@@ -156,7 +156,7 @@ func TestRingDeterministicAcrossInstances(t *testing.T) {
 // TestRingEdgeCases: empty ring, single member, duplicate adds,
 // successor bounds.
 func TestRingEdgeCases(t *testing.T) {
-	r := NewRing(8)
+	r := NewRing()
 	if got := owner(r, "k"); got != "" {
 		t.Errorf("empty ring owner %q", got)
 	}

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,9 +23,6 @@ type Config struct {
 	// Replicas are the dae-serve base URLs (e.g. "http://127.0.0.1:8177")
 	// forming the fabric. At least one is required.
 	Replicas []string
-	// VNodes is the consistent-hash virtual-node count per replica
-	// (<= 0 = DefaultVNodes).
-	VNodes int
 	// HealthEvery is the replica health-probe cadence (<= 0 = 1s).
 	// Probes recover replicas that forwards marked dead.
 	HealthEvery time.Duration
@@ -34,22 +30,12 @@ type Config struct {
 	// the arrivals waiting beyond that; everything past both gets 429
 	// (<= 0 = 64 and 256).
 	MaxActive, MaxQueue int
-	// RetryAfter is the hint clients get with 429/503 (<= 0 = 1s).
-	RetryAfter time.Duration
 	// StoreDir mounts the replicas' shared content-addressed result store
 	// read-only: the cache directory every replica's Engine writes
 	// (dae-serve -cache), one JSON file per Request hash. The router reads
 	// it through runner.LoadEntry, so it serves cache hits and
 	// GET-by-hash itself, replicas dead or alive ("" = always forward).
 	StoreDir string
-	// SweepFanout bounds a sweep's concurrent per-request forwards
-	// (<= 0 = 2 per replica, min 4).
-	SweepFanout int
-	// MaxBody bounds request bodies (<= 0 = serveapi.DefaultMaxBody).
-	MaxBody int64
-	// Client overrides the forwarding HTTP client (nil = a pooled default
-	// with no global timeout — streams must outlive any fixed cap).
-	Client *http.Client
 }
 
 // replicaState tracks one replica's liveness as seen by this router.
@@ -100,24 +86,16 @@ func NewRouter(cfg Config) (*Router, error) {
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = 256
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
-	if cfg.SweepFanout <= 0 {
-		cfg.SweepFanout = 2 * len(cfg.Replicas)
-		if cfg.SweepFanout < 4 {
-			cfg.SweepFanout = 4
-		}
-	}
-	if cfg.MaxBody <= 0 {
-		cfg.MaxBody = serveapi.DefaultMaxBody
-	}
 	rt := &Router{
 		cfg:      cfg,
-		ring:     NewRing(cfg.VNodes),
+		ring:     NewRing(),
 		replicas: make(map[string]*replicaState, len(cfg.Replicas)),
 		queue:    NewQueue(cfg.MaxActive, cfg.MaxQueue),
-		client:   cfg.Client,
+		// No global timeout: event streams must outlive any fixed cap.
+		client: &http.Client{Transport: &http.Transport{
+			MaxIdleConnsPerHost: 32,
+			IdleConnTimeout:     90 * time.Second,
+		}},
 	}
 	for _, base := range cfg.Replicas {
 		for len(base) > 0 && base[len(base)-1] == '/' {
@@ -140,12 +118,6 @@ func NewRouter(cfg Config) (*Router, error) {
 		if err := os.MkdirAll(cfg.StoreDir, 0o755); err != nil {
 			return nil, fmt.Errorf("fabric: store dir: %w", err)
 		}
-	}
-	if rt.client == nil {
-		rt.client = &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost: 32,
-			IdleConnTimeout:     90 * time.Second,
-		}}
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/runs", rt.handleRun)
@@ -298,9 +270,10 @@ func relay(w http.ResponseWriter, res *forwardResult) {
 	w.Write(res.body)
 }
 
-// admissionError maps queue refusals to HTTP backpressure.
-func (rt *Router) admissionError(w http.ResponseWriter, err error) {
-	w.Header().Set("Retry-After", strconv.Itoa(int((rt.cfg.RetryAfter+time.Second-1)/time.Second)))
+// admissionError maps queue refusals to HTTP backpressure, asking the
+// client to retry after a second.
+func admissionError(w http.ResponseWriter, err error) {
+	w.Header().Set("Retry-After", "1")
 	switch err {
 	case ErrQueueFull:
 		serveapi.WriteJSON(w, http.StatusTooManyRequests, serveapi.ErrorResponse{Error: err.Error()})
@@ -318,7 +291,7 @@ func (rt *Router) admissionError(w http.ResponseWriter, err error) {
 // death — cost one recomputation.
 func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req daesim.Request
-	raw, err := serveapi.DecodeBody(w, r, rt.cfg.MaxBody, &req)
+	raw, err := serveapi.DecodeBody(w, r, serveapi.DefaultMaxBody, &req)
 	if err != nil {
 		serveapi.WriteJSON(w, http.StatusBadRequest, serveapi.ErrorResponse{Error: err.Error()})
 		return
@@ -331,7 +304,7 @@ func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 			Label: req.Label, Hash: hash, Cached: true, Report: &rep})
 		return
 	}
-	res, _, err := rt.flights.Do(r.Context(), hash, func() (*forwardResult, error) {
+	res, err := rt.flights.Do(r.Context(), hash, func() (*forwardResult, error) {
 		release, err := rt.queue.Acquire(r.Context(), PriorityRun)
 		if err != nil {
 			return nil, err
@@ -341,7 +314,7 @@ func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 	})
 	switch {
 	case err == ErrQueueFull || err == ErrDraining:
-		rt.admissionError(w, err)
+		admissionError(w, err)
 	case err != nil:
 		status := http.StatusServiceUnavailable
 		if r.Context().Err() != nil {
@@ -374,10 +347,10 @@ type routedSweepResponse struct {
 // handleSweep scatters a sweep's requests across the fabric — each
 // routed by its own content hash — and gathers the results in request
 // order. The sweep holds one admission slot; its internal fan-out is
-// bounded by SweepFanout.
+// bounded to two forwards per replica, at least four.
 func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var sweep serveapi.SweepRequest
-	if _, err := serveapi.DecodeBody(w, r, rt.cfg.MaxBody, &sweep); err != nil {
+	if _, err := serveapi.DecodeBody(w, r, serveapi.DefaultMaxBody, &sweep); err != nil {
 		serveapi.WriteJSON(w, http.StatusBadRequest, serveapi.ErrorResponse{Error: err.Error()})
 		return
 	}
@@ -392,13 +365,13 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	release, err := rt.queue.Acquire(r.Context(), PrioritySweep)
 	if err != nil {
-		rt.admissionError(w, err)
+		admissionError(w, err)
 		return
 	}
 	defer release()
 
 	results := make([]routedResult, len(sweep.Requests))
-	sem := make(chan struct{}, rt.cfg.SweepFanout)
+	sem := make(chan struct{}, max(2*len(rt.replicas), 4))
 	var wg sync.WaitGroup
 	for i, rq := range sweep.Requests {
 		wg.Add(1)
@@ -434,7 +407,7 @@ func (rt *Router) runOne(ctx context.Context, req daesim.Request) routedResult {
 	if err != nil {
 		return routedResult{Label: req.Label, Error: fmt.Sprintf("encode request: %v", err)}
 	}
-	res, _, err := rt.flights.Do(ctx, hash, func() (*forwardResult, error) {
+	res, err := rt.flights.Do(ctx, hash, func() (*forwardResult, error) {
 		return rt.forward(ctx, http.MethodPost, "/v1/runs", body, hash)
 	})
 	if err != nil {
@@ -488,9 +461,6 @@ func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
 		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, base+"/v1/runs/"+hash+"/events", nil)
 		if err != nil {
 			break
-		}
-		if accept := r.Header.Get("Accept"); accept != "" {
-			req.Header.Set("Accept", accept)
 		}
 		resp, err := rt.client.Do(req)
 		if err != nil {

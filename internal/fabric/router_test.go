@@ -247,7 +247,7 @@ func TestRouterReplicaDeathMidSweep(t *testing.T) {
 
 	// Build a sweep where the victim owns several requests. The mirror
 	// ring below is the same deterministic structure the router built.
-	mirror := NewRing(0)
+	mirror := NewRing()
 	for _, b := range bases {
 		mirror.Add(b)
 	}
@@ -364,10 +364,9 @@ func TestRouterAdmissionControl(t *testing.T) {
 	defer slow.Close()
 
 	rt, err := NewRouter(Config{
-		Replicas:   []string{slow.URL},
-		MaxActive:  1,
-		MaxQueue:   1,
-		RetryAfter: 2 * time.Second,
+		Replicas:  []string{slow.URL},
+		MaxActive: 1,
+		MaxQueue:  1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -401,8 +400,8 @@ func TestRouterAdmissionControl(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("full fabric returned %d, want 429: %s", resp.StatusCode, body)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "2" {
-		t.Errorf("Retry-After = %q, want \"2\"", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Errorf("Retry-After = %q, want \"1\"", ra)
 	}
 
 	// Drain: waiters shed with 503, new arrivals refused with 503.

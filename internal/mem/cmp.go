@@ -129,9 +129,6 @@ func NewInterconnect(cfg Config, cores int) (*Interconnect, error) {
 	return ic, nil
 }
 
-// Cores returns the number of attached cores.
-func (ic *Interconnect) Cores() int { return ic.cores }
-
 // System returns core c's private memory system (L1 + ports + MSHRs over
 // the shared fabric).
 func (ic *Interconnect) System(c int) *System { return ic.systems[c] }

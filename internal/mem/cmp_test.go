@@ -423,3 +423,6 @@ func TestInterconnectResetStats(t *testing.T) {
 		t.Fatalf("core 0 L1 name lost on reset: %q", h.sys[0].l1Stats.Name)
 	}
 }
+
+// Cores returns the number of attached cores.
+func (ic *Interconnect) Cores() int { return ic.cores }

@@ -35,9 +35,6 @@ func (r *Ring[T]) Len() int { return r.size }
 // Full reports whether the queue is at capacity.
 func (r *Ring[T]) Full() bool { return r.size == len(r.buf) }
 
-// Free returns the number of unoccupied slots.
-func (r *Ring[T]) Free() int { return len(r.buf) - r.size }
-
 // wrap folds an index in [0, 2·cap) back into the buffer. Indexes only
 // ever overshoot by less than one capacity, so a conditional subtract
 // replaces the modulo division in the simulator's hottest loops.
@@ -95,18 +92,9 @@ func (r *Ring[T]) Peek() (T, bool) {
 	return r.buf[r.head], true
 }
 
-// At returns the element at queue position i (0 = head). It panics if i is
-// out of range; use Len to bound iteration.
-func (r *Ring[T]) At(i int) T {
-	if i < 0 || i >= r.size {
-		panic(fmt.Sprintf("queue: index %d out of range (len %d)", i, r.size))
-	}
-	return r.buf[r.wrap(r.head+i)]
-}
-
 // Scan calls f on each element from head to tail until f returns false.
-// Unlike an At loop it performs no per-element bounds check or modulo,
-// which matters in the simulator's per-cycle queue walks.
+// It performs no per-element bounds check or modulo, which matters in
+// the simulator's per-cycle queue walks.
 func (r *Ring[T]) Scan(f func(T) bool) {
 	i := r.head
 	for n := 0; n < r.size; n++ {
@@ -118,13 +106,4 @@ func (r *Ring[T]) Scan(f func(T) bool) {
 			i = 0
 		}
 	}
-}
-
-// Set overwrites the element at queue position i (0 = head). It panics if
-// i is out of range.
-func (r *Ring[T]) Set(i int, v T) {
-	if i < 0 || i >= r.size {
-		panic(fmt.Sprintf("queue: index %d out of range (len %d)", i, r.size))
-	}
-	r.buf[r.wrap(r.head+i)] = v
 }

@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -238,4 +239,25 @@ func TestScanVisitsHeadToTail(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("early-stop scan visited %d elements", n)
 	}
+}
+
+// Free returns the number of unoccupied slots.
+func (r *Ring[T]) Free() int { return len(r.buf) - r.size }
+
+// At returns the element at queue position i (0 = head). It panics if i is
+// out of range; use Len to bound iteration.
+func (r *Ring[T]) At(i int) T {
+	if i < 0 || i >= r.size {
+		panic(fmt.Sprintf("queue: index %d out of range (len %d)", i, r.size))
+	}
+	return r.buf[r.wrap(r.head+i)]
+}
+
+// Set overwrites the element at queue position i (0 = head). It panics if
+// i is out of range.
+func (r *Ring[T]) Set(i int, v T) {
+	if i < 0 || i >= r.size {
+		panic(fmt.Sprintf("queue: index %d out of range (len %d)", i, r.size))
+	}
+	r.buf[r.wrap(r.head+i)] = v
 }

@@ -29,17 +29,6 @@ func (s *Source) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Intn returns a pseudo-random int in [0, n). It panics if n <= 0.
-func (s *Source) Intn(n int) int {
-	if n <= 0 {
-		panic("rng: Intn with non-positive n")
-	}
-	// Lemire's multiply-shift rejection-free reduction is not needed here;
-	// modulo bias is negligible for the small n used by workloads, but we
-	// use the high bits which have better equidistribution.
-	return int((s.Uint64() >> 11) % uint64(n))
-}
-
 // Float64 returns a pseudo-random float64 in [0, 1).
 func (s *Source) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)

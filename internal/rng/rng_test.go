@@ -166,3 +166,14 @@ func BenchmarkUint64(b *testing.B) {
 
 // newSource returns a Source seeded with seed.
 func newSource(seed uint64) *Source { return &Source{state: seed} }
+
+// Intn returns a pseudo-random int in [0, n). It panics if n <= 0.
+func (s *Source) Intn(n int) int {
+	if n <= 0 {
+		panic("rng: Intn with non-positive n")
+	}
+	// Lemire's multiply-shift rejection-free reduction is not needed here;
+	// modulo bias is negligible for the small n used by workloads, but we
+	// use the high bits which have better equidistribution.
+	return int((s.Uint64() >> 11) % uint64(n))
+}

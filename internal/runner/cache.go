@@ -141,22 +141,3 @@ func (c *cache) put(hash, key string, rep stats.Report) error {
 	}
 	return nil
 }
-
-// diskEntries counts well-formed entries in the disk tier (for tools and
-// tests; the hot path never scans the directory).
-func (c *cache) diskEntries() (int, error) {
-	if c.dir == "" {
-		return 0, nil
-	}
-	names, err := os.ReadDir(c.dir)
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, de := range names {
-		if !de.IsDir() && strings.HasSuffix(de.Name(), ".json") {
-			n++
-		}
-	}
-	return n, nil
-}

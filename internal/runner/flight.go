@@ -30,9 +30,9 @@ type flightCall[V any] struct {
 	err  error
 }
 
-// Do runs fn for key, or waits for the caller already running it. shared
-// reports that the result came from another caller's fn.
-func (g *Flight[V]) Do(ctx context.Context, key string, fn func() (V, error)) (v V, shared bool, err error) {
+// Do runs fn for key, or waits for the caller already running it and
+// returns that caller's result.
+func (g *Flight[V]) Do(ctx context.Context, key string, fn func() (V, error)) (v V, err error) {
 	for {
 		g.mu.Lock()
 		if c, ok := g.m[key]; ok {
@@ -40,13 +40,13 @@ func (g *Flight[V]) Do(ctx context.Context, key string, fn func() (V, error)) (v
 			select {
 			case <-c.done:
 			case <-ctx.Done():
-				return v, false, ctx.Err()
+				return v, ctx.Err()
 			}
 			if c.err != nil && ctx.Err() == nil &&
 				(errors.Is(c.err, context.Canceled) || errors.Is(c.err, context.DeadlineExceeded)) {
 				continue // the owner's cancellation, not ours: retry as owner
 			}
-			return c.val, true, c.err
+			return c.val, c.err
 		}
 		if g.m == nil {
 			g.m = make(map[string]*flightCall[V])
@@ -62,6 +62,6 @@ func (g *Flight[V]) Do(ctx context.Context, key string, fn func() (V, error)) (v
 		delete(g.m, key)
 		g.mu.Unlock()
 		close(c.done)
-		return c.val, false, c.err
+		return c.val, c.err
 	}
 }

@@ -31,7 +31,6 @@ func TestFlight(t *testing.T) {
 				return 42, nil
 			}
 			var wg sync.WaitGroup
-			shared := make([]bool, callers)
 			for i := 0; i < callers; i++ {
 				if i == 1 {
 					<-entered // the first caller owns the key
@@ -39,11 +38,10 @@ func TestFlight(t *testing.T) {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					v, sh, err := g.Do(context.Background(), "k", fn)
+					v, err := g.Do(context.Background(), "k", fn)
 					if v != 42 || err != nil {
 						t.Errorf("caller %d: %d, %v", i, v, err)
 					}
-					shared[i] = sh
 				}(i)
 			}
 			time.Sleep(20 * time.Millisecond) // let the waiters block
@@ -52,18 +50,13 @@ func TestFlight(t *testing.T) {
 			if n := calls.Load(); n != 1 {
 				t.Fatalf("fn ran %d times for %d concurrent callers", n, callers)
 			}
-			for i, sh := range shared {
-				if sh != (i > 0) {
-					t.Errorf("caller %d: shared=%v", i, sh)
-				}
-			}
 		}},
 		{"cancelled owner hands over to a live waiter", func(t *testing.T, g *Flight[int]) {
 			ownerCtx, cancelOwner := context.WithCancel(context.Background())
 			entered := make(chan struct{})
 			ownerErr := make(chan error, 1)
 			go func() {
-				_, _, err := g.Do(ownerCtx, "k", func() (int, error) {
+				_, err := g.Do(ownerCtx, "k", func() (int, error) {
 					close(entered)
 					<-ownerCtx.Done()
 					return 0, fmt.Errorf("owner: %w", ownerCtx.Err())
@@ -73,10 +66,9 @@ func TestFlight(t *testing.T) {
 			<-entered
 			waiter := make(chan error, 1)
 			var got int
-			var shared bool
 			go func() {
 				var err error
-				got, shared, err = g.Do(context.Background(), "k", func() (int, error) { return 7, nil })
+				got, err = g.Do(context.Background(), "k", func() (int, error) { return 7, nil })
 				waiter <- err
 			}()
 			time.Sleep(20 * time.Millisecond) // let the waiter block
@@ -84,15 +76,15 @@ func TestFlight(t *testing.T) {
 			if err := <-ownerErr; !errors.Is(err, context.Canceled) {
 				t.Fatalf("owner error %v, want its cancellation", err)
 			}
-			if err := <-waiter; err != nil || got != 7 || shared {
-				t.Fatalf("waiter got %d shared=%v err=%v, want its own run's 7", got, shared, err)
+			if err := <-waiter; err != nil || got != 7 {
+				t.Fatalf("waiter got %d err=%v, want its own run's 7", got, err)
 			}
 		}},
 		{"cancelled waiter returns while the owner runs on", func(t *testing.T, g *Flight[int]) {
 			entered, release := make(chan struct{}), make(chan struct{})
 			owner := make(chan int, 1)
 			go func() {
-				v, _, _ := g.Do(context.Background(), "k", func() (int, error) {
+				v, _ := g.Do(context.Background(), "k", func() (int, error) {
 					close(entered)
 					<-release
 					return 42, nil
@@ -103,7 +95,7 @@ func TestFlight(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			waiter := make(chan error, 1)
 			go func() {
-				_, _, err := g.Do(ctx, "k", func() (int, error) {
+				_, err := g.Do(ctx, "k", func() (int, error) {
 					t.Error("a waiter ran fn while the owner was live")
 					return 0, nil
 				})

@@ -412,8 +412,9 @@ func (j Job) sources() ([]trace.Reader, error) {
 
 // execute runs a validated job's simulation once, bypassing the cache.
 // Cancelling ctx aborts it with an error wrapping ctx.Err(). onProgress,
-// when non-nil, receives a snapshot every "every" graduated instructions.
-func (j Job) execute(ctx context.Context, onProgress func(sim.Snapshot), every int64) (stats.Report, error) {
+// when non-nil, receives snapshots at the cadence snapshotEvery derives
+// from the job's budget.
+func (j Job) execute(ctx context.Context, onProgress func(sim.Snapshot)) (stats.Report, error) {
 	srcs, err := j.sources()
 	if err != nil {
 		return stats.Report{}, fmt.Errorf("runner: job %q: %w", j.Key, err)
@@ -430,7 +431,7 @@ func (j Job) execute(ctx context.Context, onProgress func(sim.Snapshot), every i
 		// whatever was captured, so only traces withhold the promise.
 		DisjointAddressSpaces: j.Workload.Kind != WorkloadTrace,
 		OnProgress:            onProgress,
-		ProgressEvery:         every,
+		ProgressEvery:         j.Budget.snapshotEvery(),
 	}
 	if j.Budget.Sampling != nil {
 		o.Sampling = *j.Budget.Sampling
@@ -444,4 +445,12 @@ func (j Job) execute(ctx context.Context, onProgress func(sim.Snapshot), every i
 			j.Key, j.Machine.Threads, j.Machine.Mem.L2Latency)
 	}
 	return res.Report, nil
+}
+
+// snapshotEvery is the in-run snapshot cadence for a budget: about
+// sixteen snapshots over warm-up plus measurement, so a tiny run still
+// streams progress, capped at sim.DefaultProgressEvery so a long one
+// does not flood its watchers.
+func (b Budget) snapshotEvery() int64 {
+	return min(max((b.WarmupInsts+b.MeasureInsts)/16, 1), sim.DefaultProgressEvery)
 }

@@ -52,14 +52,12 @@ type Options struct {
 	// batch's bookkeeping lock.
 	OnProgress func(Progress)
 	// OnSnapshot, when set, receives periodic in-run progress snapshots
-	// from every executing simulation (cache hits produce none). Calls
-	// may arrive concurrently from different workers; keep the callback
-	// fast and synchronize any shared state it touches.
+	// from every executing simulation (cache hits produce none): about
+	// sixteen over a job's budget, at most one per
+	// sim.DefaultProgressEvery graduated instructions. Calls may arrive
+	// concurrently from different workers; keep the callback fast and
+	// synchronize any shared state it touches.
 	OnSnapshot func(Snapshot)
-	// SnapshotEvery is the in-run snapshot cadence in graduated
-	// instructions (<= 0 applies the sim default). Ignored without
-	// OnSnapshot.
-	SnapshotEvery int64
 }
 
 // Snapshot is an in-run progress report: one executing job's identity
@@ -130,7 +128,6 @@ type Runner struct {
 	cache      *cache
 	onProgress func(Progress)
 	onSnapshot func(Snapshot)
-	snapEvery  int64
 	// sem is the global simulation semaphore: every fresh simulation
 	// (never a cache hit) holds one slot for its duration, bounding
 	// concurrency across overlapping batches.
@@ -157,7 +154,6 @@ func New(opts Options) (*Runner, error) {
 		cache:      c,
 		onProgress: opts.OnProgress,
 		onSnapshot: opts.OnSnapshot,
-		snapEvery:  opts.SnapshotEvery,
 		sem:        make(chan struct{}, workers),
 	}, nil
 }
@@ -282,7 +278,7 @@ func (r *Runner) runJob(ctx context.Context, j Job) Result {
 		return Result{Job: j, Hash: h, Report: rep, Cached: true}
 	}
 	simulated := false
-	rep, shared, err := r.flights.Do(ctx, h, func() (stats.Report, error) {
+	rep, err := r.flights.Do(ctx, h, func() (stats.Report, error) {
 		// A duplicate may have finished since the probe above.
 		if rep, ok := r.cache.get(h); ok {
 			return rep, nil
@@ -296,7 +292,7 @@ func (r *Runner) runJob(ctx context.Context, j Job) Result {
 		if r.onSnapshot != nil {
 			snap = func(s sim.Snapshot) { r.onSnapshot(Snapshot{Job: j, Hash: h, Sim: s}) }
 		}
-		rep, err := j.execute(ctx, snap, r.snapEvery)
+		rep, err := j.execute(ctx, snap)
 		<-r.sem
 		if err != nil {
 			return rep, err
@@ -319,7 +315,10 @@ func (r *Runner) runJob(ctx context.Context, j Job) Result {
 	default:
 		r.count(&r.stats.CacheHits)
 	}
-	return Result{Job: j, Hash: h, Report: rep, Cached: shared || (err == nil && !simulated), Err: err}
+	// Whatever this call did not simulate came from the cache or another
+	// caller's run, and is a hit unless it failed: a waiter that shares
+	// its owner's failure failed too.
+	return Result{Job: j, Hash: h, Report: rep, Cached: err == nil && !simulated, Err: err}
 }
 
 // count increments one lifetime counter.

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -22,6 +23,24 @@ import (
 // still graduates through warm-up and measurement windows.
 func testBudget() Budget {
 	return Budget{WarmupInsts: 500, MeasureInsts: 2_000}
+}
+
+// diskEntries counts well-formed entries in the disk tier.
+func (c *cache) diskEntries() (int, error) {
+	if c.dir == "" {
+		return 0, nil
+	}
+	names, err := os.ReadDir(c.dir)
+	if err != nil {
+		return 0, err
+	}
+	n := 0
+	for _, de := range names {
+		if !de.IsDir() && strings.HasSuffix(de.Name(), ".json") {
+			n++
+		}
+	}
+	return n, nil
 }
 
 // mixJob builds a quick mix job on an n-thread Figure-2 machine.
@@ -180,6 +199,48 @@ func TestDuplicatePointsSimulateOnce(t *testing.T) {
 		if !reflect.DeepEqual(results[0].Report, results[i].Report) {
 			t.Fatal("deduplicated results differ")
 		}
+	}
+}
+
+// TestSharedFailureIsNotACacheHit: a job that waits on another caller's
+// failing run shares the failure, and counts as a failure, not a cache
+// hit, in its Result, its batch's Progress and the lifetime Stats.
+func TestSharedFailureIsNotACacheHit(t *testing.T) {
+	var last Progress
+	r := mustRunner(t, Options{Workers: 1, OnProgress: func(p Progress) { last = p }})
+	j := mixJob("shared-failure", 1, 0)
+	boom := errors.New("owner failed")
+	entered, release := make(chan struct{}), make(chan struct{})
+	ownerDone := make(chan struct{})
+	go func() {
+		defer close(ownerDone)
+		r.flights.Do(context.Background(), j.Hash(), func() (stats.Report, error) {
+			close(entered)
+			<-release
+			return stats.Report{}, boom
+		})
+	}()
+	<-entered
+	done := make(chan Result, 1)
+	go func() {
+		res, _ := r.RunContext(context.Background(), []Job{j})
+		done <- res[0]
+	}()
+	time.Sleep(20 * time.Millisecond) // let the job wait on the owner
+	close(release)
+	res := <-done
+	<-ownerDone
+	if !errors.Is(res.Err, boom) {
+		t.Fatalf("waiter got %v, want the owner's failure", res.Err)
+	}
+	if res.Cached {
+		t.Error("a shared failure reports Cached")
+	}
+	if last.CacheHits != 0 || last.Failures != 1 {
+		t.Errorf("batch progress counts %d hits and %d failures, want 0 and 1", last.CacheHits, last.Failures)
+	}
+	if s := r.Stats(); s.CacheHits != 0 || s.Failures != 1 {
+		t.Errorf("lifetime stats %+v, want 0 hits and 1 failure", s)
 	}
 }
 
@@ -455,15 +516,17 @@ func TestGlobalSemaphoreBoundsOverlappingBatches(t *testing.T) {
 	// job may arrive while another is running.
 	var mu sync.Mutex
 	running := make(map[string]bool)
-	peak := 0
+	peak, midRun := 0, 0
 	r, err := New(Options{
-		Workers:       1,
-		SnapshotEvery: 200,
+		Workers: 1,
 		OnSnapshot: func(s Snapshot) {
 			mu.Lock()
 			defer mu.Unlock()
 			running[s.Job.Key] = true
 			peak = max(peak, len(running))
+			if s.Sim.Graduated < s.Sim.TargetInsts {
+				midRun++
+			}
 			if s.Sim.Phase == sim.PhaseMeasure && s.Sim.Graduated >= s.Sim.TargetInsts {
 				delete(running, s.Job.Key)
 			}
@@ -484,6 +547,9 @@ func TestGlobalSemaphoreBoundsOverlappingBatches(t *testing.T) {
 		}(b)
 	}
 	wg.Wait()
+	if midRun == 0 {
+		t.Fatal("no mid-window snapshots: the bound was checked only at window ends")
+	}
 	if peak > 1 {
 		t.Fatalf("%d simulations were in flight on a 1-worker runner", peak)
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
 
 	daesim "repro"
 )
@@ -17,11 +16,10 @@ import (
 // event, so clients can always follow a POST with an events GET without
 // racing the run's completion.
 //
-// The wire format is Server-Sent Events by default ("event:" is the
-// Progress kind, "data:" its JSON); a client sending
-// Accept: application/x-ndjson gets one JSON object per line instead.
-// The stream is exempt from the server's per-run timeout — it follows
-// the watched run, which is capped by its own executing request.
+// The wire format is Server-Sent Events: "event:" is the Progress kind,
+// "data:" its JSON. The stream is exempt from the server's per-run
+// timeout — it follows the watched run, which is capped by its own
+// executing request.
 func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
 	flusher, ok := w.(http.Flusher)
@@ -29,13 +27,8 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusInternalServerError, ErrorResponse{Error: "streaming unsupported by this connection"})
 		return
 	}
-	ndjson := strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")
-	if ndjson {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	} else {
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-cache")
-	}
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
 
 	// Subscribe before the cache check: a run finishing between the two
 	// would otherwise slip through both (not yet cached at the lookup,
@@ -43,7 +36,7 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	events, stop := s.eng.WatchHash(hash, 256)
 	defer stop()
 	if _, cached := s.eng.Lookup(hash); cached {
-		writeEvent(w, ndjson, daesim.Progress{Event: daesim.ProgressDone, Hash: hash, Cached: true})
+		writeEvent(w, daesim.Progress{Event: daesim.ProgressDone, Hash: hash, Cached: true})
 		flusher.Flush()
 		return
 	}
@@ -56,26 +49,19 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		case p, ok := <-events:
 			if !ok {
-				return
+				return // WatchHash closes the channel after the done event
 			}
-			writeEvent(w, ndjson, p)
+			writeEvent(w, p)
 			flusher.Flush()
-			if p.Event == daesim.ProgressDone {
-				return
-			}
 		}
 	}
 }
 
-// writeEvent emits one Progress in the negotiated framing.
-func writeEvent(w http.ResponseWriter, ndjson bool, p daesim.Progress) {
+// writeEvent emits one Progress as a Server-Sent Event.
+func writeEvent(w http.ResponseWriter, p daesim.Progress) {
 	raw, err := json.Marshal(p)
 	if err != nil {
 		return
 	}
-	if ndjson {
-		fmt.Fprintf(w, "%s\n", raw)
-	} else {
-		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", p.Event, raw)
-	}
+	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", p.Event, raw)
 }

@@ -2,7 +2,6 @@ package serveapi
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"net/http"
 	"strings"
@@ -31,10 +30,10 @@ func collectSSE(t *testing.T, body *bufio.Scanner) [][2]string {
 
 // TestEventsStreamFreshRun: a client watching a fresh run's hash sees
 // in-run snapshots followed by exactly one done event, then the stream
-// ends. SnapshotEvery is forced small so a tiny-budget run still emits
-// snapshots.
+// ends. The snapshot cadence follows the run's budget, so a tiny-budget
+// run still emits snapshots.
 func TestEventsStreamFreshRun(t *testing.T) {
-	ts, _ := newTestServer(t, daesim.EngineOpts{Workers: 1, SnapshotEvery: 1_000}, 0)
+	ts, _ := newTestServer(t, daesim.EngineOpts{Workers: 1}, 0)
 	req := daesim.MixRequest(daesim.Figure2(1), tinyOpts())
 
 	// Open the stream first, then trigger the run: the subscription must
@@ -68,7 +67,7 @@ func TestEventsStreamFreshRun(t *testing.T) {
 		if len(events) == 0 {
 			t.Fatal("empty event stream")
 		}
-		var snapshots, done int
+		var snapshots, midRun, done int
 		for _, e := range events {
 			var p daesim.Progress
 			if err := json.Unmarshal([]byte(e[1]), &p); err != nil {
@@ -80,6 +79,9 @@ func TestEventsStreamFreshRun(t *testing.T) {
 			switch e[0] {
 			case "snapshot":
 				snapshots++
+				if p.Graduated < p.TargetInsts {
+					midRun++
+				}
 			case "done":
 				done++
 				if p.Error != "" {
@@ -87,8 +89,8 @@ func TestEventsStreamFreshRun(t *testing.T) {
 				}
 			}
 		}
-		if snapshots == 0 || done != 1 {
-			t.Errorf("stream had %d snapshots and %d done events, want >0 and 1", snapshots, done)
+		if midRun == 0 || done != 1 {
+			t.Errorf("stream had %d snapshots (%d mid-window) and %d done events, want mid-window snapshots and 1", snapshots, midRun, done)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("stream never ended after the run completed")
@@ -120,39 +122,6 @@ func TestEventsCachedHashImmediateDone(t *testing.T) {
 	}
 	if !p.Cached || p.Hash != req.Hash() {
 		t.Errorf("done event %+v, want cached=true for this hash", p)
-	}
-}
-
-// TestEventsNDJSONFraming: Accept: application/x-ndjson switches the
-// framing to one JSON object per line.
-func TestEventsNDJSONFraming(t *testing.T) {
-	ts, _ := newTestServer(t, daesim.EngineOpts{Workers: 1}, 0)
-	req := daesim.MixRequest(daesim.Figure2(1), tinyOpts())
-	if code := do(t, "POST", ts.URL+"/v1/runs", req, nil); code != 200 {
-		t.Fatalf("POST status %d", code)
-	}
-	hreq, _ := http.NewRequest("GET", ts.URL+"/v1/runs/"+req.Hash()+"/events", nil)
-	hreq.Header.Set("Accept", "application/x-ndjson")
-	resp, err := http.DefaultClient.Do(hreq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Errorf("Content-Type %q, want application/x-ndjson", ct)
-	}
-	var buf bytes.Buffer
-	buf.ReadFrom(resp.Body)
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 1 {
-		t.Fatalf("cached NDJSON stream had %d lines, want 1: %q", len(lines), buf.String())
-	}
-	var p daesim.Progress
-	if err := json.Unmarshal([]byte(lines[0]), &p); err != nil {
-		t.Fatalf("line %q: %v", lines[0], err)
-	}
-	if p.Event != daesim.ProgressDone || !p.Cached {
-		t.Errorf("NDJSON event %+v, want cached done", p)
 	}
 }
 

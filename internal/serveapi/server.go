@@ -10,7 +10,7 @@
 //	POST /v1/runs                 execute one daesim.Request (JSON body)
 //	POST /v1/sweeps               execute {"requests": [...]}; per-result errors
 //	GET  /v1/runs/{hash}          serve a previously computed result by hash
-//	GET  /v1/runs/{hash}/events   stream the run's progress (SSE or NDJSON)
+//	GET  /v1/runs/{hash}/events   stream the run's progress (SSE)
 //	GET  /healthz                 liveness + engine cache statistics
 package serveapi
 

@@ -228,9 +228,6 @@ func NewWriter(w io.Writer, h Header) (*Writer, error) {
 	}, nil
 }
 
-// Header returns the header the writer was created with.
-func (w *Writer) Header() Header { return w.h }
-
 // Counts returns the per-stream record totals written so far.
 func (w *Writer) Counts() []int64 { return append([]int64(nil), w.counts...) }
 
@@ -397,9 +394,6 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 
 // Header returns the container's header.
 func (d *Decoder) Header() Header { return d.h }
-
-// Counts returns the per-stream record totals decoded so far.
-func (d *Decoder) Counts() []int64 { return append([]int64(nil), d.counts...) }
 
 // Err returns the first decoding error, if any. A clean terminator is
 // not an error.

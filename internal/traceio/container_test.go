@@ -233,3 +233,6 @@ func TestUvarintAssumption(t *testing.T) {
 		t.Fatalf("uvarint(5) = %d bytes", n)
 	}
 }
+
+// Counts returns the per-stream record totals decoded so far.
+func (d *Decoder) Counts() []int64 { return append([]int64(nil), d.counts...) }
