@@ -19,12 +19,9 @@ import (
 // TestServeEndToEnd boots the real server loop (listener, engine, HTTP
 // stack, graceful shutdown) on a random port and drives it with
 // concurrent clients — run under -race in CI, this is the service's
-// thread-safety gate. It also asserts the issue's dedup contract at the
-// HTTP level: N concurrent identical POSTs simulate once.
+// thread-safety gate. It also asserts the dedup contract at the HTTP
+// level: N concurrent identical POSTs simulate once.
 func TestServeEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("e2e server test skipped in -short mode")
-	}
 	cacheDir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	ready := make(chan net.Addr, 1)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -351,5 +352,52 @@ func TestWriteHashesCoversCacheHits(t *testing.T) {
 	}
 	if first != second || strings.Count(second, "\n") != 2 {
 		t.Fatalf("cache-served sweep changed the hash file:\n%s\nvs\n%s", first, second)
+	}
+}
+
+// TestC1HashesIndependentOfGOMAXPROCS: a chip is simulated on one
+// goroutine, so GOMAXPROCS may change only which sweep jobs run
+// concurrently (and, with -workers 0, how many), never a result. Figure
+// C1 at the golden budget must write the same -hashfile under
+// GOMAXPROCS 1 and 4, and each of its job and result hash pairs must be
+// one the -fig all golden (testdata/hashes.txt) pins. A divergence means
+// shared mutable state leaked between per-job simulations.
+func TestC1HashesIndependentOfGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	hashes := func(procs int) string {
+		runtime.GOMAXPROCS(procs)
+		path := filepath.Join(t.TempDir(), "hashes.txt")
+		var stdout, stderr strings.Builder
+		if code := run([]string{"-fig", "c1", "-warmup", "2000", "-measure", "8000", "-hashfile", path}, &stdout, &stderr); code != 0 {
+			t.Fatalf("GOMAXPROCS=%d: exit code %d, stderr: %s", procs, code, stderr.String())
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
+	}
+	p1, p4 := hashes(1), hashes(4)
+	if p1 != p4 {
+		t.Fatalf("c1 hashes depend on GOMAXPROCS:\n1: %s\n4: %s", p1, p4)
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "hashes.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := map[string]bool{}
+	for _, line := range strings.Split(string(golden), "\n") {
+		if f := strings.Fields(line); len(f) >= 2 {
+			pinned[f[0]+" "+f[1]] = true
+		}
+	}
+	lines := strings.Split(strings.TrimSpace(p1), "\n")
+	for _, line := range lines {
+		if f := strings.Fields(line); len(f) < 2 || !pinned[f[0]+" "+f[1]] {
+			t.Errorf("c1 point %q is not in testdata/hashes.txt", line)
+		}
+	}
+	if len(lines) != 14 {
+		t.Errorf("c1 wrote %d hash lines, want 14", len(lines))
 	}
 }

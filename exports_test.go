@@ -1,3 +1,8 @@
+//go:build !race
+
+// The scan is static: the race detector adds nothing to it but time, so
+// the -race test runs leave it out.
+
 package daesim
 
 import (
@@ -47,6 +52,11 @@ var testOnlyExportAllowlist = map[string]string{
 // fmt.Stringer, error, heap.Interface or an interface non-test code
 // declares counts as used too: it is called through the interface.
 func TestNoTestOnlyExports(t *testing.T) {
+	// The scan reads Go source only. With cgo off, packages such as net
+	// type-check from their pure-Go files and need no C toolchain, which
+	// a 32-bit test binary on a 64-bit host lacks.
+	defer func(cgo bool) { build.Default.CgoEnabled = cgo }(build.Default.CgoEnabled)
+	build.Default.CgoEnabled = false
 	fset := token.NewFileSet()
 	l := &srcLoader{
 		fset: fset,

@@ -314,16 +314,15 @@ func (m Machine) CoreCount() int {
 // stream per context, core c running contexts [c×Threads, (c+1)×Threads).
 func (m Machine) TotalContexts() int { return m.CoreCount() * m.Threads }
 
-// scaleFactor implements the Section-2 scaling rule.
+// scaleFactor implements the Section-2 scaling rule: ceil(L2Latency/16).
+// A factor past MaxEntries, which checkBounds rejects, is clamped to
+// MaxEntries+1, so a huge latency can neither wrap the int64 sum nor a
+// 32-bit int.
 func (m Machine) scaleFactor() int {
-	if !m.ScaleWithLatency {
+	if !m.ScaleWithLatency || m.Mem.L2Latency <= 16 {
 		return 1
 	}
-	f := int((m.Mem.L2Latency + 15) / 16)
-	if f < 1 {
-		f = 1
-	}
-	return f
+	return int(min((m.Mem.L2Latency-1)/16+1, MaxEntries+1))
 }
 
 // Effective returns the machine with derived sizes resolved: the MSHR

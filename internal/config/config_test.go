@@ -2,6 +2,7 @@ package config
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/branch"
@@ -327,6 +328,10 @@ func TestCoreCountAndTotalContexts(t *testing.T) {
 	}
 }
 
+// hugeInt is past every machine bound: 1<<40 where int is 64 bits, the
+// largest int where it is 32.
+const hugeInt = min(1<<40, math.MaxInt)
+
 // TestValidateBounds: the upper bounds reject machines whose effective
 // (scaled) sizes would allocate the host out of memory, and accept the
 // largest machines the figures build and a machine exactly at a bound.
@@ -349,12 +354,13 @@ func TestValidateBounds(t *testing.T) {
 		}, true},
 		{"ROB at the bound", func(m Machine) Machine { m.ROBSize = MaxEntries; return m.WithThreads(1) }, true},
 
-		{"ROB 1<<40", func(m Machine) Machine { m.ROBSize = 1 << 40; return m }, false},
+		{"huge ROB", func(m Machine) Machine { m.ROBSize = hugeInt; return m }, false},
 		{"ROB past the bound", func(m Machine) Machine { m.ROBSize = MaxEntries + 1; return m }, false},
-		{"huge threads", func(m Machine) Machine { return m.WithThreads(1 << 40) }, false},
-		{"huge cores", func(m Machine) Machine { return m.WithCores(1 << 40) }, false},
+		{"huge threads", func(m Machine) Machine { return m.WithThreads(hugeInt) }, false},
+		{"huge cores", func(m Machine) Machine { return m.WithCores(hugeInt) }, false},
 		{"contexts past the bound", func(m Machine) Machine { return m.WithThreads(64).WithCores(8) }, false},
 		{"huge scaled latency", func(m Machine) Machine { return scaled(m, 1<<40) }, false},
+		{"largest scaled latency", func(m Machine) Machine { return scaled(m, math.MaxInt64) }, false},
 		{"scaled ROB past the bound", func(m Machine) Machine { m.ROBSize = 8192; return scaled(m, 256) }, false},
 		{"scaled MSHRs past the bound", func(m Machine) Machine {
 			m.MSHRsPerThread = 2048
@@ -364,9 +370,9 @@ func TestValidateBounds(t *testing.T) {
 			m.ROBSize = 1 << 15
 			return m.WithThreads(64)
 		}, false},
-		{"huge BHT", func(m Machine) Machine { m.BHTEntries = 1 << 40; return m }, false},
-		{"huge L1", func(m Machine) Machine { m.Mem.L1.SizeBytes = 1 << 40; return m }, false},
-		{"huge L2", func(m Machine) Machine { return m.WithHierarchy(64, SharedL2(1<<40, 8)) }, false},
+		{"huge BHT", func(m Machine) Machine { m.BHTEntries = hugeInt; return m }, false},
+		{"huge L1", func(m Machine) Machine { m.Mem.L1.SizeBytes = hugeInt; return m }, false},
+		{"huge L2", func(m Machine) Machine { return m.WithHierarchy(64, SharedL2(hugeInt, 8)) }, false},
 		{"private L2s past the bound", func(m Machine) Machine {
 			return m.WithThreads(1).WithCores(8).WithHierarchy(64, SharedL2(32<<20, 8)).WithPrivateHierarchy()
 		}, false},

@@ -12,7 +12,8 @@ import (
 // ReportHash returns a canonical content hash of a simulation result: a
 // hex SHA-256 of the report's JSON encoding. Two runs of the same job are
 // deterministic by construction, so their report hashes must be equal —
-// the CI determinism gate runs a sweep twice and diffs the hash sets.
+// the CI determinism gate holds every figure's hashes to a committed
+// golden.
 func ReportHash(rep stats.Report) string {
 	b, err := json.Marshal(rep)
 	if err != nil {

@@ -84,10 +84,6 @@ const (
 	// ModeExact is full detailed simulation (the default; an empty mode
 	// normalizes to it, and "exact" spelled out hashes identically).
 	ModeExact = "exact"
-	// ModeAdaptive runs the exact simulation. It keeps its own canonical
-	// form, and so its own hash, which keeps cached adaptive results
-	// addressable.
-	ModeAdaptive = "adaptive"
 	// ModeSampled is SMARTS-style systematic sampling: an IPC *estimate*
 	// with a 95% confidence interval in Report.Sampled, at a fraction of
 	// the detailed cost.
@@ -114,8 +110,8 @@ type Budget struct {
 	MeasureInsts int64 `json:"measureInsts"`
 	// MaxCycles caps the run as a deadlock guard (0 = a large default).
 	MaxCycles int64 `json:"maxCycles,omitempty"`
-	// Mode selects the execution mode: ModeExact (default), ModeAdaptive
-	// or ModeSampled. Omitted — and normalized away for "exact" — so
+	// Mode selects the execution mode: ModeExact (default) or
+	// ModeSampled. Omitted — and normalized away for "exact" — so
 	// every pre-mode description hashes exactly as it always did.
 	Mode string `json:"mode,omitempty"`
 	// Sampling parameterizes ModeSampled; it must be nil otherwise.
@@ -230,7 +226,7 @@ func Validate(j Job) error {
 		return invalid("negative mix segment length %d", w.SegmentLen)
 	}
 	switch b.Mode {
-	case "", ModeAdaptive:
+	case "":
 		if b.Sampling != nil {
 			return invalid("sampling parameters require sampled mode")
 		}
@@ -249,7 +245,7 @@ func Validate(j Job) error {
 			return fmt.Errorf("%w: %w", ErrInvalidRequest, err)
 		}
 	default:
-		return invalid("unknown execution mode %q", b.Mode)
+		return invalid("unknown execution mode %q (want %s or %s)", b.Mode, ModeExact, ModeSampled)
 	}
 	// Stray cross-field content is rejected rather than ignored: every
 	// field is part of the content hash, so a bench run carrying a

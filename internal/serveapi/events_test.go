@@ -99,8 +99,8 @@ func TestEventsStreamFreshRun(t *testing.T) {
 
 // TestEventsCachedHashImmediateDone: a hash that is already cached
 // yields one immediate done event and the stream closes — this is what
-// makes "POST, then GET events" race-free for clients and CI smoke
-// scripts.
+// makes "POST, then GET events" race-free for clients and for the
+// router's end-to-end test.
 func TestEventsCachedHashImmediateDone(t *testing.T) {
 	ts, _ := newTestServer(t, daesim.EngineOpts{Workers: 1}, 0)
 	req := daesim.BenchmarkRequest("swim", daesim.Figure2(1), tinyOpts())

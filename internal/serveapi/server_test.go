@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -229,6 +230,7 @@ func TestValidationMapsToBadRequest(t *testing.T) {
 		{"zero threads", `{"machine": {"Threads": 0}, "workload": {"kind": "mix"}}`},
 		{"unknown benchmark", `{"machine": {"Threads": 1}, "workload": {"kind": "bench", "bench": "quake3"}}`},
 		{"negative budget", `{"workload": {"kind": "mix"}, "budget": {"warmupInsts": -1, "measureInsts": 100}}`},
+		{"adaptive mode", `{"machine": {"Threads": 1}, "workload": {"kind": "mix"}, "budget": {"measureInsts": 100, "mode": "adaptive"}}`},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(tc.body))
@@ -243,6 +245,9 @@ func TestValidationMapsToBadRequest(t *testing.T) {
 		}
 		if body.Error == "" {
 			t.Errorf("%s: missing JSON error body", tc.name)
+		}
+		if tc.name == "adaptive mode" && !strings.Contains(body.Error, daesim.ModeExact) {
+			t.Errorf("%s: error %q does not name %s", tc.name, body.Error, daesim.ModeExact)
 		}
 	}
 
@@ -266,12 +271,15 @@ func TestValidationMapsToBadRequest(t *testing.T) {
 func TestOversizedMachineMapsToBadRequest(t *testing.T) {
 	ts, _ := newTestServer(t, daesim.EngineOpts{Workers: 1}, 0)
 	hugeROB := daesim.Figure2(1)
-	hugeROB.ROBSize = 1 << 40
+	// Past every bound: 1<<40 where int is 64 bits, the largest int
+	// where it is 32.
+	const huge = min(1<<40, math.MaxInt)
+	hugeROB.ROBSize = huge
 	hugeScale := daesim.Section2().WithL2Latency(1 << 40)
 	for name, m := range map[string]daesim.Machine{
-		"ROB 1<<40":         hugeROB,
-		"threads 1<<40":     daesim.Figure2(1 << 40),
-		"cores 1<<40":       daesim.Figure2(1).WithCores(1 << 40),
+		"huge ROB":          hugeROB,
+		"huge threads":      daesim.Figure2(huge),
+		"huge cores":        daesim.Figure2(1).WithCores(huge),
 		"scaled L2 latency": hugeScale,
 		"contexts past 256": daesim.Figure2(64).WithCores(8),
 	} {

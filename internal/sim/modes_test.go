@@ -13,61 +13,8 @@ import (
 	"repro/internal/workload"
 )
 
-// Execution-mode tests: "adaptive" is an alias of exact execution and
-// must reproduce its reports exactly, and sampled mode must be a
-// deterministic, well-formed estimator.
-
-// assertAdaptiveIsExact runs one machine in exact and in adaptive mode
-// over the same sources and fails the test on any difference.
-func assertAdaptiveIsExact(t *testing.T, machine config.Machine, warmup, measure int64) {
-	t.Helper()
-	run := func(mode Mode) Result {
-		t.Helper()
-		res, err := Run(context.Background(), Options{
-			Machine:      machine,
-			Sources:      mixSources(t, machine.TotalContexts(), 0),
-			WarmupInsts:  warmup,
-			MeasureInsts: measure,
-			Mode:         mode,
-		})
-		if err != nil {
-			t.Fatalf("%s run: %v", mode, err)
-		}
-		return res
-	}
-	exact, adaptive := run(ModeExact), run(ModeAdaptive)
-	if !reflect.DeepEqual(adaptive, exact) {
-		t.Errorf("adaptive diverged from exact (measure %d)\nexact:    %+v\nadaptive: %+v", measure, exact, adaptive)
-	}
-}
-
-// TestAdaptiveEquivalence pins that an adaptive-labelled run takes the
-// exact driver: its result is identical to the exact run's on a single
-// core and on a 2×2 CMP over a shared L2.
-func TestAdaptiveEquivalence(t *testing.T) {
-	cases := []struct {
-		name    string
-		machine config.Machine
-	}{
-		{"1core", config.Figure2(2).WithL2Latency(256)},
-		{"cmp2x2", config.Figure2(2).WithCores(2).WithHierarchy(64, config.SharedL2(256<<10, 8))},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			n := int64(c.machine.TotalContexts())
-			assertAdaptiveIsExact(t, c.machine, shortWarmup*n, shortMeasure*n)
-		})
-	}
-}
-
-// TestAdaptiveEquivalenceAcrossWindowScales keeps the alias exact over
-// measurement lengths from a few hundred instructions, where the run
-// ends right after warm-up, to a few hundred thousand.
-func TestAdaptiveEquivalenceAcrossWindowScales(t *testing.T) {
-	for _, measure := range []int64{500, 3_000, 70_000, 300_000} {
-		assertAdaptiveIsExact(t, config.Figure2(2).WithL2Latency(256), 1_000, measure)
-	}
-}
+// Execution-mode tests: sampled mode must be a deterministic,
+// well-formed estimator.
 
 // TestSampledReportWellFormed checks the sampled-mode contract: the
 // report carries a Sampled summary with measured units, a positive IPC

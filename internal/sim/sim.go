@@ -11,7 +11,6 @@
 //   - exact (the default): every cycle of the measurement is simulated in
 //     detail, fast-forwarding over provably idle stretches via the event
 //     calendar. Bit-identical to cycle-by-cycle stepping (Options.Stepped).
-//     "adaptive" is accepted as an alias of exact.
 //   - sampled: SMARTS-style systematic sampling — short detailed units
 //     spread over the instruction budget, separated by functional warp
 //     gaps (architectural state only) and detailed re-warm windows. An
@@ -37,10 +36,6 @@ type Mode string
 const (
 	// ModeExact is full detailed simulation with calendar fast-forward.
 	ModeExact Mode = ""
-	// ModeAdaptive is an alias of ModeExact. Requests keep it as a
-	// distinct canonical form, so cached results under that name stay
-	// addressable; Run folds it into the exact driver.
-	ModeAdaptive Mode = "adaptive"
 	// ModeSampled is SMARTS-style systematic sampling: estimative, with
 	// confidence intervals in Report.Sampled.
 	ModeSampled Mode = "sampled"
@@ -208,7 +203,7 @@ type Result struct {
 // returns ctx's error; cancellation never produces a partial Result.
 func Run(ctx context.Context, opts Options) (Result, error) {
 	mode := opts.Mode
-	if mode == "exact" || mode == ModeAdaptive {
+	if mode == "exact" {
 		mode = ModeExact
 	}
 	switch mode {

@@ -48,11 +48,7 @@ func streamDigest(r trace.Reader, n int) (string, error) {
 // serial readers. Declared first in the package, it also makes the first
 // use of the shared programs a contended one.
 func TestMixSourcesConcurrent(t *testing.T) {
-	const threads, workers = 4, 8
-	n := 200_000
-	if testing.Short() {
-		n = 20_000
-	}
+	const threads, workers, n = 4, 8, 200_000
 	opts := MixOpts{Seed: 77, SegmentLen: 3_000}
 	got := make([][]string, workers)
 	start := make(chan struct{})

@@ -35,13 +35,11 @@ const (
 )
 
 // Execution modes a Request can ask for (Budget.Mode): exact detailed
-// simulation (the default), its adaptive alias (which keeps its own
-// hash), and SMARTS-style sampling, an IPC estimate with a 95%
-// confidence interval in Report.Sampled.
+// simulation (the default) and SMARTS-style sampling, an IPC estimate
+// with a 95% confidence interval in Report.Sampled.
 const (
-	ModeExact    = runner.ModeExact
-	ModeAdaptive = runner.ModeAdaptive
-	ModeSampled  = runner.ModeSampled
+	ModeExact   = runner.ModeExact
+	ModeSampled = runner.ModeSampled
 )
 
 // Request is the canonical, JSON-serializable description of one

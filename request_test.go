@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -110,6 +111,8 @@ func TestValidateTypedErrors(t *testing.T) {
 		}, ErrUnknownBenchmark},
 		{"zero threads", func(r *Request) { r.Machine.Threads = 0 }, ErrInvalidConfig},
 		{"bad fetch policy", func(r *Request) { r.Machine.FetchPolicy = "lru" }, ErrInvalidConfig},
+		// The retired adaptive alias of exact is an unknown mode.
+		{"adaptive mode", func(r *Request) { r.Budget.Mode = "adaptive" }, ErrInvalidRequest},
 	}
 	for _, tc := range cases {
 		req := valid
@@ -121,6 +124,9 @@ func TestValidateTypedErrors(t *testing.T) {
 		}
 		if !errors.Is(err, tc.sentinel) {
 			t.Errorf("%s: error %v does not wrap the expected sentinel", tc.name, err)
+		}
+		if tc.name == "adaptive mode" && !strings.Contains(err.Error(), ModeExact) {
+			t.Errorf("%s: error %v does not name %s", tc.name, err, ModeExact)
 		}
 	}
 }
@@ -190,21 +196,13 @@ func TestRequestHashesPinned(t *testing.T) {
 	}...)
 	// Execution-mode requests (PR 8): pinned at introduction. Mode and
 	// Sampling are omitempty and exact mode normalizes to the zero value,
-	// so these join the schema without moving any hash above; adaptive
-	// hashes *distinctly* from exact even though results are bit-identical
-	// (the cache never has to trust that equivalence), and sampled
+	// so these join the schema without moving any hash above, and sampled
 	// requests always hash with their parameters spelled out.
 	pinned = append(pinned, []struct {
 		name string
 		req  Request
 		hash string
 	}{
-		{"mode adaptive t=4", func() Request {
-			r := MixRequest(Figure2(4), RunOpts{})
-			r.Budget.Mode = ModeAdaptive
-			return r.Normalized()
-		}(),
-			"2c2af3dcd1c40559e60aa1160f526e4bd17a6c2a2137663d8ea6b5d50ff8d922"},
 		{"mode sampled defaults", func() Request {
 			r := MixRequest(Figure2(4), RunOpts{MeasureInsts: 10_000_000})
 			r.Budget.Mode = ModeSampled
@@ -256,12 +254,6 @@ func TestRequestModeNormalization(t *testing.T) {
 	spelled.Budget.Mode = ModeExact
 	if spelled.Normalized().Hash() != base.Hash() {
 		t.Error("explicit exact mode hashes apart from the default request")
-	}
-
-	adaptive := MixRequest(Figure2(2), RunOpts{})
-	adaptive.Budget.Mode = ModeAdaptive
-	if adaptive.Normalized().Hash() == base.Hash() {
-		t.Error("adaptive request shares the exact hash")
 	}
 
 	// Defaults spelled out: a sampled request with nil sampling must hash
@@ -513,7 +505,7 @@ func FuzzRequestJSON(f *testing.F) {
 	}
 	// A machine too large to allocate must fail Validate, not the run.
 	hugeROB := Figure2(1)
-	hugeROB.ROBSize = 1 << 40
+	hugeROB.ROBSize = min(1<<40, math.MaxInt)
 	seeds := []Request{
 		MixRequest(Figure2(1), RunOpts{}),
 		MixRequest(Figure2(2), RunOpts{}),
@@ -527,7 +519,7 @@ func FuzzRequestJSON(f *testing.F) {
 		MixRequest(Figure2(2).WithCores(2).WithHierarchy(64, SharedL2(256<<10, 8)), RunOpts{}),
 		MixRequest(Figure2(1).WithCores(2).
 			WithHierarchy(64, SharedL2(64<<10, 8)).WithPrivateHierarchy(), RunOpts{}),
-		mode(MixRequest(Figure2(4), RunOpts{}), ModeAdaptive, nil),
+		mode(MixRequest(Figure2(4), RunOpts{}), "adaptive", nil),
 		mode(MixRequest(Figure2(4), RunOpts{MeasureInsts: 10_000_000}), ModeSampled, nil),
 		mode(MixRequest(Figure2(1).WithL2Latency(256), RunOpts{MeasureInsts: 1_000_000}), ModeSampled,
 			&Sampling{PeriodInsts: 50_000, UnitInsts: 1_000, WarmupInsts: 2_000}),
