@@ -1,8 +1,8 @@
-// Command dae-router is the fabric front end: it consistent-hash routes
-// simulation requests across a set of dae-serve replicas by Request
-// content hash, so every hash has one owning replica (maximizing each
-// replica's in-memory cache hit rate) and adding or removing a replica
-// remaps only that replica's share of the key space.
+// Command dae-router is the fabric front end: it routes simulation
+// requests across a set of dae-serve replicas by rendezvous hashing of
+// the Request content hash, so every hash has one owning replica
+// (maximizing each replica's in-memory cache hit rate) and adding or
+// removing a replica remaps only that replica's share of the key space.
 //
 // Endpoints (same shapes as dae-serve — clients cannot tell them apart):
 //
@@ -22,11 +22,12 @@
 // Responses relayed from replicas are byte-identical to hitting the
 // replica directly — and therefore to `dae-sim -json` with the same
 // parameters. A dead replica is detected on the first failed forward,
-// its in-flight work retried against the ring successor (collapsed by
-// single-flight so a retry stampede recomputes each hash exactly once),
-// and recovery is picked up by background health probes. Admission is
-// bounded: past -max-active concurrent requests and -max-queue waiters,
-// clients get 429 + "Retry-After: 1". See DESIGN.md §8.
+// its in-flight work retried against the next replica of the hash's
+// ranking (collapsed by single-flight so a retry stampede recomputes
+// each hash exactly once), and recovery is picked up by background
+// health probes. Admission is bounded: past -max-active concurrent
+// requests and -max-queue waiters (interactive runs admitted ahead of
+// sweeps), clients get 429 + "Retry-After: 1". See DESIGN.md §8.
 package main
 
 import (

@@ -22,8 +22,9 @@
 // interchangeable with dae-sweep's: a nightly sweep warms the cache the
 // service then serves from. Pointing several replicas at one shared
 // cache directory turns it into the fabric's content-addressed result
-// store: any replica serves any hash, and cmd/dae-router consistent-hash
-// routes requests across the replicas (see DESIGN.md §8).
+// store: any replica serves any hash, and cmd/dae-router routes requests
+// across the replicas by rendezvous hashing of the Request hash (see
+// DESIGN.md §8).
 package main
 
 import (

@@ -135,8 +135,11 @@ type RunOpts struct {
 	// MeasureInsts is the measurement window (graduated instructions,
 	// machine-wide total). Zero applies DefaultMeasure.
 	MeasureInsts int64
-	// Seed perturbs workload randomness (branch outcomes); runs with the
-	// same seed are bit-identical.
+	// Seed perturbs workload randomness: the outcomes of the
+	// loss-of-decoupling branches, the only values the generators draw.
+	// Only su2cor, hydro2d, fpppp and wave5 have such branches, so runs
+	// of the other builtins (and mix segments of them) are bit-identical
+	// across seeds; runs with the same seed always are.
 	Seed uint64
 	// SegmentLen overrides the benchmark rotation length for mixes.
 	SegmentLen int64

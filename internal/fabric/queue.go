@@ -1,13 +1,14 @@
 package fabric
 
 import (
-	"container/heap"
 	"context"
 	"errors"
+	"slices"
 	"sync"
 )
 
-// Priority orders admission: higher values are granted slots first.
+// Priority orders admission: a PriorityRun waiter is granted a slot
+// before any PrioritySweep waiter. These two are the only values.
 type Priority int
 
 // The fabric's two traffic classes. Interactive single runs jump ahead
@@ -28,31 +29,27 @@ var (
 	ErrDraining = errors.New("fabric: router draining")
 )
 
-// Queue is the fabric's bounded priority admission queue: up to active
+// Queue is the fabric's bounded two-class admission queue: up to active
 // slots execute concurrently, up to waiting arrivals queue beyond that
-// (highest Priority first, FIFO within a class), and everything past
-// both bounds is refused immediately — load the fabric cannot absorb is
-// pushed back to clients as backpressure instead of piling up as latent
-// latency. Drain sheds all waiters for graceful shutdown. Safe for
-// concurrent use.
+// in one FIFO per Priority (runs before sweeps, arrival order within a
+// class), and everything past both bounds is refused immediately — load
+// the fabric cannot absorb is pushed back to clients as backpressure
+// instead of piling up as latent latency. Drain sheds all waiters for
+// graceful shutdown. Safe for concurrent use.
 type Queue struct {
 	mu       sync.Mutex
 	active   int
 	maxAct   int
 	maxWait  int
 	draining bool
-	seq      uint64
-	waiters  waiterHeap
+	waiting  [2][]*waiter // indexed by Priority
 }
 
 // waiter is one queued arrival. grant/shed are resolved under the
 // queue's lock, then signalled by closing ready.
 type waiter struct {
-	prio    Priority
-	seq     uint64
 	ready   chan struct{}
 	granted bool
-	index   int // heap bookkeeping; -1 once popped
 }
 
 // NewQueue builds a Queue admitting active concurrent slots with a wait
@@ -71,7 +68,8 @@ func NewQueue(active, waiting int) *Queue {
 // slot is granted, ErrQueueFull if the wait room is at capacity,
 // ErrDraining during shutdown, or ctx's error if the caller gives up
 // while queued. The release function must be called exactly once when
-// the work finishes; it hands the slot to the highest-priority waiter.
+// the work finishes; it hands the slot to the oldest PriorityRun waiter,
+// else the oldest PrioritySweep waiter.
 func (q *Queue) Acquire(ctx context.Context, prio Priority) (func(), error) {
 	q.mu.Lock()
 	if q.draining {
@@ -83,13 +81,12 @@ func (q *Queue) Acquire(ctx context.Context, prio Priority) (func(), error) {
 		q.mu.Unlock()
 		return q.releaseFunc(), nil
 	}
-	if q.waiters.Len() >= q.maxWait {
+	if q.waitingLocked() >= q.maxWait {
 		q.mu.Unlock()
 		return nil, ErrQueueFull
 	}
-	w := &waiter{prio: prio, seq: q.seq, ready: make(chan struct{})}
-	q.seq++
-	heap.Push(&q.waiters, w)
+	w := &waiter{ready: make(chan struct{})}
+	q.waiting[prio] = append(q.waiting[prio], w)
 	q.mu.Unlock()
 
 	select {
@@ -101,9 +98,9 @@ func (q *Queue) Acquire(ctx context.Context, prio Priority) (func(), error) {
 		return q.releaseFunc(), nil
 	case <-ctx.Done():
 		q.mu.Lock()
-		if w.index >= 0 {
+		if i := slices.Index(q.waiting[prio], w); i >= 0 {
 			// Still queued: withdraw.
-			heap.Remove(&q.waiters, w.index)
+			q.waiting[prio] = slices.Delete(q.waiting[prio], i, i+1)
 			q.mu.Unlock()
 			return nil, ctx.Err()
 		}
@@ -124,15 +121,18 @@ func (q *Queue) releaseFunc() func() {
 	return func() {
 		once.Do(func() {
 			q.mu.Lock()
-			if q.waiters.Len() > 0 {
-				// The slot transfers: active stays constant.
-				w := heap.Pop(&q.waiters).(*waiter)
-				w.granted = true
-				close(w.ready)
-			} else {
-				q.active--
+			defer q.mu.Unlock()
+			for _, p := range []Priority{PriorityRun, PrioritySweep} {
+				if fifo := q.waiting[p]; len(fifo) > 0 {
+					// The slot transfers: active stays constant.
+					w := fifo[0]
+					q.waiting[p] = slices.Delete(fifo, 0, 1)
+					w.granted = true
+					close(w.ready)
+					return
+				}
 			}
-			q.mu.Unlock()
+			q.active--
 		})
 	}
 }
@@ -145,9 +145,11 @@ func (q *Queue) Drain() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.draining = true
-	for q.waiters.Len() > 0 {
-		w := heap.Pop(&q.waiters).(*waiter)
-		close(w.ready) // granted stays false
+	for p, fifo := range q.waiting {
+		for _, w := range fifo {
+			close(w.ready) // granted stays false
+		}
+		q.waiting[p] = nil
 	}
 }
 
@@ -155,35 +157,10 @@ func (q *Queue) Drain() {
 func (q *Queue) Depth() (active, waiting int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.active, q.waiters.Len()
+	return q.active, q.waitingLocked()
 }
 
-// waiterHeap orders waiters by (priority desc, arrival asc).
-type waiterHeap []*waiter
-
-func (h waiterHeap) Len() int { return len(h) }
-func (h waiterHeap) Less(i, j int) bool {
-	if h[i].prio != h[j].prio {
-		return h[i].prio > h[j].prio
-	}
-	return h[i].seq < h[j].seq
-}
-func (h waiterHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *waiterHeap) Push(x any) {
-	w := x.(*waiter)
-	w.index = len(*h)
-	*h = append(*h, w)
-}
-func (h *waiterHeap) Pop() any {
-	old := *h
-	n := len(old)
-	w := old[n-1]
-	old[n-1] = nil
-	w.index = -1
-	*h = old[:n-1]
-	return w
+// waitingLocked counts the queued waiters; q.mu must be held.
+func (q *Queue) waitingLocked() int {
+	return len(q.waiting[PriorityRun]) + len(q.waiting[PrioritySweep])
 }

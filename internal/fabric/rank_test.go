@@ -3,6 +3,7 @@ package fabric
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -16,52 +17,49 @@ func ringKeys(n int) []string {
 	return keys
 }
 
-// owner returns the member owning key, or "" on an empty ring.
-func owner(r *Ring, key string) string {
-	if succ := r.Successors(key, 1); len(succ) > 0 {
-		return succ[0]
+// owner returns the member owning key, or "" with no members.
+func owner(members []string, key string) string {
+	if ranked := rank(key, members); len(ranked) > 0 {
+		return ranked[0]
 	}
 	return ""
 }
 
-func owners(r *Ring, keys []string) map[string]string {
+func owners(members []string, keys []string) map[string]string {
 	m := make(map[string]string, len(keys))
 	for _, k := range keys {
-		m[k] = owner(r, k)
+		m[k] = owner(members, k)
 	}
 	return m
 }
 
-// TestRingRemovalMovesOnlyDepartedKeys is the consistent-hashing
+// TestRingRemovalMovesOnlyDepartedKeys is the rendezvous-hashing
 // property the fabric's warm caches depend on: across many random
 // membership removals, a key changes owner if and only if its owner
-// departed — and its new owner is the next member on its successor
-// chain, so routers agree on where the key went. The ring is a pure
-// function of its membership, so the smaller ring is built afresh.
+// departed — and its new owner is the next member of its chain, so
+// routers agree on where the key went.
 func TestRingRemovalMovesOnlyDepartedKeys(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	keys := ringKeys(4096)
 	for trial := 0; trial < 20; trial++ {
 		n := 2 + rng.Intn(6) // 2..7 replicas
-		r := NewRing()
 		members := make([]string, n)
 		for i := range members {
 			members[i] = fmt.Sprintf("http://replica-%d-%d:81", trial, i)
-			r.Add(members[i])
 		}
-		before := owners(r, keys)
+		before := owners(members, keys)
 		// Record each key's 2-member chain before the change: if its owner
 		// departs, the key must land exactly on the chain's second entry.
 		chains := make(map[string][]string, len(keys))
 		for _, k := range keys {
-			chains[k] = r.Successors(k, 2)
+			chains[k] = rank(k, members)[:2]
 		}
 
 		departing := members[rng.Intn(n)]
-		smaller := NewRing()
+		var smaller []string
 		for _, m := range members {
 			if m != departing {
-				smaller.Add(m)
+				smaller = append(smaller, m)
 			}
 		}
 		after := owners(smaller, keys)
@@ -75,13 +73,13 @@ func TestRingRemovalMovesOnlyDepartedKeys(t *testing.T) {
 			case before[k] == departing:
 				moved++
 				if want := chains[k][1]; after[k] != want {
-					t.Fatalf("trial %d: departed key %s went to %s, want ring successor %s",
+					t.Fatalf("trial %d: departed key %s went to %s, want chain successor %s",
 						trial, k[:12], after[k], want)
 				}
 			}
 		}
 		if n > 1 && moved == 0 {
-			t.Fatalf("trial %d: departing replica owned no keys (degenerate ring)", trial)
+			t.Fatalf("trial %d: departing replica owned no keys (degenerate ranking)", trial)
 		}
 	}
 }
@@ -93,14 +91,13 @@ func TestRingAdditionMovesKeysOnlyToArrival(t *testing.T) {
 	keys := ringKeys(4096)
 	for trial := 0; trial < 20; trial++ {
 		n := 1 + rng.Intn(6)
-		r := NewRing()
+		var members []string
 		for i := 0; i < n; i++ {
-			r.Add(fmt.Sprintf("http://replica-%d-%d:81", trial, i))
+			members = append(members, fmt.Sprintf("http://replica-%d-%d:81", trial, i))
 		}
-		before := owners(r, keys)
+		before := owners(members, keys)
 		arriving := fmt.Sprintf("http://replica-%d-new:81", trial)
-		r.Add(arriving)
-		after := owners(r, keys)
+		after := owners(append(members, arriving), keys)
 
 		moved := 0
 		for _, k := range keys {
@@ -116,32 +113,25 @@ func TestRingAdditionMovesKeysOnlyToArrival(t *testing.T) {
 			t.Fatalf("trial %d: new replica took no keys", trial)
 		}
 		// Rough balance: the newcomer's share of a large uniform key
-		// population should be within 3x of fair (vnodes smooth the ring,
-		// they don't perfect it).
+		// population should be within 3x of fair.
 		fair := len(keys) / (n + 1)
 		if moved > 3*fair {
-			t.Errorf("trial %d: new replica took %d keys, fair share %d (ring badly unbalanced)",
+			t.Errorf("trial %d: new replica took %d keys, fair share %d (ranking badly unbalanced)",
 				trial, moved, fair)
 		}
 	}
 }
 
-// TestRingDeterministicAcrossInstances: two rings built from the same
-// membership — in different insertion orders — agree on every owner and
-// successor chain. Routers must not need to coordinate.
+// TestRingDeterministicAcrossInstances: the same membership listed in
+// different orders gives the same owner and chain for every key.
+// Routers must not need to coordinate.
 func TestRingDeterministicAcrossInstances(t *testing.T) {
 	members := []string{"http://a:81", "http://b:81", "http://c:81", "http://d:81"}
-	a := NewRing()
-	for _, m := range members {
-		a.Add(m)
-	}
-	b := NewRing()
-	for i := len(members) - 1; i >= 0; i-- {
-		b.Add(members[i])
-	}
+	reversed := slices.Clone(members)
+	slices.Reverse(reversed)
 	for _, k := range ringKeys(512) {
-		sa := a.Successors(k, len(members))
-		sb := b.Successors(k, len(members))
+		sa := rank(k, members)
+		sb := rank(k, reversed)
 		if len(sa) != len(sb) {
 			t.Fatalf("key %s: chain lengths differ", k[:12])
 		}
@@ -153,25 +143,43 @@ func TestRingDeterministicAcrossInstances(t *testing.T) {
 	}
 }
 
-// TestRingEdgeCases: empty ring, single member, duplicate adds,
-// successor bounds.
+// TestRingEdgeCases: no members, a single member.
 func TestRingEdgeCases(t *testing.T) {
-	r := NewRing()
-	if got := owner(r, "k"); got != "" {
-		t.Errorf("empty ring owner %q", got)
+	if got := owner(nil, "k"); got != "" {
+		t.Errorf("empty owner %q", got)
 	}
-	if got := r.Successors("k", 3); got != nil {
-		t.Errorf("empty ring successors %v", got)
+	if got := rank("k", nil); len(got) != 0 {
+		t.Errorf("empty chain %v", got)
 	}
-	r.Add("only")
-	r.Add("only") // duplicate: no-op
-	if got := owner(r, "k"); got != "only" {
+	only := []string{"only"}
+	if got := owner(only, "k"); got != "only" {
 		t.Errorf("single-member owner %q", got)
 	}
-	if got := r.Successors("k", 5); len(got) != 1 {
-		t.Errorf("successors %v, want exactly the one member", got)
+	if got := rank("k", only); len(got) != 1 {
+		t.Errorf("chain %v, want exactly the one member", got)
 	}
-	if got := len(r.members); got != 1 {
-		t.Errorf("%d members after duplicate add", got)
+}
+
+// TestRankBalancesSiblingURLs: replicas on one host usually differ only
+// in a port's last digit, and each must still own close to a fair share
+// of a uniform key population.
+func TestRankBalancesSiblingURLs(t *testing.T) {
+	keys := ringKeys(30000)
+	for _, n := range []int{2, 3, 5} {
+		var members []string
+		for i := 1; i <= n; i++ {
+			members = append(members, fmt.Sprintf("http://127.0.0.1:4000%d", i))
+		}
+		share := owners(members, keys)
+		count := make(map[string]int, n)
+		for _, m := range share {
+			count[m]++
+		}
+		fair := len(keys) / n
+		for _, m := range members {
+			if c := count[m]; c < fair*85/100 || c > fair*115/100 {
+				t.Errorf("%d replicas: %s owns %d keys, fair share %d", n, m, c, fair)
+			}
+		}
 	}
 }

@@ -1,13 +1,41 @@
+// Package fabric turns N dae-serve replicas into one horizontally
+// scalable simulation service. It provides the pieces cmd/dae-router
+// assembles:
+//
+//   - rank: rendezvous (highest-random-weight) hashing that orders the
+//     replicas for every Request hash, so identical requests always land
+//     on the same Engine (whose in-flight dedup then collapses them),
+//     the rest of the order is the hash's failover chain, and a replica
+//     joining or leaving moves only the keys it gains or loses.
+//   - Queue: a bounded two-class admission queue — interactive runs are
+//     admitted ahead of batch sweeps, overflow is refused immediately
+//     (429 + Retry-After at the HTTP layer) and a draining router sheds
+//     its waiters instead of stranding them.
+//   - Router: the HTTP front end wiring these together. It collapses
+//     concurrent identical forwards with the runner's single-flight
+//     (runner.Flight), so a dead replica's in-flight work is recomputed
+//     exactly once on the next replica of its chain no matter how many
+//     clients were waiting, and it reads the shared content-addressed
+//     result store (the replicas' common cache directory) with
+//     runner.LoadEntry, so it serves any cached hash itself — even when
+//     every replica is down.
+//
+// Reports served through the fabric are byte-identical to `dae-sim
+// -json`: the router relays replica response bytes verbatim on the run
+// path and keeps reports as raw JSON when reassembling sweeps.
 package fabric
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -44,14 +72,14 @@ type replicaState struct {
 	alive atomic.Bool
 }
 
-// Router is the fabric front end: an http.Handler that consistent-hash
-// routes simulation traffic across dae-serve replicas, with admission
-// control in front and retry-on-replica-death behind. Construct with
-// NewRouter, serve it, and Close it on shutdown (sheds the admission
-// queue, stops health probes).
+// Router is the fabric front end: an http.Handler that routes
+// simulation traffic across dae-serve replicas by rendezvous rank, with
+// admission control in front and retry-on-replica-death behind.
+// Construct with NewRouter, serve it, and Close it on shutdown (sheds
+// the admission queue, stops health probes).
 type Router struct {
 	cfg      Config
-	ring     *Ring
+	bases    []string // replica URLs, in Config order
 	replicas map[string]*replicaState
 	queue    *Queue
 	flights  runner.Flight[*forwardResult]
@@ -88,7 +116,6 @@ func NewRouter(cfg Config) (*Router, error) {
 	}
 	rt := &Router{
 		cfg:      cfg,
-		ring:     NewRing(),
 		replicas: make(map[string]*replicaState, len(cfg.Replicas)),
 		queue:    NewQueue(cfg.MaxActive, cfg.MaxQueue),
 		// No global timeout: event streams must outlive any fixed cap.
@@ -110,7 +137,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		st := &replicaState{base: base}
 		st.alive.Store(true) // optimistic: forwards self-correct
 		rt.replicas[base] = st
-		rt.ring.Add(base)
+		rt.bases = append(rt.bases, base)
 	}
 	// The router can boot before the first replica creates the store,
 	// and an unusable path fails here rather than missing forever.
@@ -195,19 +222,55 @@ func (rt *Router) probeAll(ctx context.Context) {
 	wg.Wait()
 }
 
-// chain returns the failover order for a key: the ring's successor chain
-// with live replicas first (dead-marked ones stay at the tail — a probe
-// may simply not have noticed a recovery yet, and trying them last never
+// rank orders members for key by rendezvous (highest-random-weight)
+// hashing (Thaler & Ravishankar, 1998): each member scores FNV-1a of the
+// key, a separator byte and the member, passed through mix64, and the
+// members sort by descending score, ties broken by name. The first entry
+// owns the key and the rest are its failover chain. Each score depends
+// only on its own (key, member) pair, so the order is a pure function of
+// the member set — every router computes the same chain — and removing a
+// member moves only the keys it owned, each to the next entry of its
+// chain, while an added member takes keys only for itself.
+func rank(key string, members []string) []string {
+	score := make(map[string]uint64, len(members))
+	for _, m := range members {
+		h := fnv.New64a()
+		h.Write([]byte(key + "\x00" + m))
+		score[m] = mix64(h.Sum64())
+	}
+	out := slices.Clone(members)
+	slices.SortFunc(out, func(a, b string) int {
+		return cmp.Or(cmp.Compare(score[b], score[a]), cmp.Compare(a, b))
+	})
+	return out
+}
+
+// mix64 is MurmurHash3's 64-bit finalizer. Raw FNV-1a barely mixes its
+// last bytes into the high bits the ranking compares, so replicas whose
+// URLs differ only in a port's last digit split keys unevenly (three
+// loopback replicas took 50/25/25 of them).
+func mix64(h uint64) uint64 {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
+}
+
+// chain returns the failover order for a key: its rendezvous rank with
+// live replicas first (dead-marked ones stay at the tail — a probe may
+// simply not have noticed a recovery yet, and trying them last never
 // costs a live request anything).
 func (rt *Router) chain(hash string) []string {
-	succ := rt.ring.Successors(hash, len(rt.replicas))
-	ordered := make([]string, 0, len(succ))
-	for _, base := range succ {
+	ranked := rank(hash, rt.bases)
+	ordered := make([]string, 0, len(ranked))
+	for _, base := range ranked {
 		if rt.replicas[base].alive.Load() {
 			ordered = append(ordered, base)
 		}
 	}
-	for _, base := range succ {
+	for _, base := range ranked {
 		if !rt.replicas[base].alive.Load() {
 			ordered = append(ordered, base)
 		}

@@ -179,7 +179,7 @@ func TestRouterByteIdentity(t *testing.T) {
 	}
 }
 
-// TestRouterRoutesByHash: each distinct request lands on its ring owner;
+// TestRouterRoutesByHash: each distinct request lands on its owner;
 // across many requests every replica sees work and nothing is computed
 // twice.
 func TestRouterRoutesByHash(t *testing.T) {
@@ -216,13 +216,16 @@ func TestRouterRoutesByHash(t *testing.T) {
 // return every result (nothing lost), while the engines behind the
 // surviving replicas simulate each unique request exactly once (nothing
 // double-executed). The victim is a hang-until-killed fake that owns a
-// known subset of the ring, so the kill deterministically lands
+// known subset of the keys, so the kill deterministically lands
 // mid-request.
 func TestRouterReplicaDeathMidSweep(t *testing.T) {
 	storeDir := t.TempDir()
 	live := []*replicaStack{newReplica(t, storeDir), newReplica(t, storeDir)}
 
-	// The victim accepts work, reports it, then hangs until killed.
+	// The victim accepts work, reports it, then hangs until killed. A
+	// request that reaches it after the kill was released must not be
+	// answered either: aborting the handler drops the connection, as a
+	// dead process would, where returning would complete an empty 200.
 	victimGotWork := make(chan struct{})
 	var once sync.Once
 	victimHold := make(chan struct{})
@@ -233,6 +236,7 @@ func TestRouterReplicaDeathMidSweep(t *testing.T) {
 		}
 		once.Do(func() { close(victimGotWork) })
 		<-victimHold
+		panic(http.ErrAbortHandler)
 	}))
 	defer victim.Close()
 
@@ -245,22 +249,18 @@ func TestRouterReplicaDeathMidSweep(t *testing.T) {
 	fabricTS := httptest.NewServer(rt)
 	defer fabricTS.Close()
 
-	// Build a sweep where the victim owns several requests. The mirror
-	// ring below is the same deterministic structure the router built.
-	mirror := NewRing()
-	for _, b := range bases {
-		mirror.Add(b)
-	}
+	// Build a sweep where the victim owns several requests, ranked over
+	// the same replica list the router ranks.
 	var reqs []daesim.Request
 	victimOwned := 0
 	for seed := uint64(1); len(reqs) < 12 || victimOwned < 2; seed++ {
 		if seed > 200 {
-			t.Fatal("could not find victim-owned requests (ring broken?)")
+			t.Fatal("could not find victim-owned requests (ranking broken?)")
 		}
 		req := daesim.MixRequest(daesim.Figure2(1), daesim.RunOpts{
 			WarmupInsts: 500, MeasureInsts: 2_000, Seed: seed})
 		req.Label = fmt.Sprintf("kill-%d", seed)
-		if owner(mirror, req.Hash()) == victim.URL {
+		if owner(bases, req.Hash()) == victim.URL {
 			victimOwned++
 		}
 		reqs = append(reqs, req)
@@ -575,5 +575,29 @@ func TestRouterGetRefusesPathHashes(t *testing.T) {
 	}
 	if status, body := get(t, fabricTS.URL+"/v1/runs/..%2Fx"); status != http.StatusNotFound {
 		t.Fatalf("path-shaped hash: status %d, want 404: %s", status, body)
+	}
+}
+
+// TestNewRouterRejectsBadReplicas: replica URLs are compared after
+// trailing slashes are trimmed, so one listed twice — with or without
+// the slash — is refused, as is a URL that trims to nothing.
+func TestNewRouterRejectsBadReplicas(t *testing.T) {
+	for _, tc := range []struct {
+		replicas []string
+		want     string
+	}{
+		{nil, "at least one replica"},
+		{[]string{"http://a:1", "http://a:1/"}, "duplicate replica"},
+		{[]string{"/"}, "empty replica URL"},
+	} {
+		rt, err := NewRouter(Config{Replicas: tc.replicas})
+		if err == nil {
+			rt.Close()
+			t.Errorf("NewRouter(%q) succeeded, want %q", tc.replicas, tc.want)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("NewRouter(%q) = %v, want %q", tc.replicas, err, tc.want)
+		}
 	}
 }

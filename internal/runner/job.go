@@ -74,8 +74,10 @@ type Workload struct {
 	// SegmentLen overrides the mix rotation length for WorkloadMix
 	// (0 = workload.DefaultSegmentLen).
 	SegmentLen int64 `json:"segmentLen,omitempty"`
-	// Seed perturbs the workload's data-dependent randomness; runs with
-	// the same description (seed included) are bit-identical.
+	// Seed perturbs the workload's data-dependent randomness — only the
+	// outcomes of loss-of-decoupling branches, so it changes nothing for
+	// builtins without a LoD kernel (see workload.ReaderOpts.Seed); runs
+	// with the same description (seed included) are bit-identical.
 	Seed uint64 `json:"seed,omitempty"`
 }
 

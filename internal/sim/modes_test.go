@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -198,5 +199,26 @@ func TestSampledNoUnitReportsEmptyWindow(t *testing.T) {
 					exact.Mem, exact.MemLevels, exact.BusUtilization)
 			}
 		})
+	}
+}
+
+// TestSampledFailsWhenDrainTimesOut: with an L2 latency beyond the drain
+// guard, the pipeline cannot empty before a warp, and warping a
+// non-empty pipeline would skip the instructions still in flight. The
+// run must fail instead of returning a report.
+func TestSampledFailsWhenDrainTimesOut(t *testing.T) {
+	res, err := Run(context.Background(), Options{
+		Machine:      config.Figure2(1).WithL2Latency(1 << 21),
+		Sources:      mixSources(t, 1, 0),
+		WarmupInsts:  200,
+		MeasureInsts: 12_000,
+		Mode:         ModeSampled,
+		Sampling:     Sampling{PeriodInsts: 10_000, UnitInsts: 1_000, WarmupInsts: 1_000},
+	})
+	if err == nil {
+		t.Fatalf("run with a timed-out drain returned a report (graduated %d), want an error", res.Report.Graduated)
+	}
+	if !strings.Contains(err.Error(), "drain guard") {
+		t.Fatalf("error %q does not name the drain guard", err)
 	}
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+
 	"repro/internal/core"
 	"repro/internal/stats"
 )
@@ -129,7 +131,11 @@ func (r *runner) runSampled() (Result, error) {
 
 		// Gap: drain to a clean boundary, warp the remainder functionally.
 		// Instructions graduated by the drain still advance the schedule.
-		m.DrainPipeline()
+		// Warping a pipeline that did not empty would skip instructions
+		// still in flight, so a drain that hits its guard fails the run.
+		if !m.DrainPipeline() {
+			return Result{}, fmt.Errorf("sim: sampled run: pipeline did not drain within the drain guard (cycle %d)", m.Now())
+		}
 		advanced += m.Graduated() - rep.Graduated
 		if g := clamp(gap); g > 0 {
 			w := m.Warp(g)

@@ -13,7 +13,9 @@ type MixOpts struct {
 	// before rotating to the next (the paper runs "a sequence of traces
 	// from all SpecFP95 programs, in a different order for each thread").
 	SegmentLen int64
-	// Seed perturbs each benchmark's data-dependent randomness.
+	// Seed perturbs each benchmark's data-dependent randomness: only
+	// segments of benchmarks with loss-of-decoupling branches react to
+	// it (see ReaderOpts.Seed).
 	Seed uint64
 }
 

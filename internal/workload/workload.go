@@ -183,7 +183,11 @@ type ReaderOpts struct {
 	// context its own address space (the paper's multiprogrammed mixes),
 	// which makes the combined L1 working set grow with the thread count.
 	AddrOffset uint64
-	// Seed perturbs the benchmark's base seed (different "inputs").
+	// Seed perturbs the benchmark's base seed (different "inputs"). The
+	// generator draws only the outcomes of loss-of-decoupling branches,
+	// so the seed changes the stream only of a benchmark with a kernel
+	// whose LODEvery > 0 (of the builtins: su2cor, hydro2d, fpppp and
+	// wave5); PCs, ops and addresses never depend on it.
 	Seed uint64
 }
 
