@@ -3,11 +3,11 @@ package mem
 import "fmt"
 
 // This file composes one or more cores' private memory systems over
-// the lower levels: the Interconnect owns everything below the private
-// L1s — the flat L2 terminus or the finite shared hierarchy (or one
-// private chain per core over the shared DRAM, for the private-L2
-// ablation axis), plus the write-invalidate coherence fabric between the
-// L1s. A one-core interconnect is the paper's machine.
+// the lower levels. The Interconnect owns every finite chain below the
+// L1s — one shared chain, one private chain per core over the shared
+// DRAM (the private-L2 ablation axis), or none in the flat model — and
+// each core's System records the chain below its own L1. A one-core
+// interconnect is the paper's machine.
 //
 // Coherence is deliberately simple (and documented in DESIGN.md §9): on
 // every store a core performs, the interconnect eagerly invalidates the
@@ -28,18 +28,12 @@ import "fmt"
 // first-come-first-served by core index within a cycle — deterministic,
 // and independent of host scheduling.
 type Interconnect struct {
-	cfg   Config
-	cores int
+	cfg Config
 
-	// levels is the shared chain under every L1 (levels[0] is the shared
-	// L2), nil with PrivateHierarchy or the flat model.
-	levels     []*level
-	levelStats []LevelStats
-	// priv[c] is core c's private chain over the shared DRAM
-	// (PrivateHierarchy only).
-	priv      [][]*level
-	privStats [][]LevelStats
-
+	// chains are the finite chains the interconnect owns, each top-down:
+	// one shared chain, one per core under PrivateHierarchy, or none in
+	// the flat model. Each System holds the chain below its own L1.
+	chains  [][]*level
 	systems []*System
 
 	// now mirrors the current cycle (maintained by BeginCycle) so
@@ -69,64 +63,47 @@ func NewInterconnect(cfg Config, cores int) (*Interconnect, error) {
 		return nil, fmt.Errorf("mem: interconnect needs at least one core, got %d", cores)
 	}
 	// One core has no remote copies to invalidate, whatever the workload.
-	ic := &Interconnect{cfg: cfg, cores: cores, disjoint: cores == 1}
-
-	// Backend below each core's L1, by mode.
-	lower := make([]backend, cores)
-	switch {
-	case len(cfg.Hierarchy) == 0:
-		// Flat model: the infinite L2 accepts every request — the cores
-		// contend on nothing below their private buses, so one stateless
-		// terminus serves all.
-		for c := range lower {
-			lower[c] = terminus{latency: cfg.L2Latency}
-		}
-	case cfg.PrivateHierarchy:
-		// One private chain per core over the shared (infinite-bandwidth)
-		// DRAM; each chain's buses model its own refill/write-back paths.
-		ic.priv = make([][]*level, cores)
-		ic.privStats = make([][]LevelStats, cores)
-		n := len(cfg.Hierarchy)
-		for c := 0; c < cores; c++ {
-			var down backend = terminus{latency: cfg.DRAMLatency}
-			ic.privStats[c] = make([]LevelStats, n)
-			ic.priv[c] = make([]*level, n)
-			for i := n - 1; i >= 0; i-- {
-				spec := cfg.Hierarchy[i]
-				ic.privStats[c][i].Name = fmt.Sprintf("c%d.%s", c, levelName(spec, i))
-				ic.priv[c][i] = newLevel(spec.Cache, spec.MSHRs, spec.HitLatency,
-					spec.BusBytesPerCycle, down, &ic.privStats[c][i])
-				down = ic.priv[c][i]
-			}
-			lower[c] = down
-		}
-	default:
-		// One shared chain: every core's L1 misses into the same levels,
-		// contending for their MSHRs and buses.
-		var down backend = terminus{latency: cfg.DRAMLatency}
-		n := len(cfg.Hierarchy)
-		ic.levelStats = make([]LevelStats, n)
-		ic.levels = make([]*level, n)
-		for i := n - 1; i >= 0; i-- {
-			spec := cfg.Hierarchy[i]
-			ic.levelStats[i].Name = levelName(spec, i)
-			ic.levels[i] = newLevel(spec.Cache, spec.MSHRs, spec.HitLatency,
-				spec.BusBytesPerCycle, down, &ic.levelStats[i])
-			down = ic.levels[i]
-		}
-		for c := range lower {
-			lower[c] = down
-		}
+	ic := &Interconnect{cfg: cfg, disjoint: cores == 1, systems: make([]*System, cores)}
+	// Every core's L1 misses into one shared chain, contending for its
+	// MSHRs and buses (no chain in the flat model: the infinite L2 is a
+	// terminus), or into its own chain under a private hierarchy.
+	var shared []*level
+	if !cfg.PrivateHierarchy {
+		shared = ic.newChain("")
 	}
-
-	ic.systems = make([]*System, cores)
-	for c := 0; c < cores; c++ {
-		s := &System{cfg: cfg, ic: ic, coreID: c}
-		s.l1Stats.Name = fmt.Sprintf("c%d.L1", c)
-		s.l1 = newLevel(cfg.L1, cfg.MSHRs, cfg.HitLatency, cfg.BusBytesPerCycle, lower[c], &s.l1Stats)
+	for c := range ic.systems {
+		s := &System{cfg: cfg, ic: ic, coreID: c, chain: shared}
+		if cfg.PrivateHierarchy {
+			s.chain = ic.newChain(fmt.Sprintf("c%d.", c))
+		}
+		var lower backend = terminus{latency: cfg.L2Latency}
+		if len(s.chain) > 0 {
+			lower = s.chain[0]
+		}
+		s.l1 = newLevel(fmt.Sprintf("c%d.L1", c), cfg.L1, cfg.MSHRs, cfg.HitLatency, cfg.BusBytesPerCycle, lower)
 		ic.systems[c] = s
 	}
 	return ic, nil
+}
+
+// newChain builds one chain of the configured hierarchy over the DRAM
+// terminus, top-down, with every level's name prefixed by prefix, and
+// records it as owned. It returns nil in the flat model.
+func (ic *Interconnect) newChain(prefix string) []*level {
+	n := len(ic.cfg.Hierarchy)
+	if n == 0 {
+		return nil
+	}
+	chain := make([]*level, n)
+	var down backend = terminus{latency: ic.cfg.DRAMLatency}
+	for i := n - 1; i >= 0; i-- {
+		spec := ic.cfg.Hierarchy[i]
+		chain[i] = newLevel(prefix+levelName(spec, i), spec.Cache, spec.MSHRs,
+			spec.HitLatency, spec.BusBytesPerCycle, down)
+		down = chain[i]
+	}
+	ic.chains = append(ic.chains, chain)
+	return chain
 }
 
 // System returns core c's private memory system (L1 + ports + MSHRs over
@@ -137,20 +114,7 @@ func (ic *Interconnect) System(c int) *System { return ic.systems[c] }
 // that no two cores ever touch the same line, letting the functional
 // warm path skip its invalidate broadcast (see the disjoint field). A
 // one-core interconnect stays disjoint.
-func (ic *Interconnect) SetDisjointAddressSpaces(v bool) { ic.disjoint = v || ic.cores == 1 }
-
-// eachLevel visits every level the interconnect owns (shared chain or
-// all private chains).
-func (ic *Interconnect) eachLevel(fn func(*level)) {
-	for _, l := range ic.levels {
-		fn(l)
-	}
-	for _, chain := range ic.priv {
-		for _, l := range chain {
-			fn(l)
-		}
-	}
-}
+func (ic *Interconnect) SetDisjointAddressSpaces(v bool) { ic.disjoint = v || len(ic.systems) == 1 }
 
 // SetFillScheduler registers fn to be called with every future fill
 // cycle a level the interconnect owns books. The CMP driver registers
@@ -161,21 +125,22 @@ func (ic *Interconnect) eachLevel(fn func(*level)) {
 // internal fills; fn is never called there. The L1s' own fill times
 // travel back through access Results and are scheduled by the cores.
 func (ic *Interconnect) SetFillScheduler(fn func(at int64)) {
-	ic.eachLevel(func(l *level) { l.sched = fn })
+	for _, chain := range ic.chains {
+		for _, l := range chain {
+			l.sched = fn
+		}
+	}
 }
 
 // BeginCycle advances the fabric to the given cycle, completing due
-// refills bottom-up in every chain (private chains in core order). The
-// cores' own L1s advance in their System.BeginCycle calls, which the CMP
-// driver makes after this. Returns the number of lines installed (or
-// cancelled fills retired), zero on quiescent cycles.
+// refills bottom-up within each owned chain, chains in order. The cores'
+// own L1s advance in their System.BeginCycle calls, which the CMP driver
+// makes after this. Returns the number of lines installed (or cancelled
+// fills retired), zero on quiescent cycles.
 func (ic *Interconnect) BeginCycle(now int64) int {
 	ic.now = now
 	filled := 0
-	for i := len(ic.levels) - 1; i >= 0; i-- {
-		filled += ic.levels[i].beginCycle(now)
-	}
-	for _, chain := range ic.priv {
+	for _, chain := range ic.chains {
 		for i := len(chain) - 1; i >= 0; i-- {
 			filled += chain[i].beginCycle(now)
 		}
@@ -184,45 +149,49 @@ func (ic *Interconnect) BeginCycle(now int64) int {
 }
 
 // invalidateRemote broadcasts a write-invalidation for line from core
-// `from` to every other core's private levels (L1, and the private chain
-// when the hierarchy is replicated). Called from the writing core's
-// access path at the current cycle.
+// `from` to every other core's private levels: its L1, then its chain
+// when the hierarchy is private (a shared chain holds the one copy every
+// core reads). Called from the writing core's access path at the current
+// cycle. Visiting core by core is as good as any order: a core's private
+// levels, and the buses they book, are reached only through that core,
+// and the DRAM its private chain writes back into holds no state.
 func (ic *Interconnect) invalidateRemote(from int, line uint64) {
 	for c, s := range ic.systems {
 		if c == from {
 			continue
 		}
 		s.l1.invalidate(line, ic.now)
-	}
-	for c, chain := range ic.priv {
-		if c == from {
-			continue
-		}
-		for _, l := range chain {
-			l.invalidate(line, ic.now)
+		if ic.cfg.PrivateHierarchy {
+			for _, l := range s.chain {
+				l.invalidate(line, ic.now)
+			}
 		}
 	}
 }
 
 // LevelStats snapshots the interconnect-owned levels' counters with
 // downstream-bus utilization over the measurement window ending at cycle
-// end: the shared chain top-down, or each core's private chain (core
-// order, top-down within a core). Nil in the flat model.
+// end: each owned chain top-down, chains in order (the shared chain, or
+// the private chains in core order). Nil in the flat model.
 func (ic *Interconnect) LevelStats(end, window int64) []LevelStats {
 	var out []LevelStats
-	ic.eachLevel(func(l *level) {
-		ls := *l.lstats
-		ls.BusUtilization = l.bus.Utilization(end, window)
-		out = append(out, ls)
-	})
+	for _, chain := range ic.chains {
+		for _, l := range chain {
+			ls := l.stats
+			ls.BusUtilization = l.bus.Utilization(end, window)
+			out = append(out, ls)
+		}
+	}
 	return out
 }
 
 // ResetStats clears the interconnect-owned levels' counters and bus
 // accounting (names survive); the cores' Systems reset their own L1s.
 func (ic *Interconnect) ResetStats() {
-	ic.eachLevel(func(l *level) {
-		*l.lstats = LevelStats{Name: l.lstats.Name}
-		l.bus.Reset()
-	})
+	for _, chain := range ic.chains {
+		for _, l := range chain {
+			l.stats = LevelStats{Name: l.stats.Name}
+			l.bus.Reset()
+		}
+	}
 }

@@ -106,7 +106,7 @@ func TestInterconnectConstruction(t *testing.T) {
 		if s == nil {
 			t.Fatalf("core %d has no System", c)
 		}
-		if got := s.l1Stats.Name; got != map[int]string{0: "c0.L1", 1: "c1.L1"}[c] {
+		if got := s.l1.stats.Name; got != map[int]string{0: "c0.L1", 1: "c1.L1"}[c] {
 			t.Errorf("core %d L1 name = %q", c, got)
 		}
 	}
@@ -147,7 +147,7 @@ func TestCoherenceInvalidatesCleanRemoteCopy(t *testing.T) {
 	// Core 0 writes the line: core 1's copy must die.
 	h.tick()
 	h.store(t, 0, addr)
-	st1 := h.sys[1].l1Stats
+	st1 := h.sys[1].l1.stats
 	if st1.Invalidations != 1 {
 		t.Fatalf("core 1 invalidations = %d, want 1", st1.Invalidations)
 	}
@@ -159,7 +159,7 @@ func TestCoherenceInvalidatesCleanRemoteCopy(t *testing.T) {
 		t.Fatal("invalidated line still hit in core 1's L1")
 	}
 	// The writing core keeps its own copy.
-	if h.sys[0].l1Stats.Invalidations != 0 {
+	if h.sys[0].l1.stats.Invalidations != 0 {
 		t.Fatal("the writer invalidated its own copy")
 	}
 }
@@ -179,7 +179,7 @@ func TestCoherenceWritesBackDirtyRemoteCopy(t *testing.T) {
 
 	h.tick()
 	h.store(t, 0, addr)
-	st1 := h.sys[1].l1Stats
+	st1 := h.sys[1].l1.stats
 	if st1.Invalidations == 0 {
 		t.Fatal("dirty remote copy not invalidated")
 	}
@@ -203,11 +203,11 @@ func TestInvalidateRacesInFlightFill(t *testing.T) {
 	// Invalidate while the fill is in flight.
 	h.tick()
 	h.store(t, 0, addr)
-	if h.sys[1].l1Stats.Invalidations != 1 {
-		t.Fatalf("in-flight fill not invalidated (invals = %d)", h.sys[1].l1Stats.Invalidations)
+	if h.sys[1].l1.stats.Invalidations != 1 {
+		t.Fatalf("in-flight fill not invalidated (invals = %d)", h.sys[1].l1.stats.Invalidations)
 	}
 
-	fillsBefore := h.sys[1].l1Stats.Fills
+	fillsBefore := h.sys[1].l1.stats.Fills
 	if h.sys[1].l1.mshrsInUse != 1 {
 		t.Fatalf("core 1 MSHRs in use = %d, want 1", h.sys[1].l1.mshrsInUse)
 	}
@@ -215,7 +215,7 @@ func TestInvalidateRacesInFlightFill(t *testing.T) {
 	if h.sys[1].l1.mshrsInUse != 0 {
 		t.Fatal("cancelled fill did not free its MSHR")
 	}
-	if got := h.sys[1].l1Stats.Fills; got != fillsBefore {
+	if got := h.sys[1].l1.stats.Fills; got != fillsBefore {
 		t.Fatalf("cancelled fill installed a line (fills %d -> %d)", fillsBefore, got)
 	}
 	// The line is dead on arrival: the next access misses again.
@@ -384,8 +384,8 @@ func TestPrivateHierarchyIsolatesCapacity(t *testing.T) {
 	// A write on core 0 invalidates both of core 1's private levels.
 	h.tick()
 	h.store(t, 0, addr)
-	if h.sys[1].l1Stats.Invalidations != 1 {
-		t.Fatalf("core 1 L1 invalidations = %d, want 1", h.sys[1].l1Stats.Invalidations)
+	if h.sys[1].l1.stats.Invalidations != 1 {
+		t.Fatalf("core 1 L1 invalidations = %d, want 1", h.sys[1].l1.stats.Invalidations)
 	}
 	ls := h.ic.LevelStats(h.now, h.now)
 	var c1l2 LevelStats
@@ -419,10 +419,10 @@ func TestInterconnectResetStats(t *testing.T) {
 	if ls := h.ic.LevelStats(h.now, 1); ls[0].Name != "L2" || ls[0].Accesses != 0 {
 		t.Fatalf("L2 stats after reset = %+v", ls[0])
 	}
-	if h.sys[0].l1Stats.Name != "c0.L1" {
-		t.Fatalf("core 0 L1 name lost on reset: %q", h.sys[0].l1Stats.Name)
+	if h.sys[0].l1.stats.Name != "c0.L1" {
+		t.Fatalf("core 0 L1 name lost on reset: %q", h.sys[0].l1.stats.Name)
 	}
 }
 
 // Cores returns the number of attached cores.
-func (ic *Interconnect) Cores() int { return ic.cores }
+func (ic *Interconnect) Cores() int { return len(ic.systems) }

@@ -208,9 +208,8 @@ func TestHierarchyLowerMSHRStall(t *testing.T) {
 // TestLevelSecondaryMerge drives a level directly: two fetches of one
 // line while the first is pending merge into a single downstream miss.
 func TestLevelSecondaryMerge(t *testing.T) {
-	var ls LevelStats
-	l := newLevel(cache.Config{SizeBytes: 64 * 1024, LineBytes: 32, Assoc: 1},
-		4, 16, 16, terminus{latency: 64}, &ls)
+	l := newLevel("L2", cache.Config{SizeBytes: 64 * 1024, LineBytes: 32, Assoc: 1},
+		4, 16, 16, terminus{latency: 64})
 	a1, ok := l.fetch(0x40, 10)
 	if !ok {
 		t.Fatal("first fetch rejected")
@@ -219,16 +218,16 @@ func TestLevelSecondaryMerge(t *testing.T) {
 	if !ok {
 		t.Fatal("merging fetch rejected")
 	}
-	if ls.Misses != 1 || ls.SecondaryMisses != 1 || ls.Accesses != 2 {
-		t.Fatalf("stats = %+v, want 1 primary + 1 secondary", ls)
+	if l.stats.Misses != 1 || l.stats.SecondaryMisses != 1 || l.stats.Accesses != 2 {
+		t.Fatalf("stats = %+v, want 1 primary + 1 secondary", l.stats)
 	}
 	if a2 < a1 {
 		t.Fatalf("merged fetch available at %d before the fill %d", a2, a1)
 	}
 	// After the fill installs, the same line is a hit.
 	l.beginCycle(a1)
-	if ls.Fills != 1 {
-		t.Fatalf("fills = %d, want 1", ls.Fills)
+	if l.stats.Fills != 1 {
+		t.Fatalf("fills = %d, want 1", l.stats.Fills)
 	}
 	a3, ok := l.fetch(0x40, a1)
 	if !ok || a3 != a1+16 {

@@ -173,9 +173,10 @@ type level struct {
 	// freeIdx stacks the free MSHR indices.
 	freeIdx []int
 
-	// lstats points at the level's counters (owned by System so the
-	// legacy flat Stats view and the per-level view share one source).
-	lstats *LevelStats
+	// stats holds the level's counters under its report name. An L1
+	// counts only its fills, write-backs and invalidations here; its
+	// System counts the accesses.
+	stats LevelStats
 	// sched, when set, is called with every future fill cycle the level
 	// books, so the core's event calendar wakes the machine exactly when
 	// a line installs (and its dirty victim, if any, books bus time).
@@ -184,9 +185,11 @@ type level struct {
 	sched func(at int64)
 }
 
-// newLevel builds one cache level over the given backend.
-func newLevel(tags cache.Config, mshrs int, hitLatency int64, busBytes int, next backend, lstats *LevelStats) *level {
+// newLevel builds one cache level, named name in reports, over the given
+// backend.
+func newLevel(name string, tags cache.Config, mshrs int, hitLatency int64, busBytes int, next backend) *level {
 	l := &level{
+		stats:      LevelStats{Name: name},
 		tags:       cache.New(tags),
 		bus:        bus.New(busBytes),
 		next:       next,
@@ -195,7 +198,6 @@ func newLevel(tags cache.Config, mshrs int, hitLatency int64, busBytes int, next
 		mshrs:      make([]mshr, mshrs),
 		fillq:      queue.New[int](mshrs),
 		freeIdx:    make([]int, 0, mshrs),
-		lstats:     lstats,
 	}
 	if mshrs > smallMSHRFile {
 		l.lineIdx = make(map[uint64]int, mshrs)
@@ -233,12 +235,12 @@ func (l *level) beginCycle(now int64) int {
 			if e.dirty {
 				l.tags.SetDirty(e.line)
 			}
-			l.lstats.Fills++
+			l.stats.Fills++
 			filled++
 			if victim.Valid && victim.Dirty {
 				// The write-back occupies the data bus for one line transfer.
 				l.bus.Reserve(now, l.bus.TransferCycles(l.lineBytes))
-				l.lstats.Writebacks++
+				l.stats.Writebacks++
 				l.next.writeback(victim.Addr, now)
 			}
 		}
@@ -296,7 +298,7 @@ func (l *level) alloc(line uint64, fill int64, dirty bool) {
 // requests racing a pending refill merge into its MSHR instead.
 func (l *level) fetch(line uint64, ready int64) (int64, bool) {
 	if l.tags.Lookup(line) {
-		l.lstats.Accesses++
+		l.stats.Accesses++
 		return ready + l.hitLatency, true
 	}
 	// Merge into a pending fetch of the same line: a delayed hit. The
@@ -304,8 +306,8 @@ func (l *level) fetch(line uint64, ready int64) (int64, bool) {
 	// than a hit could serve it.
 	if e := l.findMSHR(line); e != nil {
 		e.cancelled = false // a fresh request re-arms a cancelled fill
-		l.lstats.Accesses++
-		l.lstats.SecondaryMisses++
+		l.stats.Accesses++
+		l.stats.SecondaryMisses++
 		avail := ready + l.hitLatency
 		if e.fill > avail {
 			avail = e.fill
@@ -313,7 +315,7 @@ func (l *level) fetch(line uint64, ready int64) (int64, bool) {
 		return avail, true
 	}
 	if len(l.freeIdx) == 0 {
-		l.lstats.MSHRRejects++
+		l.stats.MSHRRejects++
 		return 0, false
 	}
 	// Primary miss: tag probe, one cycle on the command channel, then
@@ -323,8 +325,8 @@ func (l *level) fetch(line uint64, ready int64) (int64, bool) {
 	if !ok {
 		return 0, false // a level below is out of MSHRs; nothing changed here
 	}
-	l.lstats.Accesses++
-	l.lstats.Misses++
+	l.stats.Accesses++
+	l.stats.Misses++
 	fill := l.bus.Reserve(avail, l.bus.TransferCycles(l.lineBytes))
 	l.alloc(line, fill, false)
 	if l.sched != nil {
@@ -342,10 +344,10 @@ func (l *level) fetch(line uint64, ready int64) (int64, bool) {
 // (cached or in flight) was present.
 func (l *level) invalidate(line uint64, now int64) bool {
 	if dirty, present := l.tags.Invalidate(line); present {
-		l.lstats.Invalidations++
+		l.stats.Invalidations++
 		if dirty {
 			l.bus.Reserve(now, l.bus.TransferCycles(l.lineBytes))
-			l.lstats.CoherenceWritebacks++
+			l.stats.CoherenceWritebacks++
 			l.next.writeback(line, now)
 		}
 		return true
@@ -353,7 +355,7 @@ func (l *level) invalidate(line uint64, now int64) bool {
 	if e := l.findMSHR(line); e != nil && !e.cancelled {
 		e.cancelled = true
 		e.dirty = false
-		l.lstats.Invalidations++
+		l.stats.Invalidations++
 		return true
 	}
 	return false
@@ -376,10 +378,10 @@ func (l *level) writeback(line uint64, now int64) {
 	}
 	victim := l.tags.Fill(line)
 	l.tags.SetDirty(line)
-	l.lstats.WriteAllocates++
+	l.stats.WriteAllocates++
 	if victim.Valid && victim.Dirty {
 		l.bus.Reserve(now, l.bus.TransferCycles(l.lineBytes))
-		l.lstats.Writebacks++
+		l.stats.Writebacks++
 		l.next.writeback(victim.Addr, now)
 	}
 }

@@ -218,20 +218,22 @@ func (s *Stats) Merge(o Stats) {
 }
 
 // System is one core's private memory subsystem: the port-arbitrated
-// L1 level over the backend chain its Interconnect owns (shared levels,
-// this core's private chain, or the flat infinite L2), ending in a
-// fixed-latency terminus. Build it with NewInterconnect — a single-core
-// machine is a one-core interconnect — and fetch it with
+// L1 level over the chain its Interconnect owns below it (the shared
+// levels, this core's private chain, or none: the flat infinite L2),
+// ending in a fixed-latency terminus. Build it with NewInterconnect — a
+// single-core machine is a one-core interconnect — and fetch it with
 // Interconnect.System. Not safe for concurrent use (the simulator is
 // single-goroutine by design).
 type System struct {
 	cfg Config
 	l1  *level
+	// chain is the finite chain below the L1, top-down: the shared
+	// chain, this core's private chain, or nil in the flat model.
+	chain []*level
 
 	now       int64
 	portsUsed int
 	stats     Stats
-	l1Stats   LevelStats
 
 	// ic owns every level below the L1; stores broadcast
 	// write-invalidations through it to the other cores' private levels
@@ -249,8 +251,8 @@ func (s *System) Cache() *cache.Cache { return s.l1.tags }
 // Stats returns a snapshot of the L1 counters.
 func (s *System) Stats() Stats {
 	st := s.stats
-	st.Fills = s.l1Stats.Fills
-	st.Writebacks = s.l1Stats.Writebacks
+	st.Fills = s.l1.stats.Fills
+	st.Writebacks = s.l1.stats.Writebacks
 	return st
 }
 
@@ -260,7 +262,7 @@ func (s *System) Stats() Stats {
 // of the interconnect's shared levels, so per-core coherence traffic
 // (invalidations, coherence write-backs) is visible per L1.
 func (s *System) L1LevelStats(end, window int64) LevelStats {
-	ls := s.l1Stats
+	ls := s.l1.stats
 	ls.Accesses = s.stats.LoadAccesses + s.stats.StoreAccesses
 	ls.Misses = s.stats.LoadMisses + s.stats.StoreMisses
 	ls.SecondaryMisses = s.stats.SecondaryMisses
@@ -277,7 +279,7 @@ func (s *System) Quiescent() bool {
 	if s.l1.mshrsInUse > 0 {
 		return false
 	}
-	for _, l := range s.warmChain() {
+	for _, l := range s.chain {
 		if l.mshrsInUse > 0 {
 			return false
 		}
@@ -392,6 +394,6 @@ func (s *System) StoreCommit(addr uint64) Result {
 // levels below. Cache and MSHR state are preserved.
 func (s *System) ResetStats() {
 	s.stats = Stats{}
-	s.l1Stats = LevelStats{Name: s.l1Stats.Name}
+	s.l1.stats = LevelStats{Name: s.l1.stats.Name}
 	s.l1.bus.Reset()
 }

@@ -58,7 +58,7 @@ func (s sys) ResetStats() {
 
 func (s sys) LevelStats(end, window int64) []LevelStats { return s.ic.LevelStats(end, window) }
 
-func (s sys) LevelCache(i int) *cache.Cache { return s.ic.levels[i].tags }
+func (s sys) LevelCache(i int) *cache.Cache { return s.ic.chains[0][i].tags }
 
 func TestConfigValidate(t *testing.T) {
 	if err := testConfig().Validate(); err != nil {

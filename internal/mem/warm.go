@@ -10,15 +10,6 @@ package mem
 // caches hot across a fast-forwarded gap so the next measured unit does
 // not start cold (the cold-start bias SMARTS warming exists to kill).
 
-// warmChain returns the finite levels below this core's L1 (the shared
-// chain, this core's private chain, or nothing in the flat model).
-func (s *System) warmChain() []*level {
-	if s.ic.priv != nil {
-		return s.ic.priv[s.coreID]
-	}
-	return s.ic.levels
-}
-
 // Warm touches addr functionally: a store dirties the line, a miss
 // installs it in the L1 and allocates it down the chain to the first
 // level that already holds it. Dirty L1 victims write back into the
@@ -34,8 +25,7 @@ func (s *System) warmChain() []*level {
 // (cache.TouchDirect): there is no level below to allocate into or write
 // a victim back to.
 func (s *System) Warm(addr uint64, store bool) {
-	l1 := s.l1.tags
-	chain := s.warmChain()
+	l1, chain := s.l1.tags, s.chain
 	if len(chain) == 0 && s.cfg.L1.Assoc == 1 && s.ic.disjoint {
 		l1.TouchDirect(addr, store)
 		return
@@ -66,28 +56,30 @@ func (s *System) Warm(addr uint64, store bool) {
 	}
 }
 
-// warmInvalidate is the functional twin of invalidateRemote: remote
-// copies of the line die (tags only — no bus time, no counters), and a
-// dirty remote copy migrates into the top shared level when there is
-// one, matching the timed model's write-back-on-invalidate migration.
+// warmInvalidate is the functional twin of invalidateRemote, in the
+// same core-by-core order: remote copies of the line die (tags only — no
+// bus time, no counters). Under a shared chain a dirty remote L1 copy
+// migrates into the top shared level, matching the timed model's
+// write-back-on-invalidate migration; under a private hierarchy the
+// remote core's chain dies with its L1, so there is nothing to migrate
+// into.
 func (ic *Interconnect) warmInvalidate(from int, line uint64) {
 	for c, s := range ic.systems {
 		if c == from {
 			continue
 		}
-		if dirty, present := s.l1.tags.Invalidate(line); present && dirty && len(ic.levels) > 0 {
-			if !ic.levels[0].tags.Lookup(line) {
-				ic.levels[0].tags.Fill(line)
+		dirty, present := s.l1.tags.Invalidate(line)
+		switch {
+		case ic.cfg.PrivateHierarchy:
+			for _, l := range s.chain {
+				l.tags.Invalidate(line)
 			}
-			ic.levels[0].tags.SetDirty(line)
-		}
-	}
-	for c, chain := range ic.priv {
-		if c == from {
-			continue
-		}
-		for _, l := range chain {
-			l.tags.Invalidate(line)
+		case present && dirty && len(s.chain) > 0:
+			top := s.chain[0].tags
+			if !top.Lookup(line) {
+				top.Fill(line)
+			}
+			top.SetDirty(line)
 		}
 	}
 }

@@ -123,12 +123,12 @@ func TestWarmInvalidateBroadcast(t *testing.T) {
 
 	// A dirty remote copy migrates into the shared L2 before dying.
 	h.sys[1].Warm(0x4000, true)
-	h.ic.levels[0].tags.Invalidate(h.sys[1].Cache().LineAddr(0x4000))
+	h.ic.chains[0][0].tags.Invalidate(h.sys[1].Cache().LineAddr(0x4000))
 	h.sys[0].Warm(0x4000, true)
 	if h.sys[1].Cache().Lookup(0x4000) {
 		t.Error("warm store left the dirty remote copy alive")
 	}
-	if !h.ic.levels[0].tags.IsDirty(0x4000) {
+	if !h.ic.chains[0][0].tags.IsDirty(0x4000) {
 		t.Error("dirty remote copy did not migrate to the shared level")
 	}
 }
@@ -161,17 +161,17 @@ func TestWarmPrivateHierarchy(t *testing.T) {
 
 	// Each core's warm chain is its own private L2.
 	h.sys[0].Warm(0x1000, false)
-	if !h.ic.priv[0][0].tags.Lookup(0x1000) {
+	if !h.ic.systems[0].chain[0].tags.Lookup(0x1000) {
 		t.Error("core 0 warm did not allocate in its private L2")
 	}
-	if h.ic.priv[1][0].tags.Lookup(0x1000) {
+	if h.ic.systems[1].chain[0].tags.Lookup(0x1000) {
 		t.Error("core 0 warm leaked into core 1's private L2")
 	}
 
 	// A warm store kills remote private-chain copies too.
 	h.sys[1].Warm(0x1000, false)
 	h.sys[0].Warm(0x1000, true)
-	if h.sys[1].Cache().Lookup(0x1000) || h.ic.priv[1][0].tags.Lookup(0x1000) {
+	if h.sys[1].Cache().Lookup(0x1000) || h.ic.systems[1].chain[0].tags.Lookup(0x1000) {
 		t.Error("warm store left copies in core 1's private chain")
 	}
 }
@@ -239,7 +239,7 @@ func TestSystemAccessorsAndQuiescence(t *testing.T) {
 	if got := s.cfg; got.DRAMLatency != 64 {
 		t.Errorf("cfg.DRAMLatency = %d", got.DRAMLatency)
 	}
-	if s.ic.levels[0].bus == nil {
+	if s.ic.chains[0][0].bus == nil {
 		t.Error("level 0 bus is nil")
 	}
 	if !s.Quiescent() {
