@@ -326,185 +326,136 @@ func (w *Writer) Close() error {
 }
 
 // ----------------------------------------------------------------------------
-// Decoder.
+// Reading.
 
-// Decoder streams a container's records in file order, reporting each
-// record's stream index. It never seeks, so it works on pipes and stdin.
-type Decoder struct {
-	r      *bufio.Reader
-	h      Header
-	err    error
-	done   bool
-	counts []int64
-	total  int64
-	// Current chunk.
-	stream    int
-	payload   []byte
-	off       int
-	remaining int64
-}
-
-// NewDecoder validates the container header and returns a Decoder.
-func NewDecoder(r io.Reader) (*Decoder, error) {
+// ReadAll decodes a whole container into per-stream instruction slices:
+// it validates the header, then decodes each CRC-checked chunk straight
+// into its stream's slice up to the terminator. It never seeks, so it
+// works on pipes and stdin.
+func ReadAll(r io.Reader) (Header, [][]isa.Inst, error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
 		br = bufio.NewReaderSize(r, 1<<16)
 	}
+	h, err := readHeader(br)
+	if err != nil {
+		return Header{}, nil, err
+	}
+	streams, err := readChunks(br, h.Streams)
+	if err != nil {
+		return h, nil, err
+	}
+	return h, streams, nil
+}
+
+// readHeader checks the magic and version and reads the header.
+func readHeader(br *bufio.Reader) (Header, error) {
 	var got [8]byte
 	if _, err := io.ReadFull(br, got[:]); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("%w: short magic", ErrTruncated)
+			return Header{}, fmt.Errorf("%w: short magic", ErrTruncated)
 		}
-		return nil, fmt.Errorf("traceio: reading magic: %w", err)
+		return Header{}, fmt.Errorf("traceio: reading magic: %w", err)
 	}
 	if got != Magic {
-		return nil, ErrBadMagic
+		return Header{}, ErrBadMagic
 	}
 	v, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, fmt.Errorf("%w: missing version", ErrTruncated)
+		return Header{}, fmt.Errorf("%w: missing version", ErrTruncated)
 	}
 	if v != ContainerVersion {
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, v)
+		return Header{}, fmt.Errorf("%w: %d", ErrBadVersion, v)
 	}
 	streams, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, fmt.Errorf("%w: missing stream count", ErrTruncated)
+		return Header{}, fmt.Errorf("%w: missing stream count", ErrTruncated)
 	}
 	if streams == 0 || streams > MaxStreams {
-		return nil, fmt.Errorf("%w: stream count %d out of range [1,%d]", ErrCorrupt, streams, MaxStreams)
+		return Header{}, fmt.Errorf("%w: stream count %d out of range [1,%d]", ErrCorrupt, streams, MaxStreams)
 	}
 	h := Header{Streams: int(streams)}
 	for _, dst := range []*string{&h.Name, &h.Note} {
 		n, err := binary.ReadUvarint(br)
 		if err != nil {
-			return nil, fmt.Errorf("%w: missing header string", ErrTruncated)
+			return Header{}, fmt.Errorf("%w: missing header string", ErrTruncated)
 		}
 		if n > maxMetaLen {
-			return nil, fmt.Errorf("%w: header string of %d bytes", ErrCorrupt, n)
+			return Header{}, fmt.Errorf("%w: header string of %d bytes", ErrCorrupt, n)
 		}
 		buf := make([]byte, n)
 		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("%w: short header string", ErrTruncated)
+			return Header{}, fmt.Errorf("%w: short header string", ErrTruncated)
 		}
 		*dst = string(buf)
 	}
-	return &Decoder{r: br, h: h, counts: make([]int64, h.Streams)}, nil
+	return h, nil
 }
 
-// Header returns the container's header.
-func (d *Decoder) Header() Header { return d.h }
-
-// Err returns the first decoding error, if any. A clean terminator is
-// not an error.
-func (d *Decoder) Err() error { return d.err }
-
-// Next decodes the next record in file order, returning its stream
-// index. It returns ok=false at the terminator or on error (check Err).
-func (d *Decoder) Next(in *isa.Inst) (stream int, ok bool) {
-	if d.err != nil || d.done {
-		return 0, false
-	}
-	for d.remaining == 0 {
-		if !d.nextChunk() {
-			return 0, false
-		}
-	}
-	n, err := decodeRecord(d.payload[d.off:], in)
-	if err != nil {
-		d.err = fmt.Errorf("%w (stream %d record %d)", err, d.stream, d.counts[d.stream])
-		return 0, false
-	}
-	d.off += n
-	d.remaining--
-	if d.remaining == 0 && d.off != len(d.payload) {
-		d.err = fmt.Errorf("%w: chunk of stream %d has %d trailing payload bytes", ErrCorrupt, d.stream, len(d.payload)-d.off)
-		return 0, false
-	}
-	d.counts[d.stream]++
-	d.total++
-	return d.stream, true
-}
-
-// nextChunk loads the next data chunk, or handles the terminator.
-func (d *Decoder) nextChunk() bool {
-	marker, err := binary.ReadUvarint(d.r)
-	if err != nil {
-		d.err = fmt.Errorf("%w: container ends without terminator", ErrTruncated)
-		return false
-	}
-	if marker == 0 {
-		total, err := binary.ReadUvarint(d.r)
-		if err != nil {
-			d.err = fmt.Errorf("%w: terminator missing record total", ErrTruncated)
-			return false
-		}
-		if int64(total) != d.total {
-			d.err = fmt.Errorf("%w: terminator declares %d records, decoded %d", ErrCorrupt, total, d.total)
-			return false
-		}
-		d.done = true
-		return false
-	}
-	if marker > uint64(d.h.Streams) {
-		d.err = fmt.Errorf("%w: chunk names stream %d of %d", ErrCorrupt, marker-1, d.h.Streams)
-		return false
-	}
-	count, err := binary.ReadUvarint(d.r)
-	if err != nil {
-		d.err = fmt.Errorf("%w: chunk missing record count", ErrTruncated)
-		return false
-	}
-	plen, err := binary.ReadUvarint(d.r)
-	if err != nil {
-		d.err = fmt.Errorf("%w: chunk missing payload length", ErrTruncated)
-		return false
-	}
-	if count == 0 || plen == 0 || plen > MaxChunkPayload {
-		d.err = fmt.Errorf("%w: chunk with %d records, %d payload bytes", ErrCorrupt, count, plen)
-		return false
-	}
-	// Grow the buffer as bytes arrive, so a hostile length costs memory
-	// only for payload that is really there.
-	buf := bytes.NewBuffer(d.payload[:0])
-	_, err = io.CopyN(buf, d.r, int64(plen))
-	d.payload = buf.Bytes()
-	if err != nil {
-		d.err = fmt.Errorf("%w: chunk payload cut short", ErrTruncated)
-		return false
-	}
-	var crc [4]byte
-	if _, err := io.ReadFull(d.r, crc[:]); err != nil {
-		d.err = fmt.Errorf("%w: chunk checksum cut short", ErrTruncated)
-		return false
-	}
-	if got := crc32.ChecksumIEEE(d.payload); got != binary.LittleEndian.Uint32(crc[:]) {
-		d.err = fmt.Errorf("%w (stream %d)", ErrChecksum, marker-1)
-		return false
-	}
-	d.stream = int(marker - 1)
-	d.off = 0
-	d.remaining = int64(count)
-	return true
-}
-
-// ReadAll decodes a whole container into per-stream instruction slices.
-func ReadAll(r io.Reader) (Header, [][]isa.Inst, error) {
-	d, err := NewDecoder(r)
-	if err != nil {
-		return Header{}, nil, err
-	}
-	streams := make([][]isa.Inst, d.Header().Streams)
-	var in isa.Inst
+// readChunks decodes the chunks of an n-stream container, in file
+// order, into per-stream slices, and checks the terminator's total.
+func readChunks(br *bufio.Reader, n int) ([][]isa.Inst, error) {
+	streams := make([][]isa.Inst, n)
+	var total int64
+	var payload []byte
 	for {
-		s, ok := d.Next(&in)
-		if !ok {
-			break
+		marker, err := binary.ReadUvarint(br)
+		if err != nil {
+			return nil, fmt.Errorf("%w: container ends without terminator", ErrTruncated)
 		}
-		streams[s] = append(streams[s], in)
+		if marker == 0 {
+			declared, err := binary.ReadUvarint(br)
+			if err != nil {
+				return nil, fmt.Errorf("%w: terminator missing record total", ErrTruncated)
+			}
+			if int64(declared) != total {
+				return nil, fmt.Errorf("%w: terminator declares %d records, decoded %d", ErrCorrupt, declared, total)
+			}
+			return streams, nil
+		}
+		if marker > uint64(n) {
+			return nil, fmt.Errorf("%w: chunk names stream %d of %d", ErrCorrupt, marker-1, n)
+		}
+		count, err := binary.ReadUvarint(br)
+		if err != nil {
+			return nil, fmt.Errorf("%w: chunk missing record count", ErrTruncated)
+		}
+		plen, err := binary.ReadUvarint(br)
+		if err != nil {
+			return nil, fmt.Errorf("%w: chunk missing payload length", ErrTruncated)
+		}
+		if count == 0 || plen == 0 || plen > MaxChunkPayload {
+			return nil, fmt.Errorf("%w: chunk with %d records, %d payload bytes", ErrCorrupt, count, plen)
+		}
+		// Grow the buffer as bytes arrive, so a hostile length costs
+		// memory only for payload that is really there.
+		buf := bytes.NewBuffer(payload[:0])
+		_, err = io.CopyN(buf, br, int64(plen))
+		payload = buf.Bytes()
+		if err != nil {
+			return nil, fmt.Errorf("%w: chunk payload cut short", ErrTruncated)
+		}
+		var crc [4]byte
+		if _, err := io.ReadFull(br, crc[:]); err != nil {
+			return nil, fmt.Errorf("%w: chunk checksum cut short", ErrTruncated)
+		}
+		s := int(marker - 1)
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(crc[:]) {
+			return nil, fmt.Errorf("%w (stream %d)", ErrChecksum, s)
+		}
+		off := 0
+		for ; count > 0; count-- {
+			var in isa.Inst
+			k, err := decodeRecord(payload[off:], &in)
+			if err != nil {
+				return nil, fmt.Errorf("%w (stream %d record %d)", err, s, len(streams[s]))
+			}
+			off += k
+			streams[s] = append(streams[s], in)
+			total++
+		}
+		if off != len(payload) {
+			return nil, fmt.Errorf("%w: chunk of stream %d has %d trailing payload bytes", ErrCorrupt, s, len(payload)-off)
+		}
 	}
-	if err := d.Err(); err != nil {
-		return d.Header(), nil, err
-	}
-	return d.Header(), streams, nil
 }

@@ -147,14 +147,14 @@ func TestContainerUnknownVersion(t *testing.T) {
 		t.Fatalf("test assumes single-byte version varint, got %#x", data[8])
 	}
 	data[8] = ContainerVersion + 1
-	if _, err := NewDecoder(bytes.NewReader(data)); !errors.Is(err, ErrBadVersion) {
+	if _, _, err := ReadAll(bytes.NewReader(data)); !errors.Is(err, ErrBadVersion) {
 		t.Fatalf("got %v, want ErrBadVersion", err)
 	}
 }
 
 // TestContainerBadMagic: foreign files are rejected up front.
 func TestContainerBadMagic(t *testing.T) {
-	if _, err := NewDecoder(bytes.NewReader([]byte("NOTATRCE-rest"))); !errors.Is(err, ErrBadMagic) {
+	if _, _, err := ReadAll(bytes.NewReader([]byte("NOTATRCE-rest"))); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("got %v, want ErrBadMagic", err)
 	}
 }
@@ -196,32 +196,24 @@ func TestWriterValidation(t *testing.T) {
 	}
 }
 
-// TestDecoderStreamCounts: Next reports the originating stream of every
-// record and Counts tracks the per-stream totals.
+// TestDecoderStreamCounts: ReadAll files every record of interleaved
+// chunks under its originating stream, in order.
 func TestDecoderStreamCounts(t *testing.T) {
 	streams := [][]isa.Inst{testStream(20, 40), testStream(21, 25)}
 	data := encodeContainer(t, Header{Streams: 2}, streams)
-	d, err := NewDecoder(bytes.NewReader(data))
+	_, got, err := ReadAll(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var in isa.Inst
-	got := make([]int64, 2)
-	for {
-		s, ok := d.Next(&in)
-		if !ok {
-			break
+	if len(got[0]) != 40 || len(got[1]) != 25 {
+		t.Fatalf("per-stream counts [%d %d], want [40 25]", len(got[0]), len(got[1]))
+	}
+	for s := range streams {
+		for i := range streams[s] {
+			if got[s][i] != streams[s][i] {
+				t.Fatalf("stream %d record %d: got %+v want %+v", s, i, got[s][i], streams[s][i])
+			}
 		}
-		got[s]++
-	}
-	if err := d.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 40 || got[1] != 25 {
-		t.Fatalf("per-stream counts %v, want [40 25]", got)
-	}
-	if c := d.Counts(); c[0] != 40 || c[1] != 25 {
-		t.Fatalf("Counts() = %v", c)
 	}
 }
 
@@ -233,6 +225,3 @@ func TestUvarintAssumption(t *testing.T) {
 		t.Fatalf("uvarint(5) = %d bytes", n)
 	}
 }
-
-// Counts returns the per-stream record totals decoded so far.
-func (d *Decoder) Counts() []int64 { return append([]int64(nil), d.counts...) }

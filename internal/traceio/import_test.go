@@ -213,7 +213,7 @@ func TestDetect(t *testing.T) {
 		}
 		// Detection must not consume: the payload must still parse.
 		if c.want == FormatContainer {
-			if _, err := NewDecoder(br); err != nil {
+			if _, _, err := ReadAll(br); err != nil {
 				t.Errorf("container unreadable after Detect: %v", err)
 			}
 		}
