@@ -25,16 +25,12 @@ type Context struct {
 	// Exhausted marks that Source has run dry; the thread idles.
 	Exhausted bool
 
-	// filler is Source's bulk-read interface when it has one (workload
-	// generators, interned and trace-file replays).
-	filler trace.Filler
 	// ahead[aheadPos:aheadLen] is the lookahead batch, read before the
 	// Source: fetch must inspect the next instruction before consuming it
 	// (to stop *before* a branch that would exceed the control-speculation
-	// limit). A Filler refills the whole batch in one call, a plain Reader
-	// one record per Next; the functional warp tops the batch up to
-	// capacity (window). Reading ahead is invisible to the machine: the
-	// context owns its source exclusively.
+	// limit). Every refill reads as much of the batch as the source gives
+	// in one bulk call (see fill). Reading ahead is invisible to the
+	// machine: the context owns its source exclusively.
 	ahead              [lookahead]isa.Inst
 	aheadPos, aheadLen int
 
@@ -160,7 +156,6 @@ func newContext(id int, m config.Machine, src trace.Reader) (*Context, error) {
 	}
 	c.files[isa.AP] = c.APFile
 	c.files[isa.EP] = c.EPFile
-	c.filler, _ = src.(trace.Filler)
 	if err := c.Map.Init(c.APFile, c.EPFile); err != nil {
 		return nil, fmt.Errorf("thread %d: %w", id, err)
 	}
@@ -225,48 +220,40 @@ const lookahead = 64
 // peekSource returns the next trace instruction without consuming it,
 // refilling the lookahead batch from the source when it is empty.
 func (c *Context) peekSource() (*isa.Inst, bool) {
-	if c.aheadPos < c.aheadLen {
-		return &c.ahead[c.aheadPos], true
-	}
-	if c.Exhausted {
+	if c.aheadPos == c.aheadLen && len(c.window()) == 0 {
 		return nil, false
 	}
-	n := 0
-	if c.filler != nil {
-		n = c.filler.Fill(c.ahead[:])
-	} else if c.Source.Next(&c.ahead[0]) {
-		n = 1
-	}
-	c.aheadPos, c.aheadLen = 0, n
-	if n == 0 {
-		c.Exhausted = true
-		return nil, false
-	}
-	return &c.ahead[0], true
+	return &c.ahead[c.aheadPos], true
 }
 
 // consumeSource consumes the peeked instruction.
 func (c *Context) consumeSource() { c.aheadPos++ }
 
 // window returns the lookahead batch topped up to capacity, for the
-// functional warp to consume in bulk: a Filler tops it up with one call,
-// a plain Reader one record at a time. Full windows keep round-robin
+// functional warp to consume in bulk. Full windows keep round-robin
 // contexts in phase, so a warp pass replays whole batches. Empty means
 // the source has run dry. Consume a prefix with advance.
 func (c *Context) window() []isa.Inst {
 	if !c.Exhausted && c.aheadLen-c.aheadPos < lookahead {
 		n := copy(c.ahead[:], c.ahead[c.aheadPos:c.aheadLen])
-		if c.filler != nil {
-			n += c.filler.Fill(c.ahead[n:])
-		} else {
-			for n < lookahead && c.Source.Next(&c.ahead[n]) {
-				n++
-			}
-		}
+		n += fill(c.Source, c.ahead[n:])
 		c.aheadPos, c.aheadLen = 0, n
 		c.Exhausted = n == 0
 	}
 	return c.ahead[c.aheadPos:c.aheadLen]
+}
+
+// fill reads up to len(dst) records from src in one bulk call, looping
+// Next only for a source without Fill.
+func fill(src trace.Reader, dst []isa.Inst) int {
+	if f, ok := src.(trace.Filler); ok {
+		return f.Fill(dst)
+	}
+	n := 0
+	for n < len(dst) && src.Next(&dst[n]) {
+		n++
+	}
+	return n
 }
 
 // advance consumes the first k records of the current window.
