@@ -140,6 +140,10 @@ func TestCommandLineErrors(t *testing.T) {
 		{[]string{"-sample-unit", "500"}, 1, "sampling parameters require sampled mode"},
 		{[]string{"-trace", "x.dct", "-seed", "3"}, 1, "seed applies only to generator workloads"},
 		{[]string{"-bench", "quake3"}, 1, "quake3"},
+		// Refused before simulating: one miss alone outlasts the drain
+		// guard a sampled run needs before every warp.
+		{[]string{"-threads", "1", "-l2", "2097152", "-mode", "sampled", "-warmup", "200", "-measure", "12000",
+			"-sample-period", "10000", "-sample-unit", "1000", "-sample-warmup", "1000"}, 1, "reaching the 1048576-cycle drain guard"},
 	}
 	for _, c := range cases {
 		code, stdout, stderr := runSim(c.args...)

@@ -11,10 +11,11 @@ import (
 // warp that advances trace cursors, branch-predictor state and the cache
 // footprint across a sampling gap without simulating any timing.
 
-// drainMaxCycles bounds a pipeline drain as a deadlock guard; real
+// DrainMaxCycles bounds a pipeline drain as a deadlock guard; real
 // drains finish within queue depths × memory latencies, orders of
-// magnitude sooner.
-const drainMaxCycles = 1 << 20
+// magnitude sooner. A machine whose single miss alone takes this long
+// can never drain, and runner.Validate refuses it for sampled mode.
+const DrainMaxCycles = 1 << 20
 
 // PipelineEmpty reports whether every context's pipeline state has
 // drained: nothing fetched awaiting dispatch, nothing in flight in the
@@ -118,7 +119,7 @@ func (p *CMP) DrainPipeline() bool {
 	for _, co := range p.cores {
 		co.fetchFrozen = true
 	}
-	limit := p.Now() + drainMaxCycles
+	limit := p.Now() + DrainMaxCycles
 	for !p.drained() && p.Now() < limit {
 		p.Tick()
 	}

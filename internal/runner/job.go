@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -307,6 +308,21 @@ func Validate(j Job) error {
 	}
 	if err := j.Machine.Validate(); err != nil {
 		return fmt.Errorf("daesim: %w", err)
+	}
+	if b.Mode == ModeSampled {
+		// A sampled run drains the pipeline before every warp, so a
+		// machine whose single miss (the flat L2, or DRAM plus every
+		// level's hit) reaches the drain guard could only fail after
+		// simulating. Clamping keeps the sum from overflowing.
+		const guard = core.DrainMaxCycles
+		mc := j.Machine.Mem
+		miss := mc.L2Latency + mc.DRAMLatency // one of the two is zero
+		for _, l := range mc.Hierarchy {
+			miss = min(miss, guard) + min(l.HitLatency, guard)
+		}
+		if miss >= guard {
+			return invalid("sampled mode: one miss takes %d cycles, reaching the %d-cycle drain guard", miss, guard)
+		}
 	}
 	return nil
 }

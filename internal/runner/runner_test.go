@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -441,6 +442,20 @@ func TestValidateRejectsBadJobs(t *testing.T) {
 	if err := Validate(sampledJob); err != nil {
 		t.Fatalf("valid sampled job rejected: %v", err)
 	}
+	// A single miss one cycle short of the drain guard can still drain.
+	const guard = core.DrainMaxCycles
+	drainable := sampledJob
+	drainable.Machine = drainable.Machine.WithL2Latency(guard - 1)
+	if err := Validate(drainable); err != nil {
+		t.Fatalf("sampled job under the drain guard rejected: %v", err)
+	}
+	// drainGuard gives a sampled job the machine m, whose single miss
+	// reaches the drain guard.
+	drainGuard := func(m config.Machine) func(*Job) {
+		return func(j *Job) { *j = sampledJob; j.Machine = m }
+	}
+	hier := config.SharedL2(64<<10, 8)
+	hier.HitLatency = guard / 2
 	bench := benchJob("ok", "swim", 16)
 	if err := Validate(bench); err != nil {
 		t.Fatalf("valid bench job rejected: %v", err)
@@ -466,6 +481,10 @@ func TestValidateRejectsBadJobs(t *testing.T) {
 		{"sampled schedule with a default left zero", sampled(sim.Sampling{PeriodInsts: 1000, UnitInsts: 100}), ErrInvalidRequest},
 		{"negative sampling unit", sampled(sim.Sampling{PeriodInsts: 1000, UnitInsts: -1, WarmupInsts: 100}), ErrInvalidRequest},
 		{"sampling unit+warm-up over the period", sampled(sim.Sampling{PeriodInsts: 500, UnitInsts: 400, WarmupInsts: 200}), ErrInvalidRequest},
+		{"sampled flat L2 past the drain guard", drainGuard(config.Figure2(1).WithL2Latency(2 * guard)), ErrInvalidRequest},
+		{"sampled flat L2 at the drain guard", drainGuard(config.Figure2(1).WithL2Latency(guard)), ErrInvalidRequest},
+		{"sampled DRAM plus hits at the drain guard", drainGuard(config.Figure2(1).WithHierarchy(guard/2, hier)), ErrInvalidRequest},
+		{"sampled DRAM past the drain guard", drainGuard(config.Figure2(1).WithHierarchy(1<<62, hier, hier)), ErrInvalidRequest},
 	} {
 		j := good
 		tc.edit(&j)

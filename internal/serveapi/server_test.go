@@ -508,6 +508,23 @@ func TestRunEndpointSampledRequest(t *testing.T) {
 	}
 }
 
+// TestSampledDrainGuardMapsToBadRequest: a sampled run whose single
+// miss outlasts the pipeline-drain guard is refused by validation — a
+// 400 before any simulation — rather than failing after its warm-up.
+func TestSampledDrainGuardMapsToBadRequest(t *testing.T) {
+	ts, eng := newTestServer(t, daesim.EngineOpts{Workers: 1}, 0)
+	req := daesim.MixRequest(daesim.Figure2(1).WithL2Latency(1<<21), daesim.RunOpts{WarmupInsts: 200, MeasureInsts: 12_000})
+	req.Budget.Mode = daesim.ModeSampled
+	req.Budget.Sampling = &daesim.Sampling{PeriodInsts: 10_000, UnitInsts: 1_000, WarmupInsts: 1_000}
+	var er ErrorResponse
+	if code := do(t, http.MethodPost, ts.URL+"/v1/runs", req, &er); code != http.StatusBadRequest || !strings.Contains(er.Error, "drain guard") {
+		t.Fatalf("status %d (%+v), want 400 naming the drain guard", code, er)
+	}
+	if s := eng.Stats(); s.Simulated != 0 {
+		t.Errorf("engine stats %+v, want nothing simulated", s)
+	}
+}
+
 // TestRunEndpointSpeculationRequest: the speculation knobs ride the
 // request JSON unchanged — the served report carries the new counters,
 // the hash forks from the plain machine, and bad knobs are 400s.
