@@ -125,6 +125,41 @@ func TestInterconnectConstruction(t *testing.T) {
 	if len(ls) != 2 || ls[0].Name != "c0.L2" || ls[1].Name != "c1.L2" {
 		t.Fatalf("private LevelStats = %+v", ls)
 	}
+
+	// The chain table: one shared chain under every core's L1, one
+	// private chain per core, or none in the flat model.
+	if len(ic.chains) != 1 || ic.System(0).chain[0] != ic.chains[0][0] || ic.System(1).chain[0] != ic.chains[0][0] {
+		t.Error("shared mode: the cores do not share the one owned chain")
+	}
+	if len(icp.chains) != 2 || icp.System(0).chain[0] != icp.chains[0][0] || icp.System(1).chain[0] != icp.chains[1][0] {
+		t.Error("private mode: core c does not own chain c")
+	}
+	if icp.System(0).l1.next != icp.chains[0][0] {
+		t.Error("private mode: core 0's L1 does not miss into its own chain")
+	}
+	flat, err := NewInterconnect(testConfig(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if flat.chains != nil || flat.System(1).chain != nil || flat.LevelStats(0, 1) != nil {
+		t.Error("flat model owns a chain")
+	}
+}
+
+// TestQuiescentSeesSharedChain: a miss in flight in the shared L2 keeps
+// every core that misses into it from being quiescent, not only the
+// core that issued it.
+func TestQuiescentSeesSharedChain(t *testing.T) {
+	h := newCMPHarness(t, cmpConfig(), 2)
+	h.tick()
+	r := h.load(t, 0, 0x1000)
+	if h.sys[1].l1.mshrsInUse != 0 || h.sys[1].Quiescent() {
+		t.Fatal("core 1 quiescent while the shared L2 has a fill in flight")
+	}
+	h.runTo(r.ReadyAt)
+	if !h.sys[0].Quiescent() || !h.sys[1].Quiescent() {
+		t.Error("cores not quiescent after the fill")
+	}
 }
 
 // TestCoherenceInvalidatesCleanRemoteCopy: a store on one core kills the

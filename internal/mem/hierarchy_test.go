@@ -243,6 +243,51 @@ func TestLevelSecondaryMerge(t *testing.T) {
 	}
 }
 
+// TestLevelIndexedMSHRFile drives a level whose MSHR file is large
+// enough for the line index: a merge finds its entry through the index,
+// a fill removes it, and a later miss reuses the freed entry.
+func TestLevelIndexedMSHRFile(t *testing.T) {
+	l := newLevel("L2", cache.Config{SizeBytes: 64 * 1024, LineBytes: 32, Assoc: 1},
+		2*smallMSHRFile, 16, 16, terminus{latency: 64})
+	if l.lineIdx == nil {
+		t.Fatal("large MSHR file built without a line index")
+	}
+	a1, _ := l.fetch(0x40, 10)
+	if _, ok := l.fetch(0x40, 12); !ok || l.stats.SecondaryMisses != 1 {
+		t.Fatalf("indexed merge failed: %+v", l.stats)
+	}
+	if l.findMSHR(0x80) != nil {
+		t.Fatal("unpending line found in the index")
+	}
+	l.beginCycle(a1)
+	if len(l.lineIdx) != 0 || l.mshrsInUse != 0 {
+		t.Fatalf("fill left %d indexed, %d in use", len(l.lineIdx), l.mshrsInUse)
+	}
+}
+
+// TestLevelLowerRejectAndWriteAllocate: a primary miss the level below
+// rejects leaves this level untouched, and write-allocated lines push a
+// dirty victim down like a fill does.
+func TestLevelLowerRejectAndWriteAllocate(t *testing.T) {
+	geom := cache.Config{SizeBytes: 1024, LineBytes: 32, Assoc: 1}
+	l3 := newLevel("L3", geom, 1, 30, 8, terminus{latency: 100})
+	l2 := newLevel("L2", geom, 4, 16, 16, l3)
+	if _, ok := l2.fetch(0x40, 0); !ok {
+		t.Fatal("first miss rejected")
+	}
+	if _, ok := l2.fetch(0x80, 0); ok {
+		t.Fatal("miss accepted with the level below out of MSHRs")
+	}
+	if l2.stats.Accesses != 1 || l2.mshrsInUse != 1 {
+		t.Fatalf("rejected miss changed the level: %+v, %d in use", l2.stats, l2.mshrsInUse)
+	}
+	l2.writeback(0x400, 1)
+	l2.writeback(0x800, 2) // same set: evicts the dirty 0x400
+	if l2.stats.WriteAllocates != 2 || l2.stats.Writebacks != 1 || !l3.tags.IsDirty(0x400) {
+		t.Fatalf("write-allocate victim not pushed down: L2 %+v", l2.stats)
+	}
+}
+
 // TestHierarchyTwoLevels: levels compose — an L3 between the L2 and
 // DRAM serves L2 misses and the names land in order in LevelStats.
 func TestHierarchyTwoLevels(t *testing.T) {

@@ -106,6 +106,13 @@ func TestWarmHierarchyAllocatesDownChain(t *testing.T) {
 	if !s.LevelCache(0).IsDirty(0x1000) {
 		t.Error("dirty warm victim did not write back into the L2")
 	}
+	// A dirty victim the L2 no longer holds is allocated there.
+	s.Warm(0x3000, true)
+	s.LevelCache(0).Invalidate(0x3000)
+	s.Warm(0x3000+8*1024, false)
+	if !s.LevelCache(0).IsDirty(0x3000) {
+		t.Error("dirty warm victim missing from the L2 was not allocated there")
+	}
 }
 
 func TestWarmInvalidateBroadcast(t *testing.T) {
@@ -130,6 +137,16 @@ func TestWarmInvalidateBroadcast(t *testing.T) {
 	}
 	if !h.ic.chains[0][0].tags.IsDirty(0x4000) {
 		t.Error("dirty remote copy did not migrate to the shared level")
+	}
+
+	// A store hitting the writer's own L1 walks no chain, so the
+	// migration itself must allocate a line the shared level dropped.
+	h.sys[1].Warm(0x6000, true)
+	h.sys[0].Warm(0x6000, false)
+	h.ic.chains[0][0].tags.Invalidate(0x6000)
+	h.sys[0].Warm(0x6000, true)
+	if h.sys[1].Cache().Lookup(0x6000) || !h.ic.chains[0][0].tags.IsDirty(0x6000) {
+		t.Error("dirty remote copy was not allocated dirty in the shared level")
 	}
 }
 
