@@ -9,10 +9,9 @@ import (
 )
 
 // This file holds the composable pieces of the memory hierarchy: the
-// level abstraction (tags + lockup-free MSHR file + fill FIFO + the bus
-// connecting the level to whatever is below it) extracted from the
-// original hard-wired L1 implementation, and the backend interface that
-// lets levels stack — L1 over a finite shared L2 over DRAM, or L1
+// level (tags + lockup-free MSHR file + fill FIFO + the bus connecting
+// it to whatever is below + its own counters), and the backend interface
+// that lets levels stack — L1 over a finite shared L2 over DRAM, or L1
 // directly over the paper's infinite flat-latency L2 (the default).
 
 // LevelSpec configures one shared cache level of a finite hierarchy

@@ -14,8 +14,9 @@
 //   - a 16-byte/cycle bus per level carrying miss requests, line refills
 //     and dirty write-backs.
 //
-// An Interconnect owns everything below the L1s, for one core (the
-// paper's machine) or several; each core's System is its slot there.
+// An Interconnect owns every chain below the L1s, for one core (the
+// paper's machine) or several; each core's System is its slot there
+// and holds the chain below its own L1.
 // The subsystem is cycle-stepped: the driver calls
 // Interconnect.BeginCycle and then each core's System.BeginCycle once
 // per cycle (completing fills bottom-up and freeing MSHRs); the core then
