@@ -321,7 +321,7 @@ func Validate(j Job) error {
 			miss = min(miss, guard) + min(l.HitLatency, guard)
 		}
 		if miss >= guard {
-			return invalid("sampled mode: one miss takes %d cycles, reaching the %d-cycle drain guard", miss, guard)
+			return invalid("sampled mode: one miss takes at least %d cycles, reaching the %d-cycle drain guard", miss, guard)
 		}
 	}
 	return nil
