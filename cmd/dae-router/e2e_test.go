@@ -17,8 +17,8 @@ import (
 	"repro/internal/serveapi"
 )
 
-// TestRouterServeEndToEnd boots the real router loop (listener, fabric,
-// graceful shutdown) on a random port in front of two in-process
+// TestRouterServeEndToEnd boots the router's serving loop (listener,
+// fabric, serveapi.Serve's graceful shutdown) on a random port in front of two in-process
 // replicas sharing one store, and drives the full client surface: run,
 // cached run, GET by hash, sweep, events stream, health. A routed report
 // must be byte-identical to a direct Engine.Run of the same Request, on
@@ -37,22 +37,19 @@ func TestRouterServeEndToEnd(t *testing.T) {
 		replicas = append(replicas, ts.URL)
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	ready := make(chan net.Addr, 1)
-	done := make(chan error, 1)
-	go func() {
-		done <- serve(ctx, "127.0.0.1:0", fabric.Config{
-			Replicas: replicas,
-			StoreDir: storeDir,
-		}, io.Discard, func(a net.Addr) { ready <- a })
-	}()
-	var base string
-	select {
-	case addr := <-ready:
-		base = "http://" + addr.String()
-	case <-time.After(5 * time.Second):
-		t.Fatal("router never became ready")
+	rt, err := fabric.NewRouter(fabric.Config{Replicas: replicas, StoreDir: storeDir})
+	if err != nil {
+		t.Fatal(err)
 	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- serveapi.Serve(ctx, ln, rt, rt.Close) }()
+	base := "http://" + ln.Addr().String()
 
 	opts := daesim.RunOpts{WarmupInsts: 2_000, MeasureInsts: 8_000}
 	req := daesim.MixRequest(daesim.Figure2(2), opts)
@@ -196,4 +193,32 @@ func directReport(t *testing.T, req daesim.Request) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// TestCommandLineErrors: a bad command line exits 2 with one message,
+// -h exits 0, and a router or listener that cannot start exits 1.
+func TestCommandLineErrors(t *testing.T) {
+	busy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+	cases := []struct {
+		args []string
+		code int
+		want string
+	}{
+		{nil, 2, "-replicas is required"},
+		{[]string{"-replicas", " , "}, 2, "-replicas is required"},
+		{[]string{"-bogus"}, 2, "flag provided but not defined: -bogus"},
+		{[]string{"-h"}, 0, "Usage of dae-router"},
+		{[]string{"-replicas", "http://127.0.0.1:1,http://127.0.0.1:1/"}, 1, "duplicate replica"},
+		{[]string{"-replicas", "http://127.0.0.1:1", "-addr", busy.Addr().String()}, 1, "dae-router: listen tcp"},
+	}
+	for _, c := range cases {
+		var stderr strings.Builder
+		if code := run(c.args, &stderr); code != c.code || strings.Count(stderr.String(), c.want) != 1 {
+			t.Errorf("%v: exit %d, stderr %q; want exit %d and one %q", c.args, code, stderr.String(), c.code, c.want)
+		}
+	}
 }

@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -45,19 +44,33 @@ import (
 	"time"
 
 	"repro/internal/fabric"
+	"repro/internal/serveapi"
 )
 
 func main() {
-	var (
-		addr        = flag.String("addr", "127.0.0.1:8180", "listen address")
-		replicaList = flag.String("replicas", "", "comma-separated dae-serve base URLs (required)")
-		storeDir    = flag.String("store", "", "shared result-store directory (the replicas' -cache dir); lets the router answer cached hashes itself (\"\" = always forward)")
-		healthEvery = flag.Duration("health-every", time.Second, "replica health-probe interval")
-		maxActive   = flag.Int("max-active", 64, "max concurrently admitted requests")
-		maxQueue    = flag.Int("max-queue", 256, "max queued requests beyond -max-active before 429")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stderr))
+}
 
+// run parses the command line and routes until SIGINT or SIGTERM. It
+// returns the exit status: 2 for a bad command line, 1 when the router
+// or the listener cannot start.
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dae-router", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		addr        = fs.String("addr", "127.0.0.1:8180", "listen address")
+		replicaList = fs.String("replicas", "", "comma-separated dae-serve base URLs (required)")
+		storeDir    = fs.String("store", "", "shared result-store directory (the replicas' -cache dir); lets the router answer cached hashes itself (\"\" = always forward)")
+		healthEvery = fs.Duration("health-every", time.Second, "replica health-probe interval")
+		maxActive   = fs.Int("max-active", 64, "max concurrently admitted requests")
+		maxQueue    = fs.Int("max-queue", 256, "max queued requests beyond -max-active before 429")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	var replicas []string
 	for _, r := range strings.Split(*replicaList, ",") {
 		if r = strings.TrimSpace(r); r != "" {
@@ -65,64 +78,32 @@ func main() {
 		}
 	}
 	if len(replicas) == 0 {
-		fmt.Fprintln(os.Stderr, "dae-router: -replicas is required (comma-separated dae-serve URLs)")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "dae-router: -replicas is required (comma-separated dae-serve URLs)")
+		return 2
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	cfg := fabric.Config{
+	rt, err := fabric.NewRouter(fabric.Config{
 		Replicas:    replicas,
 		HealthEvery: *healthEvery,
 		MaxActive:   *maxActive,
 		MaxQueue:    *maxQueue,
 		StoreDir:    *storeDir,
+	})
+	if err == nil {
+		defer rt.Close()
+		var ln net.Listener
+		if ln, err = net.Listen("tcp", *addr); err == nil {
+			fmt.Fprintf(stderr, "dae-router: listening on %s (%d replicas)\n", ln.Addr(), len(replicas))
+			// Shed the admission queue's waiters (503, clients retry
+			// elsewhere) before the listener stops; admitted requests finish.
+			err = serveapi.Serve(ctx, ln, rt, rt.Close)
+		}
 	}
-	if err := serve(ctx, *addr, cfg, os.Stderr, nil); err != nil {
-		fmt.Fprintln(os.Stderr, "dae-router:", err)
-		os.Exit(1)
-	}
-}
-
-// serve runs the router until ctx is cancelled, then drains: the
-// admission queue sheds its waiters (503, clients retry elsewhere) while
-// admitted requests finish. It is main's testable body: e2e tests call
-// it with a ":0" address and receive the bound address through onReady.
-func serve(ctx context.Context, addr string, cfg fabric.Config, logw io.Writer, onReady func(net.Addr)) error {
-	rt, err := fabric.NewRouter(cfg)
 	if err != nil {
-		return err
+		fmt.Fprintln(stderr, "dae-router:", err)
+		return 1
 	}
-	defer rt.Close()
-
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(logw, "dae-router: listening on %s (%d replicas)\n", ln.Addr(), len(cfg.Replicas))
-	if onReady != nil {
-		onReady(ln.Addr())
-	}
-	srv := &http.Server{
-		Handler:           rt,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-	select {
-	case err := <-done:
-		return err
-	case <-ctx.Done():
-	}
-	rt.Close() // shed the queue before the listener stops accepting
-	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil {
-		srv.Close()
-	}
-	if err := <-done; !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
+	return 0
 }

@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -22,21 +22,19 @@ import (
 // thread-safety gate. It also asserts the dedup contract at the HTTP
 // level: N concurrent identical POSTs simulate once.
 func TestServeEndToEnd(t *testing.T) {
-	cacheDir := t.TempDir()
-	ctx, cancel := context.WithCancel(context.Background())
-	ready := make(chan net.Addr, 1)
-	done := make(chan error, 1)
-	go func() {
-		done <- serve(ctx, "127.0.0.1:0", daesim.EngineOpts{Workers: 2, CacheDir: cacheDir},
-			0, true, io.Discard, func(a net.Addr) { ready <- a })
-	}()
-	var base string
-	select {
-	case addr := <-ready:
-		base = "http://" + addr.String()
-	case <-time.After(5 * time.Second):
-		t.Fatal("server never became ready")
+	eng, err := daesim.NewEngine(daesim.EngineOpts{Workers: 2, CacheDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
 	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- serve(ctx, ln, eng, 0, true, io.Discard) }()
+	base := "http://" + ln.Addr().String()
 
 	req := daesim.MixRequest(daesim.Figure2(2), daesim.RunOpts{WarmupInsts: 2_000, MeasureInsts: 8_000})
 	raw, _ := json.Marshal(req)
@@ -167,19 +165,36 @@ func mustMarshal(t *testing.T, v any) []byte {
 }
 
 // TestServeRefusesBusyPort covers the operational error path: a second
-// server on the same port fails fast with a useful error.
+// server on the same port exits 1 with the listener's error.
 func TestServeRefusesBusyPort(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	err = serve(context.Background(), ln.Addr().String(), daesim.EngineOpts{}, 0, false, io.Discard, nil)
-	if err == nil {
-		t.Fatal("second listener on a busy port succeeded")
+	var stderr strings.Builder
+	if code := run([]string{"-addr", ln.Addr().String()}, &stderr); code != 1 ||
+		strings.Count(stderr.String(), "dae-serve: listen tcp "+ln.Addr().String()) != 1 {
+		t.Errorf("exit %d, stderr %q; want exit 1 and one listen error", code, stderr.String())
 	}
-	if _, ok := err.(*net.OpError); !ok {
-		t.Logf("error type %T: %v (accepted)", err, err)
+}
+
+// TestCommandLineErrors: a bad flag exits 2 with the flag package's one
+// message; -h exits 0.
+func TestCommandLineErrors(t *testing.T) {
+	cases := []struct {
+		args []string
+		code int
+		want string
+	}{
+		{[]string{"-bogus"}, 2, "flag provided but not defined: -bogus"},
+		{[]string{"-workers", "many"}, 2, "invalid value \"many\" for flag -workers"},
+		{[]string{"-h"}, 0, "Usage of dae-serve"},
 	}
-	_ = fmt.Sprint(err)
+	for _, c := range cases {
+		var stderr strings.Builder
+		if code := run(c.args, &stderr); code != c.code || strings.Count(stderr.String(), c.want) != 1 {
+			t.Errorf("%v: exit %d, stderr %q; want exit %d and one %q", c.args, code, stderr.String(), c.code, c.want)
+		}
+	}
 }

@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -45,31 +44,49 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stderr))
+}
+
+// run parses the command line and serves until SIGINT or SIGTERM. It
+// returns the exit status: 2 for a bad command line, 1 when the engine
+// or the listener cannot start.
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dae-serve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr     = flag.String("addr", "127.0.0.1:8177", "listen address")
-		cacheDir = flag.String("cache", "", "on-disk result cache directory shared with dae-sweep/dae-sim (\"\" = in-memory only)")
-		workers  = flag.Int("workers", 0, "max concurrent simulations (0 = all cores)")
-		timeout  = flag.Duration("timeout", 0, "wall-clock cap per run/sweep request (0 = none)")
-		progress = flag.Bool("progress", false, "log per-run progress to stderr")
+		addr     = fs.String("addr", "127.0.0.1:8177", "listen address")
+		cacheDir = fs.String("cache", "", "on-disk result cache directory shared with dae-sweep/dae-sim (\"\" = in-memory only)")
+		workers  = fs.Int("workers", 0, "max concurrent simulations (0 = all cores)")
+		timeout  = fs.Duration("timeout", 0, "wall-clock cap per run/sweep request (0 = none)")
+		progress = fs.Bool("progress", false, "log per-run progress to stderr")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := serve(ctx, *addr, daesim.EngineOpts{Workers: *workers, CacheDir: *cacheDir}, *timeout, *progress, os.Stderr, nil); err != nil {
-		fmt.Fprintln(os.Stderr, "dae-serve:", err)
-		os.Exit(1)
+	eng, err := daesim.NewEngine(daesim.EngineOpts{Workers: *workers, CacheDir: *cacheDir})
+	var ln net.Listener
+	if err == nil {
+		ln, err = net.Listen("tcp", *addr)
 	}
+	if err == nil {
+		err = serve(ctx, ln, eng, *timeout, *progress, stderr)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "dae-serve:", err)
+		return 1
+	}
+	return 0
 }
 
-// serve runs the service until ctx is cancelled, then drains in-flight
-// requests. It is main's testable body: the e2e tests call it with a
-// ":0" address and receive the bound address through onReady.
-func serve(ctx context.Context, addr string, opts daesim.EngineOpts, timeout time.Duration, progress bool, logw io.Writer, onReady func(net.Addr)) error {
-	eng, err := daesim.NewEngine(opts)
-	if err != nil {
-		return err
-	}
+// serve announces ln's address and serves eng's API on it until ctx is
+// cancelled, then drains in-flight requests (serveapi.Serve).
+func serve(ctx context.Context, ln net.Listener, eng *daesim.Engine, timeout time.Duration, progress bool, logw io.Writer) error {
 	if progress {
 		events, stopWatch := eng.Watch(64)
 		defer stopWatch()
@@ -89,36 +106,6 @@ func serve(ctx context.Context, addr string, opts daesim.EngineOpts, timeout tim
 			}
 		}()
 	}
-
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
 	fmt.Fprintf(logw, "dae-serve: listening on %s\n", ln.Addr())
-	if onReady != nil {
-		onReady(ln.Addr())
-	}
-	srv := &http.Server{
-		Handler:           serveapi.NewHandler(eng, timeout, serveapi.DefaultMaxBody),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-	select {
-	case err := <-done:
-		return err
-	case <-ctx.Done():
-	}
-	// Graceful drain, then hard close: Close cancels the remaining
-	// handlers' request contexts, which aborts their simulations.
-	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil {
-		srv.Close()
-	}
-	if err := <-done; !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
+	return serveapi.Serve(ctx, ln, serveapi.NewHandler(eng, timeout, serveapi.DefaultMaxBody), nil)
 }

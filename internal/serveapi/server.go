@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"time"
 
@@ -245,4 +246,32 @@ func (s *server) handleGet(w http.ResponseWriter, r *http.Request) {
 // handleHealth reports liveness and the Engine's counters.
 func (s *server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	WriteJSON(w, http.StatusOK, HealthResponse{OK: true, Stats: s.eng.Stats()})
+}
+
+// Serve is the server lifecycle dae-serve and dae-router share: it
+// serves h on ln until ctx is cancelled, then calls beforeShutdown (if
+// non-nil), drains in-flight requests for up to 5 s, and
+// closes the rest, which cancels their request contexts. It returns nil
+// after a shutdown and the serving error if the server failed first.
+func Serve(ctx context.Context, ln net.Listener, h http.Handler, beforeShutdown func()) error {
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+	select {
+	case err := <-done:
+		return err
+	case <-ctx.Done():
+	}
+	if beforeShutdown != nil {
+		beforeShutdown()
+	}
+	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(shutCtx); err != nil {
+		srv.Close()
+	}
+	if err := <-done; !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	return nil
 }

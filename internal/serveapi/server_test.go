@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -616,5 +617,55 @@ func TestRunEndpointTraceRequest(t *testing.T) {
 	}
 	if code := do(t, http.MethodPost, ts.URL+"/v1/runs", req, &rr); code != http.StatusOK {
 		t.Fatalf("after the hostile trace: status %d", code)
+	}
+}
+
+// TestServeDrainsOnCancel: cancelling Serve's context runs
+// beforeShutdown first, lets the in-flight request finish, and returns
+// nil; a listener that fails returns its error without shutting down.
+func TestServeDrainsOnCancel(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		close(entered)
+		<-release
+		w.WriteHeader(http.StatusNoContent)
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- Serve(ctx, ln, h, func() { close(release) }) }()
+
+	status := make(chan int, 1)
+	go func() {
+		resp, err := http.Get("http://" + ln.Addr().String())
+		if err != nil {
+			t.Error(err)
+			status <- 0
+			return
+		}
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}()
+	<-entered
+	cancel() // the handler finishes only once beforeShutdown has run
+	if got := <-status; got != http.StatusNoContent {
+		t.Errorf("in-flight request: status %d, want 204", got)
+	}
+	if err := <-done; err != nil {
+		t.Errorf("Serve after cancel: %v", err)
+	}
+
+	closed, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed.Close()
+	called := false
+	if err := Serve(context.Background(), closed, h, func() { called = true }); err == nil || called {
+		t.Errorf("closed listener: err %v, beforeShutdown called %v", err, called)
 	}
 }
