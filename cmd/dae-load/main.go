@@ -1,16 +1,16 @@
-// Command dae-load is the fabric's deterministic load-generator
-// harness: it drives a dae-router (or a bare dae-serve) with a seeded,
-// reproducible mix of cached runs, fresh runs, and sweeps, measures
-// per-class latency into HDR-style histograms, and emits a JSON report.
-// With -slo it doubles as a gate: the process exits nonzero when the
-// measured numbers violate the thresholds in an SLO file, which is how
-// CI fails the build on a latency or error-rate regression.
+// Command dae-load is the fabric's deterministic load gate: it drives a
+// dae-router (or a bare dae-serve) with a seeded, reproducible mix of
+// cached runs, fresh runs and sweeps from a fixed pool of closed-loop
+// workers, keeps every latency it measures, and prints a JSON report
+// with exact per-class percentiles on stdout. With -slo it is a gate:
+// the process exits nonzero when the measured numbers violate the
+// thresholds in an SLO file. TestSLOGate runs that gate against an
+// in-process fabric on every `go test ./...`.
 //
 // Examples:
 //
-//	dae-load -target http://127.0.0.1:8180 -requests 200 -mode closed -concurrency 8
-//	dae-load -target http://127.0.0.1:8180 -mode open -rate 50 -requests 100 \
-//	  -mix cached=0.8,fresh=0.1,sweep=0.1 -out load.json -slo SLO.json
+//	dae-load -target http://127.0.0.1:8180 -slo SLO.json
+//	dae-load -target http://127.0.0.1:8180 -requests 1000 -concurrency 16 -seed 7
 //
 // Determinism: the request schedule — class sequence, which cached
 // request each draw hits, fresh-request seeds, sweep compositions — is
@@ -22,13 +22,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"os"
-	"strconv"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -44,42 +45,38 @@ const (
 	classSweep  = "sweep"  // a batch mixing warm and fresh points
 )
 
-// loadConfig is the full harness configuration (the parsed flags).
+// The traffic shape. Only the request count, the worker count and the
+// seed vary between the gate and an exploratory run; everything else is
+// the one shape the SLO thresholds were set against.
+const (
+	warmPool  = 8   // distinct requests pre-warmed for the cached class
+	sweepSize = 4   // requests per generated sweep
+	mixCached = 0.7 // share of cached runs in the schedule
+	mixFresh  = 0.2 // share of fresh runs; the rest (0.1) are sweeps
+
+	budgetWarmup  = 500  // simulation warm-up instructions per request
+	budgetMeasure = 2000 // simulation measure instructions per request
+
+	clientTimeout = 60 * time.Second // per-request client timeout
+)
+
+// loadConfig is the harness configuration (the parsed flags).
 type loadConfig struct {
-	Target      string  `json:"target"`
-	Mode        string  `json:"mode"` // "closed" or "open"
-	Requests    int     `json:"requests"`
-	Concurrency int     `json:"concurrency"`
-	RateHz      float64 `json:"rateHz"`
-	Seed        int64   `json:"seed"`
-	WarmPool    int     `json:"warmPool"`
-	SweepSize   int     `json:"sweepSize"`
-	MixCached   float64 `json:"mixCached"`
-	MixFresh    float64 `json:"mixFresh"`
-	MixSweep    float64 `json:"mixSweep"`
-	Warmup      int64   `json:"warmupInsts"`
-	Measure     int64   `json:"measureInsts"`
-	Timeout     time.Duration
+	Target      string `json:"target"`
+	Requests    int    `json:"requests"`
+	Concurrency int    `json:"concurrency"`
+	Seed        int64  `json:"seed"`
 }
 
 // classStats accumulates one traffic class's outcomes.
 type classStats struct {
-	hist      *histogram
 	mu        sync.Mutex
+	latUs     []int64 // completed requests only: neither shed nor failed
 	requests  int
 	errors    int
 	shed      int
 	cacheHits int
 	firstErr  string
-}
-
-func (c *classStats) fail(msg string) {
-	c.mu.Lock()
-	c.errors++
-	if c.firstErr == "" {
-		c.firstErr = msg
-	}
-	c.mu.Unlock()
 }
 
 // classReport is one class's slice of the JSON report.
@@ -95,6 +92,19 @@ type classReport struct {
 	ErrorRate float64        `json:"errorRate"`
 	FirstErr  string         `json:"firstError,omitempty"`
 	Latency   latencySummary `json:"latency"`
+}
+
+// latencySummary digests one class's completed-request latencies.
+type latencySummary struct {
+	Count  int64   `json:"count"`
+	MeanUs int64   `json:"meanUs"`
+	P50Us  int64   `json:"p50Us"`
+	P90Us  int64   `json:"p90Us"`
+	P99Us  int64   `json:"p99Us"`
+	MaxUs  int64   `json:"maxUs"`
+	MeanMs float64 `json:"meanMs"`
+	P50Ms  float64 `json:"p50Ms"`
+	P99Ms  float64 `json:"p99Ms"`
 }
 
 // loadReport is the harness's JSON output.
@@ -123,110 +133,62 @@ type sloResult struct {
 }
 
 func main() {
-	var (
-		target      = flag.String("target", "", "base URL of the dae-router (or dae-serve) to load (required)")
-		mode        = flag.String("mode", "closed", "loop mode: closed (fixed concurrency) or open (fixed arrival rate)")
-		requests    = flag.Int("requests", 100, "total requests to issue")
-		concurrency = flag.Int("concurrency", 4, "closed-loop worker count")
-		rate        = flag.Float64("rate", 20, "open-loop arrival rate (requests/s)")
-		seed        = flag.Int64("seed", 1, "schedule seed (same seed = same request sequence)")
-		warmPool    = flag.Int("warm-pool", 8, "distinct requests pre-warmed for the cached class")
-		sweepSize   = flag.Int("sweep-size", 4, "requests per generated sweep")
-		mix         = flag.String("mix", "cached=0.7,fresh=0.2,sweep=0.1", "traffic mix as class=weight pairs")
-		warmup      = flag.Int64("budget-warmup", 500, "simulation warmup instructions per request")
-		measure     = flag.Int64("budget-measure", 2000, "simulation measure instructions per request")
-		timeout     = flag.Duration("timeout", 60*time.Second, "per-request client timeout")
-		out         = flag.String("out", "-", "JSON report path (\"-\" = stdout)")
-		sloPath     = flag.String("slo", "", "SLO thresholds file; violations exit nonzero")
-	)
-	flag.Parse()
-	if *target == "" {
-		fmt.Fprintln(os.Stderr, "dae-load: -target is required")
-		os.Exit(2)
-	}
-	cfg := loadConfig{
-		Target: strings.TrimRight(*target, "/"), Mode: *mode,
-		Requests: *requests, Concurrency: *concurrency, RateHz: *rate,
-		Seed: *seed, WarmPool: *warmPool, SweepSize: *sweepSize,
-		Warmup: *warmup, Measure: *measure, Timeout: *timeout,
-	}
-	var err error
-	if cfg.MixCached, cfg.MixFresh, cfg.MixSweep, err = parseMix(*mix); err != nil {
-		fmt.Fprintln(os.Stderr, "dae-load:", err)
-		os.Exit(2)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	rep, err := run(context.Background(), cfg, os.Stderr)
+// run is the command: it loads -target, prints the report on stdout and
+// returns the exit status (2 for a bad command line, 1 for a failed run
+// or a violated SLO).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dae-load", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var cfg loadConfig
+	fs.StringVar(&cfg.Target, "target", "", "base URL of the dae-router (or dae-serve) to load (required)")
+	fs.IntVar(&cfg.Requests, "requests", 200, "total requests to issue")
+	fs.IntVar(&cfg.Concurrency, "concurrency", 8, "closed-loop worker count")
+	fs.Int64Var(&cfg.Seed, "seed", 1, "schedule seed (same seed = same request sequence)")
+	sloPath := fs.String("slo", "", "SLO thresholds file; violations exit nonzero")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if cfg.Target == "" {
+		fmt.Fprintln(stderr, "dae-load: -target is required")
+		return 2
+	}
+	cfg.Target = strings.TrimRight(cfg.Target, "/")
+
+	rep, err := load(context.Background(), cfg, stderr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dae-load:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "dae-load:", err)
+		return 1
 	}
-
 	exit := 0
 	if *sloPath != "" {
 		res, err := checkSLO(*sloPath, rep)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "dae-load:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "dae-load:", err)
+			return 1
 		}
 		rep.SLO = res
 		for _, v := range res.Violations {
-			fmt.Fprintln(os.Stderr, "dae-load: SLO VIOLATION:", v)
+			fmt.Fprintln(stderr, "dae-load: SLO VIOLATION:", v)
 		}
 		if res.Pass {
-			fmt.Fprintln(os.Stderr, "dae-load: SLO gate passed")
+			fmt.Fprintln(stderr, "dae-load: SLO gate passed")
 		} else {
 			exit = 1
 		}
 	}
-
-	w := io.Writer(os.Stdout)
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dae-load:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
-	}
-	enc := json.NewEncoder(w)
+	enc := json.NewEncoder(stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(rep); err != nil {
-		fmt.Fprintln(os.Stderr, "dae-load:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "dae-load:", err)
+		return 1
 	}
-	os.Exit(exit)
-}
-
-// parseMix parses "cached=0.7,fresh=0.2,sweep=0.1" (weights are
-// normalized, so any positive scale works).
-func parseMix(s string) (cached, fresh, sweep float64, err error) {
-	for _, part := range strings.Split(s, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
-			return 0, 0, 0, fmt.Errorf("bad -mix entry %q (want class=weight)", part)
-		}
-		w, perr := strconv.ParseFloat(v, 64)
-		if perr != nil || w < 0 {
-			return 0, 0, 0, fmt.Errorf("bad -mix weight %q", v)
-		}
-		switch k {
-		case classCached:
-			cached = w
-		case classFresh:
-			fresh = w
-		case classSweep:
-			sweep = w
-		default:
-			return 0, 0, 0, fmt.Errorf("unknown -mix class %q", k)
-		}
-	}
-	total := cached + fresh + sweep
-	if total <= 0 {
-		return 0, 0, 0, fmt.Errorf("-mix has no positive weight")
-	}
-	return cached / total, fresh / total, sweep / total, nil
+	return exit
 }
 
 // op is one planned request: a class tag and the pre-marshaled body.
@@ -242,7 +204,7 @@ func buildPlan(cfg loadConfig) (warm []op, schedule []op, err error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	reqAt := func(seed uint64) daesim.Request {
 		r := daesim.MixRequest(daesim.Figure2(1), daesim.RunOpts{
-			WarmupInsts: cfg.Warmup, MeasureInsts: cfg.Measure, Seed: seed})
+			WarmupInsts: budgetWarmup, MeasureInsts: budgetMeasure, Seed: seed})
 		r.Label = fmt.Sprintf("load-%d", seed)
 		return r
 	}
@@ -253,8 +215,8 @@ func buildPlan(cfg loadConfig) (warm []op, schedule []op, err error) {
 		}
 		return b
 	}
-	// Warm pool: seeds 1..W, POSTed once before measurement begins.
-	pool := make([]daesim.Request, cfg.WarmPool)
+	// Warm pool: seeds 1..warmPool, POSTed once before measurement begins.
+	pool := make([]daesim.Request, warmPool)
 	for i := range pool {
 		pool[i] = reqAt(uint64(i + 1))
 		warm = append(warm, op{class: classCached, path: "/v1/runs", body: marshal(pool[i])})
@@ -267,15 +229,15 @@ func buildPlan(cfg loadConfig) (warm []op, schedule []op, err error) {
 	}
 	for i := 0; i < cfg.Requests; i++ {
 		switch x := rng.Float64(); {
-		case x < cfg.MixCached:
+		case x < mixCached:
 			schedule = append(schedule, op{class: classCached, path: "/v1/runs",
 				body: marshal(pool[rng.Intn(len(pool))])})
-		case x < cfg.MixCached+cfg.MixFresh:
+		case x < mixCached+mixFresh:
 			schedule = append(schedule, op{class: classFresh, path: "/v1/runs",
 				body: marshal(nextFresh())})
 		default:
 			sw := serveapi.SweepRequest{}
-			for j := 0; j < cfg.SweepSize; j++ {
+			for j := 0; j < sweepSize; j++ {
 				if rng.Float64() < 0.5 {
 					sw.Requests = append(sw.Requests, pool[rng.Intn(len(pool))])
 				} else {
@@ -289,78 +251,45 @@ func buildPlan(cfg loadConfig) (warm []op, schedule []op, err error) {
 	return warm, schedule, err
 }
 
-// run executes the plan and assembles the report.
-func run(ctx context.Context, cfg loadConfig, logw io.Writer) (*loadReport, error) {
+// load warms the pool, drives the schedule through -concurrency
+// closed-loop workers and assembles the report.
+func load(ctx context.Context, cfg loadConfig, logw io.Writer) (*loadReport, error) {
 	warm, schedule, err := buildPlan(cfg)
 	if err != nil {
 		return nil, err
 	}
-	client := &http.Client{Timeout: cfg.Timeout}
+	client := &http.Client{Timeout: clientTimeout}
 
 	// Warm phase (unmeasured): populate the store so the cached class
 	// actually measures the cached path.
 	fmt.Fprintf(logw, "dae-load: warming %d requests against %s\n", len(warm), cfg.Target)
 	for i, o := range warm {
-		if _, _, _, err := issue(ctx, client, cfg.Target, o); err != nil {
+		if _, _, err := issue(ctx, client, cfg.Target, o); err != nil {
 			return nil, fmt.Errorf("warm request %d: %w", i, err)
 		}
 	}
 
-	stats := map[string]*classStats{
-		classCached: {hist: newHistogram()},
-		classFresh:  {hist: newHistogram()},
-		classSweep:  {hist: newHistogram()},
-	}
-	fmt.Fprintf(logw, "dae-load: %s loop, %d requests (mix cached=%.2f fresh=%.2f sweep=%.2f, seed %d)\n",
-		cfg.Mode, len(schedule), cfg.MixCached, cfg.MixFresh, cfg.MixSweep, cfg.Seed)
+	stats := map[string]*classStats{classCached: {}, classFresh: {}, classSweep: {}}
+	workers := max(cfg.Concurrency, 1)
+	fmt.Fprintf(logw, "dae-load: %d requests, %d workers (seed %d)\n", len(schedule), workers, cfg.Seed)
 
 	start := time.Now()
-	switch cfg.Mode {
-	case "closed":
-		ops := make(chan op)
-		var wg sync.WaitGroup
-		workers := cfg.Concurrency
-		if workers < 1 {
-			workers = 1
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for o := range ops {
-					measureOne(ctx, client, cfg.Target, o, stats[o.class])
-				}
-			}()
-		}
-		for _, o := range schedule {
-			ops <- o
-		}
-		close(ops)
-		wg.Wait()
-	case "open":
-		if cfg.RateHz <= 0 {
-			return nil, fmt.Errorf("open loop needs -rate > 0")
-		}
-		interval := time.Duration(float64(time.Second) / cfg.RateHz)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		var wg sync.WaitGroup
-		for _, o := range schedule {
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case <-ticker.C:
-			}
-			wg.Add(1)
-			go func(o op) {
-				defer wg.Done()
+	ops := make(chan op)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for o := range ops {
 				measureOne(ctx, client, cfg.Target, o, stats[o.class])
-			}(o)
-		}
-		wg.Wait()
-	default:
-		return nil, fmt.Errorf("unknown -mode %q (want closed or open)", cfg.Mode)
+			}
+		}()
 	}
+	for _, o := range schedule {
+		ops <- o
+	}
+	close(ops)
+	wg.Wait()
 	elapsed := time.Since(start)
 
 	rep := &loadReport{
@@ -375,7 +304,7 @@ func run(ctx context.Context, cfg loadConfig, logw io.Writer) (*loadReport, erro
 		cr := classReport{
 			Requests: cs.requests, Errors: cs.errors, Shed: cs.shed,
 			CacheHits: cs.cacheHits, FirstErr: cs.firstErr,
-			Latency: cs.hist.summarize(),
+			Latency: summarize(cs.latUs),
 		}
 		if cs.requests > 0 {
 			cr.ErrorRate = float64(cs.errors) / float64(cs.requests)
@@ -388,35 +317,59 @@ func run(ctx context.Context, cfg loadConfig, logw io.Writer) (*loadReport, erro
 	return rep, nil
 }
 
-// issue POSTs one op and classifies the outcome.
-func issue(ctx context.Context, client *http.Client, target string, o op) (status int, cached int, shed bool, err error) {
+// summarize sorts us in place and digests it. Percentiles are exact
+// samples by the nearest-rank rule: pN is the ceil(n·N/100)-th smallest.
+func summarize(us []int64) latencySummary {
+	n := len(us)
+	s := latencySummary{Count: int64(n)}
+	if n == 0 {
+		return s
+	}
+	slices.Sort(us)
+	var sum int64
+	for _, v := range us {
+		sum += v
+	}
+	rank := func(p int) int64 { return us[(n*p+99)/100-1] }
+	s.MeanUs = sum / int64(n)
+	s.P50Us, s.P90Us, s.P99Us, s.MaxUs = rank(50), rank(90), rank(99), us[n-1]
+	s.MeanMs = float64(s.MeanUs) / 1000
+	s.P50Ms = float64(s.P50Us) / 1000
+	s.P99Ms = float64(s.P99Us) / 1000
+	return s
+}
+
+// issue POSTs one op and classifies the outcome: cached counts the
+// results served without simulating, shed reports a backpressure
+// refusal, and err a hard failure.
+func issue(ctx context.Context, client *http.Client, target string, o op) (cached int, shed bool, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target+o.path, bytes.NewReader(o.body))
 	if err != nil {
-		return 0, 0, false, err
+		return 0, false, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := client.Do(req)
 	if err != nil {
-		return 0, 0, false, err
+		return 0, false, err
 	}
 	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil {
-		return resp.StatusCode, 0, false, err
+		return 0, false, err
 	}
 	if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable {
 		if resp.Header.Get("Retry-After") != "" {
-			return resp.StatusCode, 0, true, nil
+			return 0, true, nil
 		}
 	}
 	if resp.StatusCode != http.StatusOK {
-		return resp.StatusCode, 0, false, fmt.Errorf("status %d: %.200s", resp.StatusCode, body)
+		return 0, false, fmt.Errorf("status %d: %.200s", resp.StatusCode, body)
 	}
 	switch o.path {
 	case "/v1/runs":
 		var rr serveapi.RunResponse
 		if err := json.Unmarshal(body, &rr); err != nil || rr.Report == nil {
-			return resp.StatusCode, 0, false, fmt.Errorf("malformed run response: %.200s", body)
+			return 0, false, fmt.Errorf("malformed run response: %.200s", body)
 		}
 		if rr.Cached {
 			cached = 1
@@ -424,10 +377,10 @@ func issue(ctx context.Context, client *http.Client, target string, o op) (statu
 	case "/v1/sweeps":
 		var sr serveapi.SweepResponse
 		if err := json.Unmarshal(body, &sr); err != nil {
-			return resp.StatusCode, 0, false, fmt.Errorf("malformed sweep response: %.200s", body)
+			return 0, false, fmt.Errorf("malformed sweep response: %.200s", body)
 		}
 		if sr.Failed > 0 {
-			return resp.StatusCode, 0, false, fmt.Errorf("sweep failed %d results", sr.Failed)
+			return 0, false, fmt.Errorf("sweep failed %d results", sr.Failed)
 		}
 		for _, r := range sr.Results {
 			if r.Cached {
@@ -435,26 +388,28 @@ func issue(ctx context.Context, client *http.Client, target string, o op) (statu
 			}
 		}
 	}
-	return resp.StatusCode, cached, false, nil
+	return cached, false, nil
 }
 
 // measureOne times one op into its class's stats.
 func measureOne(ctx context.Context, client *http.Client, target string, o op, cs *classStats) {
 	begin := time.Now()
-	_, cached, shed, err := issue(ctx, client, target, o)
+	cached, shed, err := issue(ctx, client, target, o)
 	lat := time.Since(begin)
 	cs.mu.Lock()
+	defer cs.mu.Unlock()
 	cs.requests++
 	cs.cacheHits += cached
-	if shed {
-		cs.shed++
-	}
-	cs.mu.Unlock()
 	switch {
 	case err != nil:
-		cs.fail(err.Error())
-	case !shed:
-		cs.hist.record(lat.Microseconds())
+		cs.errors++
+		if cs.firstErr == "" {
+			cs.firstErr = err.Error()
+		}
+	case shed:
+		cs.shed++
+	default:
+		cs.latUs = append(cs.latUs, lat.Microseconds())
 	}
 }
 
@@ -481,10 +436,16 @@ func checkSLO(path string, rep *loadReport) (*sloResult, error) {
 				"cached-run p99 %.1fms exceeds %.1fms", cached.Latency.P99Ms, thr.CachedRunP99Ms))
 		}
 	}
-	if fresh.Requests > 0 && fresh.ErrorRate > thr.FreshRunMaxErrorRate {
+	// An error rate over zero completed runs proves nothing: a fabric
+	// that shed every fresh run would otherwise pass with rate 0.
+	if fresh.ErrorRate > thr.FreshRunMaxErrorRate {
 		res.Violations = append(res.Violations, fmt.Sprintf(
 			"fresh-run error rate %.3f exceeds %.3f (first error: %s)",
 			fresh.ErrorRate, thr.FreshRunMaxErrorRate, fresh.FirstErr))
+	} else if fresh.Latency.Count == 0 {
+		res.Violations = append(res.Violations, fmt.Sprintf(
+			"no completed fresh runs to grade the error rate against (%d requests, %d shed)",
+			fresh.Requests, fresh.Shed))
 	}
 	res.Pass = len(res.Violations) == 0
 	return res, nil
