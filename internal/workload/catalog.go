@@ -1,9 +1,9 @@
 package workload
 
 // The curated benchmark catalog: one entry per runnable workload, each
-// naming either a deterministic generator (the built-in SPEC FP95
-// models) or a trace path (an ingested external trace), with the mix
-// parameters, memory footprint and provenance a user needs to pick one.
+// naming a deterministic generator (the built-in SPEC FP95 models), with
+// the mix parameters, memory footprint and provenance a user needs to
+// pick one.
 // Surfaced through `dae-trace list`, `dae-sim -bench` and
 // daesim.Request; kept in the spirit of mgpusim's benchmarks/ tree —
 // the catalog is data, the runners stay generic.
@@ -14,24 +14,20 @@ import "fmt"
 type CatalogEntry struct {
 	// Name is the workload's catalog key (what -bench resolves).
 	Name string
-	// Kind is "generator" for built-in synthetic models or "trace" for
-	// entries backed by an ingested trace file.
+	// Kind is "generator": every entry is a built-in synthetic model.
+	// Trace files are replayed by path, not through the catalog.
 	Kind string
 	// Provenance records what the entry models and where its parameters
 	// come from.
 	Provenance string
 	// FootprintBytes is the summed working-set size of the generator's
-	// streams (0 for trace-backed entries: footprint is whatever the
-	// trace touched — `dae-trace stat` measures it).
+	// streams.
 	FootprintBytes int64
 	// Streams and Kernels summarize the generator's mix shape.
 	Streams, Kernels int
 	// InstsPerIteration is the inner-loop slot count of the heaviest
 	// kernel.
 	InstsPerIteration int
-	// TracePath and TraceFormat locate trace-backed entries.
-	TracePath   string
-	TraceFormat string
 }
 
 // provenance notes for the built-in models, keyed by benchmark name.
