@@ -122,7 +122,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *traceFile != "":
 		// A trace container is a first-class content-addressed Request,
 		// hashable and servable like any other; Validate rejects -seed.
-		req = daesim.TraceRequest(*traceFile, "", m, opts)
+		req = daesim.TraceRequest(*traceFile, m, opts)
 		req.Workload.Seed = *seed
 	case *bench != "":
 		req = daesim.BenchmarkRequest(*bench, m, opts)

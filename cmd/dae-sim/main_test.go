@@ -113,16 +113,26 @@ func TestTraceReplayMatchesGenerator(t *testing.T) {
 	}
 }
 
-// TestLegacyTraceRefused: only containers replay. dae-sim refuses the
-// committed legacy fixture and names the command that converts it.
+// TestLegacyTraceRefused: only containers replay. dae-sim refuses a
+// file with the retired legacy magic and a text trace alike, naming the
+// command that converts a text trace.
 func TestLegacyTraceRefused(t *testing.T) {
-	legacy := filepath.Join("..", "..", "internal", "traceio", "testdata", "swim-2k.trace")
-	code, stdout, stderr := runSim("-trace", legacy)
-	if code == 0 {
-		t.Fatalf("dae-sim replayed a legacy file: %s", stdout)
-	}
-	if !strings.Contains(stderr, "dae-trace import") {
-		t.Errorf("stderr %q does not name dae-trace import", stderr)
+	dir := t.TempDir()
+	for name, data := range map[string]string{
+		"swim.trace": "DAETRACE\x01\x00\x00\x00\x00\x00",
+		"swim.txt":   "load 0x1000 f8 r1 - 0x10000020 8\n",
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, stdout, stderr := runSim("-trace", path)
+		if code != 1 {
+			t.Errorf("%s: exit %d, want 1 (stdout %q)", name, code, stdout)
+		}
+		if !strings.Contains(stderr, "dae-trace import") {
+			t.Errorf("%s: stderr %q does not name dae-trace import", name, stderr)
+		}
 	}
 }
 

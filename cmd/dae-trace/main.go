@@ -1,20 +1,20 @@
 // Command dae-trace captures, converts, inspects and summarizes
 // instruction traces. The trace container is the only format dae-sim
-// replays; legacy, bin and text traces are import-only.
+// replays; text traces are import-only.
 //
 // Usage:
 //
 //	dae-trace export -bench swim -t 4 -n 1000000 -o swim.dct  # multi-stream container
-//	dae-trace import -i ext.txt -format text -o ext.dct       # convert an external trace
-//	dae-trace dump -i swim.dct -n 20                          # print records
+//	dae-trace import -i ext.txt -o ext.dct                    # convert a text trace
+//	dae-trace dump -i swim.dct -n 20                          # print records as text lines
 //	dae-trace stat -i swim.dct                                # mix/footprint summary
-//	cat old.trace | dae-trace import -i - -o old.dct          # any input reads stdin via -i -
+//	dae-trace dump -i one.dct | dae-trace import -i - -o x.dct  # any input reads stdin via -i -
 //	dae-trace stat -bench fpppp -n 500000                     # stat a generator directly
 //	dae-trace list                                            # the curated workload catalog
 //
-// Input formats are sniffed from their magic bytes (text is the
-// magic-less fallback), so -format is only needed to override the
-// detection.
+// Every input is a container or a text trace, told apart by the
+// container's magic bytes. dump prints the text format import reads,
+// each line's stream and index in a trailing comment.
 package main
 
 import (
@@ -51,9 +51,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if len(args) == 0 || subcommands[args[0]] == nil {
 		fmt.Fprintln(stderr, `usage: dae-trace <export|import|dump|stat|list> [flags]
   export -bench NAME -o FILE [-t CONTEXTS] [-n PER-STREAM] [-seed S] [-note TEXT]
-  import -i FILE|- -o FILE [-format auto|container|legacy|bin|text] [-name N] [-note TEXT]
-  dump   -i FILE|- [-n COUNT] [-format F]
-  stat   (-i FILE|- | -bench NAME -n COUNT) [-seed S] [-format F]
+  import -i FILE|- -o FILE [-name N] [-note TEXT]
+  dump   -i FILE|- [-n COUNT]
+  stat   (-i FILE|- | -bench NAME -n COUNT) [-seed S]
   list`)
 		return 2
 	}
@@ -76,31 +76,27 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 func cmdList(_ *flag.FlagSet, _ io.Reader, stdout io.Writer) func() error {
 	return func() error {
 		for _, e := range workload.Catalog() {
-			fmt.Fprintf(stdout, "%-8s  %-9s  %d streams, %d kernels, ≤%d insts/iteration, %.1f MB footprint\n",
-				e.Name, e.Kind, e.Streams, e.Kernels, e.InstsPerIteration, float64(e.FootprintBytes)/(1<<20))
+			fmt.Fprintf(stdout, "%-8s  %d streams, %d kernels, ≤%d insts/iteration, %.1f MB footprint\n",
+				e.Name, e.Streams, e.Kernels, e.InstsPerIteration, float64(e.FootprintBytes)/(1<<20))
 			fmt.Fprintf(stdout, "          %s\n", e.Provenance)
 		}
 		return nil
 	}
 }
 
-// readInput decodes the whole trace at path ("-" means stdin) in any
-// accepted format into per-stream slices, plus the container header
-// (single-stream formats report a synthesized one-stream header).
-func readInput(stdin io.Reader, path, format string) (traceio.Header, [][]isa.Inst, error) {
-	f, err := traceio.ParseFormat(format)
-	if err != nil {
-		return traceio.Header{}, nil, err
-	}
+// readInput decodes the whole container or text trace at path ("-"
+// means stdin) into per-stream slices, plus the container header (a
+// text trace reports a synthesized one-stream header).
+func readInput(stdin io.Reader, path string) (traceio.Header, [][]isa.Inst, error) {
 	if path == "-" {
-		return traceio.Decode(stdin, f)
+		return traceio.Decode(stdin)
 	}
 	file, err := os.Open(path)
 	if err != nil {
 		return traceio.Header{}, nil, err
 	}
 	defer file.Close()
-	return traceio.Decode(file, f)
+	return traceio.Decode(file)
 }
 
 // cmdExport captures a built-in benchmark's exact per-context streams
@@ -139,19 +135,18 @@ func cmdExport(fs *flag.FlagSet, _ io.Reader, stdout io.Writer) func() error {
 	}
 }
 
-// cmdImport converts a trace in any accepted format into a container,
-// validating every record on the way in.
+// cmdImport converts a text trace (or re-encodes a container) into a
+// container, validating every record on the way in.
 func cmdImport(fs *flag.FlagSet, stdin io.Reader, stdout io.Writer) func() error {
 	in := fs.String("i", "-", "input trace file (- reads stdin)")
 	out := fs.String("o", "", "output container file")
-	format := fs.String("format", "auto", "input format (auto, container, legacy, bin, text)")
 	name := fs.String("name", "", "container display name (default: the input's, if any)")
 	note := fs.String("note", "", "provenance note (default: the input's, if any)")
 	return func() error {
 		if *out == "" {
 			return fmt.Errorf("import requires -o")
 		}
-		h, streams, err := readInput(stdin, *in, *format)
+		h, streams, err := readInput(stdin, *in)
 		if err != nil {
 			return err
 		}
@@ -180,29 +175,26 @@ func cmdImport(fs *flag.FlagSet, stdin io.Reader, stdout io.Writer) func() error
 	}
 }
 
+// cmdDump prints the first records as text-format lines, each with its
+// stream and index as a trailing comment, so the output imports back.
 func cmdDump(fs *flag.FlagSet, stdin io.Reader, stdout io.Writer) func() error {
 	in := fs.String("i", "", "input trace file (- reads stdin)")
 	n := fs.Int64("n", 32, "records to print")
-	format := fs.String("format", "auto", "input format (auto sniffs)")
 	return func() error {
 		if *in == "" {
 			return fmt.Errorf("dump requires -i")
 		}
-		h, streams, err := readInput(stdin, *in, *format)
+		_, streams, err := readInput(stdin, *in)
 		if err != nil {
 			return err
 		}
 		printed := int64(0)
 		for s, insts := range streams {
-			for i, inst := range insts {
+			for i := range insts {
 				if printed >= *n {
 					return nil
 				}
-				if h.Streams > 1 {
-					fmt.Fprintf(stdout, "s%-3d %8d  %s\n", s, i, inst.String())
-				} else {
-					fmt.Fprintf(stdout, "%8d  %s\n", i, inst.String())
-				}
+				fmt.Fprintf(stdout, "%-40s # s%d %d\n", insts[i].String(), s, i)
 				printed++
 			}
 		}
@@ -215,12 +207,11 @@ func cmdStat(fs *flag.FlagSet, stdin io.Reader, stdout io.Writer) func() error {
 	bench := fs.String("bench", "", "benchmark name (instead of a file)")
 	n := fs.Int64("n", 1_000_000, "instructions to scan (generator mode)")
 	seed := fs.Uint64("seed", 0, "workload seed")
-	format := fs.String("format", "auto", "input format (auto sniffs)")
 	return func() error {
 		var streams [][]isa.Inst
 		switch {
 		case *in != "":
-			h, s, err := readInput(stdin, *in, *format)
+			h, s, err := readInput(stdin, *in)
 			if err != nil {
 				return err
 			}

@@ -49,19 +49,41 @@ func TestExportStatReimport(t *testing.T) {
 	}
 }
 
-// TestImportLegacyFromStdin converts the committed legacy fixture
-// (swim's first 2000 seed-0 records) read from stdin, its format
-// sniffed from the magic bytes, and stats the container.
+// TestImportLegacyFromStdin: import reads a text trace from stdin, and
+// a file of the retired legacy (DAETRACE) or binary (DAEBIN01) format
+// read from stdin fails loudly as text at line 1, exit 1.
 func TestImportLegacyFromStdin(t *testing.T) {
-	legacy, err := os.Open(filepath.Join("..", "..", "internal", "traceio", "testdata", "swim-2k.trace"))
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	out := filepath.Join(dir, "ext.dct")
+	text := "# a hand-written trace\nload 0x1000 f8 r1 - 0x10000020 8\nfp 0x1004 f9 f8 f8\nbranch 0x1008 - r1 - taken\n"
+	runTrace(t, strings.NewReader(text), "import", "-i", "-", "-o", out)
+	if stat := runTrace(t, nil, "stat", "-i", out); !strings.Contains("\n"+stat, "\ninstructions: 3\n") {
+		t.Errorf("stat of the imported text trace lacks \"instructions: 3\":\n%s", stat)
 	}
-	defer legacy.Close()
-	out := filepath.Join(t.TempDir(), "swim-legacy.dct")
-	runTrace(t, legacy, "import", "-i", "-", "-o", out)
-	if stat := runTrace(t, nil, "stat", "-i", out); !strings.Contains("\n"+stat, "\ninstructions: 2000\n") {
-		t.Errorf("stat of the imported fixture lacks \"instructions: 2000\":\n%s", stat)
+	for _, magic := range []string{"DAETRACE\x01", "DAEBIN01"} {
+		var stdout, stderr strings.Builder
+		legacy := strings.NewReader(magic + "\x00\x10\x01\xff\xff")
+		code := run([]string{"import", "-i", "-", "-o", filepath.Join(dir, "legacy.dct")}, legacy, &stdout, &stderr)
+		if code != 1 || !strings.Contains(stderr.String(), "text line 1:") {
+			t.Errorf("%q from stdin: exit %d, stderr %q; want exit 1 at text line 1", magic, code, stderr.String())
+		}
+	}
+}
+
+// TestDumpImportRoundTrip: dump prints the text format, so its output
+// piped into import re-creates a one-stream container's records (the
+// header's name and note are not part of the dump).
+func TestDumpImportRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	one, back := filepath.Join(dir, "one.dct"), filepath.Join(dir, "back.dct")
+	runTrace(t, nil, "export", "-bench", "su2cor", "-n", "3000", "-o", one)
+	dump := runTrace(t, nil, "dump", "-n", "3000", "-i", one)
+	if first, _, _ := strings.Cut(dump, "\n"); !strings.HasSuffix(first, " # s0 0") {
+		t.Errorf("first dump line %q lacks its \"# s0 0\" comment", first)
+	}
+	runTrace(t, strings.NewReader(dump), "import", "-i", "-", "-o", back)
+	if again := runTrace(t, nil, "dump", "-n", "3000", "-i", back); again != dump {
+		t.Error("dump of the re-imported container differs from the original's")
 	}
 }
 
@@ -77,6 +99,7 @@ func TestCommandLineErrors(t *testing.T) {
 		{nil, 2, "usage: dae-trace"},
 		{[]string{"convert"}, 2, "usage: dae-trace"},
 		{[]string{"stat", "-bogus"}, 2, "flag provided but not defined: -bogus"},
+		{[]string{"import", "-format", "text", "-o", "x.dct"}, 2, "flag provided but not defined: -format"},
 		{[]string{"stat", "-h"}, 0, "Usage of stat"},
 		{[]string{"stat"}, 1, "dae-trace: stat requires -i or -bench"},
 		{[]string{"export", "-bench", "quake3", "-o", filepath.Join(t.TempDir(), "x.dct")}, 1, "quake3"},

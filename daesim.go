@@ -81,7 +81,7 @@ type Kernel = workload.Kernel
 // IntLoadSpec configures a Kernel's integer (index/gather) loads.
 type IntLoadSpec = workload.IntLoadSpec
 
-// CatalogEntry describes one curated workload: name, kind, provenance,
+// CatalogEntry describes one curated workload: name, provenance,
 // footprint and mix shape (see Catalog).
 type CatalogEntry = workload.CatalogEntry
 

@@ -213,19 +213,20 @@ func DestUnit(i *Inst) Unit { return regUnitTable[i.Dest] }
 // RegUnit returns the unit whose file hosts logical register r.
 func RegUnit(r Reg) Unit { return regUnitTable[r] }
 
+// String prints the instruction as one line of the text trace format
+// (see package traceio), e.g. "load 0x1000 f8 r1 - 0x10000020 8" or
+// "branch 0x1040 - r15 - taken", so printed records import back.
 func (i *Inst) String() string {
-	switch i.Op {
-	case OpLoad:
-		return fmt.Sprintf("%#x: load %s <- [%#x] (%s,%s)", i.PC, i.Dest, i.Addr, i.Src1, i.Src2)
-	case OpStore:
-		return fmt.Sprintf("%#x: store [%#x] <- %s (%s)", i.PC, i.Addr, i.Src1, i.Src2)
-	case OpBranch:
-		dir := "nt"
+	switch {
+	case i.IsMem():
+		return fmt.Sprintf("%s %#x %s %s %s %#x %d", i.Op, i.PC, i.Dest, i.Src1, i.Src2, i.Addr, i.Size)
+	case i.IsBranch():
+		outcome := "not-taken"
 		if i.Taken {
-			dir = "t"
+			outcome = "taken"
 		}
-		return fmt.Sprintf("%#x: branch(%s) %s,%s", i.PC, dir, i.Src1, i.Src2)
+		return fmt.Sprintf("%s %#x %s %s %s %s", i.Op, i.PC, i.Dest, i.Src1, i.Src2, outcome)
 	default:
-		return fmt.Sprintf("%#x: %s %s <- %s,%s", i.PC, i.Op, i.Dest, i.Src1, i.Src2)
+		return fmt.Sprintf("%s %#x %s %s %s", i.Op, i.PC, i.Dest, i.Src1, i.Src2)
 	}
 }

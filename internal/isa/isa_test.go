@@ -154,20 +154,22 @@ func TestInstPredicates(t *testing.T) {
 	}
 }
 
+// TestInstString pins the text-trace line each op class prints.
 func TestInstString(t *testing.T) {
-	// Smoke test: all op classes render without panicking and mention
-	// their class or operands.
-	insts := []Inst{
-		{Op: OpIntALU, PC: 4, Dest: IntReg(1), Src1: IntReg(2), Src2: IntReg(3)},
-		{Op: OpFPALU, PC: 8, Dest: FPReg(1), Src1: FPReg(2), Src2: FPReg(3)},
-		{Op: OpLoad, PC: 12, Dest: FPReg(0), Addr: 0x1000},
-		{Op: OpStore, PC: 16, Src1: FPReg(0), Addr: 0x2000},
-		{Op: OpBranch, PC: 20, Src1: IntReg(4), Taken: true},
-		{Op: OpBranch, PC: 24, Src1: IntReg(4), Taken: false},
+	cases := []struct {
+		in   Inst
+		want string
+	}{
+		{Inst{Op: OpIntALU, PC: 4, Dest: IntReg(1), Src1: IntReg(2), Src2: NoReg}, "int 0x4 r1 r2 -"},
+		{Inst{Op: OpFPALU, PC: 8, Dest: FPReg(1), Src1: FPReg(2), Src2: FPReg(3)}, "fp 0x8 f1 f2 f3"},
+		{Inst{Op: OpLoad, PC: 0x1000, Dest: FPReg(8), Src1: IntReg(1), Src2: NoReg, Addr: 0x10000020, Size: 8}, "load 0x1000 f8 r1 - 0x10000020 8"},
+		{Inst{Op: OpStore, PC: 16, Dest: NoReg, Src1: FPReg(0), Src2: IntReg(2), Addr: 0, Size: 4}, "store 0x10 - f0 r2 0x0 4"},
+		{Inst{Op: OpBranch, PC: 0x1040, Dest: NoReg, Src1: IntReg(15), Src2: NoReg, Taken: true}, "branch 0x1040 - r15 - taken"},
+		{Inst{Op: OpBranch, PC: 24, Dest: NoReg, Src1: IntReg(4), Src2: NoReg}, "branch 0x18 - r4 - not-taken"},
 	}
-	for _, in := range insts {
-		if in.String() == "" {
-			t.Errorf("empty String() for %v", in.Op)
+	for _, c := range cases {
+		if got := c.in.String(); got != c.want {
+			t.Errorf("String() = %q, want %q", got, c.want)
 		}
 	}
 }

@@ -8,13 +8,13 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/traceio"
 	"repro/internal/workload"
 )
 
@@ -53,10 +53,10 @@ const (
 type TraceRef struct {
 	// Path is the trace file location.
 	Path string `json:"path"`
-	// Format is empty (the canonical spelling of "auto") or "container":
-	// the simulator replays containers only. The import-only formats
-	// ("legacy", "bin", "text") fail Validate; `dae-trace import`
-	// converts them.
+	// Format is empty: the simulator replays containers only. "auto"
+	// and "container", in any letter case, are older spellings of the
+	// same replay and normalize to "". Any other format fails Validate;
+	// `dae-trace import` converts a text trace to a container.
 	Format string `json:"format,omitempty"`
 }
 
@@ -189,12 +189,13 @@ func (j Job) Normalized() Job {
 			j.Machine.Spec = &cp
 		}
 	}
-	// Trace canonicalization: "auto" spelled out folds to the empty
-	// string, and the path is lexically cleaned, so trivially different
-	// spellings of the same reference share one hash (and cache entry).
+	// Trace canonicalization: every spelling of the container format
+	// folds to the empty string, and the path is lexically cleaned, so
+	// trivially different spellings of the same reference share one
+	// hash (and cache entry).
 	if t := j.Workload.Trace; t != nil {
 		cp := *t
-		if cp.Format == string(traceio.FormatAuto) {
+		if strings.EqualFold(cp.Format, "auto") || strings.EqualFold(cp.Format, "container") {
 			cp.Format = ""
 		}
 		if cp.Path != "" { // Clean("") is "."; keep "" so Validate rejects it
@@ -300,8 +301,8 @@ func Validate(j Job) error {
 		if w.Trace == nil || w.Trace.Path == "" {
 			return invalid("trace workload without a trace path")
 		}
-		if err := traceio.CheckReplayFormat(w.Trace.Format); err != nil {
-			return fmt.Errorf("%w: %w", ErrInvalidRequest, err)
+		if w.Trace.Format != "" {
+			return invalid("%q traces do not replay, only containers do; convert with `dae-trace import -i FILE -o FILE.dct` and replay the container", w.Trace.Format)
 		}
 	default:
 		return invalid("unknown workload kind %q", w.Kind)

@@ -74,8 +74,6 @@ type Snapshot struct {
 type Progress struct {
 	// Done and Total describe the batch ("Done of Total finished").
 	Done, Total int
-	// CacheHits and Failures count within the current batch.
-	CacheHits, Failures int
 	// Job is the job that just finished.
 	Job Job
 	// Hash is the job's canonical content hash ("" when validation
@@ -184,29 +182,20 @@ func (r *Runner) RunContext(ctx context.Context, jobs []Job) ([]Result, error) {
 	}
 
 	var (
-		wg       sync.WaitGroup
-		next     = make(chan int)
-		batchMu  sync.Mutex
-		done     int
-		hits     int
-		failures int
+		wg      sync.WaitGroup
+		next    = make(chan int)
+		batchMu sync.Mutex
+		done    int
 	)
 	finish := func(i int, res Result) {
 		results[i] = res
 		batchMu.Lock()
 		done++
-		if res.Cached {
-			hits++
-		}
-		if res.Err != nil {
-			failures++
-		}
-		// The callback runs under the same lock as the counters so the
+		// The callback runs under the same lock as the counter so the
 		// reported Done sequence is monotonic.
 		if r.onProgress != nil {
 			r.onProgress(Progress{
 				Done: done, Total: len(jobs),
-				CacheHits: hits, Failures: failures,
 				Job: res.Job, Hash: res.Hash, Report: res.Report,
 				Cached: res.Cached, Err: res.Err,
 			})

@@ -578,7 +578,7 @@ func TestRunEndpointTraceRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	req := daesim.TraceRequest(path, "", m, tinyOpts())
+	req := daesim.TraceRequest(path, m, tinyOpts())
 	var rr RunResponse
 	if code := do(t, http.MethodPost, ts.URL+"/v1/runs", req, &rr); code != http.StatusOK {
 		t.Fatalf("status %d", code)
@@ -595,11 +595,13 @@ func TestRunEndpointTraceRequest(t *testing.T) {
 	}
 
 	var er ErrorResponse
-	bad := daesim.TraceRequest("", "", m, tinyOpts())
+	bad := daesim.TraceRequest("", m, tinyOpts())
 	if code := do(t, http.MethodPost, ts.URL+"/v1/runs", bad, &er); code != http.StatusBadRequest {
 		t.Fatalf("empty trace path: status %d, want 400", code)
 	}
-	if code := do(t, http.MethodPost, ts.URL+"/v1/runs", daesim.TraceRequest(path, "legacy", m, tinyOpts()), &er); code != http.StatusBadRequest ||
+	legacy := daesim.TraceRequest(path, m, tinyOpts())
+	legacy.Workload.Trace.Format = "legacy"
+	if code := do(t, http.MethodPost, ts.URL+"/v1/runs", legacy, &er); code != http.StatusBadRequest ||
 		!strings.Contains(er.Error, "dae-trace import") {
 		t.Fatalf("legacy format: status %d (%q), want 400 naming dae-trace import", code, er.Error)
 	}
@@ -611,7 +613,7 @@ func TestRunEndpointTraceRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	er = ErrorResponse{}
-	if code := do(t, http.MethodPost, ts.URL+"/v1/runs", daesim.TraceRequest(hostile, "", m, tinyOpts()), &er); code == http.StatusOK ||
+	if code := do(t, http.MethodPost, ts.URL+"/v1/runs", daesim.TraceRequest(hostile, m, tinyOpts()), &er); code == http.StatusOK ||
 		!strings.Contains(er.Error, "invalid register") {
 		t.Fatalf("r64 container: status %d (%q), want an invalid-register error", code, er.Error)
 	}

@@ -143,11 +143,12 @@ func TestModeValidation(t *testing.T) {
 		t.Error("negative sampling period accepted")
 	}
 
-	// "exact" must behave as the zero mode, not an unknown one.
+	// Spelling exact mode out is a Request-level synonym that
+	// normalization folds away; Run knows only the zero value.
 	spelled := base()
 	spelled.Mode = "exact"
-	if _, err := Run(context.Background(), spelled); err != nil {
-		t.Errorf("spelled-out exact mode rejected: %v", err)
+	if _, err := Run(context.Background(), spelled); err == nil {
+		t.Error("un-normalized \"exact\" mode accepted")
 	}
 }
 

@@ -124,7 +124,7 @@ type Options struct {
 	// zero applies DefaultMaxCycles.
 	MaxCycles int64
 	// Mode selects the execution mode; the zero value is exact detailed
-	// simulation ("exact" is accepted as a spelled-out synonym).
+	// simulation.
 	Mode Mode
 	// Sampling parameterizes ModeSampled (ignored otherwise; zero fields
 	// take the documented defaults).
@@ -202,16 +202,12 @@ type Result struct {
 // (the loop polls the context every few hundred scheduler steps) and
 // returns ctx's error; cancellation never produces a partial Result.
 func Run(ctx context.Context, opts Options) (Result, error) {
-	mode := opts.Mode
-	if mode == "exact" {
-		mode = ModeExact
-	}
-	switch mode {
+	switch opts.Mode {
 	case ModeExact, ModeSampled:
 	default:
 		return Result{}, fmt.Errorf("sim: unknown execution mode %q", opts.Mode)
 	}
-	if mode == ModeSampled {
+	if opts.Mode == ModeSampled {
 		if err := opts.Sampling.Validate(); err != nil {
 			return Result{}, fmt.Errorf("sim: %w", err)
 		}
@@ -225,7 +221,7 @@ func Run(ctx context.Context, opts Options) (Result, error) {
 	}
 	m.Interconnect().SetDisjointAddressSpaces(opts.DisjointAddressSpaces)
 	r := newRunner(ctx, opts, m)
-	if mode == ModeSampled {
+	if opts.Mode == ModeSampled {
 		return r.runSampled()
 	}
 	return r.runDetailed()

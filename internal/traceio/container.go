@@ -1,16 +1,14 @@
 // Package traceio is the workload-ingestion subsystem: a versioned,
 // self-describing container format for externally supplied instruction
-// traces, plus import-only decoders for three interchange formats (the
-// legacy single-stream format, a fixed-width binary format and a
-// human-readable text format).
+// traces, plus an import-only, hand-writable text format.
 //
 // The container is the only format the simulator replays. It holds one
 // instruction stream per hardware context, so a multithreaded run
 // captured with `dae-trace export` replays bit-identically through
 // `dae-sim -trace`: each context consumes exactly the stream the
-// generator would have produced for it. Every other format reaches the
+// generator would have produced for it. A text trace reaches the
 // simulator through `dae-trace import`, which converts it with Decode.
-// The layout is
+// The container layout is
 //
 //	8-byte magic "DAETRCNT"
 //	uvarint container format version (currently 1)
@@ -67,11 +65,11 @@ const (
 var (
 	// ErrBadMagic marks a file that is not a trace container.
 	ErrBadMagic = errors.New("traceio: bad magic (not a DAE trace container)")
-	// ErrBadVersion marks an unsupported container or legacy version.
+	// ErrBadVersion marks an unsupported container version.
 	ErrBadVersion = errors.New("traceio: unsupported format version")
-	// ErrTruncated marks a trace that ends early (a container before its
-	// terminator or mid-chunk, a legacy file inside its header): the
-	// producer crashed or the copy was cut short.
+	// ErrTruncated marks a container that ends early (inside its header,
+	// mid-chunk or before its terminator): the producer crashed or the
+	// copy was cut short.
 	ErrTruncated = errors.New("traceio: truncated trace")
 	// ErrChecksum marks a chunk whose payload fails its CRC.
 	ErrChecksum = errors.New("traceio: chunk checksum mismatch")
@@ -93,7 +91,7 @@ type Header struct {
 }
 
 // ----------------------------------------------------------------------------
-// Record encoding (shared by the container and the legacy format).
+// Record encoding (a container chunk's payload).
 
 // appendRecord encodes one instruction record onto buf:
 //
@@ -120,9 +118,6 @@ func appendRecord(buf []byte, in *isa.Inst) []byte {
 	}
 	return buf
 }
-
-// maxRecordLen bounds one encoded record.
-const maxRecordLen = 1 + binary.MaxVarintLen64 + 3 + binary.MaxVarintLen64 + 1
 
 // decodeRecord decodes one record from p into in, returning the bytes
 // consumed. Every record must pass validateRecord, so no decoded trace

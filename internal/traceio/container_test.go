@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/isa"
 )
@@ -223,5 +225,96 @@ func TestUvarintAssumption(t *testing.T) {
 	var buf [binary.MaxVarintLen64]byte
 	if n := binary.PutUvarint(buf[:], 5); n != 1 {
 		t.Fatalf("uvarint(5) = %d bytes", n)
+	}
+}
+
+// Property: any valid record survives a container round trip.
+func TestRecordQuickRoundTrip(t *testing.T) {
+	f := func(pcs []uint64, opRaw []uint8) bool {
+		n := min(len(pcs), len(opRaw))
+		insts := make([]isa.Inst, 0, n)
+		for i := 0; i < n; i++ {
+			op := isa.Op(opRaw[i] % uint8(isa.NumOps))
+			in := isa.Inst{PC: pcs[i], Op: op, Dest: isa.NoReg, Src1: isa.NoReg, Src2: isa.NoReg}
+			switch op {
+			case isa.OpIntALU:
+				in.Dest = isa.IntReg(int(opRaw[i]) % 32)
+			case isa.OpFPALU:
+				in.Dest = isa.FPReg(int(opRaw[i]) % 32)
+			case isa.OpLoad:
+				in.Dest = isa.FPReg(int(opRaw[i]) % 32)
+				in.Addr = pcs[i] * 3
+				in.Size = 8
+			case isa.OpStore:
+				in.Addr = pcs[i] * 5
+				in.Size = 4
+			case isa.OpBranch:
+				in.Taken = opRaw[i]&1 == 1
+			}
+			insts = append(insts, in)
+		}
+		_, got, err := ReadAll(bytes.NewReader(encodeContainer(t, Header{Streams: 1}, [][]isa.Inst{insts})))
+		if err != nil || len(got[0]) != len(insts) {
+			return false
+		}
+		for i := range insts {
+			if got[0][i] != insts[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestContainerHeaderErrors: a header cut anywhere is ErrTruncated, and
+// out-of-range stream counts and string lengths are ErrCorrupt.
+func TestContainerHeaderErrors(t *testing.T) {
+	data := encodeContainer(t, Header{Streams: 1, Name: "ab", Note: "cd"}, [][]isa.Inst{nil})
+	const headerLen = 8 + 1 + 1 + 3 + 3
+	for cut := 0; cut < headerLen; cut++ {
+		if _, _, err := ReadAll(bytes.NewReader(data[:cut])); !errors.Is(err, ErrTruncated) {
+			t.Errorf("header cut at %d: got %v, want ErrTruncated", cut, err)
+		}
+	}
+	head := append([]byte(nil), Magic[:]...)
+	for name, rest := range map[string][]byte{
+		"zero streams":    {ContainerVersion, 0},
+		"too many":        binary.AppendUvarint([]byte{ContainerVersion}, MaxStreams+1),
+		"oversized name":  binary.AppendUvarint([]byte{ContainerVersion, 1}, maxMetaLen+1),
+		"oversized note":  binary.AppendUvarint([]byte{ContainerVersion, 1, 0}, maxMetaLen+1),
+		"stream past end": {ContainerVersion, 1, 0, 0, 2, 1, 1},
+	} {
+		if _, _, err := ReadAll(bytes.NewReader(append(head, rest...))); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// TestContainerCorruptRecords: a chunk whose payload passes its CRC but
+// holds a malformed record is ErrCorrupt, whatever the record lacks.
+func TestContainerCorruptRecords(t *testing.T) {
+	const load = 2 | 1<<4 // op load, has-addr
+	for name, payload := range map[string][]byte{
+		"no pc":         {0},
+		"no registers":  {0, 0x10, 1},
+		"no addr":       {load, 0x10, 32, 1, 0xff},
+		"no size":       {load, 0x10, 32, 1, 0xff, 0x20},
+		"invalid op":    {7, 0x10, 0xff, 0xff, 0xff},
+		"bad register":  {0, 0x10, 64, 0xff, 0xff},
+		"zero size":     {load, 0x10, 32, 1, 0xff, 0x20, 0},
+		"taken non-br":  {1 << 3, 0x10, 1, 0xff, 0xff},
+		"trailing byte": {0, 0x10, 1, 0xff, 0xff, 0},
+	} {
+		data := append([]byte(nil), Magic[:]...)
+		data = append(data, ContainerVersion, 1, 0, 0, 1, 1, byte(len(payload)))
+		data = append(data, payload...)
+		data = binary.LittleEndian.AppendUint32(data, crc32.ChecksumIEEE(payload))
+		data = append(data, 0, 1)
+		if _, _, err := ReadAll(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
+		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/isa"
-	"repro/internal/trace"
 )
 
 // r64Path is a one-stream container whose loads write registers the
@@ -54,96 +53,70 @@ func TestR64FixturePinned(t *testing.T) {
 }
 
 // TestDecodeRejectsInvalidRegisters: a record naming a register outside
-// the architectural file is ErrCorrupt in every decoder, so it never
-// reaches the core.
+// the architectural file fails in both decoders, so it never reaches the
+// core.
 func TestDecodeRejectsInvalidRegisters(t *testing.T) {
 	if _, _, err := ReadAll(bytes.NewReader(r64Container(t))); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("r64 container: ReadAll err = %v, want ErrCorrupt", err)
 	}
-	bad := legacySample()
-	bad[1].Dest = 64
-	if _, err := ParseLegacy(bytes.NewReader(legacyBytes(bad))); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("r64 legacy: err = %v, want ErrCorrupt", err)
+	if _, _, err := Decode(bytes.NewReader(r64Container(t))); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("r64 container: Decode err = %v, want ErrCorrupt", err)
 	}
-	bad[1].Dest, bad[2].Src2 = isa.FPReg(0), 200
-	if _, _, err := Decode(bytes.NewReader(legacyBytes(bad)), FormatAuto); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("r200 source: err = %v, want ErrCorrupt", err)
+	if _, _, err := Decode(strings.NewReader("int 0x10 r1 r2 -\nload 0x14 r64 r1 - 0x40000 8\n")); err == nil ||
+		!strings.Contains(err.Error(), "text line 2: bad register") {
+		t.Errorf("r64 text: err = %v, want a bad register at text line 2", err)
 	}
 }
 
-// encodeAll writes want in every format Decode reads.
-func encodeAll(t testing.TB, want []isa.Inst) map[Format][]byte {
-	var bin, text bytes.Buffer
-	if _, err := WriteBinary(&bin, trace.Slice(want)); err != nil {
-		t.Fatal(err)
+func sameInsts(t *testing.T, got, want []isa.Inst) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("got %d records, want %d", len(got), len(want))
 	}
-	if _, err := WriteText(&text, trace.Slice(want)); err != nil {
-		t.Fatal(err)
-	}
-	return map[Format][]byte{
-		FormatContainer: encodeContainer(t, Header{Streams: 1}, [][]isa.Inst{want}),
-		FormatLegacy:    legacyBytes(want),
-		FormatBinary:    bin.Bytes(),
-		FormatText:      text.Bytes(),
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("record %d: got %+v want %+v", i, got[i], want[i])
+		}
 	}
 }
 
-// TestDecodeFormatsAgree: container, legacy, bin and text encodings of
-// one stream decode to the same records, sniffed or named.
+// TestDecodeFormatsAgree: the container and text encodings of one
+// stream decode to the same records.
 func TestDecodeFormatsAgree(t *testing.T) {
 	want := testStream(3, 200)
-	for f, data := range encodeAll(t, want) {
-		for _, as := range []Format{FormatAuto, f} {
-			h, streams, err := Decode(bytes.NewReader(data), as)
-			if err != nil {
-				t.Fatalf("%s as %s: %v", f, as, err)
-			}
-			if h.Streams != 1 || len(streams) != 1 {
-				t.Fatalf("%s as %s: %d streams", f, as, len(streams))
-			}
-			sameInsts(t, streams[0], want)
+	for name, data := range map[string][]byte{
+		"container": encodeContainer(t, Header{Streams: 1}, [][]isa.Inst{want}),
+		"text":      textOf(want),
+	} {
+		h, streams, err := Decode(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-	}
-	if _, _, err := Decode(bytes.NewReader(nil), Format("elf")); err == nil {
-		t.Error("unknown format decoded")
-	}
-}
-
-// TestCheckReplayFormat: only containers replay; the import-only
-// formats name the converter.
-func TestCheckReplayFormat(t *testing.T) {
-	for _, s := range []string{"", "auto", "container", "Container"} {
-		if err := CheckReplayFormat(s); err != nil {
-			t.Errorf("%q rejected: %v", s, err)
+		if h.Streams != 1 || len(streams) != 1 {
+			t.Fatalf("%s: %d streams", name, len(streams))
 		}
-	}
-	for _, s := range []string{"legacy", "bin", "text"} {
-		err := CheckReplayFormat(s)
-		if err == nil || !strings.Contains(err.Error(), "dae-trace import") {
-			t.Errorf("%q: err = %v, want one naming dae-trace import", s, err)
-		}
-	}
-	if err := CheckReplayFormat("pcap"); err == nil {
-		t.Error("unknown format accepted")
+		sameInsts(t, streams[0], want)
 	}
 }
 
 // FuzzDecode feeds arbitrary bytes through the sniffing decoder that
 // `dae-trace import` uses: it must never panic, and every record it
-// returns must pass the isa mapping rules the core relies on.
+// returns must pass the isa mapping rules the core relies on. The seeds
+// are a container, a file of the retired legacy format, a text trace, a
+// file of the retired binary format and the hostile r64 container.
 func FuzzDecode(f *testing.F) {
-	legacy, err := os.ReadFile("testdata/swim-2k.trace")
-	if err != nil {
-		f.Fatal(err)
-	}
-	seeds := encodeAll(f, testStream(11, 8))
+	insts := testStream(11, 8)
 	for _, data := range [][]byte{
-		seeds[FormatContainer], legacy, seeds[FormatBinary], seeds[FormatText], r64Container(f),
+		encodeContainer(f, Header{Streams: 1}, [][]isa.Inst{insts}),
+		legacyFile(insts),
+		textOf(insts),
+		append([]byte("DAEBIN01"), make([]byte, 8*24)...),
+		r64Container(f),
 	} {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h, streams, err := Decode(bytes.NewReader(data), FormatAuto)
+		h, streams, err := Decode(bytes.NewReader(data))
 		if err != nil {
 			return
 		}

@@ -2,7 +2,7 @@ package traceio_test
 
 import (
 	"bytes"
-	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/isa"
@@ -10,36 +10,6 @@ import (
 	"repro/internal/traceio"
 	"repro/internal/workload"
 )
-
-// TestLegacyFixtureMatchesGenerator pins testdata/swim-2k.trace, a
-// legacy single-stream file written by the retired legacy writer: its
-// records are swim's seed-0, offset-0 generator records.
-func TestLegacyFixtureMatchesGenerator(t *testing.T) {
-	f, err := os.Open("testdata/swim-2k.trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	got, err := traceio.ParseLegacy(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := workload.ByName("swim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := trace.Limit(b.NewReader(workload.ReaderOpts{}), 2000)
-	var want isa.Inst
-	n := 0
-	for ; r.Next(&want); n++ {
-		if n >= len(got) || got[n] != want {
-			t.Fatalf("record %d differs from the generator", n)
-		}
-	}
-	if n != 2000 || len(got) != n {
-		t.Fatalf("fixture holds %d records, generator gave %d", len(got), n)
-	}
-}
 
 // TestGeneratorExportsDecode: every built-in benchmark's export passes
 // the decoder's record validation, so checking records on the way in
@@ -54,8 +24,39 @@ func TestGeneratorExportsDecode(t *testing.T) {
 		if _, err := workload.ExportTrace(&buf, b, 2, 1, 3000, ""); err != nil {
 			t.Fatal(err)
 		}
-		if _, streams, err := traceio.Decode(&buf, traceio.FormatAuto); err != nil || len(streams[1]) != 3000 {
+		if _, streams, err := traceio.Decode(&buf); err != nil || len(streams[1]) != 3000 {
 			t.Errorf("%s: export does not decode: %v", name, err)
+		}
+	}
+}
+
+// TestGeneratorTextRoundTrip: for every built-in benchmark's first
+// records, isa.Inst.String prints the line ParseText reads back.
+func TestGeneratorTextRoundTrip(t *testing.T) {
+	const n = 4000
+	for _, name := range workload.Names() {
+		b, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []isa.Inst
+		var text strings.Builder
+		r := trace.Limit(b.NewReader(workload.ReaderOpts{}), n)
+		for in := (isa.Inst{}); r.Next(&in); {
+			want = append(want, in)
+			text.WriteString(in.String() + "\n")
+		}
+		got, err := traceio.ParseText(strings.NewReader(text.String()))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(got) != n || len(want) != n {
+			t.Fatalf("%s: parsed %d of %d records", name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s record %d: %q parsed to %+v", name, i, want[i].String(), got[i])
+			}
 		}
 	}
 }

@@ -1,13 +1,8 @@
 package traceio
 
-// Import-only decoders for the three interchange formats, format
-// detection for unseekable inputs, and Decode, the one place a trace's
-// format is switched on. The simulator replays containers only
-// (ReadAll); `dae-trace import` converts everything else through Decode.
-//
-// Legacy format: 8-byte magic "DAETRACE", uvarint version 1, then the
-// container's record encoding (appendRecord) back to back, with no
-// framing or checksum.
+// The text format, the one import-only format, and Decode, which tells
+// it from a container by the magic. The simulator replays containers
+// only (ReadAll); `dae-trace import` converts text through Decode.
 //
 // Text format: one record per line, '#' starts a comment, fields are
 // whitespace-separated:
@@ -17,138 +12,43 @@ package traceio
 //	branch lines append:      taken | not-taken
 //
 // Registers are r0..r31 (integer), f0..f31 (floating point) or '-'
-// (absent); pc/addr accept decimal or 0x-prefixed hex.
+// (absent); pc, addr and size are decimal or 0x-prefixed hex. The line
+// is exactly what isa.Inst.String prints, so `dae-trace dump` output
+// imports back.
 //
-// Binary format: 8-byte magic "DAEBIN01", then fixed 24-byte
-// little-endian records:
-//
-//	pc u64, addr u64, op u8, dest u8, src1 u8, src2 u8, size u8,
-//	flags u8 (bit 0 taken), 2 reserved bytes (zero)
-//
-// All three carry a single instruction stream; `dae-trace import` wraps
-// them into a one-stream container. Mapping rule: records land on the
-// isa.Inst model verbatim — op class, register split and mem/branch
+// A text trace carries a single instruction stream; `dae-trace import`
+// wraps it into a one-stream container. Mapping rule: records land on
+// the isa.Inst model verbatim — op class, register split and mem/branch
 // payloads are validated (validateRecord), everything else (pipeline
 // behaviour, steering) derives from the isa tables exactly as for
 // generated workloads.
 
 import (
 	"bufio"
-	"encoding/binary"
+	"bytes"
 	"fmt"
 	"io"
-	"slices"
 	"strconv"
 	"strings"
 
 	"repro/internal/isa"
 )
 
-// BinaryMagic identifies an external fixed-width binary trace.
-var BinaryMagic = [8]byte{'D', 'A', 'E', 'B', 'I', 'N', '0', '1'}
-
-// legacyMagic identifies a legacy single-stream trace.
-var legacyMagic = [8]byte{'D', 'A', 'E', 'T', 'R', 'A', 'C', 'E'}
-
-// legacyVersion is the only legacy format version.
-const legacyVersion = 1
-
-// binaryRecordLen is the fixed record size of the binary format.
-const binaryRecordLen = 24
-
-// Format names an on-disk trace encoding.
-type Format string
-
-// Trace encodings accepted by `dae-trace`. FormatAuto sniffs the magic
-// bytes (text, the only magic-less format, is the fallback).
-const (
-	FormatAuto      Format = "auto"
-	FormatContainer Format = "container"
-	FormatLegacy    Format = "legacy"
-	FormatBinary    Format = "bin"
-	FormatText      Format = "text"
-)
-
-// formats lists every accepted format name.
-var formats = []Format{FormatAuto, FormatContainer, FormatLegacy, FormatBinary, FormatText}
-
-// magics maps each magic-prefixed format to its first eight bytes.
-var magics = []struct {
-	f     Format
-	magic [8]byte
-}{
-	{FormatContainer, Magic},
-	{FormatLegacy, legacyMagic},
-	{FormatBinary, BinaryMagic},
-}
-
-// ParseFormat validates a user-supplied format name ("" means auto).
-func ParseFormat(s string) (Format, error) {
-	f := Format(strings.ToLower(s))
-	if f == "" {
-		return FormatAuto, nil
-	}
-	if !slices.Contains(formats, f) {
-		return "", fmt.Errorf("traceio: unknown trace format %q (known: auto, container, legacy, bin, text)", s)
-	}
-	return f, nil
-}
-
-// CheckReplayFormat validates the format a replay names. The simulator
-// replays containers only, so "", "auto" and "container" pass and the
-// import-only formats are refused with the command that converts them.
-func CheckReplayFormat(s string) error {
-	f, err := ParseFormat(s)
-	if err != nil {
-		return err
-	}
-	if f != FormatAuto && f != FormatContainer {
-		return fmt.Errorf("traceio: %s traces are import-only; convert with `dae-trace import -i FILE -o FILE.dct` and replay the container", f)
-	}
-	return nil
-}
-
-// Detect sniffs the input's format from its first bytes without
-// consuming them, so it works on pipes and stdin. Inputs matching no
-// magic are assumed to be text.
-func Detect(br *bufio.Reader) (Format, error) {
-	head, err := br.Peek(8)
-	if err != nil && err != io.EOF {
-		return "", fmt.Errorf("traceio: sniffing format: %w", err)
-	}
-	for _, m := range magics {
-		if string(head) == string(m.magic[:]) {
-			return m.f, nil
-		}
-	}
-	return FormatText, nil
-}
-
-// Decode reads a whole trace in format f into per-stream slices;
-// FormatAuto sniffs it with Detect. Single-stream formats report a
-// synthesized one-stream header. Every record passes validateRecord.
-func Decode(r io.Reader, f Format) (Header, [][]isa.Inst, error) {
+// Decode reads a whole trace into per-stream slices: an input that
+// starts with the container magic goes to ReadAll, anything else to
+// ParseText, which reports a synthesized one-stream header. It never
+// seeks, so it works on pipes and stdin. Every record passes
+// validateRecord.
+func Decode(r io.Reader) (Header, [][]isa.Inst, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	if f == FormatAuto {
-		var err error
-		if f, err = Detect(br); err != nil {
-			return Header{}, nil, err
-		}
+	head, err := br.Peek(len(Magic))
+	if err != nil && err != io.EOF {
+		return Header{}, nil, fmt.Errorf("traceio: sniffing format: %w", err)
 	}
-	var parse func(io.Reader) ([]isa.Inst, error)
-	switch f {
-	case FormatContainer:
+	if bytes.Equal(head, Magic[:]) {
 		return ReadAll(br)
-	case FormatLegacy:
-		parse = ParseLegacy
-	case FormatBinary:
-		parse = ParseBinary
-	case FormatText:
-		parse = ParseText
-	default:
-		return Header{}, nil, fmt.Errorf("traceio: unsupported trace format %q", f)
 	}
-	insts, err := parse(br)
+	insts, err := ParseText(br)
 	if err != nil {
 		return Header{}, nil, err
 	}
@@ -180,49 +80,6 @@ func validateRecord(in *isa.Inst) error {
 	}
 	return nil
 }
-
-// ----------------------------------------------------------------------------
-// Legacy format.
-
-// ParseLegacy decodes a whole legacy single-stream trace. It streams, so
-// it works on pipes and stdin.
-func ParseLegacy(r io.Reader) ([]isa.Inst, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var got [8]byte
-	if _, err := io.ReadFull(br, got[:]); err != nil {
-		return nil, fmt.Errorf("%w: short legacy magic", ErrTruncated)
-	}
-	if got != legacyMagic {
-		return nil, fmt.Errorf("%w: not a DAETRACE trace", ErrBadMagic)
-	}
-	v, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("%w: missing legacy version", ErrTruncated)
-	}
-	if v != legacyVersion {
-		return nil, fmt.Errorf("%w: legacy version %d", ErrBadVersion, v)
-	}
-	var out []isa.Inst
-	for {
-		p, err := br.Peek(maxRecordLen)
-		if err != nil && err != io.EOF {
-			return nil, fmt.Errorf("traceio: reading legacy record %d: %w", len(out), err)
-		}
-		if len(p) == 0 {
-			return out, nil
-		}
-		var in isa.Inst
-		n, err := decodeRecord(p, &in)
-		if err != nil {
-			return nil, fmt.Errorf("%w (legacy record %d)", err, len(out))
-		}
-		br.Discard(n)
-		out = append(out, in)
-	}
-}
-
-// ----------------------------------------------------------------------------
-// Text format.
 
 // parseReg parses r<N>, f<N> or '-'.
 func parseReg(s string) (isa.Reg, error) {
@@ -260,6 +117,19 @@ func parseOp(s string) (isa.Op, error) {
 	}
 }
 
+// parseNum parses a bits-wide unsigned number written in decimal or
+// in hex after 0x or 0X. A leading zero (octal to C and Go), a 0b or 0o
+// prefix, a sign and digit-separating underscores are all refused.
+func parseNum(s string, bits int) (uint64, error) {
+	if len(s) > 2 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X') {
+		return strconv.ParseUint(s[2:], 16, bits)
+	}
+	if len(s) > 1 && s[0] == '0' {
+		return 0, strconv.ErrSyntax
+	}
+	return strconv.ParseUint(s, 10, bits)
+}
+
 // ParseText decodes the whole text trace. Line numbers appear in every
 // error so hand-written traces are debuggable.
 func ParseText(r io.Reader) ([]isa.Inst, error) {
@@ -287,7 +157,7 @@ func ParseText(r io.Reader) ([]isa.Inst, error) {
 		out = append(out, in)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("traceio: reading text trace: %w", err)
+		return nil, fmt.Errorf("traceio: text line %d: %w", lineNo+1, err)
 	}
 	return out, nil
 }
@@ -300,7 +170,7 @@ func parseTextRecord(fields []string) (isa.Inst, error) {
 	if err != nil {
 		return isa.Inst{}, err
 	}
-	pc, err := strconv.ParseUint(fields[1], 0, 64)
+	pc, err := parseNum(fields[1], 64)
 	if err != nil {
 		return isa.Inst{}, fmt.Errorf("bad pc %q", fields[1])
 	}
@@ -316,10 +186,10 @@ func parseTextRecord(fields []string) (isa.Inst, error) {
 		if len(rest) != 2 {
 			return isa.Inst{}, fmt.Errorf("%s wants addr and size fields", op)
 		}
-		if in.Addr, err = strconv.ParseUint(rest[0], 0, 64); err != nil {
+		if in.Addr, err = parseNum(rest[0], 64); err != nil {
 			return isa.Inst{}, fmt.Errorf("bad addr %q", rest[0])
 		}
-		size, err := strconv.ParseUint(rest[1], 0, 8)
+		size, err := parseNum(rest[1], 8)
 		if err != nil || size == 0 {
 			return isa.Inst{}, fmt.Errorf("bad size %q", rest[1])
 		}
@@ -341,47 +211,4 @@ func parseTextRecord(fields []string) (isa.Inst, error) {
 		}
 	}
 	return in, nil
-}
-
-// ----------------------------------------------------------------------------
-// Binary format.
-
-// ParseBinary decodes the whole fixed-width binary trace.
-func ParseBinary(r io.Reader) ([]isa.Inst, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var got [8]byte
-	if _, err := io.ReadFull(br, got[:]); err != nil {
-		return nil, fmt.Errorf("traceio: reading binary magic: %w", err)
-	}
-	if got != BinaryMagic {
-		return nil, fmt.Errorf("%w: not a DAEBIN01 trace", ErrBadMagic)
-	}
-	var out []isa.Inst
-	var rec [binaryRecordLen]byte
-	for {
-		_, err := io.ReadFull(br, rec[:])
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("traceio: binary record %d: truncated: %w", len(out), err)
-		}
-		if rec[22] != 0 || rec[23] != 0 {
-			return nil, fmt.Errorf("traceio: binary record %d: nonzero reserved bytes", len(out))
-		}
-		in := isa.Inst{
-			PC:    binary.LittleEndian.Uint64(rec[0:8]),
-			Addr:  binary.LittleEndian.Uint64(rec[8:16]),
-			Op:    isa.Op(rec[16]),
-			Dest:  isa.Reg(rec[17]),
-			Src1:  isa.Reg(rec[18]),
-			Src2:  isa.Reg(rec[19]),
-			Size:  rec[20],
-			Taken: rec[21]&1 != 0,
-		}
-		if err := validateRecord(&in); err != nil {
-			return nil, fmt.Errorf("traceio: binary record %d: %w", len(out), err)
-		}
-		out = append(out, in)
-	}
 }

@@ -14,9 +14,6 @@ import "fmt"
 type CatalogEntry struct {
 	// Name is the workload's catalog key (what -bench resolves).
 	Name string
-	// Kind is "generator": every entry is a built-in synthetic model.
-	// Trace files are replayed by path, not through the catalog.
-	Kind string
 	// Provenance records what the entry models and where its parameters
 	// come from.
 	Provenance string
@@ -65,7 +62,6 @@ func Catalog() []CatalogEntry {
 		insts = b.Kernels[heaviest].InstsPerIteration()
 		entries = append(entries, CatalogEntry{
 			Name:              b.Name,
-			Kind:              "generator",
 			Provenance:        fmt.Sprintf("synthetic model of SPEC FP95 %s: %s", b.Name, builtinProvenance[b.Name]),
 			FootprintBytes:    footprint,
 			Streams:           len(b.Streams),

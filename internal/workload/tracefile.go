@@ -1,7 +1,7 @@
 package workload
 
 // Trace-file workloads: externally supplied instruction streams (a
-// traceio container; other formats are converted by `dae-trace import`)
+// traceio container; a text trace is converted by `dae-trace import`)
 // served through the same trace.Reader interface as the synthetic
 // generators.
 //
@@ -22,7 +22,7 @@ import (
 )
 
 // loadTraceStreams decodes the container at path into per-stream
-// slices. Other formats are import-only, so a file that is not a
+// slices. Text traces are import-only, so a file that is not a
 // container fails with the command that converts it.
 func loadTraceStreams(path string) ([][]isa.Inst, error) {
 	f, err := os.Open(path)
@@ -32,7 +32,7 @@ func loadTraceStreams(path string) ([][]isa.Inst, error) {
 	defer f.Close()
 	_, streams, err := traceio.ReadAll(f)
 	if errors.Is(err, traceio.ErrBadMagic) {
-		return nil, fmt.Errorf("workload: %s: %w; only containers replay, convert it first with `dae-trace import -i %s -o FILE.dct`", path, err, path)
+		return nil, fmt.Errorf("workload: %s: %w; only containers replay, so convert a text trace first with `dae-trace import -i %s -o FILE.dct`", path, err, path)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("workload: %s: %w", path, err)

@@ -198,7 +198,7 @@ func TestCatalog(t *testing.T) {
 		if e.Name != names[i] {
 			t.Errorf("entry %d is %q, want %q", i, e.Name, names[i])
 		}
-		if e.Kind != "generator" || e.Provenance == "" || e.FootprintBytes <= 0 ||
+		if e.Provenance == "" || e.FootprintBytes <= 0 ||
 			e.Streams <= 0 || e.Kernels <= 0 || e.InstsPerIteration <= 0 {
 			t.Errorf("entry %q incomplete: %+v", e.Name, e)
 		}

@@ -71,10 +71,10 @@ func CustomRequest(b Benchmark, m Machine, opts RunOpts) Request {
 	return request(m, Workload{Kind: WorkloadCustom, Custom: &b, Seed: opts.Seed}, opts)
 }
 
-// TraceRequest describes the replay of a trace container on machine m.
-// The format is "" (the usual choice) or "container"; see TraceRef.
-func TraceRequest(path, format string, m Machine, opts RunOpts) Request {
-	return request(m, Workload{Kind: WorkloadTrace, Trace: &TraceRef{Path: path, Format: format}}, opts)
+// TraceRequest describes the replay of the trace container at path on
+// machine m.
+func TraceRequest(path string, m Machine, opts RunOpts) Request {
+	return request(m, Workload{Kind: WorkloadTrace, Trace: &TraceRef{Path: path}}, opts)
 }
 
 // request is the normalized Request for workload w on machine m under

@@ -227,7 +227,7 @@ func TestRequestHashesPinned(t *testing.T) {
 		req  Request
 		hash string
 	}{
-		{"trace t=4", TraceRequest("traces/swim.dct", "", Figure2(4), RunOpts{}),
+		{"trace t=4", TraceRequest("traces/swim.dct", Figure2(4), RunOpts{}),
 			"e4fc435a99fa411ce6500cf79175c9e180ce84f76c70d16a10ab97a335316fd2"},
 		{"spec t=4", MixRequest(Figure2(4).WithSpeculation(
 			Speculation{SpecLoadFrac: 0.3, MisspecProb: 0.05, LoDEvery: 500}), RunOpts{}),
@@ -433,28 +433,23 @@ func TestRequestSpeculationNormalization(t *testing.T) {
 }
 
 func TestRequestTraceNormalizationAndValidation(t *testing.T) {
-	// The explicit "auto" format is the empty default spelled out, and
-	// redundant path segments do not fork the hash.
-	a := TraceRequest("traces/swim.dct", "", Figure2(2), RunOpts{})
-	b := TraceRequest("traces/swim.dct", "auto", Figure2(2), RunOpts{})
-	c := TraceRequest("./traces//swim.dct", "", Figure2(2), RunOpts{})
-	if a.Hash() != b.Hash() {
-		t.Error(`format "auto" hashes differently from the empty default`)
-	}
-	if a.Hash() != c.Hash() {
-		t.Error("uncleaned trace path forked the hash")
-	}
-	if got := b.Normalized().Workload.Trace.Format; got != "" {
-		t.Errorf(`format "auto" normalized to %q, want ""`, got)
-	}
-	// The spelled-out "container" format is valid but a different
-	// request: it keeps its own hash.
-	d := TraceRequest("traces/swim.dct", "container", Figure2(2), RunOpts{})
-	if err := d.Validate(); err != nil {
-		t.Errorf("explicit container format rejected: %v", err)
-	}
-	if a.Hash() == d.Hash() {
-		t.Error("explicit container format did not change the hash")
+	// The container is the only replay format, so every spelling of it
+	// ("auto" and "container" in any letter case) normalizes to the
+	// empty default and shares its hash; redundant path segments do not
+	// fork the hash either.
+	a := TraceRequest("traces/swim.dct", Figure2(2), RunOpts{})
+	for _, f := range []string{"", "auto", "AUTO", "container", "Container"} {
+		r := TraceRequest("./traces//swim.dct", Figure2(2), RunOpts{})
+		r.Workload.Trace.Format = f
+		if got := r.Normalized().Workload.Trace.Format; got != "" {
+			t.Errorf("format %q normalized to %q, want \"\"", f, got)
+		}
+		if r.Hash() != a.Hash() {
+			t.Errorf("format %q hashes apart from the empty default", f)
+		}
+		if err := r.Validate(); err != nil {
+			t.Errorf("format %q rejected: %v", f, err)
+		}
 	}
 
 	if err := a.Validate(); err != nil {
@@ -470,10 +465,10 @@ func TestRequestTraceNormalizationAndValidation(t *testing.T) {
 		}},
 		{"missing reference", func(r *Request) { r.Workload.Trace = nil }},
 		{"empty path", func(r *Request) { r.Workload.Trace = &TraceRef{} }},
-		{"unknown format", func(r *Request) { r.Workload.Trace.Format = "pcap" }},
-		{"import-only legacy", func(r *Request) { r.Workload.Trace.Format = "legacy" }},
-		{"import-only bin", func(r *Request) { r.Workload.Trace.Format = "bin" }},
-		{"import-only text", func(r *Request) { r.Workload.Trace.Format = "text" }},
+		{"format pcap", func(r *Request) { r.Workload.Trace.Format = "pcap" }},
+		{"format legacy", func(r *Request) { r.Workload.Trace.Format = "legacy" }},
+		{"format bin", func(r *Request) { r.Workload.Trace.Format = "bin" }},
+		{"format text", func(r *Request) { r.Workload.Trace.Format = "text" }},
 		{"trace with bench", func(r *Request) { r.Workload.Bench = "swim" }},
 		{"trace with seed", func(r *Request) { r.Workload.Seed = 9 }},
 		{"trace with segment", func(r *Request) { r.Workload.SegmentLen = 100 }},
@@ -486,7 +481,7 @@ func TestRequestTraceNormalizationAndValidation(t *testing.T) {
 		if !errors.Is(err, ErrInvalidRequest) {
 			t.Errorf("%s: %v, want ErrInvalidRequest", tc.name, err)
 		}
-		if strings.HasPrefix(tc.name, "import-only") && !strings.Contains(fmt.Sprint(err), "dae-trace import") {
+		if strings.HasPrefix(tc.name, "format ") && !strings.Contains(fmt.Sprint(err), "dae-trace import") {
 			t.Errorf("%s: %v does not name dae-trace import", tc.name, err)
 		}
 	}
@@ -523,7 +518,7 @@ func FuzzRequestJSON(f *testing.F) {
 		mode(MixRequest(Figure2(4), RunOpts{MeasureInsts: 10_000_000}), ModeSampled, nil),
 		mode(MixRequest(Figure2(1).WithL2Latency(256), RunOpts{MeasureInsts: 1_000_000}), ModeSampled,
 			&Sampling{PeriodInsts: 50_000, UnitInsts: 1_000, WarmupInsts: 2_000}),
-		TraceRequest("traces/swim.dct", "", Figure2(4), RunOpts{}),
+		TraceRequest("traces/swim.dct", Figure2(4), RunOpts{}),
 		MixRequest(Figure2(4).WithSpeculation(
 			Speculation{SpecLoadFrac: 0.3, MisspecProb: 0.05, LoDEvery: 500}), RunOpts{}),
 		MixRequest(Figure2(1).WithSpeculation(Speculation{LoDEvery: 200}), RunOpts{}),

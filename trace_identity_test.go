@@ -62,7 +62,7 @@ func TestTraceReplayByteIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := runOnce(TraceRequest(path, "", tc.m, opts))
+			got, err := runOnce(TraceRequest(path, tc.m, opts))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,18 +87,21 @@ func TestTraceReplayByteIdentity(t *testing.T) {
 func TestTraceReplayRejectsInvalidRegisters(t *testing.T) {
 	path := filepath.Join("internal", "traceio", "testdata", "r64-load.dct")
 	for _, m := range []Machine{Figure2(1), Figure2(4)} {
-		_, err := runOnce(TraceRequest(path, "", m, RunOpts{WarmupInsts: 100, MeasureInsts: 500}))
+		_, err := runOnce(TraceRequest(path, m, RunOpts{WarmupInsts: 100, MeasureInsts: 500}))
 		if !errors.Is(err, traceio.ErrCorrupt) {
 			t.Errorf("%d contexts: err = %v, want traceio.ErrCorrupt", m.TotalContexts(), err)
 		}
 	}
 }
 
-// TestTraceReplayRefusesImportOnlyFormats: a legacy file is not replayed;
+// TestTraceReplayRefusesImportOnlyFormats: a text trace is not replayed;
 // the error names the command that converts it.
 func TestTraceReplayRefusesImportOnlyFormats(t *testing.T) {
-	path := filepath.Join("internal", "traceio", "testdata", "swim-2k.trace")
-	_, err := runOnce(TraceRequest(path, "", Figure2(1), RunOpts{WarmupInsts: 100, MeasureInsts: 500}))
+	path := filepath.Join(t.TempDir(), "swim.txt")
+	if err := os.WriteFile(path, []byte("load 0x1000 f8 r1 - 0x10000020 8\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := runOnce(TraceRequest(path, Figure2(1), RunOpts{WarmupInsts: 100, MeasureInsts: 500}))
 	if !errors.Is(err, traceio.ErrBadMagic) || !strings.Contains(err.Error(), "dae-trace import") {
 		t.Fatalf("err = %v, want ErrBadMagic naming dae-trace import", err)
 	}
