@@ -87,6 +87,31 @@ func TestDumpImportRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDumpImportKeepsStreams: dump tags every line with its stream, and
+// import reads the tags back, so a two-stream container survives dump →
+// import with its streams and records; a trace that tags only some
+// records fails loudly.
+func TestDumpImportKeepsStreams(t *testing.T) {
+	dir := t.TempDir()
+	two, back := filepath.Join(dir, "two.dct"), filepath.Join(dir, "back.dct")
+	runTrace(t, nil, "export", "-bench", "swim", "-t", "2", "-n", "50", "-o", two)
+	dump := runTrace(t, nil, "dump", "-n", "100", "-i", two)
+	if out := runTrace(t, strings.NewReader(dump), "import", "-i", "-", "-o", back); !strings.HasPrefix(out, "imported 100 records (2 streams)") {
+		t.Errorf("import printed %q", out)
+	}
+	if stat := runTrace(t, nil, "stat", "-i", back); !strings.Contains(stat, "streams:      2\n") {
+		t.Errorf("stat of the re-imported container lacks \"streams: 2\":\n%s", stat)
+	}
+	if again := runTrace(t, nil, "dump", "-n", "100", "-i", back); again != dump {
+		t.Error("dump of the re-imported container differs from the original's")
+	}
+	var stdout, stderr strings.Builder
+	mixed := strings.NewReader("int 0x4 r1 r2 - # s0 0\nint 0x8 r1 r2 -\n")
+	if code := run([]string{"import", "-i", "-", "-o", filepath.Join(dir, "mixed.dct")}, mixed, &stdout, &stderr); code != 1 || !strings.Contains(stderr.String(), "text line 2:") {
+		t.Errorf("partly tagged trace: exit %d, stderr %q; want exit 1 at text line 2", code, stderr.String())
+	}
+}
+
 // TestCommandLineErrors: no or an unknown subcommand prints the usage and
 // exits 2, a bad flag exits 2 with the flag package's one message, -h
 // exits 0, and a failing subcommand exits 1, its error printed once.

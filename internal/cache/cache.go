@@ -25,8 +25,10 @@ func (c Config) Validate() error {
 	switch {
 	case c.SizeBytes <= 0:
 		return fmt.Errorf("cache: size %d must be positive", c.SizeBytes)
-	case c.LineBytes <= 0 || c.LineBytes&(c.LineBytes-1) != 0:
-		return fmt.Errorf("cache: line size %d must be a positive power of two", c.LineBytes)
+	case c.LineBytes < 4 || c.LineBytes&(c.LineBytes-1) != 0:
+		// A way packs its line number above two state bits (see way), so
+		// a line of at least 4 bytes keeps the shifted tag in 64 bits.
+		return fmt.Errorf("cache: line size %d must be a power of two of at least 4", c.LineBytes)
 	case c.Assoc <= 0:
 		return fmt.Errorf("cache: associativity %d must be positive", c.Assoc)
 	case c.SizeBytes%(c.LineBytes*c.Assoc) != 0:
@@ -42,13 +44,24 @@ func (c Config) Validate() error {
 // Sets returns the number of sets implied by the geometry.
 func (c Config) Sets() int { return c.SizeBytes / (c.LineBytes * c.Assoc) }
 
-// way is one line frame's tag and state. The tag is the full line number
-// (address >> line shift), so it identifies the line on its own.
-type way struct {
-	tag   uint64
-	valid bool
-	dirty bool
-}
+// way is one line frame's tag and state in one word: the full line
+// number (address >> line shift), which identifies the line on its own,
+// shifted above a dirty bit and a valid bit. Zero is an invalid frame.
+type way uint64
+
+const (
+	wayValid way = 1 << iota
+	wayDirty
+	wayTagShift = iota
+)
+
+func (w way) valid() bool { return w&wayValid != 0 }
+func (w way) dirty() bool { return w&wayDirty != 0 }
+func (w way) tag() uint64 { return uint64(w >> wayTagShift) }
+
+// present returns the valid, clean way holding tag t; a valid way holds t
+// exactly when it equals present(t) with its dirty bit cleared.
+func present(t uint64) way { return way(t)<<wayTagShift | wayValid }
 
 // Cache is the tag/state array. It is not safe for concurrent use; the
 // simulator is single-goroutine by design (cycle-stepped determinism).
@@ -106,7 +119,7 @@ func (c *Cache) base(t uint64) int { return int(t&c.setMask) * c.assoc }
 func (c *Cache) find(t uint64) int {
 	b := c.base(t)
 	for i := b; i < b+c.assoc; i++ {
-		if c.ways[i].valid && c.ways[i].tag == t {
+		if c.ways[i]&^wayDirty == present(t) {
 			return i
 		}
 	}
@@ -120,8 +133,7 @@ func (c *Cache) find(t uint64) int {
 func (c *Cache) Lookup(addr uint64) bool {
 	t := c.tag(addr)
 	if c.assoc == 1 {
-		w := &c.ways[t&c.setMask]
-		return w.valid && w.tag == t
+		return c.ways[t&c.setMask]&^wayDirty == present(t)
 	}
 	return c.lookupAssoc(t)
 }
@@ -159,7 +171,7 @@ func (c *Cache) Fill(addr uint64) Victim {
 	set := c.ways[b : b+c.assoc]
 	v := 0
 	if c.assoc == 1 {
-		if set[0].valid && set[0].tag == t {
+		if set[0]&^wayDirty == present(t) {
 			return Victim{}
 		}
 	} else {
@@ -172,7 +184,7 @@ func (c *Cache) Fill(addr uint64) Victim {
 		// Prefer an invalid way, else evict true-LRU.
 		v = -1
 		for i := range set {
-			if !set[i].valid {
+			if !set[i].valid() {
 				v = i
 				break
 			}
@@ -189,11 +201,11 @@ func (c *Cache) Fill(addr uint64) Victim {
 		c.lru[b+v] = c.lruClock
 	}
 	old := set[v]
-	set[v] = way{tag: t, valid: true}
-	if !old.valid {
+	set[v] = present(t)
+	if !old.valid() {
 		return Victim{}
 	}
-	return Victim{Addr: old.tag << c.lineShift, Dirty: old.dirty, Valid: true}
+	return Victim{Addr: old.tag() << c.lineShift, Dirty: old.dirty(), Valid: true}
 }
 
 // TouchDirect is the functional access of a sampling gap's warm path on
@@ -201,16 +213,20 @@ func (c *Cache) Fill(addr uint64) Victim {
 // had one): a miss installs the line — dropping its victim, so call it
 // only where no level below needs the write-back — and a store dirties
 // it. It is Lookup, then Fill on a miss, then SetDirty for a store, in
-// one inlinable probe.
+// one inlinable probe with no branch: the frame's new word is the line's
+// clean word, plus the old dirty bit on a hit and the store's.
 func (c *Cache) TouchDirect(addr uint64, store bool) {
 	t := c.tag(addr)
 	w := &c.ways[t&c.setMask]
-	if !w.valid || w.tag != t {
-		*w = way{tag: t, valid: true}
+	want := present(t)
+	keep := *w & wayDirty
+	if *w&^wayDirty != want {
+		keep = 0
 	}
 	if store {
-		w.dirty = true
+		keep = wayDirty
 	}
+	*w = want | keep
 }
 
 // SetDirty marks the line containing addr dirty. It reports whether the
@@ -220,14 +236,14 @@ func (c *Cache) SetDirty(addr uint64) bool {
 	if i < 0 {
 		return false
 	}
-	c.ways[i].dirty = true
+	c.ways[i] |= wayDirty
 	return true
 }
 
 // IsDirty reports whether the line containing addr is present and dirty.
 func (c *Cache) IsDirty(addr uint64) bool {
 	i := c.find(c.tag(addr))
-	return i >= 0 && c.ways[i].dirty
+	return i >= 0 && c.ways[i].dirty()
 }
 
 // Invalidate removes the line containing addr if present, returning its
@@ -237,7 +253,7 @@ func (c *Cache) Invalidate(addr uint64) (dirty, present bool) {
 	if i < 0 {
 		return false, false
 	}
-	dirty = c.ways[i].dirty
-	c.ways[i] = way{}
+	dirty = c.ways[i].dirty()
+	c.ways[i] = 0
 	return dirty, true
 }

@@ -26,6 +26,8 @@ func TestConfigValidate(t *testing.T) {
 		{SizeBytes: 0, LineBytes: 32, Assoc: 1},
 		{SizeBytes: 64 * 1024, LineBytes: 0, Assoc: 1},
 		{SizeBytes: 64 * 1024, LineBytes: 33, Assoc: 1},
+		{SizeBytes: 64 * 1024, LineBytes: 2, Assoc: 1}, // the packed tag needs lines of 4+
+		{SizeBytes: 64 * 1024, LineBytes: 1, Assoc: 1},
 		{SizeBytes: 64 * 1024, LineBytes: 32, Assoc: 0},
 		{SizeBytes: 100, LineBytes: 32, Assoc: 1},
 		{SizeBytes: 96 * 1024, LineBytes: 32, Assoc: 1}, // 3072 sets: not pow2
@@ -418,7 +420,7 @@ func BenchmarkFillConflict(b *testing.B) {
 func validLines(c *Cache) int {
 	n := 0
 	for i := range c.ways {
-		if c.ways[i].valid {
+		if c.ways[i].valid() {
 			n++
 		}
 	}
@@ -429,10 +431,10 @@ func validLines(c *Cache) int {
 func (c *Cache) Flush() int {
 	dirty := 0
 	for i := range c.ways {
-		if c.ways[i].valid && c.ways[i].dirty {
+		if c.ways[i].valid() && c.ways[i].dirty() {
 			dirty++
 		}
-		c.ways[i] = way{}
+		c.ways[i] = 0
 	}
 	return dirty
 }

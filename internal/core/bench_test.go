@@ -151,7 +151,9 @@ var warpSeed uint64 = 1 << 40
 // streams, generation included, as in a sampled run's gaps: one op is
 // one warped instruction. 4T-sharedL2 takes the warm path through the
 // finite hierarchy instead of the flat tag probe; 4T-plain hides the
-// generators' Fill behind trace.Func, so windows fill one Next at a time.
+// generators' Skip and Fill behind trace.Func, so the warp goes through
+// its adapter, which fills the lookahead batch one Next at a time and
+// converts it.
 func BenchmarkWarp(b *testing.B) {
 	for _, cfg := range []struct {
 		benchConfig
@@ -180,6 +182,22 @@ func BenchmarkWarp(b *testing.B) {
 				b.Fatalf("warped %d of %d", got, b.N)
 			}
 		})
+	}
+}
+
+// TestWarpAllocatesOnce pins the warp's scratch to the machine: after
+// the first Warp builds it, later calls allocate nothing.
+func TestWarpAllocatesOnce(t *testing.T) {
+	for _, cfg := range []config.Machine{config.Figure2(1), config.Figure2(4), config.Figure2(4).WithHierarchy(64, config.SharedL2(256<<10, 8))} {
+		warpSeed++
+		c, err := core.NewCMP(cfg, workload.MixSources(cfg.Threads, workload.MixOpts{Seed: warpSeed}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Warp(10_000)
+		if a := testing.AllocsPerRun(5, func() { c.Warp(10_001) }); a != 0 {
+			t.Errorf("%d threads: a second Warp allocated %v times", cfg.Threads, a)
+		}
 	}
 }
 

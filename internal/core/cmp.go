@@ -32,6 +32,13 @@ type CMP struct {
 	// (any core progressed, or a shared/private lower level installed a
 	// line).
 	progressed bool
+
+	// The functional warp's scratch (warp.go), built on the first Warp:
+	// one lane per context, core-major, and the merge's slots and bits.
+	warpLanes []warpLane
+	warpLive  []*warpLane
+	warpSlots []trace.MemRef
+	warpSet   []uint64
 }
 
 // NewCMP builds the machine for configuration m (after applying the

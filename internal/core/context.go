@@ -229,10 +229,10 @@ func (c *Context) peekSource() (*isa.Inst, bool) {
 // consumeSource consumes the peeked instruction.
 func (c *Context) consumeSource() { c.aheadPos++ }
 
-// window returns the lookahead batch topped up to capacity, for the
-// functional warp to consume in bulk. Full windows keep round-robin
-// contexts in phase, so a warp pass replays whole batches. Empty means
-// the source has run dry. Consume a prefix with advance.
+// window returns the lookahead batch topped up to capacity; empty means
+// the source has run dry. Fetch peeks through it, and the functional
+// warp converts it for a source that cannot skip. Consume a prefix by
+// moving aheadPos.
 func (c *Context) window() []isa.Inst {
 	if !c.Exhausted && c.aheadLen-c.aheadPos < lookahead {
 		n := copy(c.ahead[:], c.ahead[c.aheadPos:c.aheadLen])
@@ -255,6 +255,3 @@ func fill(src trace.Reader, dst []isa.Inst) int {
 	}
 	return n
 }
-
-// advance consumes the first k records of the current window.
-func (c *Context) advance(k int) { c.aheadPos += k }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/isa"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // TestDecoupledDrainSlackCounterexample pins the quick-check
@@ -401,5 +403,67 @@ func TestCoreAccessors(t *testing.T) {
 	}
 	if p.Done() {
 		t.Error("fresh CMP reports done")
+	}
+}
+
+// TestWarpLiveSourcesMatchOracle feeds the warp live generators — mix
+// streams and single benchmarks, which skip — on every machine shape,
+// after a random prefix read through Fill, so each warp starts mid
+// iteration and, for the mix, mid segment. The kernel machine is built
+// first and gets the live sources; the oracle's twins, requested a
+// second time, may replay interned copies of the same streams.
+func TestWarpLiveSourcesMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	seed := uint64(1 << 50)
+	for _, wm := range warpMachines {
+		for _, threads := range []int{1, 3} {
+			m := wm.machine(threads)
+			seed++
+			prefixes := make([]int, m.CoreCount()*threads)
+			for i := range prefixes {
+				prefixes[i] = rng.Intn(2 * workload.DefaultSegmentLen)
+			}
+			build := func() *CMP {
+				sources := make([]trace.Reader, len(prefixes))
+				for i := range sources {
+					if i%2 == 0 {
+						sources[i] = workload.Mix(i, workload.MixOpts{Seed: seed})
+					} else {
+						b, _ := workload.ByName("fpppp")
+						sources[i] = b.NewReader(workload.ReaderOpts{AddrOffset: workload.ThreadAddrOffset(i), Seed: seed})
+					}
+					sources[i].(trace.Filler).Fill(make([]isa.Inst, prefixes[i]))
+				}
+				p, err := NewCMP(m, sources)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p.ic.SetDisjointAddressSpaces(wm.disjoint)
+				return p
+			}
+			kp, op := build(), build()
+			if _, ok := kp.cores[0].ctxs[0].Source.(trace.Skipper); !ok {
+				t.Fatalf("%s: the kernel machine's first source cannot skip", wm.name)
+			}
+			for _, n := range []int64{1, 7, 5_003, 60_001} {
+				if kn, on := kp.Warp(n), oracleWarp(op.cores, n); kn != on {
+					t.Fatalf("%s/%dT: warp %d consumed %d, oracle %d", wm.name, threads, n, kn, on)
+				}
+				for c := range kp.cores {
+					if !reflect.DeepEqual(kp.cores[c].mem.Cache(), op.cores[c].mem.Cache()) {
+						t.Fatalf("%s/%dT: core %d L1 tags differ after warp %d", wm.name, threads, c, n)
+					}
+					for x := range kp.cores[c].ctxs {
+						if !reflect.DeepEqual(kp.cores[c].ctxs[x].Pred, op.cores[c].ctxs[x].Pred) {
+							t.Fatalf("%s/%dT: core %d ctx %d predictor differs after warp %d", wm.name, threads, c, x, n)
+						}
+					}
+				}
+				kp.Step(kp.Now() + 300)
+				op.Step(op.Now() + 300)
+				kp.DrainPipeline()
+				op.DrainPipeline()
+			}
+		}
 	}
 }

@@ -1,5 +1,7 @@
 package mem
 
+import "repro/internal/cache"
+
 // This file is the functional warm path behind the simulator's sampling
 // gaps: Warm advances the cache hierarchy's *architectural* state for one
 // memory reference — tags, LRU order, dirty bits, down the whole chain —
@@ -20,16 +22,11 @@ package mem
 // broadcast so remote copies die exactly as they would in the timed
 // model.
 //
-// The paper's machine — a direct-mapped L1 over the flat model, one core
-// and so no broadcast to run — warms with one L1 probe
-// (cache.TouchDirect): there is no level below to allocate into or write
-// a victim back to.
+// Where DirectWarmL1 returns a cache, cache.TouchDirect on it does all
+// of this in one probe; the functional warp checks that once per call
+// and calls Warm only where it returns nil.
 func (s *System) Warm(addr uint64, store bool) {
 	l1, chain := s.l1.tags, s.chain
-	if len(chain) == 0 && s.cfg.L1.Assoc == 1 && s.ic.disjoint {
-		l1.TouchDirect(addr, store)
-		return
-	}
 	line := l1.LineAddr(addr)
 	if !l1.Lookup(addr) {
 		for _, l := range chain {
@@ -54,6 +51,18 @@ func (s *System) Warm(addr uint64, store bool) {
 			s.ic.warmInvalidate(s.coreID, line)
 		}
 	}
+}
+
+// DirectWarmL1 returns the L1 tag array when warming a reference is
+// nothing but cache.TouchDirect on it, and nil otherwise. That holds on
+// the paper's machine: a direct-mapped L1 over the flat model, with no
+// broadcast to run (one core, or a CMP declared disjoint). There is then
+// no level below to allocate into or write a victim back to.
+func (s *System) DirectWarmL1() *cache.Cache {
+	if len(s.chain) == 0 && s.cfg.L1.Assoc == 1 && s.ic.disjoint {
+		return s.l1.tags
+	}
+	return nil
 }
 
 // warmInvalidate is the functional twin of invalidateRemote, in the

@@ -300,3 +300,24 @@ func TestInterconnectFillScheduler(t *testing.T) {
 		t.Error("shared-L2 fill did not reach the interconnect's scheduler")
 	}
 }
+
+// TestDirectWarmL1 pins when a warm touch is one L1 probe: a
+// direct-mapped L1 over the flat model with no broadcast to run.
+func TestDirectWarmL1(t *testing.T) {
+	assoc := testConfig()
+	assoc.L1.Assoc = 2
+	flatCMP := newCMPHarness(t, testConfig(), 2)
+	if s := newSys(t, testConfig()).System; s.DirectWarmL1() != s.Cache() {
+		t.Error("one-core direct-mapped flat L1: no direct warm path")
+	}
+	if newSys(t, assoc).DirectWarmL1() != nil {
+		t.Error("2-way L1 took the direct warm path")
+	}
+	if flatCMP.sys[0].DirectWarmL1() != nil {
+		t.Error("flat CMP without the disjoint promise took the direct warm path")
+	}
+	flatCMP.ic.SetDisjointAddressSpaces(true)
+	if flatCMP.sys[0].DirectWarmL1() == nil {
+		t.Error("disjoint flat CMP: no direct warm path")
+	}
+}

@@ -46,6 +46,56 @@ type Filler interface {
 	Fill(dst []isa.Inst) int
 }
 
+// MemRef is a load's or store's footprint as Skip reports it: the
+// record's index, counted from the base passed to Skip, its effective
+// address, and whether it stores.
+type MemRef struct {
+	Addr  uint64
+	Idx   uint32
+	Store bool
+}
+
+// BranchRef is a branch as Skip reports it: its PC and outcome.
+type BranchRef struct {
+	PC    uint64
+	Taken bool
+}
+
+// Refs is what Skip reports, appended in stream order: every load and
+// store to Mem and every branch to Br. Other records leave no trace.
+type Refs struct {
+	Mem []MemRef
+	Br  []BranchRef
+}
+
+// Add appends the refs of insts, the records numbered from base on, as
+// Skip would report them.
+func (r *Refs) Add(insts []isa.Inst, base uint32) {
+	for i := range insts {
+		in := &insts[i]
+		switch in.Op {
+		case isa.OpBranch:
+			r.Br = append(r.Br, BranchRef{PC: in.PC, Taken: in.Taken})
+		case isa.OpLoad, isa.OpStore:
+			r.Mem = append(r.Mem, MemRef{Addr: in.Addr, Idx: base + uint32(i), Store: in.Op == isa.OpStore})
+		}
+	}
+}
+
+// Skipper is an optional Reader extension for the functional warp of a
+// sampled run, which acts only on memory references and branches. Skip
+// consumes the next n records of the stream — exactly the records n
+// Next calls would have produced, leaving the stream where they would —
+// without building them: it appends each load and store, its index
+// numbered from base, to refs.Mem and each branch to refs.Br, and
+// returns how many records it consumed. It consumes fewer than n only
+// when the stream ends. Workload generators and mix streams implement
+// it.
+type Skipper interface {
+	Reader
+	Skip(refs *Refs, base uint32, n int) int
+}
+
 // Func adapts a function to the Reader interface.
 type Func func(inst *isa.Inst) bool
 

@@ -46,10 +46,14 @@ func TestGeneratorTextRoundTrip(t *testing.T) {
 			want = append(want, in)
 			text.WriteString(in.String() + "\n")
 		}
-		got, err := traceio.ParseText(strings.NewReader(text.String()))
+		streams, err := traceio.ParseText(strings.NewReader(text.String()))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		if len(streams) != 1 {
+			t.Fatalf("an untagged trace parsed to %d streams", len(streams))
+		}
+		got := streams[0]
 		if len(got) != n || len(want) != n {
 			t.Fatalf("%s: parsed %d of %d records", name, len(got), len(want))
 		}

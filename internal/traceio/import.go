@@ -16,8 +16,11 @@ package traceio
 // is exactly what isa.Inst.String prints, so `dae-trace dump` output
 // imports back.
 //
-// A text trace carries a single instruction stream; `dae-trace import`
-// wraps it into a one-stream container. Mapping rule: records land on
+// A record whose comment is a stream tag, `# s<stream> <index>` as
+// `dae-trace dump` prints it, belongs to that stream at that index, so a
+// dump of a multi-stream container imports back stream by stream. Either
+// every record carries a tag or none does; a tagged record must be the
+// next of its stream. An untagged trace is one stream. Mapping rule: records land on
 // the isa.Inst model verbatim — op class, register split and mem/branch
 // payloads are validated (validateRecord), everything else (pipeline
 // behaviour, steering) derives from the isa tables exactly as for
@@ -48,11 +51,11 @@ func Decode(r io.Reader) (Header, [][]isa.Inst, error) {
 	if bytes.Equal(head, Magic[:]) {
 		return ReadAll(br)
 	}
-	insts, err := ParseText(br)
+	streams, err := ParseText(br)
 	if err != nil {
 		return Header{}, nil, err
 	}
-	return Header{Streams: 1}, [][]isa.Inst{insts}, nil
+	return Header{Streams: len(streams)}, streams, nil
 }
 
 // validateRecord enforces the isa mapping rules every decoder shares.
@@ -130,18 +133,19 @@ func parseNum(s string, bits int) (uint64, error) {
 	return strconv.ParseUint(s, 10, bits)
 }
 
-// ParseText decodes the whole text trace. Line numbers appear in every
-// error so hand-written traces are debuggable.
-func ParseText(r io.Reader) ([]isa.Inst, error) {
+// ParseText decodes the whole text trace into its streams (one, for an
+// untagged trace). Line numbers appear in every error so hand-written
+// traces are debuggable.
+func ParseText(r io.Reader) ([][]isa.Inst, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), 64<<10)
-	var out []isa.Inst
-	lineNo := 0
+	out := [][]isa.Inst{nil}
+	lineNo, records, tagged := 0, 0, false
 	for sc.Scan() {
 		lineNo++
-		line := sc.Text()
+		line, comment := sc.Text(), ""
 		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
+			line, comment = line[:i], line[i+1:]
 		}
 		fields := strings.Fields(line)
 		if len(fields) == 0 {
@@ -151,15 +155,47 @@ func ParseText(r io.Reader) ([]isa.Inst, error) {
 		if err == nil {
 			err = validateRecord(&in)
 		}
+		s, idx, hasTag := parseStreamTag(comment)
+		switch {
+		case err != nil:
+		case records > 0 && hasTag != tagged:
+			err = fmt.Errorf("a trace tags every record with its stream (# s<stream> <index>) or none")
+		case hasTag && s >= MaxStreams:
+			err = fmt.Errorf("stream %d out of range [0,%d)", s, MaxStreams)
+		case hasTag:
+			for len(out) <= s {
+				out = append(out, nil)
+			}
+			if idx != len(out[s]) {
+				err = fmt.Errorf("stream %d record %d out of order (want %d)", s, idx, len(out[s]))
+			}
+		}
 		if err != nil {
 			return nil, fmt.Errorf("traceio: text line %d: %w", lineNo, err)
 		}
-		out = append(out, in)
+		records, tagged = records+1, hasTag
+		out[s] = append(out[s], in)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("traceio: text line %d: %w", lineNo+1, err)
 	}
 	return out, nil
+}
+
+// parseStreamTag reads a record's comment as the stream tag `s<stream>
+// <index>` that `dae-trace dump` prints; ok is false for any other
+// comment.
+func parseStreamTag(comment string) (stream, index int, ok bool) {
+	f := strings.Fields(comment)
+	if len(f) != 2 || len(f[0]) < 2 || f[0][0] != 's' {
+		return 0, 0, false
+	}
+	s, err1 := parseNum(f[0][1:], 31)
+	i, err2 := parseNum(f[1], 31)
+	if err1 != nil || err2 != nil {
+		return 0, 0, false
+	}
+	return int(s), int(i), true
 }
 
 func parseTextRecord(fields []string) (isa.Inst, error) {

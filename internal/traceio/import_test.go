@@ -23,10 +23,14 @@ func textOf(insts []isa.Inst) []byte {
 // TestTextRoundTrip: String → ParseText reproduces the exact records.
 func TestTextRoundTrip(t *testing.T) {
 	want := testStream(31, 500)
-	got, err := ParseText(bytes.NewReader(textOf(want)))
+	streams, err := ParseText(bytes.NewReader(textOf(want)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(streams) != 1 {
+		t.Fatalf("an untagged trace parsed to %d streams", len(streams))
+	}
+	got := streams[0]
 	sameInsts(t, got, want)
 }
 
@@ -34,10 +38,14 @@ func TestTextRoundTrip(t *testing.T) {
 // line numbers.
 func TestTextComments(t *testing.T) {
 	src := "# header comment\n\nint 0x10 r1 r2 -  # trailing comment\n"
-	got, err := ParseText(strings.NewReader(src))
+	streams, err := ParseText(strings.NewReader(src))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(streams) != 1 {
+		t.Fatalf("an untagged trace parsed to %d streams", len(streams))
+	}
+	got := streams[0]
 	if len(got) != 1 || got[0].Op != isa.OpIntALU || got[0].PC != 0x10 {
 		t.Fatalf("parsed %+v", got)
 	}
@@ -45,10 +53,14 @@ func TestTextComments(t *testing.T) {
 
 // TestTextNumbers: pc, addr and size are decimal, or hex after 0x or 0X.
 func TestTextNumbers(t *testing.T) {
-	got, err := ParseText(strings.NewReader("load 16 f1 r2 - 0X1f 8\nstore 0 - f1 r2 0 255\n"))
+	streams, err := ParseText(strings.NewReader("load 16 f1 r2 - 0X1f 8\nstore 0 - f1 r2 0 255\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(streams) != 1 {
+		t.Fatalf("an untagged trace parsed to %d streams", len(streams))
+	}
+	got := streams[0]
 	if got[0].PC != 16 || got[0].Addr != 0x1f || got[1].PC != 0 || got[1].Addr != 0 || got[1].Size != 255 {
 		t.Fatalf("parsed %+v", got)
 	}
@@ -142,5 +154,35 @@ func TestDetect(t *testing.T) {
 	}
 	if h, streams, err := Decode(bytes.NewReader(nil)); err != nil || h.Streams != 1 || len(streams[0]) != 0 {
 		t.Errorf("empty input: %+v, %v, %v; want one empty text stream", h, streams, err)
+	}
+}
+
+// TestTextStreamTags: `# s<stream> <index>` comments place records in
+// their streams; any other comment leaves a record untagged; tags out of
+// order, out of range or on only some records fail with the line.
+func TestTextStreamTags(t *testing.T) {
+	src := "int 0x4 r1 r2 - # s1 0\nint 0x8 r1 r2 - # s0 0\nint 0xc r1 r2 - # s1 1\n"
+	streams, err := ParseText(strings.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(streams) != 2 || len(streams[0]) != 1 || len(streams[1]) != 2 || streams[1][1].PC != 0xc {
+		t.Fatalf("parsed %+v", streams)
+	}
+	for _, c := range []string{"# s1", "# sx 0", "# s0 x", "# note 0", "# s0 0 extra"} {
+		streams, err := ParseText(strings.NewReader("int 0x4 r1 r2 - " + c + "\n"))
+		if err != nil || len(streams) != 1 || len(streams[0]) != 1 {
+			t.Errorf("%q: a comment that is no stream tag: %v, %d streams", c, err, len(streams))
+		}
+	}
+	for _, c := range []struct{ name, src string }{
+		{"out of order", "int 0x4 r1 r2 - # s0 0\nint 0x8 r1 r2 - # s0 2\n"},
+		{"out of range", "int 0x4 r1 r2 - # s0 0\nint 0x8 r1 r2 - # s65536 0\n"},
+		{"partly tagged", "int 0x4 r1 r2 - # s0 0\nint 0x8 r1 r2 -\n"},
+		{"tagged late", "int 0x4 r1 r2 -\nint 0x8 r1 r2 - # s0 1\n"},
+	} {
+		if _, err := ParseText(strings.NewReader(c.src)); err == nil || !strings.Contains(err.Error(), "text line 2:") {
+			t.Errorf("%s: err %v, want a failure at text line 2", c.name, err)
+		}
 	}
 }

@@ -97,7 +97,8 @@ func MixSources(threads int, opts MixOpts) []trace.Reader {
 	return srcs
 }
 
-// mixReader is the live Mix stream. It implements trace.Filler.
+// mixReader is the live Mix stream. It implements trace.Filler and
+// trace.Skipper.
 type mixReader struct {
 	progs    []*program // the built-in programs, shared process-wide
 	next     int
@@ -148,4 +149,19 @@ func (m *mixReader) Fill(dst []isa.Inst) int {
 		n += k
 	}
 	return len(dst)
+}
+
+// Skip implements trace.Skipper, splitting the n records at segment
+// boundaries as Fill does.
+func (m *mixReader) Skip(refs *trace.Refs, base uint32, n int) int {
+	for done := 0; done < n; {
+		if m.remaining <= 0 {
+			m.startSegment()
+		}
+		k := int(min(int64(n-done), m.remaining))
+		m.gen.Skip(refs, base+uint32(done), k)
+		m.remaining -= int64(k)
+		done += k
+	}
+	return n
 }

@@ -257,11 +257,32 @@ type draw struct {
 	tag  uint8 // tagLoD or a tagStream
 }
 
+// memSlot is one load or store of a template, as Skip reports it.
+type memSlot struct {
+	slot   int32
+	stream uint8 // the stream its address advances
+	store  bool
+}
+
+// brSlot is one branch of a template, as Skip reports it.
+type brSlot struct {
+	slot  int32
+	pc    uint64
+	taken bool // the fixed outcome, unless lod
+	lod   bool // the outcome is drawn from the rng (tagLoD)
+}
+
 // shape is one compiled iteration template.
 type shape struct {
 	insts   []isa.Inst
 	draws   []draw  // the records that draw, in slot order, then a sentinel
 	lodProb float64 // the kernel's LODTakenProb, for tagLoD draws
+	// mems and brs list the loads and stores, and the branches, in slot
+	// order: all that Skip reports. Only draws of one stream, or of the
+	// rng, depend on each other's order, so the two lists are walked
+	// apart.
+	mems []memSlot
+	brs  []brSlot
 }
 
 // kernelProgram is one kernel compiled: its spec, whose periods pick
@@ -355,6 +376,12 @@ func (p *program) build(ki, sh int) shape {
 		slot++
 		if tag != tagPlain {
 			s.draws = append(s.draws, draw{slot: len(s.insts), tag: tag})
+		}
+		switch at := int32(len(s.insts)); {
+		case in.IsMem():
+			s.mems = append(s.mems, memSlot{slot: at, stream: tag - tagStream, store: in.IsStore()})
+		case in.IsBranch():
+			s.brs = append(s.brs, brSlot{slot: at, pc: in.PC, taken: in.Taken, lod: tag == tagLoD})
 		}
 		s.insts = append(s.insts, in)
 	}
@@ -557,6 +584,52 @@ func (g *generator) Fill(dst []isa.Inst) int {
 		n += k
 	}
 	return len(dst)
+}
+
+// Skip implements trace.Skipper: it walks each template's memory and
+// branch lists instead of copying its records, drawing addresses and LoD
+// outcomes exactly as Fill would, and leaves pos and next where Fill
+// would. The stream is infinite, so it always consumes n.
+func (g *generator) Skip(refs *trace.Refs, base uint32, n int) int {
+	mem, br := refs.Mem, refs.Br
+	for done := 0; done < n; {
+		if g.pos == len(g.cur.insts) {
+			g.nextIteration()
+		}
+		cur := g.cur
+		pos, end := int32(g.pos), int32(min(len(cur.insts), g.pos+n-done))
+		idx := base + uint32(done) - uint32(pos) // the index of slot 0
+		for _, m := range cur.mems {
+			if m.slot >= end {
+				break
+			}
+			if m.slot >= pos {
+				mem = append(mem, trace.MemRef{Addr: g.streams[m.stream].advance(), Idx: idx + uint32(m.slot), Store: m.store})
+			}
+		}
+		for _, b := range cur.brs {
+			if b.slot >= end {
+				break
+			}
+			if b.slot >= pos {
+				if b.lod {
+					b.taken = g.rng.Bool(cur.lodProb)
+				}
+				br = append(br, trace.BranchRef{PC: b.pc, Taken: b.taken})
+			}
+		}
+		if int(end) == len(cur.insts) {
+			g.next = len(cur.draws) - 1 // the sentinel
+		} else {
+			for cur.draws[g.next].slot < int(end) {
+				g.next++
+			}
+		}
+		g.pos = int(end)
+		done += int(end - pos)
+	}
+	refs.Mem, refs.Br = mem, br
+	return n
 }
 
 // draw fills in the generation-time field a tag names.
