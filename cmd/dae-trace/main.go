@@ -26,7 +26,6 @@ import (
 	"os"
 
 	"repro/internal/isa"
-	"repro/internal/trace"
 	"repro/internal/traceio"
 	"repro/internal/workload"
 )
@@ -159,13 +158,12 @@ func cmdImport(fs *flag.FlagSet, stdin io.Reader, stdout io.Writer) func() error
 		if err != nil {
 			return err
 		}
-		var total int64
+		var total int
 		for s, insts := range streams {
-			n, err := w.AppendAll(s, trace.Slice(insts))
-			if err != nil {
+			if err := w.AppendAll(s, insts); err != nil {
 				return err
 			}
-			total += n
+			total += len(insts)
 		}
 		if err := w.Close(); err != nil {
 			return err
@@ -228,12 +226,8 @@ func cmdStat(fs *flag.FlagSet, stdin io.Reader, stdout io.Writer) func() error {
 			if err != nil {
 				return err
 			}
-			r := trace.Limit(b.NewReader(workload.ReaderOpts{Seed: *seed}), *n)
-			var insts []isa.Inst
-			var inst isa.Inst
-			for r.Next(&inst) {
-				insts = append(insts, inst)
-			}
+			insts := make([]isa.Inst, max(*n, 0))
+			b.NewReader(workload.ReaderOpts{Seed: *seed}).Fill(insts)
 			streams = [][]isa.Inst{insts}
 		default:
 			return fmt.Errorf("stat requires -i or -bench")

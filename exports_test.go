@@ -26,6 +26,7 @@ import (
 // them, or code outside the module calls them.
 var testOnlyExportAllowlist = map[string]string{
 	"trace.Count":              "drains a Reader; stream-length checks in six packages' tests",
+	"trace.Slice":              "a finite Reader over given records; the core and sim tests build sources from it",
 	"workload.All":             "the ten builtins in paper order; workload-sweeping tests iterate it",
 	"experiments.PeakThreads":  "Figure 5's saturation point; the sweep and experiments tests assert it",
 	"experiments.S1Sampled":    "S1's sampled-figure constructor; the sampled-digest tests pin its output",

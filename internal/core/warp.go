@@ -167,47 +167,50 @@ func touchMerged(live []*warpLane, k int, slots []trace.MemRef, set []uint64) {
 // warp advances up to n instructions round-robin over lanes — one
 // instruction per live lane per round, lanes in order, exhausted lanes
 // skipped — and returns how many it consumed. It works in passes: each
-// live lane takes the same number of whole rounds as refs, at most
-// warpRounds and as many as the budget allows; its branches train its
-// predictor, and the memory refs of all lanes touch the caches merged
-// into round-robin order. A budget smaller than one round ends with a
-// partial round in lane order. Each source is private to its context,
-// so reading it ahead in passes cannot change what any lane sees: the
-// instructions and their order are those of one-at-a-time round-robin.
+// live lane takes k whole rounds as refs, at most warpRounds and as many
+// as the budget allows, and when the budget ends mid-round the first
+// lanes take one round more; its branches train its predictor, and the
+// memory refs of all lanes touch the caches merged into round-robin
+// order. A pass that ends mid-round and leaves budget (a lane ran dry)
+// leaves its first lanes a round ahead, so the next pass starts at the
+// first lane behind. Each source is private to its context, so reading
+// it ahead in passes cannot change what any lane sees: the instructions
+// and their order are those of one-at-a-time round-robin.
 func warp(lanes []warpLane, live []*warpLane, slots []trace.MemRef, set []uint64, n int64) int64 {
 	var done int64
+	first := 0 // the lane the next round starts at
 	for done < n {
 		live = live[:0]
 		for i := range lanes {
-			if !lanes[i].dry {
-				live = append(live, &lanes[i])
+			if l := &lanes[(first+i)%len(lanes)]; !l.dry {
+				live = append(live, l)
 			}
 		}
 		if len(live) == 0 {
 			break
 		}
-		k := int(min(warpRounds, (n-done)/int64(len(live))))
-		if k == 0 {
-			// Budget below a whole round: finish it in lane order.
-			for _, l := range live {
-				if done == n {
-					break
-				}
-				if l.dry = l.take(1) == 0; !l.dry {
-					l.train()
-					l.touchAll()
-					done++
-				}
-			}
-			continue
+		k, extra := warpRounds, 0
+		if q := (n - done) / int64(len(live)); q < warpRounds {
+			k, extra = int(q), int((n-done)%int64(len(live)))
 		}
-		for _, l := range live {
-			got := l.take(k)
-			l.dry = got < k
+		for x, l := range live {
+			want := k
+			if x < extra {
+				want++
+			}
+			got := l.take(want)
+			l.dry = got < want
 			l.train()
 			done += int64(got)
 		}
-		touchMerged(live, k, slots, set)
+		touchMerged(live, k+min(extra, 1), slots, set)
+		if extra > 0 {
+			for i := range lanes {
+				if &lanes[i] == live[extra] {
+					first = i
+				}
+			}
+		}
 	}
 	return done
 }

@@ -142,6 +142,27 @@ func TestWarpRoundRobinAcrossContexts(t *testing.T) {
 	if done := short.Warp(20); done != 20 {
 		t.Fatalf("warped %d with one short context, want 20", done)
 	}
+	// A context that runs dry in a pass whose budget ends mid-round
+	// leaves the contexts before it a round ahead; the warp still ends
+	// where one-at-a-time round-robin does.
+	mk := func() machine {
+		m, err := newMachine(config.Figure2(3), []trace.Reader{trace.Slice(a), trace.Slice(b[:1]), trace.Slice(a)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	k, o := mk(), mk()
+	if kn, on := k.Warp(7), oracleWarp(o.p.cores, 7); kn != 7 || on != 7 {
+		t.Fatalf("warped %d, oracle %d, want 7", kn, on)
+	}
+	for x := range k.ctxs {
+		kin, kok := k.ctxs[x].peekSource()
+		oin, ook := o.ctxs[x].peekSource()
+		if kok != ook || kok && *kin != *oin {
+			t.Errorf("context %d stopped elsewhere than the oracle's", x)
+		}
+	}
 }
 
 // TestDrainPipelineReachesQuietBoundary starts a run mid-flight, drains,
@@ -410,7 +431,7 @@ func TestCoreAccessors(t *testing.T) {
 // streams and single benchmarks, which skip — on every machine shape,
 // after a random prefix read through Fill, so each warp starts mid
 // iteration and, for the mix, mid segment. The kernel machine is built
-// first and gets the live sources; the oracle's twins, requested a
+// first and gets the live sources; the oracle's mix twins, requested a
 // second time, may replay interned copies of the same streams.
 func TestWarpLiveSourcesMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))

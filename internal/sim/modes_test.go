@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/isa"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -174,7 +175,9 @@ func TestSampledNoUnitReportsEmptyWindow(t *testing.T) {
 				t.Helper()
 				srcs := make([]trace.Reader, tc.machine.TotalContexts())
 				for i := range srcs {
-					srcs[i] = trace.Limit(swim.NewReader(workload.ReaderOpts{Seed: uint64(i)}), 3_000)
+					insts := make([]isa.Inst, 3_000)
+					swim.NewReader(workload.ReaderOpts{Seed: uint64(i)}).Fill(insts)
+					srcs[i] = trace.Slice(insts)
 				}
 				res, err := Run(context.Background(), Options{
 					Machine:      tc.machine,

@@ -187,7 +187,9 @@ func TestTraceFileRoundTripThroughSimulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.AppendAll(0, trace.Limit(b.NewReader(workload.ReaderOpts{}), n)); err != nil {
+	insts := make([]isa.Inst, n)
+	b.NewReader(workload.ReaderOpts{}).Fill(insts)
+	if err := w.AppendAll(0, insts); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -210,7 +212,7 @@ func TestTraceFileRoundTripThroughSimulator(t *testing.T) {
 		return res
 	}
 	fromFile := run(trace.Slice(streams[0]))
-	fromGen := run(trace.Limit(b.NewReader(workload.ReaderOpts{}), n))
+	fromGen := run(trace.Slice(insts))
 	if fromFile.Report.Cycles != fromGen.Report.Cycles ||
 		fromFile.Report.Graduated != fromGen.Report.Graduated ||
 		fromFile.Report.Mem != fromGen.Report.Mem {

@@ -1,5 +1,5 @@
 // Package trace defines the dynamic instruction stream abstraction that
-// feeds the simulator, together with the Slice, Limit and Count helpers.
+// feeds the simulator, together with the Slice and Count helpers.
 // It holds no file codec: trace files are package traceio's.
 //
 // The paper's methodology is trace-driven simulation: DEC Alpha binaries
@@ -24,10 +24,10 @@ type Reader interface {
 // Peeker is an optional Reader extension for zero-copy lookahead.
 // PeekNext returns a pointer to the next record without consuming it —
 // valid only until the next PeekNext/Consume/Next call, and read-only —
-// and Consume advances past it. Interned workload streams implement it.
+// and Consume advances past it. Only interned Mix streams implement it.
 // The core does not use it (it reads every source through its own
-// lookahead batch, filled by Filler where available); the benchmark's
-// timing wrapper still names it.
+// lookahead batch, filled by Filler where available); it stays only
+// because the benchmark's timing wrapper names it.
 type Peeker interface {
 	Reader
 	PeekNext() (*isa.Inst, bool)
@@ -37,10 +37,11 @@ type Peeker interface {
 // Filler is an optional Reader extension for bulk reads: Fill writes the
 // next records of the stream into dst and returns how many it wrote,
 // exactly the records len(dst) Next calls would have produced. It returns
-// fewer than len(dst) only when the stream ends. Workload generators,
-// interned replays and trace-file replays implement it so the core fills its per-context
-// lookahead batch with one call instead of one interface call per
-// instruction.
+// fewer than len(dst) only when the stream ends. Every stream package
+// workload builds implements it — generators, mix streams, interned Mix
+// replays and trace-file replays, each of whose Next is a one-record
+// Fill — so the core fills its per-context lookahead batch with one call
+// instead of one interface call per instruction.
 type Filler interface {
 	Reader
 	Fill(dst []isa.Inst) int
@@ -112,22 +113,6 @@ func Slice(insts []isa.Inst) Reader {
 		}
 		*out = insts[i]
 		i++
-		return true
-	})
-}
-
-// Limit returns a Reader that yields at most n instructions from r.
-func Limit(r Reader, n int64) Reader {
-	remaining := n
-	return Func(func(out *isa.Inst) bool {
-		if remaining <= 0 {
-			return false
-		}
-		if !r.Next(out) {
-			remaining = 0
-			return false
-		}
-		remaining--
 		return true
 	})
 }

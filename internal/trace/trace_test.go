@@ -35,17 +35,7 @@ func TestSliceReader(t *testing.T) {
 	if r.Next(&got) {
 		t.Fatal("exhausted reader yielded again")
 	}
-}
-
-func TestLimit(t *testing.T) {
-	insts := sampleInsts()
-	if n := Count(Limit(Slice(insts), 3)); n != 3 {
-		t.Fatalf("Limit(3) yielded %d", n)
-	}
-	if n := Count(Limit(Slice(insts), 100)); n != int64(len(insts)) {
-		t.Fatalf("Limit(100) yielded %d", n)
-	}
-	if n := Count(Limit(Slice(insts), 0)); n != 0 {
-		t.Fatalf("Limit(0) yielded %d", n)
+	if n := Count(Slice(insts)); n != int64(len(insts)) {
+		t.Fatalf("Count of %d records returned %d", len(insts), n)
 	}
 }

@@ -250,17 +250,14 @@ func (w *Writer) Append(stream int, in *isa.Inst) error {
 	return nil
 }
 
-// AppendAll drains r onto the given stream and returns the record count.
-func (w *Writer) AppendAll(stream int, r interface{ Next(*isa.Inst) bool }) (int64, error) {
-	var in isa.Inst
-	var n int64
-	for r.Next(&in) {
-		if err := w.Append(stream, &in); err != nil {
-			return n, err
+// AppendAll encodes the records, in order, onto the given stream.
+func (w *Writer) AppendAll(stream int, insts []isa.Inst) error {
+	for i := range insts {
+		if err := w.Append(stream, &insts[i]); err != nil {
+			return err
 		}
-		n++
 	}
-	return n, nil
+	return nil
 }
 
 // flushStream emits the stream's pending records as one chunk.

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/isa"
-	"repro/internal/trace"
 	"repro/internal/traceio"
 	"repro/internal/workload"
 )
@@ -39,11 +38,10 @@ func TestGeneratorTextRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want []isa.Inst
+		want := make([]isa.Inst, n)
+		b.NewReader(workload.ReaderOpts{}).Fill(want)
 		var text strings.Builder
-		r := trace.Limit(b.NewReader(workload.ReaderOpts{}), n)
-		for in := (isa.Inst{}); r.Next(&in); {
-			want = append(want, in)
+		for _, in := range want {
 			text.WriteString(in.String() + "\n")
 		}
 		streams, err := traceio.ParseText(strings.NewReader(text.String()))

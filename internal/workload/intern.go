@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -13,16 +12,16 @@ import (
 // Trace interning.
 //
 // Every figure in the paper is a sweep, and every sweep point re-creates
-// the same per-thread instruction streams: the generator for a given
-// (benchmark spec, address offset, seed) triple is deterministic, so
-// without interning each point would regenerate the same instructions
-// from the kernel templates, a few ns per instruction (README,
-// Performance). NewReader therefore
-// memoizes each triple's output in a shared packed buffer: the first
-// reader materializes instructions chunk by chunk from one underlying
-// generator, and every later reader — in this run, a later sweep point,
-// or a concurrent runner worker — replays the prefix with a bounds check
-// and a copy.
+// the same per-thread Mix streams: the stream for a given (thread,
+// segment length, seed) triple is deterministic, so without interning
+// each point would regenerate the same instructions from the kernel
+// templates, a few ns per instruction (README, Performance). Mix
+// therefore memoizes each triple's output in a shared packed buffer: the
+// first reader materializes instructions chunk by chunk from one
+// underlying generator, and every later reader — in this run, a later
+// sweep point, or a concurrent runner worker — replays the prefix with a
+// bounds check and a copy. Benchmark.NewReader streams are never
+// interned.
 //
 // The buffers are append-only and chunked: a published chunk never moves,
 // so readers race-freely index it after observing the published length
@@ -48,9 +47,10 @@ import (
 const internChunkLen = 1024
 
 // InternBudgetBytes caps the total memory the trace interner may hold
-// across all streams, in bytes. Once exhausted, streams stop growing and
-// readers beyond the shared prefix generate privately. Set to 0 (before
-// any simulation) to disable interning. Generation from the shared
+// across all Mix streams, the only ones it interns, in bytes. Once
+// exhausted, streams stop growing and readers beyond the shared prefix
+// generate privately. Set to 0 (before any simulation) to disable
+// interning. Generation from the shared
 // compiled programs costs a few ns per instruction, so replaying a whole
 // stream saves little time while holding 24 bytes per instruction: a
 // Figure-4 pass under a 256 MiB budget held ~80 MB of streams to save
@@ -85,22 +85,10 @@ var (
 	internUsed    atomic.Int64
 )
 
-// internFor returns the shared stream for one generator configuration,
-// or nil on the key's first sighting (the caller then reads live; see
-// the reuse rule above). The key is the full structural fingerprint of
-// the benchmark plus the reader options, so two distinct specs that
-// happen to share a name can never alias.
-func internFor(b Benchmark, opts ReaderOpts) *internedStream {
-	return internForKey(
-		fmt.Sprintf("%+v|off=%d|seed=%d", b, opts.AddrOffset, opts.Seed),
-		func() trace.Filler { return b.newGenerator(opts) },
-	)
-}
-
-// internForKey is the generic registry lookup behind internFor (and the
-// mix-level interning in mix.go): nil on first sighting, the shared
-// stream afterwards. The stream is created on the second sighting, with
-// that caller's newGen.
+// internForKey is the registry lookup behind Mix: nil on the key's first
+// sighting (the caller then reads live; see the reuse rule above), the
+// shared stream afterwards. The stream is created on the second
+// sighting, with that caller's newGen.
 func internForKey(key string, newGen func() trace.Filler) *internedStream {
 	internMu.Lock()
 	defer internMu.Unlock()
@@ -121,56 +109,32 @@ func internForKey(key string, newGen func() trace.Filler) *internedStream {
 	return s
 }
 
-// internReader replays one interned stream from the beginning. It holds
-// a window into the current chunk so the per-instruction fast path is a
-// slice read — the atomic loads and chunk lookup run once per window —
-// and implements trace.Filler so the core fills its lookahead batch with
-// one copy. Its trace.Peeker methods remain for callers outside the core
-// that name that interface; the core does not use them.
+// internReader replays one interned stream from the beginning. It reads
+// through cur, a window of unread records, so the per-instruction path
+// is a slice read — the atomic loads and chunk lookup run once per
+// window — and implements trace.Filler so the core fills its lookahead
+// batch with one copy. Its trace.Peeker methods remain for callers
+// outside the core that name that interface; the core does not use them.
 type internReader struct {
 	s   *internedStream
-	cur []isa.Inst // unread slice of the current chunk
-	pos int64      // absolute position of cur's end
+	cur []isa.Inst // unread slice of the current chunk, or of buf
+	pos int64      // absolute position of the end of the shared runs read
 	// live is the private fallback generator once the shared prefix is
-	// frozen and exhausted; pending buffers its one-instruction
-	// lookahead for PeekNext.
-	live        trace.Filler
-	pending     isa.Inst
-	livePending bool
+	// frozen and exhausted; buf holds what PeekNext reads ahead from it.
+	live trace.Filler
+	buf  []isa.Inst
 }
 
-// Next implements trace.Reader; the stream is infinite.
-func (r *internReader) Next(out *isa.Inst) bool {
-	if len(r.cur) > 0 {
-		*out = r.cur[0]
-		r.cur = r.cur[1:]
-		return true
-	}
-	if r.live == nil && r.refresh() {
-		*out = r.cur[0]
-		r.cur = r.cur[1:]
-		return true
-	}
-	if r.livePending {
-		*out = r.pending
-		r.livePending = false
-		return true
-	}
-	return r.live.Next(out)
-}
+// Next implements trace.Reader as a one-record Fill.
+func (r *internReader) Next(out *isa.Inst) bool { return r.Fill(unsafe.Slice(out, 1)) == 1 }
 
-// Fill implements trace.Filler: it copies whole runs of the shared
-// buffer, refreshing the window at chunk boundaries, and hands the rest
-// to the fallback generator once the shared prefix runs out.
+// Fill implements trace.Filler: it copies whole runs of the window,
+// refreshing it at chunk boundaries, and hands the rest to the fallback
+// generator once the shared prefix runs out.
 func (r *internReader) Fill(dst []isa.Inst) int {
 	n := 0
 	for n < len(dst) {
 		if len(r.cur) == 0 && (r.live != nil || !r.refresh()) {
-			if r.livePending {
-				dst[n] = r.pending
-				r.livePending = false
-				n++
-			}
 			return n + r.live.Fill(dst[n:])
 		}
 		k := copy(dst[n:], r.cur)
@@ -180,36 +144,23 @@ func (r *internReader) Fill(dst []isa.Inst) int {
 	return n
 }
 
-// PeekNext implements trace.Peeker: a zero-copy pointer into the shared
-// buffer (or the fallback generator's one-instruction lookahead), valid
-// until the next Consume/Next.
+// PeekNext implements trace.Peeker: a zero-copy pointer into the window,
+// valid until the next Consume, Next or Fill. Past a frozen prefix the
+// window is refilled from the fallback generator; the stream is
+// infinite, so the refill is never empty.
 func (r *internReader) PeekNext() (*isa.Inst, bool) {
-	if len(r.cur) > 0 {
-		return &r.cur[0], true
+	if len(r.cur) == 0 && (r.live != nil || !r.refresh()) {
+		r.cur = r.buf[:r.live.Fill(r.buf)]
 	}
-	if r.live == nil && r.refresh() {
-		return &r.cur[0], true
-	}
-	if !r.livePending {
-		if !r.live.Next(&r.pending) {
-			return nil, false
-		}
-		r.livePending = true
-	}
-	return &r.pending, true
+	return &r.cur[0], true
 }
 
 // Consume implements trace.Peeker.
 func (r *internReader) Consume() {
-	if len(r.cur) > 0 {
-		r.cur = r.cur[1:]
-		return
+	if len(r.cur) == 0 {
+		panic("workload: Consume without a successful PeekNext")
 	}
-	if r.livePending {
-		r.livePending = false
-		return
-	}
-	panic("workload: Consume without a successful PeekNext")
+	r.cur = r.cur[1:]
 }
 
 // refresh loads the next window into r.cur, growing the shared stream
@@ -223,9 +174,9 @@ func (r *internReader) refresh() bool {
 			// The shared prefix is frozen short of r.pos: fall back to a
 			// private generator fast-forwarded to this reader's position.
 			r.live = s.newGen()
-			skip := make([]isa.Inst, min(r.pos, internChunkLen))
-			for left := r.pos; left > 0; left -= int64(len(skip)) {
-				r.live.Fill(skip[:min(left, int64(len(skip)))])
+			r.buf = make([]isa.Inst, internChunkLen)
+			for left := r.pos; left > 0; left -= internChunkLen {
+				r.live.Fill(r.buf[:min(left, internChunkLen)])
 			}
 			return false
 		}

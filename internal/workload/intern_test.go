@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -9,24 +10,20 @@ import (
 	"repro/internal/trace"
 )
 
-// TestInternMatchesLiveGeneration: the first reader for a key runs live
-// (no point buffering a one-shot stream), every later reader is interned
-// and must be bit-identical to the raw generator.
+// TestInternMatchesLiveGeneration: the first Mix reader for a key runs
+// live (no point buffering a one-shot stream), every later reader is
+// interned and must be bit-identical to the raw mix reader.
 func TestInternMatchesLiveGeneration(t *testing.T) {
-	b, err := ByName("su2cor")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := ReaderOpts{AddrOffset: ThreadAddrOffset(2), Seed: 7}
-	if _, ok := b.NewReader(opts).(*internReader); ok {
+	opts := MixOpts{SegmentLen: 1500, Seed: 7}
+	if _, ok := Mix(2, opts).(*internReader); ok {
 		t.Fatal("first reader for a key should generate live, not interned")
 	}
-	r := b.NewReader(opts)
+	r := Mix(2, opts)
 	if _, ok := r.(*internReader); !ok {
 		t.Fatal("second reader for a key should be interned")
 	}
 	const n = 3 * internChunkLen // spans several chunks, ends mid-chunk
-	live := readN(t, b.newGenerator(opts), n+37)
+	live := readN(t, newMixReader(2, opts), n+37)
 	interned := readN(t, r, n+37)
 	for i := range live {
 		if live[i] != interned[i] {
@@ -39,18 +36,14 @@ func TestInternMatchesLiveGeneration(t *testing.T) {
 // runner's worker-pool pattern) must each see the exact sequence. Run
 // with -race this also proves the publication protocol.
 func TestInternConcurrentReaders(t *testing.T) {
-	b, err := ByName("hydro2d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := ReaderOpts{AddrOffset: ThreadAddrOffset(1), Seed: 99}
-	want := readN(t, b.NewReader(opts), 4*internChunkLen) // first sighting: live
+	opts := MixOpts{Seed: 99}
+	want := readN(t, Mix(1, opts), 4*internChunkLen) // first sighting: live
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r := b.NewReader(opts)
+			r := Mix(1, opts)
 			var in isa.Inst
 			for i := range want {
 				if !r.Next(&in) || in != want[i] {
@@ -70,19 +63,15 @@ func TestInternBudgetFallback(t *testing.T) {
 	saved := InternBudgetBytes
 	defer func() { InternBudgetBytes = saved }()
 
-	b, err := ByName("wave5")
-	if err != nil {
-		t.Fatal(err)
-	}
 	// A seed no other test shares, so this stream is not already interned.
-	opts := ReaderOpts{AddrOffset: ThreadAddrOffset(3), Seed: 0xB0D6E7}
+	opts := MixOpts{Seed: 0xB0D6E7}
 	const n = 5 * internChunkLen
-	want := readN(t, b.NewReader(opts), n) // first sighting: live
+	want := readN(t, Mix(3, opts), n) // first sighting: live
 
 	// Allow one more chunk than currently used, then freeze.
 	_, _, used := internStats()
 	InternBudgetBytes = used + internChunkBytes
-	r := b.NewReader(opts)
+	r := Mix(3, opts)
 	if _, ok := r.(*internReader); !ok {
 		t.Fatal("second reader for a key should be interned")
 	}
@@ -100,33 +89,31 @@ func TestInternBudgetFallback(t *testing.T) {
 // TestInternFillMatchesNext: Fill on an interned reader is Next in bulk,
 // record for record — across chunk boundaries (odd batch sizes straddle
 // them, one batch spans a whole chunk), and past a frozen prefix, where
-// the reader falls back to its private generator mid-batch. A PeekNext
-// before some batches leaves a pending record Fill must hand out first.
+// the reader falls back to its private generator. A PeekNext before some
+// batches leaves a read-ahead record Fill must hand out first; batches
+// are cut at the frozen boundary, so one PeekNext reads ahead exactly
+// there.
 func TestInternFillMatchesNext(t *testing.T) {
 	saved := InternBudgetBytes
 	defer func() { InternBudgetBytes = saved }()
 	batches := []int{1, 3, 64, 7, internChunkLen + 5, 61, 2, 1000}
-	const n = 6*internChunkLen + 77
+	const n, frozenLen = 6*internChunkLen + 77, 2 * internChunkLen
 
-	b, err := ByName("turb3d")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, frozen := range []bool{false, true} {
 		// Seeds no other test shares, so each stream starts unpublished.
-		opts := ReaderOpts{AddrOffset: ThreadAddrOffset(2), Seed: 0xF111}
+		opts := MixOpts{SegmentLen: 2500, Seed: 0xF111}
 		if frozen {
 			opts.Seed++
 		}
-		twin := b.NewReader(opts) // first sighting: live
+		twin := Mix(2, opts) // first sighting: live
 		// Room for the whole read, or for two chunks before the stream
 		// freezes.
 		_, _, used := internStats()
 		InternBudgetBytes = used + 8*internChunkBytes
 		if frozen {
-			InternBudgetBytes = used + 2*internChunkBytes
+			InternBudgetBytes = used + frozenLen/internChunkLen*internChunkBytes
 		}
-		r, ok := b.NewReader(opts).(*internReader)
+		r, ok := Mix(2, opts).(*internReader)
 		if !ok {
 			t.Fatal("second reader for a key should be interned")
 		}
@@ -134,8 +121,11 @@ func TestInternFillMatchesNext(t *testing.T) {
 		var want isa.Inst
 		for got, k := 0, 0; got < n; k++ {
 			dst := buf[:batches[k%len(batches)]]
+			if got < frozenLen {
+				dst = dst[:min(len(dst), frozenLen-got)]
+			}
 			var peeked *isa.Inst
-			if k%3 == 2 {
+			if k%3 == 2 || got == frozenLen {
 				p, ok := r.PeekNext()
 				if !ok {
 					t.Fatal("PeekNext on an infinite stream failed")
@@ -169,12 +159,30 @@ func TestInternDisabled(t *testing.T) {
 	saved := InternBudgetBytes
 	defer func() { InternBudgetBytes = saved }()
 	InternBudgetBytes = 0
-	b, err := ByName("swim")
+	opts := MixOpts{Seed: 0xD15AB1ED}
+	for range 2 {
+		if _, ok := Mix(1, opts).(*internReader); ok {
+			t.Fatal("interning not disabled by a zero budget")
+		}
+	}
+}
+
+// TestNewReaderNeverInterns: a benchmark reader requested again with the
+// same options is another live generator, with the same stream.
+func TestNewReaderNeverInterns(t *testing.T) {
+	b, err := ByName("su2cor")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := b.NewReader(ReaderOpts{}).(*internReader); ok {
-		t.Fatal("interning not disabled by a zero budget")
+	opts := ReaderOpts{AddrOffset: ThreadAddrOffset(2), Seed: 0x5EC0}
+	first := b.NewReader(opts)
+	second := b.NewReader(opts)
+	if _, ok := second.(*generator); !ok {
+		t.Fatalf("second reader for a key is a %T, want a live generator", second)
+	}
+	const n = 3*internChunkLen + 37
+	if !reflect.DeepEqual(readN(t, first, n), readN(t, second, n)) {
+		t.Fatal("two readers with the same options differ")
 	}
 }
 

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"unsafe"
 
 	"repro/internal/isa"
 	"repro/internal/trace"
@@ -50,10 +51,10 @@ func ThreadAddrOffset(threadID int) uint64 {
 // segment, forever. Readers generate from the built-in programs shared
 // across the process.
 //
-// Mix streams are interned at the mix level (see intern.go): the second
-// and later requests for the same (thread, options) stream replay a
-// shared packed buffer, as far as the intern budget let it grow, instead
-// of re-running the segment generators.
+// Mix streams are the only ones interned (see intern.go): the second and
+// later requests for the same (thread, options) stream replay a shared
+// packed buffer, as far as InternBudgetBytes let it grow, instead of
+// re-running the segment generators.
 func Mix(threadID int, opts MixOpts) trace.Reader {
 	if threadID < 0 {
 		panic(fmt.Sprintf("workload: negative thread id %d", threadID))
@@ -111,9 +112,7 @@ type mixReader struct {
 	segment   uint64    // segments started, perturbs per-segment seeds
 }
 
-// startSegment rotates to the next benchmark. Segments generate live:
-// mix streams are interned as a whole, so interning the segments too
-// would only double-buffer the same instructions.
+// startSegment rotates to the next benchmark.
 func (m *mixReader) startSegment() {
 	m.gen.reset(m.progs[m.next], ReaderOpts{
 		AddrOffset: m.addrOff,
@@ -124,15 +123,8 @@ func (m *mixReader) startSegment() {
 	m.segment++
 }
 
-// Next implements trace.Reader; the stream never ends.
-func (m *mixReader) Next(out *isa.Inst) bool {
-	if m.remaining <= 0 {
-		m.startSegment()
-	}
-	m.gen.Next(out)
-	m.remaining--
-	return true
-}
+// Next implements trace.Reader as a one-record Fill.
+func (m *mixReader) Next(out *isa.Inst) bool { return m.Fill(unsafe.Slice(out, 1)) == 1 }
 
 // Fill implements trace.Filler, splitting dst at segment boundaries.
 func (m *mixReader) Fill(dst []isa.Inst) int {

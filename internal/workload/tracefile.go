@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"unsafe"
 
 	"repro/internal/isa"
 	"repro/internal/trace"
@@ -49,18 +50,8 @@ type traceReader struct {
 	delta uint64
 }
 
-// Next implements trace.Reader.
-func (r *traceReader) Next(out *isa.Inst) bool {
-	if len(r.insts) == 0 {
-		return false
-	}
-	*out = r.insts[0]
-	r.insts = r.insts[1:]
-	if out.IsMem() {
-		out.Addr += r.delta
-	}
-	return true
-}
+// Next implements trace.Reader as a one-record Fill.
+func (r *traceReader) Next(out *isa.Inst) bool { return r.Fill(unsafe.Slice(out, 1)) == 1 }
 
 // Fill implements trace.Filler.
 func (r *traceReader) Fill(dst []isa.Inst) int {
@@ -103,6 +94,10 @@ func TraceSources(path string, contexts int) ([]trace.Reader, error) {
 	return readers, nil
 }
 
+// exportBatch is the number of records ExportTrace generates and encodes
+// at a time, so its memory does not grow with the record count.
+const exportBatch = 4096
+
 // ExportTrace captures the exact per-context streams a simulation of
 // the benchmark would consume — context t gets ThreadAddrOffset(t) and
 // seed+t, the runner's construction — into a container with perStream
@@ -122,10 +117,16 @@ func ExportTrace(w io.Writer, b Benchmark, contexts int, seed uint64, perStream 
 	if err != nil {
 		return nil, err
 	}
+	batch := make([]isa.Inst, min(perStream, exportBatch))
 	for t := 0; t < contexts; t++ {
 		r := b.NewReader(ReaderOpts{AddrOffset: ThreadAddrOffset(t), Seed: seed + uint64(t)})
-		if _, err := tw.AppendAll(t, trace.Limit(r, perStream)); err != nil {
-			return nil, err
+		for left := perStream; left > 0; {
+			k := min(left, int64(len(batch)))
+			r.Fill(batch[:k])
+			if err := tw.AppendAll(t, batch[:k]); err != nil {
+				return nil, err
+			}
+			left -= k
 		}
 	}
 	if err := tw.Close(); err != nil {

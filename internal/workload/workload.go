@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"unsafe"
 
 	"repro/internal/isa"
 	"repro/internal/rng"
@@ -191,27 +192,18 @@ type ReaderOpts struct {
 	Seed uint64
 }
 
-// NewReader returns an infinite instruction stream for the benchmark. It
-// panics on an invalid benchmark definition (the built-in set is validated
-// by tests; custom definitions should be validated by the caller).
+// NewReader returns an infinite instruction stream for the benchmark: a
+// live generator, which also implements trace.Skipper. It panics on an
+// invalid benchmark definition (the built-in set is validated by tests;
+// custom definitions should be validated by the caller).
 //
 // A built-in benchmark generates from the program compiled once per
 // process and shared by every reader (see builtinPrograms); any other
-// definition is compiled for its reader alone.
-//
-// Streams are interned on reuse: when a second reader asks for the same
-// (benchmark spec, options) pair, the instructions are materialized into
-// a shared packed buffer, as far as InternBudgetBytes allows, and
-// replayed from then on (see intern.go). Set InternBudgetBytes to 0 to
-// force live generation.
-func (b Benchmark) NewReader(opts ReaderOpts) trace.Reader {
+// definition is compiled for its reader alone. Every reader generates
+// live: only Mix streams are interned.
+func (b Benchmark) NewReader(opts ReaderOpts) trace.Filler {
 	if err := b.Validate(); err != nil {
 		panic(err)
-	}
-	if InternBudgetBytes > 0 {
-		if s := internFor(b, opts); s != nil {
-			return &internReader{s: s}
-		}
 	}
 	return b.newGenerator(opts)
 }
@@ -230,12 +222,12 @@ func (b Benchmark) newGenerator(opts ReaderOpts) *generator {
 // bits of loop state, so a kernel has at most numShapes distinct
 // iterations. Each is compiled into a template: the iteration's records
 // with every field final except the ones drawn at generation time (a
-// memory access's address, the LoD branch's outcome), which the shape
-// lists as draws, in slot order. Generation copies template records and
-// performs the draws in slot order as the records are read. The stream
-// positions and the rng are private to the generator, so drawing a field
-// when its record is read, rather than when its iteration starts, yields
-// the same values.
+// memory access's address, the LoD branch's outcome), plus one list of
+// its loads and stores and one of its branches, in slot order.
+// Generation copies template records and walks the two lists to perform
+// the draws as the records are read. The stream positions and the rng
+// are private to the generator, so drawing a field when its record is
+// read, rather than when its iteration starts, yields the same values.
 const (
 	shapeOdd     = 1 << iota // odd iteration: the index load rotates to r14
 	shapeIntLoad             // the integer load (and its padding) is live
@@ -251,38 +243,33 @@ const (
 	tagStream        // Addr, from stream tag-tagStream
 )
 
-// draw names one template record whose field generation draws.
-type draw struct {
-	slot int   // index into shape.insts
-	tag  uint8 // tagLoD or a tagStream
-}
-
-// memSlot is one load or store of a template, as Skip reports it.
+// memSlot is one load or store of a template.
 type memSlot struct {
 	slot   int32
 	stream uint8 // the stream its address advances
 	store  bool
 }
 
-// brSlot is one branch of a template, as Skip reports it.
+// brSlot is one branch of a template.
 type brSlot struct {
 	slot  int32
 	pc    uint64
-	taken bool // the fixed outcome, unless lod
-	lod   bool // the outcome is drawn from the rng (tagLoD)
+	taken bool // the fixed outcome, unless it is the shape's lodSlot
 }
 
 // shape is one compiled iteration template.
 type shape struct {
-	insts   []isa.Inst
-	draws   []draw  // the records that draw, in slot order, then a sentinel
-	lodProb float64 // the kernel's LODTakenProb, for tagLoD draws
+	insts []isa.Inst
 	// mems and brs list the loads and stores, and the branches, in slot
-	// order: all that Skip reports. Only draws of one stream, or of the
-	// rng, depend on each other's order, so the two lists are walked
-	// apart.
-	mems []memSlot
-	brs  []brSlot
+	// order: all that Skip reports. Every load and store draws its
+	// address; of the branches, only the one at lodSlot (-1 when the
+	// LoD block is not live) draws its outcome, from the rng with
+	// probability lodProb. Only draws of one stream, or of the rng,
+	// depend on each other's order, so the lists are walked apart.
+	mems    []memSlot
+	brs     []brSlot
+	lodSlot int32
+	lodProb float64 // the kernel's LODTakenProb
 }
 
 // kernelProgram is one kernel compiled: its spec, whose periods pick
@@ -364,7 +351,7 @@ const (
 // per static slot: a suppressed block keeps its slots reserved.
 func (p *program) build(ki, sh int) shape {
 	k := &p.bench.Kernels[ki]
-	s := shape{lodProb: k.LODTakenProb}
+	s := shape{lodSlot: -1, lodProb: k.LODTakenProb}
 
 	// Stable code layout: per-benchmark base (derived from the seed) plus
 	// per-kernel spacing, chosen to avoid systematic BHT aliasing between
@@ -374,14 +361,14 @@ func (p *program) build(ki, sh int) shape {
 	emit := func(in isa.Inst, tag uint8) {
 		in.PC = pcBase + uint64(slot)*4
 		slot++
-		if tag != tagPlain {
-			s.draws = append(s.draws, draw{slot: len(s.insts), tag: tag})
-		}
 		switch at := int32(len(s.insts)); {
 		case in.IsMem():
 			s.mems = append(s.mems, memSlot{slot: at, stream: tag - tagStream, store: in.IsStore()})
 		case in.IsBranch():
-			s.brs = append(s.brs, brSlot{slot: at, pc: in.PC, taken: in.Taken, lod: tag == tagLoD})
+			if tag == tagLoD {
+				s.lodSlot = at
+			}
+			s.brs = append(s.brs, brSlot{slot: at, pc: in.PC, taken: in.Taken})
 		}
 		s.insts = append(s.insts, in)
 	}
@@ -473,9 +460,6 @@ func (p *program) build(ki, sh int) shape {
 
 	// 7. Inner-loop closing branch: taken except on loop exit.
 	emit(isa.Inst{Op: isa.OpBranch, Dest: isa.NoReg, Src1: intReg(regCounter), Src2: isa.NoReg, Taken: sh&shapeTaken != 0}, tagPlain)
-	// The sentinel lies past every slot, so scans for the next draw stop
-	// on it without a length check.
-	s.draws = append(s.draws, draw{slot: len(s.insts)})
 	return s
 }
 
@@ -519,9 +503,8 @@ type generator struct {
 	// shape without a division.
 	odd, il, lod, trip int
 
-	cur  *shape // the current iteration's template
-	pos  int    // read cursor into cur.insts
-	next int    // the first of cur.draws not yet performed
+	cur *shape // the current iteration's template
+	pos int    // read cursor into cur.insts
 }
 
 // reset positions g at the start of p's stream for opts.
@@ -544,24 +527,12 @@ func (g *generator) reset(p *program, opts ReaderOpts) {
 	g.selectShape()
 }
 
-// Next implements trace.Reader. The stream is infinite.
-func (g *generator) Next(out *isa.Inst) bool {
-	if g.pos == len(g.cur.insts) {
-		g.nextIteration()
-	}
-	*out = g.cur.insts[g.pos]
-	if d := g.cur.draws[g.next]; d.slot == g.pos {
-		g.draw(out, d.tag)
-		g.next++
-	}
-	g.pos++
-	return true
-}
+// Next implements trace.Reader as a one-record Fill.
+func (g *generator) Next(out *isa.Inst) bool { return g.Fill(unsafe.Slice(out, 1)) == 1 }
 
 // Fill implements trace.Filler: whole template runs are copied at once,
-// then the draws they cover performed in slot order (draw's body, written
-// out because the call would not be inlined). The stream is infinite, so
-// dst is always filled.
+// then the draws they cover performed: the addresses of the template's
+// loads and stores, and the LoD branch's outcome. The stream is infinite, so dst is always filled.
 func (g *generator) Fill(dst []isa.Inst) int {
 	for n := 0; n < len(dst); {
 		if g.pos == len(g.cur.insts) {
@@ -569,18 +540,20 @@ func (g *generator) Fill(dst []isa.Inst) int {
 		}
 		cur := g.cur
 		k := copy(dst[n:], cur.insts[g.pos:])
-		base, end := n-g.pos, g.pos+k // dst index of slot 0, end slot
-		i := g.next
-		for ; cur.draws[i].slot < end; i++ {
-			d := cur.draws[i]
-			in := &dst[base+d.slot]
-			if d.tag == tagLoD {
-				in.Taken = g.rng.Bool(cur.lodProb)
-			} else {
-				in.Addr = g.streams[d.tag-tagStream].advance()
+		pos, end := int32(g.pos), int32(g.pos+k)
+		base := n - g.pos // the dst index of slot 0
+		for _, m := range cur.mems {
+			if m.slot >= end {
+				break
+			}
+			if m.slot >= pos {
+				dst[base+int(m.slot)].Addr = g.streams[m.stream].advance()
 			}
 		}
-		g.next, g.pos = i, end
+		if l := cur.lodSlot; l >= pos && l < end {
+			dst[base+int(l)].Taken = g.rng.Bool(cur.lodProb)
+		}
+		g.pos = int(end)
 		n += k
 	}
 	return len(dst)
@@ -588,8 +561,8 @@ func (g *generator) Fill(dst []isa.Inst) int {
 
 // Skip implements trace.Skipper: it walks each template's memory and
 // branch lists instead of copying its records, drawing addresses and LoD
-// outcomes exactly as Fill would, and leaves pos and next where Fill
-// would. The stream is infinite, so it always consumes n.
+// outcomes exactly as Fill would, and leaves pos where Fill would. The
+// stream is infinite, so it always consumes n.
 func (g *generator) Skip(refs *trace.Refs, base uint32, n int) int {
 	mem, br := refs.Mem, refs.Br
 	for done := 0; done < n; {
@@ -612,17 +585,10 @@ func (g *generator) Skip(refs *trace.Refs, base uint32, n int) int {
 				break
 			}
 			if b.slot >= pos {
-				if b.lod {
+				if b.slot == cur.lodSlot {
 					b.taken = g.rng.Bool(cur.lodProb)
 				}
 				br = append(br, trace.BranchRef{PC: b.pc, Taken: b.taken})
-			}
-		}
-		if int(end) == len(cur.insts) {
-			g.next = len(cur.draws) - 1 // the sentinel
-		} else {
-			for cur.draws[g.next].slot < int(end) {
-				g.next++
 			}
 		}
 		g.pos = int(end)
@@ -630,15 +596,6 @@ func (g *generator) Skip(refs *trace.Refs, base uint32, n int) int {
 	}
 	refs.Mem, refs.Br = mem, br
 	return n
-}
-
-// draw fills in the generation-time field a tag names.
-func (g *generator) draw(in *isa.Inst, tag uint8) {
-	if tag == tagLoD {
-		in.Taken = g.rng.Bool(g.cur.lodProb)
-		return
-	}
-	in.Addr = g.streams[tag-tagStream].advance()
 }
 
 // nextIteration advances the kernel rotation state past the finished
@@ -679,7 +636,7 @@ func (g *generator) selectShape() {
 	if g.trip != k.InnerTrip-1 {
 		sh |= shapeTaken
 	}
-	g.cur, g.pos, g.next = &k.shapes[sh], 0, 0
+	g.cur, g.pos = &k.shapes[sh], 0
 }
 
 // InstsPerIteration returns the fixed slot count of one iteration of the

@@ -337,8 +337,8 @@ func TestMixRotatesThroughAllBenchmarks(t *testing.T) {
 }
 
 func TestMixEndless(t *testing.T) {
-	r := Mix(3, MixOpts{SegmentLen: 64})
-	if n := trace.Count(trace.Limit(r, 10_000)); n != 10_000 {
+	r := Mix(3, MixOpts{SegmentLen: 64}).(trace.Filler)
+	if n := r.Fill(make([]isa.Inst, 10_000)); n != 10_000 {
 		t.Fatalf("mix ended after %d instructions", n)
 	}
 }
@@ -373,9 +373,10 @@ func TestMixNegativeThreadPanics(t *testing.T) {
 	Mix(-1, MixOpts{})
 }
 
-// benchLive measures generation per instruction, one Next at a time and
-// in the core's 64-record Fill batches.
-func benchLive(b *testing.B, mk func() trace.Filler) {
+// benchLive measures generation per instruction, one Next at a time, in
+// the core's 64-record Fill batches, and skipped in 64-record batches as
+// the functional warp reads a source.
+func benchLive(b *testing.B, mk func() skipper) {
 	b.Run("Next", func(b *testing.B) {
 		r := mk()
 		var in isa.Inst
@@ -390,15 +391,23 @@ func benchLive(b *testing.B, mk func() trace.Filler) {
 			r.Fill(buf[:])
 		}
 	})
+	b.Run("Skip", func(b *testing.B) {
+		r := mk()
+		var refs trace.Refs
+		for n := 0; n < b.N; n += 64 {
+			refs.Mem, refs.Br = refs.Mem[:0], refs.Br[:0]
+			r.Skip(&refs, 0, 64)
+		}
+	})
 }
 
 func BenchmarkGenerator(b *testing.B) {
 	bench, _ := ByName("swim")
-	benchLive(b, func() trace.Filler { return bench.newGenerator(ReaderOpts{}) })
+	benchLive(b, func() skipper { return bench.newGenerator(ReaderOpts{}) })
 }
 
 func BenchmarkMixLive(b *testing.B) {
-	benchLive(b, func() trace.Filler { return newMixReader(0, MixOpts{}) })
+	benchLive(b, func() skipper { return newMixReader(0, MixOpts{}) })
 }
 
 func TestStreamReuseSlowsAdvance(t *testing.T) {
