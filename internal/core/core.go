@@ -176,18 +176,18 @@ func (c *Core) nextEventAt() int64 {
 // Only the constant per-cycle deltas of a no-progress cycle exist: the
 // cycle counter, each unit's offered and wasted issue slots, the blocked
 // heads' memory-stall counters, and the dispatch/load-conflict stall
-// counters. The float additions are repeated rather than multiplied so the
-// waste buckets stay bit-identical to stepping.
+// counters. The float shares are added k times over rather than
+// multiplied by k, so the waste buckets stay bit-identical to stepping.
 func (c *Core) fastForward(k int64) {
 	c.skippedCycles += k
-	for i := int64(0); i < k; i++ {
-		c.col.Cycles++
-		// On a no-progress cycle nothing issued, so every slot was left
-		// over: accountSlots with left == width repeats the recorded
-		// cycle's accounting exactly (reasonBuf still holds its reasons).
-		c.accountSlots(isa.AP, c.cfg.APWidth, c.cfg.APWidth)
-		c.accountSlots(isa.EP, c.cfg.EPWidth, c.cfg.EPWidth)
-	}
+	c.col.Cycles += k
+	// On a no-progress cycle nothing issued, so every slot was left over:
+	// each skipped cycle repeats the recorded cycle's accounting with
+	// left == width (reasonBuf still holds its reasons).
+	c.col.Slots[isa.AP].Total += k * int64(c.cfg.APWidth)
+	c.col.Slots[isa.EP].Total += k * int64(c.cfg.EPWidth)
+	c.wasteSlots(isa.AP, c.cfg.APWidth, k)
+	c.wasteSlots(isa.EP, c.cfg.EPWidth, k)
 	for _, d := range c.memStallBuf {
 		d.MemStall += k
 	}

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/isa"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -238,4 +239,56 @@ func TestFastForwardStoreConflictStall(t *testing.T) {
 		)
 	}
 	runPair(t, highLatency(), insts, 2_000_000)
+}
+
+// TestFastForwardRepeatsAddition pins that a skip of k cycles adds each
+// waste share k times, as k one-cycle replays do, rather than adding
+// k×share once. The buckets start at 1e15, where float64 values are
+// 0.125 apart, and the AP unit splits 4 slots over 3 blocked threads, so
+// the two sums round differently; the comparison is bit for bit.
+func TestFastForwardRepeatsAddition(t *testing.T) {
+	const k = 1000
+	type reasons = [stats.NumWasteReasons]int32
+	ap := reasons{stats.WasteMem: 2, stats.WasteFU: 1} // share 4/3
+	for _, tc := range []struct {
+		name string
+		ep   reasons // over 2 EP slots
+	}{
+		{"shares", reasons{stats.WasteMem: 1, stats.WasteOther: 2}}, // share 2/3
+		{"idle", reasons{}}, // no reason reported: both slots go to idle
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var cores [2]*Core
+			for i := range cores {
+				m, err := newMachine(highLatency(), []trace.Reader{trace.Slice(nil)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := m.Core
+				c.cfg.APWidth, c.cfg.EPWidth = 4, 2
+				for u, rs := range [isa.NumUnits]reasons{isa.AP: ap, isa.EP: tc.ep} {
+					c.reasonBuf[u] = rs
+					c.reasonTotal[u] = 0
+					for r, n := range rs {
+						c.reasonTotal[u] += n
+						c.col.Slots[u].Wasted[r] = 1e15 + float64(r)
+					}
+				}
+				cores[i] = c
+			}
+			skipped, replayed := cores[0], cores[1]
+			start := skipped.col.Slots[isa.AP].Wasted[stats.WasteMem]
+			skipped.fastForward(k)
+			for i := 0; i < k; i++ {
+				replayed.fastForward(1)
+			}
+			if skipped.col != replayed.col {
+				t.Fatalf("a %d-cycle skip differs from %d one-cycle replays:\nskip:   %+v\nreplay: %+v",
+					k, k, skipped.col.Slots, replayed.col.Slots)
+			}
+			if got := replayed.col.Slots[isa.AP].Wasted[stats.WasteMem]; got == start+float64(2*k)*(4.0/3) {
+				t.Fatal("k×share rounds like k additions; the case shows nothing")
+			}
+		})
+	}
 }

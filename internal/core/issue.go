@@ -419,25 +419,41 @@ func (c *Core) record(unit isa.Unit, r stats.WasteReason) {
 // accountSlots distributes a unit's wasted slots this cycle across the
 // blocked threads' reasons (evenly, one reason per thread), defaulting to
 // idle when no thread reported a reason — the Tullsen-style accounting the
-// paper's Figure 3 uses. The float share is added once per blocked
-// thread, never pre-multiplied, so the waste buckets accumulate in the
-// exact sequence the original per-thread walk produced (bit-identical
-// floats).
+// paper's Figure 3 uses.
 func (c *Core) accountSlots(unit isa.Unit, width, left int) {
-	s := &c.col.Slots[unit]
-	s.Total += int64(width)
+	c.col.Slots[unit].Total += int64(width)
+	c.wasteSlots(unit, left, 1)
+}
+
+// wasteSlots adds k cycles' worth of a unit's left-over slots to its
+// waste buckets. The float share is added once per blocked thread per
+// cycle, never pre-multiplied, so each bucket accumulates the exact
+// sequence of additions the per-cycle, per-thread walk produces
+// (bit-identical floats); a bucket's k×count additions run in one
+// register loop.
+func (c *Core) wasteSlots(unit isa.Unit, left int, k int64) {
 	if left <= 0 {
 		return
 	}
+	w := &c.col.Slots[unit].Wasted
 	n := int(c.reasonTotal[unit])
 	if n == 0 {
-		s.Wasted[stats.WasteIdle] += float64(left)
+		addRepeated(&w[stats.WasteIdle], float64(left), k)
 		return
 	}
 	share := float64(left) / float64(n)
-	for r, k := range c.reasonBuf[unit] {
-		for ; k > 0; k-- {
-			s.Wasted[r] += share
+	for r, cnt := range c.reasonBuf[unit] {
+		if cnt > 0 {
+			addRepeated(&w[r], share, k*int64(cnt))
 		}
 	}
+}
+
+// addRepeated adds x to *sum n times, rounding after each addition.
+func addRepeated(sum *float64, x float64, n int64) {
+	v := *sum
+	for ; n > 0; n-- {
+		v += x
+	}
+	*sum = v
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/isa"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -19,12 +20,16 @@ import (
 // cycles, the Section-2 latency scaling at L2=256 (decoupled and not),
 // oldest-first issue (which orders threads by fetch cycle), speculation
 // with squashes and loss-of-decoupling holds, a CMP over a shared L2,
-// and the Section-2 machine itself. Each case runs twice, once on live
-// generators and once on interned replays of the same streams, so both
-// source paths into fetch are pinned. The two coherence cases run both
-// cores on one shared swim stream (see sharedSwim), so stores reach the
-// timed write-invalidate broadcast with remote copies present, over a
-// shared and over a per-core private L2.
+// and the Section-2 machine itself. Each case runs twice, so two source
+// paths into fetch are pinned. The Mix cases run once on live generators
+// and once on interned replays of the same streams, under a budget large
+// enough to hold every record they read, and check that the second
+// pass's sources are interned. The two coherence cases run both cores on
+// one shared swim stream (see sharedSwim), so stores reach the timed
+// write-invalidate broadcast with remote copies present, over a shared
+// and over a per-core private L2; Benchmark.NewReader never interns, so
+// their second pass replays recorded records through trace.Slice, a
+// plain Reader the core reads one Next at a time (see recordedSwim).
 func TestExactReportDigestsPinned(t *testing.T) {
 	tiny := config.Figure2(2)
 	tiny.FetchBufSize = 8
@@ -68,30 +73,45 @@ func TestExactReportDigestsPinned(t *testing.T) {
 		{"cmp2x1-privateL2-coherent", coherent.WithPrivateHierarchy(), 0,
 			"4a1c076a2e612e64d44c7e1f2864e600f33c63215e20956101b7f53da6f7ff2f", true, true},
 	}
+	const warmup, measure = 4_000, 200_000
 	saved := workload.InternBudgetBytes
 	defer func() { workload.InternBudgetBytes = saved }()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			n := tc.machine.TotalContexts()
-			sources := func() []trace.Reader {
-				if tc.shared {
-					return sharedSwim(t, n)
-				}
-				return workload.MixSources(n, workload.MixOpts{Seed: tc.seed, SegmentLen: 9_000})
-			}
-			for _, interned := range []bool{false, true} {
-				workload.InternBudgetBytes = 0
-				if interned {
+			opts := workload.MixOpts{Seed: tc.seed, SegmentLen: 9_000}
+			for _, replay := range []bool{false, true} {
+				var sources []trace.Reader
+				switch {
+				case tc.shared && !replay:
+					sources = sharedSwim(t, n)
+				case tc.shared:
+					// No context graduates more than the whole budget,
+					// and the core reads at most a batch and a window
+					// beyond what it graduates.
+					sources = recordedSwim(t, n, warmup+measure+4096)
+				case !replay:
+					workload.InternBudgetBytes = 0
+					sources = workload.MixSources(n, opts)
+				default:
 					// The first request for a stream runs live; the
-					// second replays the interned buffer.
-					workload.InternBudgetBytes = saved
-					sources()
+					// second replays the interned buffer, which this
+					// budget lets grow over the whole run. No other test
+					// reads these streams, so none is frozen short.
+					workload.InternBudgetBytes = 1 << 30
+					workload.MixSources(n, opts)
+					sources = workload.MixSources(n, opts)
+					for i, src := range sources {
+						if _, ok := src.(trace.Peeker); !ok {
+							t.Fatalf("context %d's second Mix reader is not an interned replay", i)
+						}
+					}
 				}
 				res, err := Run(context.Background(), Options{
 					Machine:      tc.machine,
-					Sources:      sources(),
-					WarmupInsts:  4_000,
-					MeasureInsts: 200_000,
+					Sources:      sources,
+					WarmupInsts:  warmup,
+					MeasureInsts: measure,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -105,7 +125,7 @@ func TestExactReportDigestsPinned(t *testing.T) {
 				}
 				sum := sha256.Sum256(b)
 				if got := hex.EncodeToString(sum[:]); got != tc.digest {
-					t.Errorf("interned=%v: report digest %s, pinned %s", interned, got, tc.digest)
+					t.Errorf("replay=%v: report digest %s, pinned %s", replay, got, tc.digest)
 				}
 			}
 		})
@@ -124,6 +144,21 @@ func sharedSwim(t *testing.T, n int) []trace.Reader {
 	srcs := make([]trace.Reader, n)
 	for i := range srcs {
 		srcs[i] = b.NewReader(workload.ReaderOpts{})
+	}
+	return srcs
+}
+
+// recordedSwim returns n readers replaying the first `records` records
+// of sharedSwim's stream from one recorded slice.
+func recordedSwim(t *testing.T, n, records int) []trace.Reader {
+	t.Helper()
+	insts := make([]isa.Inst, records)
+	if got := sharedSwim(t, 1)[0].(trace.Filler).Fill(insts); got != records {
+		t.Fatalf("recorded %d of %d swim records", got, records)
+	}
+	srcs := make([]trace.Reader, n)
+	for i := range srcs {
+		srcs[i] = trace.Slice(insts)
 	}
 	return srcs
 }

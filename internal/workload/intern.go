@@ -13,15 +13,14 @@ import (
 //
 // Every figure in the paper is a sweep, and every sweep point re-creates
 // the same per-thread Mix streams: the stream for a given (thread,
-// segment length, seed) triple is deterministic, so without interning
-// each point would regenerate the same instructions from the kernel
-// templates, a few ns per instruction (README, Performance). Mix
-// therefore memoizes each triple's output in a shared packed buffer: the
-// first reader materializes instructions chunk by chunk from one
-// underlying generator, and every later reader — in this run, a later
-// sweep point, or a concurrent runner worker — replays the prefix with a
-// bounds check and a copy. Benchmark.NewReader streams are never
-// interned.
+// segment length, seed) triple is deterministic. Mix memoizes a prefix
+// of each triple's output in a shared packed buffer: the first reader
+// materializes instructions chunk by chunk from one underlying
+// generator, and every later reader — in this run, a later sweep point,
+// or a concurrent runner worker — replays the prefix with a bounds check
+// and a copy. Regenerating costs only a few ns per instruction (README,
+// Performance), so the prefix is kept small (see InternBudgetBytes).
+// Benchmark.NewReader streams are never interned.
 //
 // The buffers are append-only and chunked: a published chunk never moves,
 // so readers race-freely index it after observing the published length
@@ -50,13 +49,19 @@ const internChunkLen = 1024
 // across all Mix streams, the only ones it interns, in bytes. Once
 // exhausted, streams stop growing and readers beyond the shared prefix
 // generate privately. Set to 0 (before any simulation) to disable
-// interning. Generation from the shared
-// compiled programs costs a few ns per instruction, so replaying a whole
-// stream saves little time while holding 24 bytes per instruction: a
-// Figure-4 pass under a 256 MiB budget held ~80 MB of streams to save
-// about 1% of its CPU. The default therefore holds the interner to less
-// than a third of the ~14 MiB that pass peaks at with interning off.
-var InternBudgetBytes int64 = 4 << 20
+// interning.
+//
+// The default, 256 KiB (ten chunks, 10,240 records), is a token: the
+// interner buys no time. Generation from the shared compiled programs
+// costs a few ns per instruction, and a reader that outruns a frozen
+// prefix regenerates that prefix to position its private generator, so
+// a replayed prefix is extra work, not saved work. A Figure-4 pass reads
+// 650k records per thread per point: a 4 MiB budget held under 7% of
+// its shared streams and, with GC headroom, cost about 7 MiB of its
+// ~21 MiB peak RSS; at 256 KiB the pass peaks near 14 MiB. The
+// interner stays only until the benchmark's timing wrapper stops
+// needing Mix's second reader to be a trace.Peeker.
+var InternBudgetBytes int64 = 256 << 10
 
 type internChunk = [internChunkLen]isa.Inst
 

@@ -53,8 +53,9 @@ func ThreadAddrOffset(threadID int) uint64 {
 //
 // Mix streams are the only ones interned (see intern.go): the second and
 // later requests for the same (thread, options) stream replay a shared
-// packed buffer, as far as InternBudgetBytes let it grow, instead of
-// re-running the segment generators.
+// packed prefix, as far as InternBudgetBytes (256 KiB across all
+// streams) let it grow, then generate the rest privately. The prefix
+// saves no time; it is kept small until the interner is deleted.
 func Mix(threadID int, opts MixOpts) trace.Reader {
 	if threadID < 0 {
 		panic(fmt.Sprintf("workload: negative thread id %d", threadID))
